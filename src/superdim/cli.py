@@ -337,7 +337,10 @@ def _cmd_hilbert(args):
 
 def _scalar_from_json(field, c):
     if isinstance(c, dict):
-        return field.of(Fraction(int(c["num"]), int(c["den"])))
+        try:
+            return field.of(Fraction(int(c["num"]), int(c["den"])))
+        except ZeroDivisionError:
+            raise UsageError("coefficient %r is not defined over %s" % (c, field.name))
     if isinstance(c, int):
         return field.of(c)
     raise UsageError("bad coefficient %r in cochain file" % (c,))

@@ -11,11 +11,20 @@ first-class, since every sign in the coboundary
 depends on |f|.  The right action in the last term is the twisted one,
 m.a = (-1)^{|a||m|} a.m, applied per basis coordinate of the value.
 
+:func:`coboundary` pushes this formula forward from the nonzero entries of
+f instead of evaluating it on all dim^(n+2) output tuples: an entry at t
+reaches the inner terms of exactly the tuples that split one t[i] into a
+product a b containing it, and the outer terms of (a0,) + t and t + (a,).
+A call costs O(nnz(f) * (dim + sum of preimage counts)) against the
+O(dim^(n+2) * (n+1)) of a full scan.
+
 The subcomplex C^n(A, M) is cut out by the unit condition in the first
 slot, the reversal symmetry with sign (-1)^{n(n-1)/2 + sum_{i<j}|a_i||a_j|},
-and, when 2 is not invertible, the vanishing of f on odd diagonals; the
-last condition is not multilinear, so over F2 it is enumerated pointwise
-over the odd part (size-guarded).
+and, when 2 is not invertible, the vanishing of f on odd diagonals.  The
+first two have a closed form (see :func:`cochain_space_basis`): the unit
+may sit at neither end, and one vector per reversal orbit remains.  The
+diagonal condition is not multilinear, so over F2 it is enumerated
+pointwise over the odd part (size-guarded) and solved on the orbit basis.
 
 An odd super-skew pi in C^1(A, A) is the datum of a square-zero extension
 A_pi on A + PiA; pi is a cocycle exactly when the four product rules give
@@ -29,7 +38,7 @@ from __future__ import annotations
 import itertools
 
 from .algebra import AlgebraError, FiniteSuperAlgebra
-from .exactlin import Echelon, Matrix, kernel_of_constraints, solve_sparse
+from .exactlin import Echelon, Matrix, kernel_of_constraints, solve_sparse, vec_add_scaled
 from .smodule import regular_module
 from .superpoly import EVEN, ODD
 
@@ -56,16 +65,6 @@ __all__ = [
     "random_in_C",
     "random_super_skew",
 ]
-
-
-def _add_scaled(acc, vec, coeff):
-    for r, x in vec.items():
-        v = acc.get(r)
-        t = coeff * x if v is None else v + coeff * x
-        if t:
-            acc[r] = t
-        else:
-            acc.pop(r, None)
 
 
 class Cochain:
@@ -125,14 +124,7 @@ def cochain_add(f, g):
         raise AlgebraError("cochain shape mismatch")
     table = {t: dict(v) for t, v in f.table.items()}
     for t, v in g.table.items():
-        acc = table.setdefault(t, {})
-        for r, c in v.items():
-            s = acc.get(r)
-            s = c if s is None else s + c
-            if s:
-                acc[r] = s
-            else:
-                acc.pop(r, None)
+        vec_add_scaled(table.setdefault(t, {}), v, 1)
     return Cochain(f.n, f.parity, table)
 
 
@@ -161,53 +153,67 @@ def cochain_parity_violations(f, A, target_parities):
 
 
 def coboundary(f, A, M):
-    """d_n(f) as a Cochain of arity n+2 with the same parity."""
+    """d_n(f) as a Cochain of arity n+2 with the same parity.
+
+    Pushed forward from the support of f.  A value c at tuple t adds
+    (-1)^i * mu * c at t[:i] + (a, b) + t[i+1:] for every slot i and every
+    basis product e_a e_b whose coefficient on e_{t[i]} is mu; the index of
+    these preimages is built from ``A.mul_basis`` on each call (dim^2
+    lookups).  The left and right actions add at (a0,) + t and t + (a,)
+    for every basis element.  The cost is O(nnz(f) * (dim + sum of
+    preimage counts)) instead of a scan of all dim^(n+2) output tuples.
+    """
     n = f.n
     dim = A.dim
+    one = M.field.one
+    preimages = [[] for _ in range(dim)]
+    for a in range(dim):
+        for b in range(dim):
+            for k, c in A.mul_basis(a, b).items():
+                preimages[k].append((a, b, c))
+    # -(-1)^{|f||a0|} is -1 unless both f and a0 are odd
+    left = [one if f.parity == ODD and A.parities[a] == ODD else -one for a in range(dim)]
+    right = -one if n % 2 == 0 else one  # (-1)^{n+1}
     out = {}
-    neg_left = f.parity == EVEN  # -(-1)^{|f||a0|} is -1 unless both odd
-
-    for tup in itertools.product(range(dim), repeat=n + 2):
-        acc = {}
+    for t, val in f.table.items():
         for i in range(n + 1):
-            prod = A.mul_basis(tup[i], tup[i + 1])
-            if not prod:
-                continue
-            head, tail = tup[:i], tup[i + 2 :]
-            negate = i % 2 == 1
-            for k, c in prod.items():
-                val = f.table.get(head + (k,) + tail)
-                if val:
-                    _add_scaled(acc, val, -c if negate else c)
-        val = f.table.get(tup[1:])
-        if val:
-            moved = M.act_basis(tup[0]).apply(val)
-            if moved:
-                if neg_left or A.parities[tup[0]] == EVEN:
-                    moved = {r: -c for r, c in moved.items()}
-                _add_scaled(acc, moved, _unit_scalar(M.field))
-        val = f.table.get(tup[:-1])
-        if val:
-            a = tup[-1]
-            if A.parities[a] == ODD:
-                val = {r: -c if M.parities[r] else c for r, c in val.items()}
-            moved = M.act_basis(a).apply(val)
-            if moved:
-                if n % 2 == 0:  # (-1)^{n+1}
-                    moved = {r: -c for r, c in moved.items()}
-                _add_scaled(acc, moved, _unit_scalar(M.field))
-        acc = {r: c for r, c in acc.items() if c}
-        if acc:
-            out[tup] = acc
+            head, tail = t[:i], t[i + 1 :]
+            for a, b, c in preimages[t[i]]:
+                vec_add_scaled(out.setdefault(head + (a, b) + tail, {}), val, -c if i % 2 else c)
+        twisted = {r: -c if M.parities[r] else c for r, c in val.items()}
+        for a in range(dim):
+            act = M.act_basis(a)
+            vec_add_scaled(out.setdefault((a,) + t, {}), act.apply(val), left[a])
+            moved = act.apply(twisted if A.parities[a] == ODD else val)
+            vec_add_scaled(out.setdefault(t + (a,), {}), moved, right)
     return Cochain(n + 1, f.parity, out)
-
-
-def _unit_scalar(field):
-    return field.one
 
 
 # ---------------------------------------------------------------------------
 # the subcomplex C^n
+
+
+def _reversal_flips(n, odd_count):
+    """Whether the reversal sign (-1)^{n(n-1)/2 + sum_{i<j}|a_i||a_j|} is -1.
+
+    The sum over pairs counts the pairs of odd entries, C(odd_count, 2).
+    """
+    return (n * (n - 1) // 2 + odd_count * (odd_count - 1) // 2) % 2 == 1
+
+
+def _odd_diagonals(A, n, limit):
+    """One tuple list S^(n+1) per nonempty set S of odd basis elements.
+
+    Over F2 every odd vector is the sum of such an S, and f vanishes on its
+    diagonal exactly when f sums to zero over S^(n+1).  At most ``limit``
+    sets are allowed.
+    """
+    odd_idx = [i for i in range(A.dim) if A.parities[i] == ODD]
+    if 2 ** len(odd_idx) > limit:
+        raise AlgebraError("odd part too large for the pointwise diagonal check")
+    for mask in range(1, 2 ** len(odd_idx)):
+        support = [odd_idx[b] for b in range(len(odd_idx)) if mask >> b & 1]
+        yield list(itertools.product(support, repeat=n + 1))
 
 
 def is_in_C(f, A, M, max_pointwise=4096):
@@ -224,29 +230,16 @@ def is_in_C(f, A, M, max_pointwise=4096):
             return False
     seen = set(f.table) | {t[::-1] for t in f.table}
     for tup in seen:
-        rev = tup[::-1]
-        pars = [A.parities[i] for i in tup]
-        exp = n * (n - 1) // 2 + sum(
-            pars[i] * pars[j] for i in range(n + 1) for j in range(i + 1, n + 1)
-        )
         want = f.value(tup)
-        if exp % 2:
+        if _reversal_flips(n, sum(A.parities[i] for i in tup)):
             want = {r: -c for r, c in want.items()}
-        if f.value(rev) != want:
+        if f.value(tup[::-1]) != want:
             return False
     if A.field.characteristic == 2 and n >= 1:
-        odd_idx = [i for i in range(A.dim) if A.parities[i] == ODD]
-        if 2 ** len(odd_idx) > max_pointwise:
-            raise AlgebraError(
-                "odd part too large for the pointwise diagonal check"
-            )
-        for mask in range(1, 2 ** len(odd_idx)):
-            support = [odd_idx[b] for b in range(len(odd_idx)) if mask >> b & 1]
+        for tuples in _odd_diagonals(A, n, max_pointwise):
             acc = {}
-            for tup in itertools.product(support, repeat=n + 1):
-                val = f.table.get(tup)
-                if val:
-                    _add_scaled(acc, val, A.field.one)
+            for tup in tuples:
+                vec_add_scaled(acc, f.value(tup), A.field.one)
             if acc:
                 return False
     return True
@@ -322,14 +315,14 @@ def is_cocycle_pi(pi, A):
             for k in range(dim):
                 acc = {}
                 for r, c in ab.items():
-                    _add_scaled(acc, p.value((r, k)), c)
+                    vec_add_scaled(acc, p.value((r, k)), c)
                 for r, c in A.mul_basis(j, k).items():
-                    _add_scaled(acc, p.value((i, r)), -c)
+                    vec_add_scaled(acc, p.value((i, r)), -c)
                 if vab:
-                    _add_scaled(acc, A.mul(vab, A.basis_element(k)), A.field.one)
+                    vec_add_scaled(acc, A.mul(vab, A.basis_element(k)), A.field.one)
                 vbc = p.value((j, k))
                 if vbc:
-                    _add_scaled(acc, A.mul(ei, vbc), sign_a)
+                    vec_add_scaled(acc, A.mul(ei, vbc), sign_a)
                 if acc:
                     return False
     return True
@@ -520,70 +513,69 @@ def _is_algebra_map(R1, R2, phi):
 
 
 def cochain_space_basis(A, M, n, parity):
-    """Deterministic basis of C^n(A, M) of the given parity."""
-    dim = A.dim
+    """Deterministic basis of C^n(A, M) of the given parity, written down.
+
+    The coordinates of a cochain are the pairs (tup, r) whose value parity
+    M.parities[r] is parity + sum of the parities in tup, in lexicographic
+    order.  Together, the unit condition and the reversal symmetry kill
+    every tuple with the unit at either end.  Of each remaining reversal
+    pair tup > rev, one vector per r is left: e_(tup, r) + sign e_(rev, r),
+    sign being the reversal sign of tup.  A self-reverse tuple leaves
+    e_(tup, r) when 1 - sign is zero in the field.  The vectors come in
+    the order of their tup, which is the basis, vector for vector, that
+    eliminating the constraints one by one with kernel_of_constraints
+    leaves.  Over F2 the odd-diagonal conditions still need a solve: they
+    are projected onto this orbit basis, solved there, and mapped back.
+    """
     unit = A.unit_index
-    variables = []
-    for tup in itertools.product(range(dim), repeat=n + 1):
-        want = (parity + sum(A.parities[i] for i in tup)) % 2
+    field = A.field
+    one = field.one
+    orbits = []
+    for tup in itertools.product(range(A.dim), repeat=n + 1):
+        rev = tup[::-1]
+        if tup[0] == unit or tup[-1] == unit or tup < rev:
+            continue
+        odd_count = sum(A.parities[i] for i in tup)
+        sign = -one if _reversal_flips(n, odd_count) else one
+        if tup == rev and one - sign:
+            continue
+        want = (parity + odd_count) % 2
         for r in range(M.dim):
             if M.parities[r] == want:
-                variables.append((tup, r))
-    vidx = {v: t for t, v in enumerate(variables)}
-    field = A.field
-    constraints = []
-    for t, (tup, r) in enumerate(variables):
-        if tup[0] == unit:
-            constraints.append({t: field.one})
-    seen = set()
-    for tup, r in variables:
-        rev = tup[::-1]
-        if (rev, tup) in seen or (tup, rev) in seen:
-            continue
-        seen.add((tup, rev))
-        pars = [A.parities[i] for i in tup]
-        exp = n * (n - 1) // 2 + sum(
-            pars[i] * pars[j] for i in range(n + 1) for j in range(i + 1, n + 1)
-        )
-        sign = -field.one if exp % 2 else field.one
-        for rr in range(M.dim):
-            if (tup, rr) not in vidx:
-                continue
-            if rev == tup:
-                coeff = field.one - sign
-                if coeff:
-                    constraints.append({vidx[(tup, rr)]: coeff})
-            else:
-                constraints.append(
-                    {vidx[(rev, rr)]: field.one, vidx[(tup, rr)]: -sign}
-                )
+                orbits.append({tup: {r: one}} if tup == rev else {tup: {r: one}, rev: {r: sign}})
     if field.characteristic == 2 and n >= 1:
-        odd_idx = [i for i in range(dim) if A.parities[i] == ODD]
-        if 2 ** len(odd_idx) > 4096:
-            raise AlgebraError("odd part too large for the pointwise diagonal check")
-        for mask in range(1, 2 ** len(odd_idx)):
-            support = [odd_idx[b] for b in range(len(odd_idx)) if mask >> b & 1]
-            per_r = {}
-            for tup in itertools.product(support, repeat=n + 1):
-                for rr in range(M.dim):
-                    t = vidx.get((tup, rr))
-                    if t is not None:
-                        row = per_r.setdefault(rr, {})
-                        v = row.get(t)
-                        v = field.one if v is None else v + field.one
-                        if v:
-                            row[t] = v
-                        else:
-                            row.pop(t, None)
-            constraints.extend(row for row in per_r.values() if row)
-    kernel = kernel_of_constraints(len(variables), constraints, field)
+        orbits = _odd_diagonal_kernel(A, M, n, orbits)
+    return [Cochain(n, parity, table) for table in orbits]
+
+
+def _odd_diagonal_kernel(A, M, n, orbits):
+    """The combinations of the F2 orbit basis that vanish on odd diagonals.
+
+    Over F2 every orbit vector has coefficient 1 on each of its at most two
+    coordinates, and no two orbits share one.  So a constraint's value on
+    orbit k is the sum of its coefficients over that orbit's coordinates,
+    and a kernel vector w maps back to w[k] on each coordinate of orbit k.
+    """
+    one = A.field.one
+    orbit_of = {
+        (tup, r): k for k, table in enumerate(orbits) for tup, vec in table.items() for r in vec
+    }
+    constraints = []
+    for tuples in _odd_diagonals(A, n, 4096):
+        for r in range(M.dim):
+            row = {}
+            for tup in tuples:
+                k = orbit_of.get((tup, r))
+                if k is not None:
+                    vec_add_scaled(row, {k: one}, one)
+            constraints.append(row)
     out = []
-    for vec in kernel:
+    for w in kernel_of_constraints(len(orbits), constraints, A.field):
         table = {}
-        for t, c in vec.items():
-            tup, r = variables[t]
-            table.setdefault(tup, {})[r] = c
-        out.append(Cochain(n, parity, table))
+        for k, c in w.items():
+            for tup, vec in orbits[k].items():
+                table.setdefault(tup, {}).update((r, c) for r in vec)
+        out.append(table)
     return out
 
 

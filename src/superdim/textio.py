@@ -124,7 +124,10 @@ def _tokenize(text, line, column0):
         start = m.start(m.lastgroup)
         span = SourceSpan(line, column0 + start + 1, m.end() - start)
         if m.lastgroup == "number":
-            out.append(("number", Fraction(m.group("number")), span))
+            try:
+                out.append(("number", Fraction(m.group("number")), span))
+            except ZeroDivisionError:
+                raise ParseError("zero denominator", span)
         elif m.lastgroup == "ident":
             out.append(("ident", m.group("ident"), span))
         else:
@@ -408,26 +411,21 @@ def parse_presentation(text, field=None):
                     closed = True
                     break
                 indent = len(rbody) - len(rbody.lstrip())
+                span = SourceSpan(rn, indent + 1, len(rbody.strip()))
                 node = _parse_expression(rbody.strip(), rn, indent)
-                poly = _poly_eval(node, probe)
+                try:
+                    poly = _poly_eval(node, probe)
+                except ZeroDivisionError:
+                    raise ParseError("a coefficient is not defined over %s" % field.name, span)
                 if poly.is_zero():
                     continue
                 d = poly.degree()
                 if d is None:
-                    raise ParseError(
-                        "relation is not degree-homogeneous",
-                        SourceSpan(rn, indent + 1, len(rbody.strip())),
-                    )
+                    raise ParseError("relation is not degree-homogeneous", span)
                 if d == 0:
-                    raise ParseError(
-                        "relation is a nonzero constant",
-                        SourceSpan(rn, indent + 1, len(rbody.strip())),
-                    )
+                    raise ParseError("relation is a nonzero constant", span)
                 if poly.parity() is None:
-                    raise ParseError(
-                        "relation is not parity-homogeneous",
-                        SourceSpan(rn, indent + 1, len(rbody.strip())),
-                    )
+                    raise ParseError("relation is not parity-homogeneous", span)
                 relations.append(poly)
             if not closed:
                 raise ParseError("missing 'end'", SourceSpan(n, 1, len(body)))
@@ -558,7 +556,10 @@ def parse_module(text, A):
             col0 = len(body) - len(right)
             span = SourceSpan(n, col0 + 1, max(len(right.strip()), 1))
             node = _parse_expression(right.strip(), n, col0 + (len(right) - len(right.lstrip())))
-            kind, val = _combo_eval(node, symtab, A.field, span)
+            try:
+                kind, val = _combo_eval(node, symtab, A.field, span)
+            except ZeroDivisionError:
+                raise ParseError("a coefficient is not defined over %s" % A.field.name, span)
             if kind == "scalar":
                 if val:
                     raise ParseError(

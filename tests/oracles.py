@@ -2,12 +2,20 @@
 
 Everything here is computed from first principles (combinatorics, naive
 row reduction over Fraction, direct formula evaluation) so that the
-package under test is never the judge of its own output.
+package under test is never the judge of its own output.  The Hochschild
+references at the end are the exception: they are the package's earlier,
+slower kernels, kept to pin the faster ones to the same results.
 """
 
+import itertools
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+
+from superdim.algebra import AlgebraError
+from superdim.exactlin import kernel_of_constraints
+from superdim.hochschild import Cochain
+from superdim.superpoly import EVEN, ODD
 
 
 def perm_parity(perm):
@@ -182,4 +190,139 @@ def direct_coboundary0(f_table, f_parity, A):
                     add({k: c2}, twist)
             if acc:
                 out[(i, j)] = acc
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the earlier Hochschild kernels, kept as references for the faster ones
+#
+# scan_coboundary evaluates d_n(f) on every one of the dim^(n+2) output
+# tuples, pulling back through every product a_i a_{i+1}.
+# solved_cochain_space_basis writes out all unit, reversal and F2
+# odd-diagonal constraints on the full variable space and solves them with
+# kernel_of_constraints.  Both are the package's code before the
+# push-forward coboundary and the orbit basis of C^n replaced them.
+
+
+def _add_scaled(acc, vec, coeff):
+    for r, x in vec.items():
+        v = acc.get(r)
+        t = coeff * x if v is None else v + coeff * x
+        if t:
+            acc[r] = t
+        else:
+            acc.pop(r, None)
+
+
+def scan_coboundary(f, A, M):
+    """d_n(f) as a Cochain of arity n+2 with the same parity."""
+    n = f.n
+    dim = A.dim
+    out = {}
+    neg_left = f.parity == EVEN  # -(-1)^{|f||a0|} is -1 unless both odd
+
+    for tup in itertools.product(range(dim), repeat=n + 2):
+        acc = {}
+        for i in range(n + 1):
+            prod = A.mul_basis(tup[i], tup[i + 1])
+            if not prod:
+                continue
+            head, tail = tup[:i], tup[i + 2 :]
+            negate = i % 2 == 1
+            for k, c in prod.items():
+                val = f.table.get(head + (k,) + tail)
+                if val:
+                    _add_scaled(acc, val, -c if negate else c)
+        val = f.table.get(tup[1:])
+        if val:
+            moved = M.act_basis(tup[0]).apply(val)
+            if moved:
+                if neg_left or A.parities[tup[0]] == EVEN:
+                    moved = {r: -c for r, c in moved.items()}
+                _add_scaled(acc, moved, _unit_scalar(M.field))
+        val = f.table.get(tup[:-1])
+        if val:
+            a = tup[-1]
+            if A.parities[a] == ODD:
+                val = {r: -c if M.parities[r] else c for r, c in val.items()}
+            moved = M.act_basis(a).apply(val)
+            if moved:
+                if n % 2 == 0:  # (-1)^{n+1}
+                    moved = {r: -c for r, c in moved.items()}
+                _add_scaled(acc, moved, _unit_scalar(M.field))
+        acc = {r: c for r, c in acc.items() if c}
+        if acc:
+            out[tup] = acc
+    return Cochain(n + 1, f.parity, out)
+
+
+def _unit_scalar(field):
+    return field.one
+
+
+def solved_cochain_space_basis(A, M, n, parity):
+    """Deterministic basis of C^n(A, M) of the given parity."""
+    dim = A.dim
+    unit = A.unit_index
+    variables = []
+    for tup in itertools.product(range(dim), repeat=n + 1):
+        want = (parity + sum(A.parities[i] for i in tup)) % 2
+        for r in range(M.dim):
+            if M.parities[r] == want:
+                variables.append((tup, r))
+    vidx = {v: t for t, v in enumerate(variables)}
+    field = A.field
+    constraints = []
+    for t, (tup, r) in enumerate(variables):
+        if tup[0] == unit:
+            constraints.append({t: field.one})
+    seen = set()
+    for tup, r in variables:
+        rev = tup[::-1]
+        if (rev, tup) in seen or (tup, rev) in seen:
+            continue
+        seen.add((tup, rev))
+        pars = [A.parities[i] for i in tup]
+        exp = n * (n - 1) // 2 + sum(
+            pars[i] * pars[j] for i in range(n + 1) for j in range(i + 1, n + 1)
+        )
+        sign = -field.one if exp % 2 else field.one
+        for rr in range(M.dim):
+            if (tup, rr) not in vidx:
+                continue
+            if rev == tup:
+                coeff = field.one - sign
+                if coeff:
+                    constraints.append({vidx[(tup, rr)]: coeff})
+            else:
+                constraints.append(
+                    {vidx[(rev, rr)]: field.one, vidx[(tup, rr)]: -sign}
+                )
+    if field.characteristic == 2 and n >= 1:
+        odd_idx = [i for i in range(dim) if A.parities[i] == ODD]
+        if 2 ** len(odd_idx) > 4096:
+            raise AlgebraError("odd part too large for the pointwise diagonal check")
+        for mask in range(1, 2 ** len(odd_idx)):
+            support = [odd_idx[b] for b in range(len(odd_idx)) if mask >> b & 1]
+            per_r = {}
+            for tup in itertools.product(support, repeat=n + 1):
+                for rr in range(M.dim):
+                    t = vidx.get((tup, rr))
+                    if t is not None:
+                        row = per_r.setdefault(rr, {})
+                        v = row.get(t)
+                        v = field.one if v is None else v + field.one
+                        if v:
+                            row[t] = v
+                        else:
+                            row.pop(t, None)
+            constraints.extend(row for row in per_r.values() if row)
+    kernel = kernel_of_constraints(len(variables), constraints, field)
+    out = []
+    for vec in kernel:
+        table = {}
+        for t, c in vec.items():
+            tup, r = variables[t]
+            table.setdefault(tup, {})[r] = c
+        out.append(Cochain(n, parity, table))
     return out

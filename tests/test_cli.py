@@ -223,6 +223,24 @@ class TestHochschild:
         assert code == 2
 
 
+    @pytest.mark.parametrize(
+        "den,field", [(0, []), (5, ["--field", "f5"])], ids=["den-zero", "den-p"]
+    )
+    def test_undefined_coefficient_is_usage_error(self, tmp_path, capsys, den, field):
+        with open(asset("coboundary_pi.json")) as fh:
+            data = json.load(fh)
+        key = sorted(data["table"])[0]
+        slot = sorted(data["table"][key])[0]
+        data["table"][key][slot]["den"] = den
+        bad = tmp_path / "bad_den.json"
+        bad.write_text(json.dumps(data))
+        code = main(
+            ["hochschild", asset("grassmann2.alg"), *field, "--n", "1", "--cocycle", str(bad)]
+        )
+        assert code == 2
+        assert "not defined over" in capsys.readouterr().err
+
+
 class TestCorpus:
     def test_single_case_text(self, capsys):
         assert main(["corpus", "--case", "flat"]) == 0
@@ -251,6 +269,19 @@ class TestExitCodes:
     def test_compile_without_cap(self, capsys):
         assert main(["sdim", asset("free_2_3.alg")]) == 2
         assert "cap" in capsys.readouterr().err
+
+    def test_coefficient_undefined_in_field(self, tmp_path, capsys):
+        alg = tmp_path / "half.alg"
+        alg.write_text(
+            "algebra half over Q\nflavor supercommutative\neven x\ncap 2\n"
+            "relations\n  1/2*x^2\nend\n"
+        )
+        assert main(["sdim", str(alg)]) == 0
+        capsys.readouterr()
+        assert main(["sdim", str(alg), "--field", "f2"]) == 2
+        err = capsys.readouterr().err
+        assert "line 6, column 3" in err
+        assert "not defined over F2" in err
 
 
 class TestSubprocess:

@@ -26,6 +26,7 @@ from superdim.hochschild import (
     is_cocycle_pi,
     is_in_C,
     is_super_skew,
+    random_cochain,
     random_in_C,
     random_super_skew,
     sh_dim,
@@ -35,8 +36,8 @@ from superdim.sdim import sdim_algebra
 from superdim.smodule import regular_module
 from superdim.superpoly import EVEN, ODD, SUPERCOMMUTATIVE, GeneratorSpec, SuperPolynomial
 
-from conftest import random_algebra, rng_for
-from oracles import direct_coboundary0
+from conftest import random_algebra, random_module, rng_for
+from oracles import direct_coboundary0, scan_coboundary, solved_cochain_space_basis
 from test_algebra import grassmann
 
 
@@ -109,8 +110,6 @@ class TestCoboundary:
             M = regular_module(A)
             for n in (0, 1):
                 for parity in (EVEN, ODD):
-                    from superdim.hochschild import random_cochain
-
                     f = random_cochain(A, M, n, parity, rng)
                     assert coboundary(coboundary(f, A, M), A, M).is_zero()
 
@@ -123,6 +122,53 @@ class TestCoboundary:
                 f = random_in_C(A, M, 0, parity, rng)
                 assert is_in_C(f, A, M)
                 assert is_in_C(coboundary(f, A, M), A, M)
+
+
+def _reference_cases(name, per_field=5, max_cells=3000):
+    """(A, M, n) over Q, F2 and F3 with regular and random modules."""
+    rng = rng_for(name)
+    for field in (QQ, PrimeField(2), PrimeField(3)):
+        for _ in range(per_field):
+            A = random_algebra(rng, max_dim=6, field=field)
+            for M in (regular_module(A), random_module(rng, A)):
+                for n in (0, 1, 2):
+                    if A.dim ** (n + 2) * M.dim <= max_cells:
+                        yield rng, A, M, n
+
+
+class TestReferenceKernels:
+    """The push-forward coboundary and the orbit basis of C^n against the
+    full-scan and constraint-solve kernels they replaced."""
+
+    def test_cochain_space_basis_matches_constraint_solve(self):
+        seen = set()
+        for _rng, A, M, n in _reference_cases("test_cochain_space_basis_matches"):
+            for parity in (EVEN, ODD):
+                got = cochain_space_basis(A, M, n, parity)
+                want = solved_cochain_space_basis(A, M, n, parity)
+                assert [f.table for f in got] == [f.table for f in want]
+                seen.add((A.field.characteristic, n))
+        assert len(seen) == 9
+
+    def test_coboundary_matches_full_scan(self):
+        for rng, A, M, n in _reference_cases("test_coboundary_matches_full_scan"):
+            for parity in (EVEN, ODD):
+                dense = random_cochain(A, M, n, parity, rng, density=0.8)
+                for f in [dense] + cochain_space_basis(A, M, n, parity)[:6]:
+                    assert coboundary(f, A, M) == scan_coboundary(f, A, M)
+
+    def test_grassmann_agrees_over_every_field(self):
+        for s in (1, 2, 3):
+            for field in (QQ, PrimeField(2), PrimeField(3)):
+                A = grassmann(s, field)
+                M = regular_module(A)
+                for n in (0, 1) if s == 3 else (0, 1, 2):
+                    for parity in (EVEN, ODD):
+                        basis = cochain_space_basis(A, M, n, parity)
+                        want = solved_cochain_space_basis(A, M, n, parity)
+                        assert [f.table for f in basis] == [f.table for f in want]
+                        for f in basis[:8]:
+                            assert coboundary(f, A, M) == scan_coboundary(f, A, M)
 
 
 class TestSubcomplex:
@@ -166,6 +212,10 @@ class TestShDim:
         assert sh_dim(dual, regular_module(dual), 1) == (1, 0)
         A = xy2_algebra()
         assert sh_dim(A, regular_module(A), 1) == (1, 1)
+
+    def test_exterior_rank_three_degree_two(self):
+        A = grassmann(3)
+        assert sh_dim(A, regular_module(A), 2) == (40, 40)
 
     def test_size_guard(self):
         A = grassmann(3)

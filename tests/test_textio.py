@@ -85,6 +85,16 @@ class TestPresentationGrammar:
                 "unknown generator",
             ),
             ("algebra a over F4\nflavor supercommutative\neven x\ncap 2\n", 1, "prime"),
+            (
+                "algebra a over F2\nflavor supercommutative\neven x\ncap 2\nrelations\n 1/2*x^2\nend\n",
+                6,
+                "not defined over F2",
+            ),
+            (
+                "algebra a over Q\nflavor supercommutative\neven x\ncap 2\nrelations\n 1/0*x^2\nend\n",
+                6,
+                "zero denominator",
+            ),
         ],
     )
     def test_errors_carry_spans(self, text, line, fragment):
@@ -133,6 +143,7 @@ class TestModuleGrammar:
             ("module m\nm0 : even\nz1 m0 -> 2\n", "not a module vector"),
             ("module m\nm0 : even\nw m0 -> 0\n", "unknown generator"),
             ("module m\nm0 : even\nm0 : odd\n", "duplicate basis symbol"),
+            ("module m\nm0 : even\nm1 : odd\nz1 m0 -> 1/0*m1\n", "zero denominator"),
             ("junk\n", "expected 'module NAME'"),
         ],
     )
@@ -140,6 +151,13 @@ class TestModuleGrammar:
         with pytest.raises(ParseError) as e:
             parse_module(text, self.A)
         assert fragment in str(e.value)
+
+    def test_coefficient_undefined_in_field(self):
+        A = compile_presentation(parse_presentation(load("grassmann2.alg"), field=PrimeField(2)))
+        with pytest.raises(ParseError) as e:
+            parse_module("module m\nm0 : even\nm1 : odd\nz1 m0 -> 1/2*m1\n", A)
+        assert e.value.span.line == 4
+        assert "not defined over F2" in str(e.value)
 
     def test_omitted_images_are_zero(self):
         M = parse_module("module m\nm0 : even\n", self.A)
