@@ -312,6 +312,8 @@ class FiniteSuperAlgebra:
         out = self.unit_element()
         for _ in range(n):
             out = self.mul(out, vec)
+            if not out:  # a zero power stays zero
+                break
         return out
 
     def _reduce_mono_vec(self, vec):

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraError, compile_presentation, odd_radical, superideal_span
 from .corpus import CASES, corpus_all, corpus_report
-from .exactlin import QQ
+from .exactlin import QQ, vec_add_scaled
 from .graded import (
     bgr,
     bgr_module,
@@ -105,24 +105,13 @@ def _element_of_node(node, A):
     if kind == "neg":
         return {r: -c for r, c in _element_of_node(node[1], A).items()}
     if kind in ("add", "sub"):
-        out = dict(_element_of_node(node[1], A))
-        for r, c in _element_of_node(node[2], A).items():
-            c = c if kind == "add" else -c
-            v = out.get(r)
-            v = c if v is None else v + c
-            if v:
-                out[r] = v
-            else:
-                out.pop(r, None)
-        return out
+        sign = A.field.one if kind == "add" else -A.field.one
+        left = dict(_element_of_node(node[1], A))
+        return vec_add_scaled(left, _element_of_node(node[2], A), sign)
     if kind == "mul":
         return A.mul(_element_of_node(node[1], A), _element_of_node(node[2], A))
     if kind == "pow":
-        out = A.unit_element()
-        base = _element_of_node(node[1], A)
-        for _ in range(node[2]):
-            out = A.mul(out, base)
-        return out
+        return A.power_of_element(_element_of_node(node[1], A), node[2])
     raise AssertionError("unreachable node kind %r" % (kind,))
 
 

@@ -1,11 +1,12 @@
 """Exact linear algebra over Q and prime fields.
 
 Scalars are ``fractions.Fraction`` for Q and :class:`FpElement` for GF(p).
-Matrices are dense and row-major (the exchange format used across the
-package); the workhorses underneath are sparse dict-of-column vectors and a
-fully reduced row-echelon accumulator (:class:`Echelon`), which keeps the
-closure computations elsewhere in the package near the cost of their actual
-support instead of the ambient dimension.
+Vectors are sparse dicts index -> nonzero scalar, and a :class:`Matrix` (the
+exchange format used across the package) is a list of such column dicts.
+Row reduction goes through a fully reduced sparse row-echelon accumulator
+(:class:`Echelon`).  Both keep the closure computations elsewhere in the
+package near the cost of their actual support instead of the ambient
+dimension.
 
 All pivot choices are "first nonzero column", so every reduced object and
 every basis this module returns is deterministic.
@@ -303,26 +304,29 @@ class Echelon:
 
 
 # ---------------------------------------------------------------------------
-# dense matrices (exchange type)
+# matrices as sparse columns (exchange type)
 
 
 class Matrix:
-    """Dense exact matrix; entries row-major, length nrows*ncols."""
+    """Exact matrix stored as its columns, each a dict row -> nonzero scalar.
 
-    __slots__ = ("nrows", "ncols", "entries", "field", "_cols")
+    No column holds an explicit zero, so two matrices of one shape are equal
+    exactly when their column lists are equal.  Matrices are not mutated
+    once built.
+    """
 
-    def __init__(self, nrows, ncols, entries, field):
-        entries = list(entries)
-        if len(entries) != nrows * ncols:
+    __slots__ = ("nrows", "ncols", "cols", "field")
+
+    def __init__(self, nrows, ncols, cols, field):
+        """``cols``: ncols dicts {row: nonzero scalar}, taken as they are."""
+        if len(cols) != ncols:
             raise ValueError(
-                "entry count %d does not match shape %dx%d"
-                % (len(entries), nrows, ncols)
+                "column count %d does not match shape %dx%d" % (len(cols), nrows, ncols)
             )
         self.nrows = nrows
         self.ncols = ncols
-        self.entries = entries
+        self.cols = cols
         self.field = field
-        self._cols = None
 
     @classmethod
     def from_rows(cls, rows, field, ncols=None):
@@ -331,55 +335,54 @@ class Matrix:
             if not rows:
                 raise ValueError("cannot infer column count from no rows")
             ncols = len(rows[0])
-        flat = []
-        for r in rows:
+        cols = [{} for _ in range(ncols)]
+        for i, r in enumerate(rows):
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-            flat.extend(field.of(x) for x in r)
-        return cls(len(rows), ncols, flat, field)
+            for col, x in zip(cols, r):
+                x = field.of(x)
+                if x:
+                    col[i] = x
+        return cls(len(rows), ncols, cols, field)
 
     @classmethod
     def from_cols_sparse(cls, nrows, cols, field):
-        ncols = len(cols)
-        zero = field.zero
-        flat = [zero] * (nrows * ncols)
-        for j, col in enumerate(cols):
-            for i, x in col.items():
-                flat[i * ncols + j] = x
-        return cls(nrows, ncols, flat, field)
+        """Copies the column dicts, dropping zero entries."""
+        return cls(nrows, len(cols), [{i: x for i, x in c.items() if x} for c in cols], field)
 
     @classmethod
     def identity(cls, n, field):
-        cols = [{i: field.one} for i in range(n)]
-        return cls.from_cols_sparse(n, cols, field)
+        return cls(n, n, [{i: field.one} for i in range(n)], field)
 
     @classmethod
     def zeros(cls, nrows, ncols, field):
-        return cls(nrows, ncols, [field.zero] * (nrows * ncols), field)
+        return cls(nrows, ncols, [{} for _ in range(ncols)], field)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i * self.ncols + j]
+        return self.cols[j].get(i, self.field.zero)
 
     def row(self, i):
-        return self.entries[i * self.ncols : (i + 1) * self.ncols]
+        zero = self.field.zero
+        return [c.get(i, zero) for c in self.cols]
 
     def row_sparse(self, i):
-        return {j: x for j, x in enumerate(self.row(i)) if x}
+        return {j: c[i] for j, c in enumerate(self.cols) if i in c}
+
+    def rows_sparse(self):
+        """Every row as a sparse dict, in one pass over the columns."""
+        rows = [{} for _ in range(self.nrows)]
+        for j, c in enumerate(self.cols):
+            for i, x in c.items():
+                rows[i][j] = x
+        return rows
 
     def cols_sparse(self):
-        if self._cols is None:
-            cols = [dict() for _ in range(self.ncols)]
-            n = self.ncols
-            for k, x in enumerate(self.entries):
-                if x:
-                    cols[k % n][k // n] = x
-            self._cols = cols
-        return self._cols
+        return self.cols
 
     def apply(self, vec):
         """Matrix @ sparse vector (dict col -> scalar) -> sparse dict."""
-        cols = self.cols_sparse()
+        cols = self.cols
         out = {}
         for j, coeff in vec.items():
             vec_add_scaled(out, cols[j], coeff)
@@ -389,57 +392,51 @@ class Matrix:
         """self @ other."""
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
-        cols = [self.apply(c) for c in other.cols_sparse()]
-        return Matrix.from_cols_sparse(self.nrows, cols, self.field)
+        cols = [self.apply(c) for c in other.cols]
+        return Matrix(self.nrows, other.ncols, cols, self.field)
 
     def transpose(self):
-        flat = []
-        for j in range(self.ncols):
-            for i in range(self.nrows):
-                flat.append(self.entries[i * self.ncols + j])
-        return Matrix(self.ncols, self.nrows, flat, self.field)
+        return Matrix(self.ncols, self.nrows, self.rows_sparse(), self.field)
 
     def is_zero(self):
-        return not any(self.entries)
+        return not any(self.cols)
 
     def scaled(self, coeff):
-        return Matrix(
-            self.nrows, self.ncols, [coeff * x for x in self.entries], self.field
-        )
+        cols = [vec_add_scaled({}, c, coeff) for c in self.cols]
+        return Matrix(self.nrows, self.ncols, cols, self.field)
+
+    def _combined(self, other, coeff):
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("dimension mismatch")
+        cols = [vec_add_scaled(dict(a), b, coeff) for a, b in zip(self.cols, other.cols)]
+        return Matrix(self.nrows, self.ncols, cols, self.field)
 
     def __add__(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("dimension mismatch")
-        return Matrix(
-            self.nrows,
-            self.ncols,
-            [a + b for a, b in zip(self.entries, other.entries)],
-            self.field,
-        )
+        return self._combined(other, self.field.one)
 
     def __sub__(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("dimension mismatch")
-        return Matrix(
-            self.nrows,
-            self.ncols,
-            [a - b for a, b in zip(self.entries, other.entries)],
-            self.field,
-        )
+        return self._combined(other, -self.field.one)
 
     def __neg__(self):
-        return Matrix(self.nrows, self.ncols, [-x for x in self.entries], self.field)
+        return self.scaled(-self.field.one)
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.entries == other.entries
+            and self.cols == other.cols
         )
 
     def __repr__(self):
         return "Matrix(%d x %d over %s)" % (self.nrows, self.ncols, self.field)
+
+
+def _echelon_of_rows(m):
+    ech = Echelon(m.field)
+    for row in m.rows_sparse():
+        ech.insert(row)
+    return ech
 
 
 def rref(m):
@@ -448,40 +445,32 @@ def rref(m):
     Pivot columns are first-nonzero, rows of the result are the reduced
     echelon rows in pivot order followed by zero rows.
     """
-    ech = Echelon(m.field)
-    for i in range(m.nrows):
-        ech.insert(m.row_sparse(i))
+    ech = _echelon_of_rows(m)
     pivots = tuple(ech.pivots())
-    zero = m.field.zero
-    flat = []
-    for p in pivots:
-        row = ech.rows[p]
-        flat.extend(row.get(j, zero) for j in range(m.ncols))
-    flat.extend([zero] * ((m.nrows - len(pivots)) * m.ncols))
-    return Matrix(m.nrows, m.ncols, flat, m.field), pivots
+    cols = [{} for _ in range(m.ncols)]
+    for r, p in enumerate(pivots):
+        for j, x in ech.rows[p].items():
+            cols[j][r] = x
+    return Matrix(m.nrows, m.ncols, cols, m.field), pivots
 
 
 def rank(m):
-    ech = Echelon(m.field)
-    for i in range(m.nrows):
-        ech.insert(m.row_sparse(i))
-    return ech.rank
+    return _echelon_of_rows(m).rank
 
 
 def kernel_basis(m):
     """Basis of {v : m @ v = 0}, as dense lists, one per free column."""
     red, pivots = rref(m)
     pivset = set(pivots)
-    free = [j for j in range(m.ncols) if j not in pivset]
     zero, one = m.field.zero, m.field.one
     basis = []
-    for j in free:
+    for j in range(m.ncols):
+        if j in pivset:
+            continue
         v = [zero] * m.ncols
         v[j] = one
-        for r, p in enumerate(pivots):
-            x = red[r, j]
-            if x:
-                v[p] = -x
+        for r, x in red.cols[j].items():
+            v[pivots[r]] = -x
         basis.append(v)
     return basis
 
@@ -513,19 +502,7 @@ def solve(m, b):
     """One solution x of m @ x = b (free variables 0), or None."""
     if len(b) != m.nrows:
         raise ValueError("dimension mismatch")
-    n = m.ncols
-    ech = Echelon(m.field)
-    for i in range(m.nrows):
-        row = m.row_sparse(i)
-        if b[i]:
-            row[n] = b[i]
-        ech.insert(row)
-    if n in ech.rows:
-        return None
-    x = [m.field.zero] * n
-    for p, row in ech.rows.items():
-        x[p] = row.get(n, m.field.zero)
-    return x
+    return solve_sparse(m.ncols, zip(m.rows_sparse(), b), m.field)
 
 
 def solve_sparse(nvars, equations, field):

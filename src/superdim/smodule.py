@@ -15,7 +15,7 @@ construction deterministic.
 
 from __future__ import annotations
 
-from .exactlin import Matrix, Subspace, kernel_of_constraints, rank
+from .exactlin import Matrix, Subspace, kernel_of_constraints, rank, vec_add_scaled
 from .superpoly import EVEN, ODD, SUPERCOMMUTATIVE
 
 
@@ -69,34 +69,20 @@ class SuperModule:
         if A.kind == "table":
             out = self.actions[i]
         else:
-            word = A.basis_word(i)
-            out = Matrix.identity(self.dim, self.field)
-            for gi in reversed(word):
-                out = self.actions[gi].compose(out)
+            out = _word_action(self, A.basis_word(i))
         self._act_basis[i] = out
         return out
 
     def act_element(self, vec):
         """Matrix of the action of an algebra element."""
-        out = Matrix.zeros(self.dim, self.dim, self.field)
-        for i, c in vec.items():
-            if c:
-                out = out + self.act_basis(i).scaled(c)
-        return out
+        return _combination(self, [(self.act_basis(i), c) for i, c in vec.items() if c])
 
     def apply_element(self, vec, mvec):
         """(algebra element) . (sparse module vector)."""
         out = {}
         for i, c in vec.items():
-            if not c:
-                continue
-            for r, x in self.act_basis(i).apply(mvec).items():
-                val = out.get(r)
-                val = c * x if val is None else val + c * x
-                if val:
-                    out[r] = val
-                else:
-                    out.pop(r, None)
+            if c:
+                vec_add_scaled(out, self.act_basis(i).apply(mvec), c)
         return out
 
     def __repr__(self):
@@ -105,6 +91,23 @@ class SuperModule:
             self.dim,
             self.algebra.name,
         )
+
+
+def _word_action(M, word):
+    """Action matrix of a word in the generators (the identity for ())."""
+    out = Matrix.identity(M.dim, M.field)
+    for gi in reversed(word):
+        out = M.actions[gi].compose(out)
+    return out
+
+
+def _combination(M, terms):
+    """sum of c * mat over (mat, c) in terms, built column by column."""
+    cols = [{} for _ in range(M.dim)]
+    for mat, c in terms:
+        for col, src in zip(cols, mat.cols):
+            vec_add_scaled(col, src, c)
+    return Matrix(M.dim, M.dim, cols, M.field)
 
 
 def regular_module(A, name=None):
@@ -132,8 +135,8 @@ def parity_shift(M, name=None):
 def _parity_block_violation(M, mat, gen_parity):
     for j in range(M.dim):
         want = (M.parities[j] + gen_parity) % 2
-        for i, x in mat.cols_sparse()[j].items():
-            if x and M.parities[i] != want:
+        for i in mat.cols[j]:
+            if M.parities[i] != want:
                 return "entry (%d,%d)" % (i, j)
     return None
 
@@ -185,14 +188,8 @@ def check_module(M):
                         % (gens[i].name, gens[j].name)
                     )
     for r in pres.relations:
-        out = Matrix.zeros(M.dim, M.dim, M.field)
-        for mono, coeff in r.sorted_terms():
-            word = _mono_word(mono, pres)
-            mat = Matrix.identity(M.dim, M.field)
-            for gi in reversed(word):
-                mat = M.actions[gi].compose(mat)
-            out = out + mat.scaled(coeff)
-        if not out.is_zero():
+        terms = [(_word_action(M, _mono_word(mono, pres)), c) for mono, c in r.sorted_terms()]
+        if not _combination(M, terms).is_zero():
             bad.append("relation does not act as zero: %r" % (r,))
     bad.extend(_cap_violations(M, pres))
     return bad
@@ -216,10 +213,7 @@ def _cap_violations(M, pres):
     else:
         words = _all_words_in_window(gens, gdegs, cap, cap + (max(gdegs) if gens else 0))
     for word in words:
-        mat = Matrix.identity(M.dim, M.field)
-        for gi in reversed(word):
-            mat = M.actions[gi].compose(mat)
-        if not mat.is_zero():
+        if not _word_action(M, word).is_zero():
             bad.append(
                 "word beyond the cap acts nontrivially: %s"
                 % "*".join(gens[i].name for i in word)

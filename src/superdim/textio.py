@@ -37,7 +37,7 @@ import re
 from fractions import Fraction
 
 from .algebra import AlgebraError, Presentation
-from .exactlin import FpElement, Matrix, field_from_name
+from .exactlin import FpElement, Matrix, field_from_name, vec_add_scaled
 from .sdim import SuperDimension
 from .smodule import SuperModule, regular_module
 from .superpoly import (
@@ -47,6 +47,7 @@ from .superpoly import (
     SUPERCOMMUTATIVE,
     GeneratorSpec,
     SuperPolynomial,
+    monomial_degree,
     monomial_sort_key,
 )
 
@@ -219,8 +220,11 @@ def _parse_expression(text, line, column0):
     return _ExprParser(_tokenize(text, line, column0)).parse()
 
 
-def _poly_eval(node, pres):
-    """Evaluate an expression tree to a SuperPolynomial over pres.gens."""
+def _poly_eval(node, pres, relation_span):
+    """Evaluate an expression tree to a SuperPolynomial over pres.gens.
+
+    ``relation_span`` locates the error when a power is refused by the cap.
+    """
     kind = node[0]
     if kind == "num":
         return SuperPolynomial.one(pres.flavor, pres.gens, pres.field).scaled(
@@ -235,20 +239,47 @@ def _poly_eval(node, pres):
                 )
         raise ParseError("unknown generator %r" % name, span)
     if kind == "neg":
-        return -_poly_eval(node[1], pres)
+        return -_poly_eval(node[1], pres, relation_span)
     if kind in ("add", "sub"):
-        left = _poly_eval(node[1], pres)
-        right = _poly_eval(node[2], pres)
+        left = _poly_eval(node[1], pres, relation_span)
+        right = _poly_eval(node[2], pres, relation_span)
         return left + right if kind == "add" else left - right
     if kind == "mul":
-        return _poly_eval(node[1], pres) * _poly_eval(node[2], pres)
+        return _poly_eval(node[1], pres, relation_span) * _poly_eval(node[2], pres, relation_span)
     if kind == "pow":
-        base = _poly_eval(node[1], pres)
+        base, n = _poly_eval(node[1], pres, relation_span), node[2]
+        low = _power_degree_past_cap(base, n, pres)
+        if low is not None:
+            raise ParseError("relation degree exceeds cap %d (a power of degree >= %d)"
+                             % (pres.cap, low), relation_span)
         out = SuperPolynomial.one(pres.flavor, pres.gens, pres.field)
-        for _ in range(node[2]):
+        for _ in range(n):
             out = out * base
+            if out.is_zero():
+                break
         return out
     raise AssertionError("unreachable node kind %r" % (kind,))
+
+
+def _power_degree_past_cap(base, n, pres):
+    """n * (least term degree of base) when base^n is nonzero and past the cap.
+
+    Such a power has every term above the cap, so its relation is refused
+    anyway; this refuses it before multiplying.  A base whose every term
+    holds an odd generator is nilpotent in the supercommutative flavor (its
+    powers vanish), and any other nonzero base has only nonzero powers.
+    Returns None when the power is to be computed.
+    """
+    if pres.cap is None or base.is_zero():
+        return None
+    low = n * min(monomial_degree(m, pres.gens, pres.flavor) for m in base.terms)
+    if low <= pres.cap:
+        return None
+    if pres.flavor == SUPERCOMMUTATIVE and all(
+        any(e and pres.gens[i].parity == ODD for i, e in enumerate(m)) for m in base.terms
+    ):
+        return None
+    return low
 
 
 def _combo_eval(node, symtab, field, span_of_line):
@@ -275,25 +306,16 @@ def _combo_eval(node, symtab, field, span_of_line):
             )
         if lk == "scalar":
             return ("scalar", lv + rv if kind == "add" else lv - rv)
-        out = dict(lv)
-        for r, c in rv.items():
-            c = c if kind == "add" else -c
-            val = out.get(r)
-            val = c if val is None else val + c
-            if val:
-                out[r] = val
-            else:
-                out.pop(r, None)
-        return ("vec", out)
+        return ("vec", vec_add_scaled(dict(lv), rv, field.one if kind == "add" else -field.one))
     if kind == "mul":
         lk, lv = _combo_eval(node[1], symtab, field, span_of_line)
         rk, rv = _combo_eval(node[2], symtab, field, span_of_line)
         if lk == "scalar" and rk == "scalar":
             return ("scalar", lv * rv)
         if lk == "scalar":
-            return ("vec", {r: lv * c for r, c in rv.items() if lv * c})
+            return ("vec", vec_add_scaled({}, rv, lv))
         if rk == "scalar":
-            return ("vec", {r: c * rv for r, c in lv.items() if c * rv})
+            return ("vec", vec_add_scaled({}, lv, rv))
         raise ParseError("cannot multiply two basis symbols", span_of_line)
     if kind == "pow":
         k, v = _combo_eval(node[1], symtab, field, span_of_line)
@@ -414,7 +436,7 @@ def parse_presentation(text, field=None):
                 span = SourceSpan(rn, indent + 1, len(rbody.strip()))
                 node = _parse_expression(rbody.strip(), rn, indent)
                 try:
-                    poly = _poly_eval(node, probe)
+                    poly = _poly_eval(node, probe, span)
                 except ZeroDivisionError:
                     raise ParseError("a coefficient is not defined over %s" % field.name, span)
                 if poly.is_zero():

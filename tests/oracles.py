@@ -3,8 +3,9 @@
 Everything here is computed from first principles (combinatorics, naive
 row reduction over Fraction, direct formula evaluation) so that the
 package under test is never the judge of its own output.  The Hochschild
-references at the end are the exception: they are the package's earlier,
-slower kernels, kept to pin the faster ones to the same results.
+references and the dense matrix at the end are the exception: they are the
+package's earlier, slower kernels, kept to pin the faster ones to the same
+results.
 """
 
 import itertools
@@ -13,7 +14,7 @@ from itertools import combinations
 from math import comb
 
 from superdim.algebra import AlgebraError
-from superdim.exactlin import kernel_of_constraints
+from superdim.exactlin import Echelon, kernel_of_constraints, vec_add_scaled
 from superdim.hochschild import Cochain
 from superdim.superpoly import EVEN, ODD
 
@@ -326,3 +327,207 @@ def solved_cochain_space_basis(A, M, n, parity):
             table.setdefault(tup, {})[r] = c
         out.append(Cochain(n, parity, table))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the dense row-major Matrix and the row reductions over it, as the package
+# had them before Matrix kept only sparse columns
+
+
+class DenseMatrix:
+    """Dense exact matrix; entries row-major, length nrows*ncols."""
+
+    __slots__ = ("nrows", "ncols", "entries", "field", "_cols")
+
+    def __init__(self, nrows, ncols, entries, field):
+        entries = list(entries)
+        if len(entries) != nrows * ncols:
+            raise ValueError(
+                "entry count %d does not match shape %dx%d"
+                % (len(entries), nrows, ncols)
+            )
+        self.nrows = nrows
+        self.ncols = ncols
+        self.entries = entries
+        self.field = field
+        self._cols = None
+
+    @classmethod
+    def from_rows(cls, rows, field, ncols=None):
+        rows = [list(r) for r in rows]
+        if ncols is None:
+            if not rows:
+                raise ValueError("cannot infer column count from no rows")
+            ncols = len(rows[0])
+        flat = []
+        for r in rows:
+            if len(r) != ncols:
+                raise ValueError("ragged rows")
+            flat.extend(field.of(x) for x in r)
+        return cls(len(rows), ncols, flat, field)
+
+    @classmethod
+    def from_cols_sparse(cls, nrows, cols, field):
+        ncols = len(cols)
+        zero = field.zero
+        flat = [zero] * (nrows * ncols)
+        for j, col in enumerate(cols):
+            for i, x in col.items():
+                flat[i * ncols + j] = x
+        return cls(nrows, ncols, flat, field)
+
+    @classmethod
+    def identity(cls, n, field):
+        cols = [{i: field.one} for i in range(n)]
+        return cls.from_cols_sparse(n, cols, field)
+
+    @classmethod
+    def zeros(cls, nrows, ncols, field):
+        return cls(nrows, ncols, [field.zero] * (nrows * ncols), field)
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.entries[i * self.ncols + j]
+
+    def row(self, i):
+        return self.entries[i * self.ncols : (i + 1) * self.ncols]
+
+    def row_sparse(self, i):
+        return {j: x for j, x in enumerate(self.row(i)) if x}
+
+    def cols_sparse(self):
+        if self._cols is None:
+            cols = [dict() for _ in range(self.ncols)]
+            n = self.ncols
+            for k, x in enumerate(self.entries):
+                if x:
+                    cols[k % n][k // n] = x
+            self._cols = cols
+        return self._cols
+
+    def apply(self, vec):
+        """DenseMatrix @ sparse vector (dict col -> scalar) -> sparse dict."""
+        cols = self.cols_sparse()
+        out = {}
+        for j, coeff in vec.items():
+            vec_add_scaled(out, cols[j], coeff)
+        return out
+
+    def compose(self, other):
+        """self @ other."""
+        if self.ncols != other.nrows:
+            raise ValueError("dimension mismatch")
+        cols = [self.apply(c) for c in other.cols_sparse()]
+        return DenseMatrix.from_cols_sparse(self.nrows, cols, self.field)
+
+    def transpose(self):
+        flat = []
+        for j in range(self.ncols):
+            for i in range(self.nrows):
+                flat.append(self.entries[i * self.ncols + j])
+        return DenseMatrix(self.ncols, self.nrows, flat, self.field)
+
+    def is_zero(self):
+        return not any(self.entries)
+
+    def scaled(self, coeff):
+        return DenseMatrix(
+            self.nrows, self.ncols, [coeff * x for x in self.entries], self.field
+        )
+
+    def __add__(self, other):
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("dimension mismatch")
+        return DenseMatrix(
+            self.nrows,
+            self.ncols,
+            [a + b for a, b in zip(self.entries, other.entries)],
+            self.field,
+        )
+
+    def __sub__(self, other):
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("dimension mismatch")
+        return DenseMatrix(
+            self.nrows,
+            self.ncols,
+            [a - b for a, b in zip(self.entries, other.entries)],
+            self.field,
+        )
+
+    def __neg__(self):
+        return DenseMatrix(self.nrows, self.ncols, [-x for x in self.entries], self.field)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, DenseMatrix)
+            and self.nrows == other.nrows
+            and self.ncols == other.ncols
+            and self.entries == other.entries
+        )
+
+    def __repr__(self):
+        return "DenseMatrix(%d x %d over %s)" % (self.nrows, self.ncols, self.field)
+
+
+def dense_rref(m):
+    """Reduce m; returns (reduced DenseMatrix, pivot column tuple).
+
+    Pivot columns are first-nonzero, rows of the result are the reduced
+    echelon rows in pivot order followed by zero rows.
+    """
+    ech = Echelon(m.field)
+    for i in range(m.nrows):
+        ech.insert(m.row_sparse(i))
+    pivots = tuple(ech.pivots())
+    zero = m.field.zero
+    flat = []
+    for p in pivots:
+        row = ech.rows[p]
+        flat.extend(row.get(j, zero) for j in range(m.ncols))
+    flat.extend([zero] * ((m.nrows - len(pivots)) * m.ncols))
+    return DenseMatrix(m.nrows, m.ncols, flat, m.field), pivots
+
+
+def dense_rank(m):
+    ech = Echelon(m.field)
+    for i in range(m.nrows):
+        ech.insert(m.row_sparse(i))
+    return ech.rank
+
+
+def dense_kernel_basis(m):
+    """Basis of {v : m @ v = 0}, as dense lists, one per free column."""
+    red, pivots = dense_rref(m)
+    pivset = set(pivots)
+    free = [j for j in range(m.ncols) if j not in pivset]
+    zero, one = m.field.zero, m.field.one
+    basis = []
+    for j in free:
+        v = [zero] * m.ncols
+        v[j] = one
+        for r, p in enumerate(pivots):
+            x = red[r, j]
+            if x:
+                v[p] = -x
+        basis.append(v)
+    return basis
+
+
+def dense_solve(m, b):
+    """One solution x of m @ x = b (free variables 0), or None."""
+    if len(b) != m.nrows:
+        raise ValueError("dimension mismatch")
+    n = m.ncols
+    ech = Echelon(m.field)
+    for i in range(m.nrows):
+        row = m.row_sparse(i)
+        if b[i]:
+            row[n] = b[i]
+        ech.insert(row)
+    if n in ech.rows:
+        return None
+    x = [m.field.zero] * n
+    for p, row in ech.rows.items():
+        x[p] = row.get(n, m.field.zero)
+    return x

@@ -9,7 +9,7 @@ import os
 
 from superdim.algebra import odd_radical, table_is_associative, table_respects_unit
 from superdim.corpus import corpus_all, corpus_report
-from superdim.exactlin import QQ
+from superdim.exactlin import QQ, PrimeField
 from superdim.graded import verify_graded_comparison
 from superdim.hilbert import bigraded_dims, fit_rows, sdim_from_hilbert
 from superdim.hochschild import (
@@ -47,6 +47,8 @@ from oracles import free_bigraded_dim
 from test_algebra import grassmann
 
 ASSETS = os.path.join(os.path.dirname(__file__), "..", "src", "superdim", "assets")
+# Whole-corpus reports over Q and F5, recorded before Matrix became sparse.
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def clause(report, cid):
@@ -258,6 +260,10 @@ def test_criterion_10_determinism_and_round_trip():
     assert first == second
     with open(os.path.join(ASSETS, "golden_c2.json"), "rb") as fh:
         assert emit_report(corpus_report("c2")).encode() == fh.read()
+    for name, text in (("corpus_q.json", first),
+                       ("corpus_f5.json", emit_report(corpus_all(PrimeField(5))))):
+        with open(os.path.join(GOLDEN, name), "rb") as fh:
+            assert text.encode() == fh.read(), name
     alg_files = sorted(glob.glob(os.path.join(ASSETS, "*.alg")))
     assert alg_files
     for path in alg_files:

@@ -95,6 +95,15 @@ class TestRegular:
         captured = capsys.readouterr()
         assert "FAIL sequence-is-regular" in captured.err
 
+    def test_huge_power_of_nilpotent_element(self, capsys):
+        # z1^2 = 0 already, so the power stops there instead of looping.
+        outcomes = []
+        for elems in ("z1^99999999", "z1*z1"):
+            argv = ["regular", asset("grassmann2.alg"), "--module", asset("regular.mod"),
+                    "--elems", elems]
+            outcomes.append((main(argv), capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+
     def test_even_element_is_usage_error(self, capsys):
         code = main(
             [

@@ -23,7 +23,15 @@ from superdim.exactlin import (
     vec_dot,
 )
 
-from oracles import naive_rank
+from conftest import rng_for
+from oracles import (
+    DenseMatrix,
+    dense_kernel_basis,
+    dense_rank,
+    dense_rref,
+    dense_solve,
+    naive_rank,
+)
 
 scalars = st.integers(min_value=-6, max_value=6)
 
@@ -183,6 +191,84 @@ class TestMatrix:
         r1, piv = rref(m)
         r2, piv2 = rref(r1)
         assert r1 == r2 and piv == piv2
+
+
+def _random_scalar(rng, field, density):
+    if rng.random() >= density:
+        return field.zero
+    if field == QQ:
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return field.of(rng.randrange(field.p))
+
+
+def _random_rows(rng, field, nrows, ncols, density):
+    return [[_random_scalar(rng, field, density) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _pair(rows, field, ncols):
+    return Matrix.from_rows(rows, field, ncols), DenseMatrix.from_rows(rows, field, ncols)
+
+
+def _assert_same(m, d):
+    """Same shape and entries, and no column of m stores a zero."""
+    assert (m.nrows, m.ncols) == (d.nrows, d.ncols)
+    assert [m.row(i) for i in range(m.nrows)] == [d.row(i) for i in range(d.nrows)]
+    assert m.cols_sparse() == d.cols_sparse()
+    assert all(x for col in m.cols_sparse() for x in col.values())
+
+
+class TestAgainstDenseMatrix:
+    """The sparse-column Matrix against the dense row-major one it replaced."""
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)], ids=str)
+    def test_operations_agree(self, field):
+        rng = rng_for("sparse-vs-dense-%s" % field)
+        for _trial in range(80):
+            n, k, l = (rng.randint(0, 6) for _ in range(3))
+            density = rng.choice([0.0, 0.2, 0.5, 1.0])
+            rows = _random_rows(rng, field, n, k, density)
+            a, da = _pair(rows, field, k)
+            # an equal second operand a third of the time, so == is exercised both ways
+            rows2 = rows if rng.random() < 1 / 3 else _random_rows(rng, field, n, k, density)
+            a2, da2 = _pair(rows2, field, k)
+            b, db = _pair(_random_rows(rng, field, k, l, density), field, l)
+            c = _random_scalar(rng, field, 0.8)
+
+            _assert_same(a, da)
+            _assert_same(a.compose(b), da.compose(db))
+            _assert_same(a + a2, da + da2)
+            _assert_same(a - a2, da - da2)
+            _assert_same(a - a, da - da)
+            _assert_same(-a, -da)
+            _assert_same(a.scaled(c), da.scaled(c))
+            _assert_same(a.scaled(field.zero), da.scaled(field.zero))
+            _assert_same(a.transpose(), da.transpose())
+            assert (a == a2) == (da == da2)
+            assert (a - a2).is_zero() == (da - da2).is_zero() == (a == a2)
+            assert a.is_zero() == da.is_zero()
+            for i in range(n):
+                assert a.row(i) == da.row(i)
+                assert a.row_sparse(i) == da.row_sparse(i)
+                assert all(a[i, j] == da[i, j] for j in range(k))
+            vec = {j: x for j in range(k) if (x := _random_scalar(rng, field, density))}
+            assert a.apply(vec) == da.apply(vec)
+
+            red, piv = rref(a)
+            dred, dpiv = dense_rref(da)
+            _assert_same(red, dred)
+            assert piv == dpiv
+            assert rank(a) == dense_rank(da)
+            assert kernel_basis(a) == dense_kernel_basis(da)
+            x = [_random_scalar(rng, field, density) for _ in range(k)]
+            image = da.apply({j: v for j, v in enumerate(x) if v})
+            rhs = rng.choice([[image.get(i, field.zero) for i in range(n)],
+                              [_random_scalar(rng, field, density) for _ in range(n)]])
+            assert solve(a, rhs) == dense_solve(da, rhs)
+
+    def test_from_cols_sparse_drops_zeros(self):
+        m = Matrix.from_cols_sparse(2, [{0: Fraction(0), 1: Fraction(3)}, {}], QQ)
+        assert m.cols_sparse() == [{1: Fraction(3)}, {}]
+        assert m == dense([[0, 0], [3, 0]])
 
 
 class TestSubspace:

@@ -95,6 +95,11 @@ class TestPresentationGrammar:
                 6,
                 "zero denominator",
             ),
+            (
+                "algebra a over Q\nflavor supercommutative\neven x\ncap 3\nrelations\n x^99999999\nend\n",
+                6,
+                "exceeds cap 3",
+            ),
         ],
     )
     def test_errors_carry_spans(self, text, line, fragment):
@@ -102,6 +107,12 @@ class TestPresentationGrammar:
             parse_presentation(text)
         assert e.value.span.line == line
         assert fragment in str(e.value)
+
+    def test_nilpotent_power_past_the_cap_is_vacuous(self):
+        # (a + b)^3 = 0 for odd a, b: the power is computed, not refused.
+        text = ("algebra a over Q\nflavor supercommutative\nodd a b\ncap 1\n"
+                "relations\n (a + b)^99999999\nend\n")
+        assert parse_presentation(text).relations == []
 
     def test_round_trip_idempotent_on_all_assets(self):
         for path in sorted(glob.glob(os.path.join(ASSETS, "*.alg"))):
