@@ -17,7 +17,7 @@ algebras and quotients).  Elements are sparse dicts {basis index: scalar}.
 from __future__ import annotations
 
 from . import superpoly
-from .exactlin import Echelon, Subspace
+from .exactlin import Echelon, Subspace, power
 from .superpoly import (
     ASSOCIATIVE,
     EVEN,
@@ -309,12 +309,7 @@ class FiniteSuperAlgebra:
         return out
 
     def power_of_element(self, vec, n):
-        out = self.unit_element()
-        for _ in range(n):
-            out = self.mul(out, vec)
-            if not out:  # a zero power stays zero
-                break
-        return out
+        return power(vec, n, self.unit_element(), self.mul, dict.values)
 
     def _reduce_mono_vec(self, vec):
         res = self._ideal.reduce(vec)
@@ -404,10 +399,7 @@ class FiniteSuperAlgebra:
         return groups
 
     def full_subspace(self):
-        S = Subspace(self.parities, self.field)
-        for i in range(self.dim):
-            S.insert(self.basis_element(i))
-        return S
+        return Subspace.span(self.parities, self.field, map(self.basis_element, range(self.dim)))
 
     def element_name(self, vec):
         if not vec:
@@ -454,6 +446,14 @@ def _closure_multipliers(A):
     return [A.basis_element(i) for i in range(A.dim)]
 
 
+def require_two_sided(A, span):
+    """Raise unless the span is closed under multiplication by A on both sides."""
+    for row in span.basis():
+        for g in _closure_multipliers(A):
+            if not (span.contains(A.mul(g, row)) and span.contains(A.mul(row, g))):
+                raise AlgebraError("subspace is not a two-sided superideal")
+
+
 def superideal_span(A, elements, two_sided=None):
     """Graded ideal generated by the given elements, as a Subspace.
 
@@ -495,13 +495,9 @@ def odd_power_span(A, l):
     span = A.full_subspace()
     odd_basis = [A.basis_element(i) for i in range(A.dim) if A.parities[i] == ODD]
     for _ in range(l):
-        nxt = Subspace(A.parities, A.field)
-        for b in odd_basis:
-            for row in span.basis():
-                w = A.mul(b, row)
-                if w:
-                    nxt.insert(w)
-        span = nxt
+        rows = span.basis()
+        products = (A.mul(b, row) for b in odd_basis for row in rows)
+        span = Subspace.span(A.parities, A.field, products)
         if span.is_zero():
             break
     return span
@@ -514,30 +510,15 @@ def quotient_algebra(A, ideal, name=None):
     errors out if the ideal is not multiplication-closed or contains the
     unit.
     """
-    for row in ideal.basis():
-        for i in range(A.dim):
-            b = A.basis_element(i)
-            if not ideal.contains(A.mul(b, row)) or not ideal.contains(
-                A.mul(row, b)
-            ):
-                raise AlgebraError("subspace is not a two-sided ideal")
-    pivset = set(ideal.pivots())
-    if not ideal.contains(A.unit_element()):
-        pass
-    else:
+    require_two_sided(A, ideal)
+    if ideal.contains(A.unit_element()):
         raise AlgebraError("ideal contains the unit")
+    pivset = set(ideal.pivots())
     keep = [i for i in range(A.dim) if i not in pivset]
     pos = {i: p for p, i in enumerate(keep)}
 
     def project(vec):
-        red = {}
-        ev, od = {}, {}
-        for c, x in vec.items():
-            (ev if A.parities[c] == 0 else od)[c] = x
-        for part, ech in ((ev, ideal.even), (od, ideal.odd)):
-            for c, x in ech.reduce(part).items():
-                red[pos[c]] = x
-        return red
+        return {pos[c]: x for c, x in ideal.residual(vec).items()}
 
     table = {}
     for a, i in enumerate(keep):

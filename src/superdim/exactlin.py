@@ -224,6 +224,40 @@ def vec_dot(a, b):
     return total  # None means zero
 
 
+# Bits a numerator or denominator of a power may reach before it is refused.
+POWER_BITS = 1 << 14
+
+
+def power(x, n, one, mul, scalars):
+    """x^n by repeated squaring, ending at the first zero power.
+
+    ``scalars(y)`` yields the scalars of a product y.  A ValueError is
+    raised as soon as a rational one needs more than POWER_BITS bits; each
+    squaring at most doubles the size, so the work stays bounded.
+    """
+
+    def checked(y):
+        for c in scalars(y):
+            if isinstance(c, Fraction) and max(
+                c.numerator.bit_length(), c.denominator.bit_length()
+            ) > POWER_BITS:
+                raise ValueError("a power has a coefficient past %d bits" % POWER_BITS)
+        return y
+
+    out = one
+    while n:
+        if n & 1:
+            out = checked(mul(out, x))
+            if not out:
+                return out
+        n >>= 1
+        if n:
+            x = checked(mul(x, x))
+            if not x:
+                return x
+    return out
+
+
 class Echelon:
     """Fully reduced sparse row echelon over a fixed field.
 
@@ -582,13 +616,26 @@ class Subspace:
         other.odd = self.odd.copy()
         return other
 
-    def insert(self, vec):
-        """Insert the graded components of vec; True if the span grew."""
+    @classmethod
+    def span(cls, parities, field, vectors):
+        """The graded span of an iterable of vectors; empty ones are skipped."""
+        out = cls(parities, field)
+        for vec in vectors:
+            if vec:
+                out.insert(vec)
+        return out
+
+    def split(self, vec):
+        """The even and odd components of vec, zeros dropped."""
         ev, od = {}, {}
         for c, x in vec.items():
-            if not x:
-                continue
-            (ev if self.parities[c] == 0 else od)[c] = x
+            if x:
+                (ev if self.parities[c] == 0 else od)[c] = x
+        return ev, od
+
+    def insert(self, vec):
+        """Insert the graded components of vec; True if the span grew."""
+        ev, od = self.split(vec)
         grew = False
         if ev and self.even.insert(ev) is not None:
             grew = True
@@ -596,13 +643,22 @@ class Subspace:
             grew = True
         return grew
 
+    def residual(self, vec):
+        """vec modulo the span: its even residual, then its odd one."""
+        ev, od = self.split(vec)
+        out = self.even.reduce(ev)
+        out.update(self.odd.reduce(od))
+        return out
+
     def contains(self, vec):
-        ev, od = {}, {}
-        for c, x in vec.items():
-            if not x:
-                continue
-            (ev if self.parities[c] == 0 else od)[c] = x
-        return self.even.contains(ev) and self.odd.contains(od)
+        return not self.residual(vec)
+
+    def coords(self, vec):
+        """Coordinates of vec in basis() order as a sparse dict, or None
+        when vec lies outside the span."""
+        if self.residual(vec):
+            return None
+        return {k: vec[p] for k, p in enumerate(self.pivots()) if vec.get(p)}
 
     @property
     def dim(self):

@@ -9,6 +9,22 @@ extracted deterministically from the echelonized filtration, and products
 of representatives are re-expressed in the next component by an augmented
 echelon solve.
 
+All four constructions (``gr``, ``gr_module``, ``bgr``, ``bgr_module``)
+share three private builders:
+
+* the filtration: ``_chain`` applies a step (``_step``: multiply every
+  stage row by a list of ideal rows) until the stage vanishes, which gives
+  the I^n and I^n M chains and, once per parity, the (k, l) lattice of
+  ``_lattice``;
+* the components: ``_Components`` walks the stage keys (n or (k, l)) in
+  sorted order, picks representatives of each stage modulo the stage(s)
+  below it and keeps one class solver per stage;
+* the assembly: ``_Components.classes`` re-expresses act(a, rep) in the
+  stage whose key is the sum of the two keys, which gives both the product
+  table of the graded algebra (``_Components.algebra``, with the unit
+  check) and the action columns of the graded module
+  (``_Components.module``).
+
 Conservation of total dimension holds for the graded object (the chain
 telescopes).  It does not hold bigraded in general: one ambient vector can
 represent classes in two incomparable lattice positions, so only the
@@ -22,7 +38,9 @@ equality when I is the odd radical A A_1.
 
 from __future__ import annotations
 
-from .algebra import AlgebraError, FiniteSuperAlgebra, odd_radical
+import operator
+
+from .algebra import AlgebraError, FiniteSuperAlgebra, odd_radical, require_two_sided
 from .exactlin import Echelon, Matrix, Subspace
 from .sdim import sdim
 from .smodule import SuperModule
@@ -44,53 +62,43 @@ __all__ = [
 ]
 
 
-def is_two_sided_ideal(A, span):
-    mults = (
-        [vec for _n, _p, vec in A.generators]
-        if A.kind == "monomial"
-        else [A.basis_element(i) for i in range(A.dim)]
-    )
-    for row in span.basis():
-        for g in mults:
-            if not span.contains(A.mul(g, row)):
-                return False
-            if not span.contains(A.mul(row, g)):
-                return False
-    return True
+def _chain(stage, step, bound, what):
+    """[stage, step(stage), ...] up to the first zero stage, which is left out."""
+    chain = []
+    while not stage.is_zero():
+        chain.append(stage)
+        if len(chain) > bound:
+            raise AlgebraError("%s is not nilpotent" % what)
+        stage = step(stage)
+    return chain
 
 
-def _product_span(A, left, right):
-    """Span of pairwise products of two subspace bases."""
-    out = Subspace(A.parities, A.field)
-    for u in left.basis():
-        for v in right.basis():
-            w = A.mul(u, v)
-            if w:
-                out.insert(w)
-    return out
+def _step(X, act, rows):
+    """The filtration step S -> span{act(u, s) : u in rows, s in S} on X."""
+
+    def step(stage):
+        basis = stage.basis()
+        return Subspace.span(X.parities, X.field, (act(u, s) for u in rows for s in basis))
+
+    return step
+
+
+def _lattice(X, act, ideal, what):
+    """{(k, l): I_0^k I_1^l X} over the nonzero stages."""
+    even = _step(X, act, ideal.even.basis_rows())
+    odd = _step(X, act, ideal.odd.basis_rows())
+    lattice = {}
+    for l, column in enumerate(_chain(X.full_subspace(), odd, X.dim + 1, what)):
+        for k, stage in enumerate(_chain(column, even, X.dim + 1, what)):
+            lattice[(k, l)] = stage
+    return lattice
 
 
 def ideal_powers(A, ideal):
     """[A, I, I^2, ...] ending just before the zero power; I must be a
     nilpotent two-sided superideal."""
-    if not is_two_sided_ideal(A, ideal):
-        raise AlgebraError("subspace is not a two-sided superideal")
-    powers = [A.full_subspace()]
-    cur = ideal
-    while not cur.is_zero():
-        powers.append(cur)
-        if len(powers) > A.dim + 1:
-            raise AlgebraError("ideal is not nilpotent")
-        cur = _product_span(A, ideal, cur)
-    return powers
-
-
-def _sum_subspace(parities, field, parts):
-    out = Subspace(parities, field)
-    for s in parts:
-        for row in s.basis():
-            out.insert(row)
-    return out
+    require_two_sided(A, ideal)
+    return [A.full_subspace()] + _chain(ideal, _step(A, A.mul, ideal.basis()), A.dim, "ideal")
 
 
 def _component_reps(stage, below):
@@ -126,12 +134,94 @@ class _ClassSolver:
         return out
 
 
-class GradedSuperAlgebra:
+class _Components:
+    """Stage by stage representatives of a filtration of X, in key order.
+
+    ``stages`` maps a key to its stage; the stages below a key are those
+    under the keys ``below(key)``.  ``reps`` are (parity, row) pairs and
+    ``keys[i]`` is the stage key of ``reps[i]``; ``solvers`` and
+    ``positions`` give, per key, class coordinates and the indices of that
+    stage's representatives.
+    """
+
+    def __init__(self, X, stages, below):
+        self.reps, self.keys, self.solvers, self.positions = [], [], {}, {}
+        for key in sorted(stages):
+            parts = [stages[b] for b in below(key) if b in stages]
+            if len(parts) == 1:
+                under = parts[0]
+            else:
+                under = Subspace.span(X.parities, X.field, (r for S in parts for r in S.basis()))
+            comp = _component_reps(stages[key], under)
+            self.solvers[key] = _ClassSolver(X.dim, X.field, under, comp)
+            self.positions[key] = list(range(len(self.reps), len(self.reps) + len(comp)))
+            self.reps.extend(comp)
+            self.keys.extend([key] * len(comp))
+
+    @property
+    def rows(self):
+        return [r for _p, r in self.reps]
+
+    def classes(self, act, left, add):
+        """For each (key, element) in ``left``, the columns of its action:
+        the class of act(element, rep) in stage add(key, key of rep), over
+        the representatives, or {} when that stage is zero."""
+        for lkey, a in left:
+            cols = []
+            for rkey, (_p, r) in zip(self.keys, self.reps):
+                key = add(lkey, rkey)
+                vec = act(a, r) if key in self.solvers else None
+                if vec:
+                    base = self.positions[key]
+                    cols.append({base[t]: c for t, c in self.solvers[key].coords(vec).items()})
+                else:
+                    cols.append({})
+            yield cols
+
+    def algebra(self, A, add, tag, name, degrees=None):
+        """The table-kind algebra on the representatives of a filtration of A."""
+        columns = self.classes(A.mul, zip(self.keys, self.rows), add)
+        table = {
+            (i, j): col for i, cols in enumerate(columns) for j, col in enumerate(cols) if col
+        }
+        top = min(self.solvers)  # the key of the whole of A
+        unit_coords = self.solvers[top].coords(A.unit_element())
+        if list(unit_coords.values()) != [A.field.one]:
+            raise AlgebraError("unit class is not a single representative")
+        return FiniteSuperAlgebra.from_table(
+            labels=["[%s]@%s" % (A.element_name(r), tag(k)) for k, r in zip(self.keys, self.rows)],
+            parities=[p for p, _r in self.reps],
+            field=A.field,
+            table=table,
+            unit_index=self.positions[top][next(iter(unit_coords))],
+            name=name,
+            degrees=degrees,
+        )
+
+    def module(self, M, graded, add, name):
+        """The module over ``graded`` on the representatives of a filtration of M."""
+        columns = self.classes(M.apply_element, zip(graded.keys, graded.reps), add)
+        actions = [Matrix.from_cols_sparse(len(self.reps), cols, M.field) for cols in columns]
+        parities = [p for p, _r in self.reps]
+        return SuperModule(graded.algebra, parities, actions, name=name)
+
+
+class _Graded:
+    """A graded object; ``keys`` holds the stage key of each representative."""
+
+    def component_dims(self):
+        out = {}
+        for key in self.keys:
+            out[key] = out.get(key, 0) + 1
+        return out
+
+
+class GradedSuperAlgebra(_Graded):
     """Table-kind algebra on component representatives, with degrees."""
 
     def __init__(self, algebra, degrees, reps, powers, source):
         self.algebra = algebra
-        self.degrees = degrees
+        self.degrees = self.keys = degrees
         self.reps = reps
         self.powers = powers
         self.source = source
@@ -140,17 +230,11 @@ class GradedSuperAlgebra:
     def dim(self):
         return self.algebra.dim
 
-    def component_dims(self):
-        out = {}
-        for d in self.degrees:
-            out[d] = out.get(d, 0) + 1
-        return out
 
-
-class BigradedSuperAlgebra:
+class BigradedSuperAlgebra(_Graded):
     def __init__(self, algebra, bidegrees, reps, lattice, source):
         self.algebra = algebra
-        self.bidegrees = bidegrees
+        self.bidegrees = self.keys = bidegrees
         self.reps = reps
         self.lattice = lattice
         self.source = source
@@ -159,17 +243,11 @@ class BigradedSuperAlgebra:
     def dim(self):
         return self.algebra.dim
 
-    def component_dims(self):
-        out = {}
-        for kl in self.bidegrees:
-            out[kl] = out.get(kl, 0) + 1
-        return out
 
-
-class GradedSuperModule:
+class GradedSuperModule(_Graded):
     def __init__(self, module, degrees, reps, powers):
         self.module = module
-        self.degrees = degrees
+        self.degrees = self.keys = degrees
         self.reps = reps
         self.powers = powers
 
@@ -177,118 +255,42 @@ class GradedSuperModule:
     def dim(self):
         return self.module.dim
 
-    def component_dims(self):
-        out = {}
-        for d in self.degrees:
-            out[d] = out.get(d, 0) + 1
-        return out
+
+def _add_pairs(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def _below_n(n):
+    return (n + 1,)
+
+
+def _below_kl(kl):
+    k, l = kl
+    return ((k + 1, l), (k, l + 1))
 
 
 def gr(A, ideal, name=None):
     """The graded algebra of the filtration by powers of a superideal."""
     powers = ideal_powers(A, ideal)
-    zero_stage = Subspace(A.parities, A.field)
-    reps = []
-    degrees = []
-    solvers = []
-    for n, stage in enumerate(powers):
-        below = powers[n + 1] if n + 1 < len(powers) else zero_stage
-        comp = _component_reps(stage, below)
-        solvers.append(_ClassSolver(A.dim, A.field, below, comp))
-        reps.extend(comp)
-        degrees.extend([n] * len(comp))
-    seen = {}
-    for i, d in enumerate(degrees):
-        seen.setdefault(d, []).append(i)
-    table = {}
-    for i, (pi, ri) in enumerate(reps):
-        for j, (pj, rj) in enumerate(reps):
-            n = degrees[i] + degrees[j]
-            if n >= len(powers):
-                continue
-            vec = A.mul(ri, rj)
-            if not vec:
-                continue
-            coords = solvers[n].coords(vec)
-            if coords:
-                base = seen[n]
-                table[(i, j)] = {base[k]: c for k, c in coords.items()}
-    unit_coords = solvers[0].coords(A.unit_element())
-    if list(unit_coords.values()) != [A.field.one]:
-        raise AlgebraError("unit class is not a single representative")
-    unit_index = seen[0][next(iter(unit_coords))]
-    algebra = FiniteSuperAlgebra.from_table(
-        labels=["[%s]@%d" % (A.element_name(r), d) for d, (_p, r) in zip(degrees, reps)],
-        parities=[p for p, _r in reps],
-        field=A.field,
-        table=table,
-        unit_index=unit_index,
-        name=name or ("gr " + A.name),
-        degrees=list(degrees),
+    comps = _Components(A, dict(enumerate(powers)), _below_n)
+    algebra = comps.algebra(
+        A, operator.add, str, name or ("gr " + A.name), degrees=list(comps.keys)
     )
-    out = GradedSuperAlgebra(algebra, degrees, [r for _p, r in reps], powers, A)
-    out._solvers = solvers
-    out._positions = seen
+    out = GradedSuperAlgebra(algebra, comps.keys, comps.rows, powers, A)
+    out._solvers = comps.solvers
+    out._positions = comps.positions
     return out
 
 
 def gr_module(M, ideal, graded_algebra=None, name=None):
     """The module over gr(A, I) with components I^n M / I^{n+1} M."""
-    A = M.algebra
-    G = graded_algebra if graded_algebra is not None else gr(A, ideal)
-    powers = [M.full_subspace()]
-    cur = powers[0]
-    while True:
-        nxt = Subspace(M.parities, M.field)
-        for u in ideal.basis():
-            for row in cur.basis():
-                w = M.apply_element(u, row)
-                if w:
-                    nxt.insert(w)
-        if nxt.is_zero():
-            break
-        powers.append(nxt)
-        if len(powers) > M.dim + 1:
-            raise AlgebraError("ideal power action is not nilpotent")
-        cur = nxt
-    zero_stage = Subspace(M.parities, M.field)
-    reps = []
-    degrees = []
-    solvers = []
-    positions = {}
-    for n, stage in enumerate(powers):
-        below = powers[n + 1] if n + 1 < len(powers) else zero_stage
-        comp = _component_reps(stage, below)
-        solvers.append(_ClassSolver(M.dim, M.field, below, comp))
-        positions[n] = list(range(len(reps), len(reps) + len(comp)))
-        reps.extend(comp)
-        degrees.extend([n] * len(comp))
-    dim = len(reps)
-    actions = []
-    for gi in range(G.algebra.dim):
-        k = G.degrees[gi]
-        avec = G.reps[gi]
-        cols = []
-        for j, (_pj, mrep) in enumerate(reps):
-            n = degrees[j] + k
-            if n >= len(powers):
-                cols.append({})
-                continue
-            vec = M.apply_element(avec, mrep)
-            if not vec:
-                cols.append({})
-                continue
-            coords = solvers[n].coords(vec)
-            cols.append({positions[n][t]: c for t, c in coords.items()})
-        actions.append(Matrix.from_cols_sparse(dim, cols, M.field))
-    module = SuperModule(
-        G.algebra,
-        [p for p, _r in reps],
-        actions,
-        name=name or ("gr " + M.name),
-    )
-    out = GradedSuperModule(module, degrees, [r for _p, r in reps], powers)
-    return out
+    G = graded_algebra if graded_algebra is not None else gr(M.algebra, ideal)
+    step = _step(M, M.apply_element, ideal.basis())
+    full = M.full_subspace()
+    powers = [full] + _chain(step(full), step, M.dim, "ideal action")
+    comps = _Components(M, dict(enumerate(powers)), _below_n)
+    module = comps.module(M, G, operator.add, name or ("gr " + M.name))
+    return GradedSuperModule(module, comps.keys, comps.rows, powers)
 
 
 def class_in_degree(G, vec, degree):
@@ -310,166 +312,23 @@ def bgr(A, ideal, name=None):
     """
     if A.kind == "monomial" and A.presentation.flavor != SUPERCOMMUTATIVE:
         raise AlgebraError("bigraded construction needs a supercommutative algebra")
-    if not is_two_sided_ideal(A, ideal):
-        raise AlgebraError("subspace is not a two-sided superideal")
-    even_rows = [dict(r) for r in ideal.even.basis_rows()]
-    odd_rows = [dict(r) for r in ideal.odd.basis_rows()]
-
-    def step(stage, rows):
-        nxt = Subspace(A.parities, A.field)
-        for u in rows:
-            for row in stage.basis():
-                w = A.mul(u, row)
-                if w:
-                    nxt.insert(w)
-        return nxt
-
-    lattice = {}
-    tcol = A.full_subspace()
-    l = 0
-    while not tcol.is_zero():
-        stage, k = tcol, 0
-        while not stage.is_zero():
-            lattice[(k, l)] = stage
-            stage = step(stage, even_rows)
-            k += 1
-            if k > A.dim + 1:
-                raise AlgebraError("ideal is not nilpotent")
-        tcol = step(tcol, odd_rows)
-        l += 1
-        if l > A.dim + 1:
-            raise AlgebraError("ideal is not nilpotent")
-
-    def below_of(kl):
-        k, l = kl
-        parts = []
-        if (k + 1, l) in lattice:
-            parts.append(lattice[(k + 1, l)])
-        if (k, l + 1) in lattice:
-            parts.append(lattice[(k, l + 1)])
-        return _sum_subspace(A.parities, A.field, parts)
-
-    keys = sorted(lattice)
-    reps = []
-    bidegrees = []
-    solvers = {}
-    positions = {}
-    for kl in keys:
-        below = below_of(kl)
-        comp = _component_reps(lattice[kl], below)
-        solvers[kl] = _ClassSolver(A.dim, A.field, below, comp)
-        positions[kl] = list(range(len(reps), len(reps) + len(comp)))
-        reps.extend(comp)
-        bidegrees.extend([kl] * len(comp))
-    table = {}
-    for i, (pi, ri) in enumerate(reps):
-        for j, (pj, rj) in enumerate(reps):
-            k = bidegrees[i][0] + bidegrees[j][0]
-            l = bidegrees[i][1] + bidegrees[j][1]
-            if (k, l) not in lattice:
-                continue
-            vec = A.mul(ri, rj)
-            if not vec:
-                continue
-            coords = solvers[(k, l)].coords(vec)
-            if coords:
-                table[(i, j)] = {positions[(k, l)][t]: c for t, c in coords.items()}
-    unit_coords = solvers[(0, 0)].coords(A.unit_element())
-    if list(unit_coords.values()) != [A.field.one]:
-        raise AlgebraError("unit class is not a single representative")
-    unit_index = positions[(0, 0)][next(iter(unit_coords))]
-    algebra = FiniteSuperAlgebra.from_table(
-        labels=[
-            "[%s]@(%d,%d)" % (A.element_name(r), kl[0], kl[1])
-            for kl, (_p, r) in zip(bidegrees, reps)
-        ],
-        parities=[p for p, _r in reps],
-        field=A.field,
-        table=table,
-        unit_index=unit_index,
-        name=name or ("bgr " + A.name),
-    )
-    out = BigradedSuperAlgebra(algebra, bidegrees, [r for _p, r in reps], lattice, A)
-    out._solvers = solvers
-    out._positions = positions
+    require_two_sided(A, ideal)
+    lattice = _lattice(A, A.mul, ideal, "ideal")
+    comps = _Components(A, lattice, _below_kl)
+    algebra = comps.algebra(A, _add_pairs, lambda kl: "(%d,%d)" % kl, name or ("bgr " + A.name))
+    out = BigradedSuperAlgebra(algebra, comps.keys, comps.rows, lattice, A)
+    out._solvers = comps.solvers
+    out._positions = comps.positions
     return out
 
 
 def bgr_module(M, ideal, bigraded_algebra=None, name=None):
     """Module components S(k,l)M / (S(k+1,l)M + S(k,l+1)M) over bgr(A, I)."""
-    A = M.algebra
-    B = bigraded_algebra if bigraded_algebra is not None else bgr(A, ideal)
-    even_rows = [dict(r) for r in ideal.even.basis_rows()]
-    odd_rows = [dict(r) for r in ideal.odd.basis_rows()]
-
-    def step(stage, rows):
-        nxt = Subspace(M.parities, M.field)
-        for u in rows:
-            for row in stage.basis():
-                w = M.apply_element(u, row)
-                if w:
-                    nxt.insert(w)
-        return nxt
-
-    lattice = {}
-    tcol = M.full_subspace()
-    l = 0
-    while not tcol.is_zero():
-        stage, k = tcol, 0
-        while not stage.is_zero():
-            lattice[(k, l)] = stage
-            stage = step(stage, even_rows)
-            k += 1
-            if k > M.dim + 1:
-                raise AlgebraError("ideal action is not nilpotent")
-        tcol = step(tcol, odd_rows)
-        l += 1
-        if l > M.dim + 1:
-            raise AlgebraError("ideal action is not nilpotent")
-
-    def below_of(kl):
-        k, l = kl
-        parts = [lattice[p] for p in ((k + 1, l), (k, l + 1)) if p in lattice]
-        return _sum_subspace(M.parities, M.field, parts)
-
-    keys = sorted(lattice)
-    reps = []
-    bidegrees = []
-    solvers = {}
-    positions = {}
-    for kl in keys:
-        below = below_of(kl)
-        comp = _component_reps(lattice[kl], below)
-        solvers[kl] = _ClassSolver(M.dim, M.field, below, comp)
-        positions[kl] = list(range(len(reps), len(reps) + len(comp)))
-        reps.extend(comp)
-        bidegrees.extend([kl] * len(comp))
-    dim = len(reps)
-    actions = []
-    for gi in range(B.algebra.dim):
-        gk, gl = B.bidegrees[gi]
-        avec = B.reps[gi]
-        cols = []
-        for j in range(dim):
-            kl = (bidegrees[j][0] + gk, bidegrees[j][1] + gl)
-            if kl not in lattice:
-                cols.append({})
-                continue
-            vec = M.apply_element(avec, reps[j][1])
-            if not vec:
-                cols.append({})
-                continue
-            coords = solvers[kl].coords(vec)
-            cols.append({positions[kl][t]: c for t, c in coords.items()})
-        actions.append(Matrix.from_cols_sparse(dim, cols, M.field))
-    module = SuperModule(
-        B.algebra,
-        [p for p, _r in reps],
-        actions,
-        name=name or ("bgr " + M.name),
-    )
-    out = GradedSuperModule(module, bidegrees, [r for _p, r in reps], lattice)
-    return out
+    B = bigraded_algebra if bigraded_algebra is not None else bgr(M.algebra, ideal)
+    lattice = _lattice(M, M.apply_element, ideal, "ideal action")
+    comps = _Components(M, lattice, _below_kl)
+    module = comps.module(M, B, _add_pairs, name or ("bgr " + M.name))
+    return GradedSuperModule(module, comps.keys, comps.rows, lattice)
 
 
 def bgr_to_gr_surjective(B, G):

@@ -60,10 +60,6 @@ __all__ = [
     "adapted_isomorphism_matrix",
     "sh_dim",
     "cochain_space_basis",
-    "random_scalar",
-    "random_cochain",
-    "random_in_C",
-    "random_super_skew",
 ]
 
 
@@ -609,67 +605,3 @@ def sh_dim(A, M, n, max_cells=200000):
             image_rank = ech_im.rank
         out.append(kernel_count - image_rank)
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# random sampling (seeded by the caller)
-
-
-def random_scalar(field, rng, nonzero=False):
-    if field.characteristic == 0:
-        lo = 1 if nonzero else -4
-        return field.of(rng.randint(lo, 4) if nonzero else rng.randint(-4, 4))
-    p = field.characteristic
-    return field.of(rng.randrange(1, p) if nonzero else rng.randrange(p))
-
-
-def random_cochain(A, M, n, parity, rng, density=0.6):
-    table = {}
-    for tup in itertools.product(range(A.dim), repeat=n + 1):
-        want = (parity + sum(A.parities[i] for i in tup)) % 2
-        vec = {}
-        for r in range(M.dim):
-            if M.parities[r] == want and rng.random() < density:
-                c = random_scalar(A.field, rng)
-                if c:
-                    vec[r] = c
-        if vec:
-            table[tup] = vec
-    return Cochain(n, parity, table)
-
-
-def random_in_C(A, M, n, parity, rng):
-    basis = cochain_space_basis(A, M, n, parity)
-    out = zero_cochain(n, parity)
-    for f in basis:
-        c = random_scalar(A.field, rng)
-        if c:
-            out = cochain_add(out, cochain_scale(f, c))
-    return out
-
-
-def random_super_skew(A, rng, density=0.7):
-    """A random odd super-skew pi (not usually a cocycle)."""
-    dim = A.dim
-    field = A.field
-    table = {}
-    for i in range(dim):
-        for j in range(i, dim):
-            if i == j and A.parities[i] == ODD:
-                continue
-            want = (1 + A.parities[i] + A.parities[j]) % 2
-            vec = {}
-            for r in range(dim):
-                if A.parities[r] == want and rng.random() < density:
-                    c = random_scalar(field, rng)
-                    if c:
-                        vec[r] = c
-            if not vec:
-                continue
-            table[(i, j)] = vec
-            if i != j:
-                if A.parities[i] and A.parities[j]:
-                    table[(j, i)] = {r: -c for r, c in vec.items()}
-                else:
-                    table[(j, i)] = dict(vec)
-    return Cochain(1, ODD, table)

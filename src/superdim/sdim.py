@@ -64,10 +64,6 @@ class SuperDimension:
 EMPTY_SDIM = SuperDimension.make_empty()
 
 
-def odd_part_elements(A):
-    return [A.basis_element(i) for i in range(A.dim) if A.parities[i] == 1]
-
-
 def odd_power_spans_of_module(M):
     """[M, R_1 M, R_1^2 M, ...] down to (and excluding) the zero span."""
     if M.is_zero():
@@ -78,13 +74,9 @@ def odd_power_spans_of_module(M):
     spans = [M.full_subspace()]
     guard = M.dim + M.algebra.dim + 2
     while True:
-        cur = spans[-1]
-        nxt = Subspace(M.parities, M.field)
-        for mat in odd_basis:
-            for row in cur.basis():
-                w = mat.apply(row)
-                if w:
-                    nxt.insert(w)
+        rows = spans[-1].basis()
+        images = (mat.apply(row) for mat in odd_basis for row in rows)
+        nxt = Subspace.span(M.parities, M.field, images)
         if nxt.is_zero():
             return spans
         spans.append(nxt)

@@ -53,10 +53,7 @@ class SuperModule:
         return {i: self.field.one}
 
     def full_subspace(self):
-        S = Subspace(self.parities, self.field)
-        for i in range(self.dim):
-            S.insert(self.basis_element(i))
-        return S
+        return Subspace.span(self.parities, self.field, map(self.basis_element, range(self.dim)))
 
     # -- action -------------------------------------------------------------
 
@@ -311,21 +308,9 @@ def submodule(M, span, name="submodule"):
     parities = [p for p, _r in rows]
 
     def coords(vec):
-        ev, od = {}, {}
-        for c, x in vec.items():
-            (ev if M.parities[c] == 0 else od)[c] = x
-        out = {}
-        pivots = span.pivots()
-        pos = {p: k for k, p in enumerate(pivots)}
-        for part, ech in ((ev, span.even), (od, span.odd)):
-            if not part:
-                continue
-            cs = ech.coords(part)
-            if cs is None:
-                raise ModuleError("vector outside the submodule span")
-            for p, c in zip(ech.pivots(), cs):
-                if c:
-                    out[pos[p]] = c
+        out = span.coords(vec)
+        if out is None:
+            raise ModuleError("vector outside the submodule span")
         return out
 
     actions = []
@@ -359,16 +344,7 @@ def quotient(M, span, name=None):
     pos = {i: k for k, i in enumerate(keep)}
 
     def project(vec):
-        ev, od = {}, {}
-        for c, x in vec.items():
-            if not x:
-                continue
-            (ev if M.parities[c] == 0 else od)[c] = x
-        out = {}
-        for part, ech in ((ev, span.even), (od, span.odd)):
-            for c, x in ech.reduce(part).items():
-                out[pos[c]] = x
-        return out
+        return {pos[c]: x for c, x in span.residual(vec).items()}
 
     actions = []
     for mat in M.actions:

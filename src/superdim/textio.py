@@ -33,11 +33,12 @@ runs over the same input emit identical bytes.
 """
 
 import json
+import operator
 import re
 from fractions import Fraction
 
 from .algebra import AlgebraError, Presentation
-from .exactlin import FpElement, Matrix, field_from_name, vec_add_scaled
+from .exactlin import FpElement, Matrix, field_from_name, power, vec_add_scaled
 from .sdim import SuperDimension
 from .smodule import SuperModule, regular_module
 from .superpoly import (
@@ -321,10 +322,12 @@ def _combo_eval(node, symtab, field, span_of_line):
         k, v = _combo_eval(node[1], symtab, field, span_of_line)
         if k != "scalar":
             raise ParseError("cannot raise a basis symbol to a power", span_of_line)
-        out = field.one
-        for _ in range(node[2]):
-            out = out * v
-        return ("scalar", out)
+        if isinstance(v, FpElement):
+            return ("scalar", FpElement(pow(v.val, node[2], v.p), v.p))
+        try:
+            return ("scalar", power(v, node[2], field.one, operator.mul, lambda c: (c,)))
+        except ValueError as exc:
+            raise ParseError(str(exc), span_of_line)
     raise AssertionError("unreachable node kind %r" % (kind,))
 
 
@@ -376,7 +379,7 @@ def parse_presentation(text, field=None):
     cap = None
     gens = []
     seen = set()
-    relations = []
+    pending = []  # (expression tree, span) of each relation line
     i = 1
     while i < len(lines):
         n, body = lines[i]
@@ -425,7 +428,6 @@ def parse_presentation(text, field=None):
                     "flavor must come before relations", SourceSpan(n, 1, len(body))
                 )
             closed = False
-            probe = Presentation(flavor, gens, [], cap, field, name)
             while i < len(lines):
                 rn, rbody = lines[i]
                 i += 1
@@ -434,21 +436,7 @@ def parse_presentation(text, field=None):
                     break
                 indent = len(rbody) - len(rbody.lstrip())
                 span = SourceSpan(rn, indent + 1, len(rbody.strip()))
-                node = _parse_expression(rbody.strip(), rn, indent)
-                try:
-                    poly = _poly_eval(node, probe, span)
-                except ZeroDivisionError:
-                    raise ParseError("a coefficient is not defined over %s" % field.name, span)
-                if poly.is_zero():
-                    continue
-                d = poly.degree()
-                if d is None:
-                    raise ParseError("relation is not degree-homogeneous", span)
-                if d == 0:
-                    raise ParseError("relation is a nonzero constant", span)
-                if poly.parity() is None:
-                    raise ParseError("relation is not parity-homogeneous", span)
-                relations.append(poly)
+                pending.append((_parse_expression(rbody.strip(), rn, indent), span))
             if not closed:
                 raise ParseError("missing 'end'", SourceSpan(n, 1, len(body)))
         else:
@@ -456,10 +444,33 @@ def parse_presentation(text, field=None):
 
     if flavor is None:
         raise ParseError("missing 'flavor' line", SourceSpan(n0, 1, len(header)))
-    try:
-        return Presentation(flavor, gens, relations, cap, field, name)
-    except AlgebraError as exc:
-        raise ParseError(str(exc), SourceSpan(n0, 1, len(header)))
+
+    def presentation(relations):
+        try:
+            return Presentation(flavor, gens, relations, cap, field, name)
+        except AlgebraError as exc:
+            raise ParseError(str(exc), SourceSpan(n0, 1, len(header)))
+
+    # Relations are evaluated once every directive is read, so a cap or a
+    # generator line after the block applies to them too.
+    probe = presentation([])
+    relations = []
+    for node, span in pending:
+        try:
+            poly = _poly_eval(node, probe, span)
+        except ZeroDivisionError:
+            raise ParseError("a coefficient is not defined over %s" % field.name, span)
+        if poly.is_zero():
+            continue
+        d = poly.degree()
+        if d is None:
+            raise ParseError("relation is not degree-homogeneous", span)
+        if d == 0:
+            raise ParseError("relation is a nonzero constant", span)
+        if poly.parity() is None:
+            raise ParseError("relation is not parity-homogeneous", span)
+        relations.append(poly)
+    return presentation(relations)
 
 
 def _scalar_text(c):

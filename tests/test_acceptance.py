@@ -20,9 +20,6 @@ from superdim.hochschild import (
     is_cocycle_pi,
     is_in_C,
     is_super_skew,
-    random_cochain,
-    random_in_C,
-    random_super_skew,
     Cochain,
 )
 from superdim.sdim import (
@@ -42,7 +39,15 @@ from superdim.textio import (
     parse_presentation,
 )
 
-from conftest import random_algebra, random_module, random_nilpotent_ideal, rng_for
+from conftest import (
+    random_algebra,
+    random_cochain,
+    random_in_C,
+    random_module,
+    random_nilpotent_ideal,
+    random_super_skew,
+    rng_for,
+)
 from oracles import free_bigraded_dim
 from test_algebra import grassmann
 

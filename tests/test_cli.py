@@ -16,13 +16,14 @@ def asset(name):
     return os.path.join(ASSETS, name)
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     """Fresh-process invocation; returns (exit, stdout, stderr)."""
     proc = subprocess.run(
         [sys.executable, "-m", "superdim", *args],
         capture_output=True,
         text=True,
         cwd=os.path.join(os.path.dirname(__file__), ".."),
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -297,6 +298,22 @@ class TestSubprocess:
     def test_unknown_subcommand_exits_two(self):
         code, _out, err = run_cli("bogus")
         assert code == 2
+
+    def test_huge_power_of_non_nilpotent_element_is_quick(self):
+        # (1 + z1)^n = 1 + n*z1, computed by repeated squaring
+        code, _out, err = run_cli(
+            "regular", asset("grassmann2.alg"), "--module", asset("regular.mod"),
+            "--elems", "(1+z1)^99999999", timeout=2,
+        )
+        assert code in (0, 2)
+        assert "Traceback" not in err
+
+    def test_huge_scalar_power_in_module_file_is_refused(self, tmp_path):
+        mod = tmp_path / "huge.mod"
+        mod.write_text("module huge\nm0 : even\nm1 : odd\nz1 m0 -> 2^99999999*m1\n")
+        code, _out, err = run_cli("sdim", asset("grassmann2.alg"), "--module", str(mod), timeout=2)
+        assert code in (0, 2)
+        assert "Traceback" not in err
 
     def test_determinism_byte_identical(self):
         args = ("corpus", "--case", "c2", "--format", "report")

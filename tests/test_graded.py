@@ -1,5 +1,8 @@
 """Associated graded and bigraded structures of superideal filtrations."""
 
+import json
+import os
+
 import pytest
 
 from superdim.algebra import (
@@ -11,6 +14,7 @@ from superdim.algebra import (
     superideal_span,
     table_is_associative,
 )
+from superdim.corpus import build_c1
 from superdim.exactlin import QQ
 from superdim.graded import (
     bgr,
@@ -151,3 +155,72 @@ class TestComparison:
             I = random_nilpotent_ideal(rng, A)
             out = verify_graded_comparison(M, I)
             assert out["ok"], out
+
+
+class TestBgrModuleAxioms:
+    def test_random_bgr_module_and_algebra(self):
+        rng = rng_for("test_random_bgr_module_and_algebra")
+        for _ in range(25):
+            A = random_algebra(rng, max_dim=12)
+            M = random_module(rng, A)
+            I = random_nilpotent_ideal(rng, A)
+            B = bgr(A, I)
+            assert table_is_associative(B.algebra)
+            assert check_module(bgr_module(M, I, bigraded_algebra=B).module) == []
+
+
+# -- golden structures -------------------------------------------------------
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "graded_structures.json")
+
+
+def _sparse(vec):
+    return [[k, str(vec[k])] for k in sorted(vec)]
+
+
+def _algebra_dump(X, keys):
+    A = X.algebra
+    return {
+        "labels": A.labels,
+        keys: [list(d) if isinstance(d, tuple) else d for d in getattr(X, keys)],
+        "table": [[i, j, _sparse(v)] for (i, j), v in sorted(A._table.items())],
+    }
+
+
+def _actions_dump(GM):
+    return [[_sparse(col) for col in mat.cols] for mat in GM.module.actions]
+
+
+def graded_structures():
+    """gr, bgr and their regular modules on a few fixed (algebra, ideal) pairs."""
+    cases = []
+    for s in (2, 3):
+        A = grassmann(s)
+        cases.append(("grassmann%d odd radical" % s, A, odd_radical(A)))
+        cases.append(("grassmann%d z1" % s, A, superideal_span(A, [A.generator_element("z1")])))
+    R = build_c1().R
+    cases.append(("c1 R, I = RY", R, superideal_span(R, [R.generator_element("Y")])))
+    out = {}
+    for name, A, I in cases:
+        M = regular_module(A)
+        G = gr(A, I)
+        B = bgr(A, I)
+        out[name] = {
+            "gr": _algebra_dump(G, "degrees"),
+            "gr_module": _actions_dump(gr_module(M, I, graded_algebra=G)),
+            "bgr": _algebra_dump(B, "bidegrees"),
+            "bgr_module": _actions_dump(bgr_module(M, I, bigraded_algebra=B)),
+        }
+    return out
+
+
+def test_graded_structures_match_golden():
+    with open(GOLDEN) as fh:
+        assert graded_structures() == json.load(fh)
+
+
+if __name__ == "__main__":
+    # Rewrites the golden file; run as  PYTHONPATH=src:tests python tests/test_graded.py
+    with open(GOLDEN, "w") as fh:
+        json.dump(graded_structures(), fh, indent=1, sort_keys=True)
+        fh.write("\n")

@@ -26,9 +26,6 @@ from superdim.hochschild import (
     is_cocycle_pi,
     is_in_C,
     is_super_skew,
-    random_cochain,
-    random_in_C,
-    random_super_skew,
     sh_dim,
     zero_cochain,
 )
@@ -36,7 +33,14 @@ from superdim.sdim import sdim_algebra
 from superdim.smodule import regular_module
 from superdim.superpoly import EVEN, ODD, SUPERCOMMUTATIVE, GeneratorSpec, SuperPolynomial
 
-from conftest import random_algebra, random_module, rng_for
+from conftest import (
+    random_algebra,
+    random_cochain,
+    random_in_C,
+    random_module,
+    random_super_skew,
+    rng_for,
+)
 from oracles import direct_coboundary0, scan_coboundary, solved_cochain_space_basis
 from test_algebra import grassmann
 

@@ -100,6 +100,16 @@ class TestPresentationGrammar:
                 6,
                 "exceeds cap 3",
             ),
+            (
+                "algebra a over Q\nflavor supercommutative\neven x\nrelations\n x^99999999\nend\ncap 3\n",
+                5,
+                "exceeds cap 3",
+            ),
+            (
+                "algebra a over Q\nflavor supercommutative\nrelations\n x^2\nend\neven x\ncap 1\n",
+                4,
+                "exceeds cap 1",
+            ),
         ],
     )
     def test_errors_carry_spans(self, text, line, fragment):
