@@ -286,6 +286,9 @@ def _cmd_gr(args):
 
 
 def _cmd_hilbert(args):
+    for flag, value in (("--kmax", args.kmax), ("--lmax", args.lmax)):
+        if value is not None and value < 0:
+            raise UsageError("%s must be nonnegative, not %d" % (flag, value))
     field = field_from_name(args.field) if args.field else None
     pres = parse_presentation(_read(args.algebra), field=field)
     table = bigraded_dims(pres, kmax=args.kmax, lmax=args.lmax)

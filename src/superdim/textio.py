@@ -249,38 +249,48 @@ def _poly_eval(node, pres, relation_span):
         return _poly_eval(node[1], pres, relation_span) * _poly_eval(node[2], pres, relation_span)
     if kind == "pow":
         base, n = _poly_eval(node[1], pres, relation_span), node[2]
-        low = _power_degree_past_cap(base, n, pres)
-        if low is not None:
+        high = _power_degree_past_cap(base, n, pres)
+        if high is not None:
             raise ParseError("relation degree exceeds cap %d (a power of degree >= %d)"
-                             % (pres.cap, low), relation_span)
-        out = SuperPolynomial.one(pres.flavor, pres.gens, pres.field)
-        for _ in range(n):
-            out = out * base
-            if out.is_zero():
-                break
-        return out
+                             % (pres.cap, high), relation_span)
+
+        def poly(terms):
+            return SuperPolynomial(pres.flavor, pres.gens, pres.field, terms)
+
+        # power() works on the term dicts, whose truth value is nonzero-ness.
+        one = SuperPolynomial.one(pres.flavor, pres.gens, pres.field)
+        try:
+            terms = power(base.terms, n, one.terms, lambda a, b: (poly(a) * poly(b)).terms,
+                          dict.values)
+        except ValueError as exc:
+            raise ParseError(str(exc), relation_span)
+        return poly(terms)
     raise AssertionError("unreachable node kind %r" % (kind,))
 
 
 def _power_degree_past_cap(base, n, pres):
-    """n * (least term degree of base) when base^n is nonzero and past the cap.
+    """n * D when base^n has a nonzero term of degree n * D past the cap.
 
-    Such a power has every term above the cap, so its relation is refused
-    anyway; this refuses it before multiplying.  A base whose every term
-    holds an odd generator is nilpotent in the supercommutative flavor (its
-    powers vanish), and any other nonzero base has only nonzero powers.
-    Returns None when the power is to be computed.
+    D is the top degree of the terms of base that no power kills: all of
+    them in the associative flavor, and those free of odd generators in the
+    supercommutative one (that part of base^n is the n-th power of that
+    part of base, taken in a polynomial ring).  Such a power leaves the cap,
+    so its relation is refused anyway; this refuses it before multiplying,
+    whatever lower terms the base has.  Returns None when the power is to be
+    computed: its degree then stays within the cap, or the base is nilpotent
+    and its powers stop at the first zero one.
     """
-    if pres.cap is None or base.is_zero():
+    if pres.cap is None:
         return None
-    low = n * min(monomial_degree(m, pres.gens, pres.flavor) for m in base.terms)
-    if low <= pres.cap:
+    degs = [
+        monomial_degree(m, pres.gens, pres.flavor)
+        for m in base.terms
+        if pres.flavor != SUPERCOMMUTATIVE
+        or not any(e and pres.gens[i].parity == ODD for i, e in enumerate(m))
+    ]
+    if not degs or n * max(degs) <= pres.cap:
         return None
-    if pres.flavor == SUPERCOMMUTATIVE and all(
-        any(e and pres.gens[i].parity == ODD for i, e in enumerate(m)) for m in base.terms
-    ):
-        return None
-    return low
+    return n * max(degs)
 
 
 def _combo_eval(node, symtab, field, span_of_line):

@@ -3,9 +3,9 @@
 Everything here is computed from first principles (combinatorics, naive
 row reduction over Fraction, direct formula evaluation) so that the
 package under test is never the judge of its own output.  The Hochschild
-references and the dense matrix at the end are the exception: they are the
-package's earlier, slower kernels, kept to pin the faster ones to the same
-results.
+references, the dense matrix and the enumerated Hilbert tables at the end
+are the exception: they are the package's earlier, slower kernels, kept to
+pin the faster ones to the same results.
 """
 
 import itertools
@@ -15,8 +15,15 @@ from math import comb
 
 from superdim.algebra import AlgebraError
 from superdim.exactlin import Echelon, kernel_of_constraints, vec_add_scaled
+from superdim.hilbert import DEFAULT_KMAX, BigradedTable, PolynomialFit, _natural_lmax
 from superdim.hochschild import Cochain
-from superdim.superpoly import EVEN, ODD
+from superdim.superpoly import (
+    EVEN,
+    ODD,
+    SUPERCOMMUTATIVE,
+    monomial_sort_key,
+    mul_monomials,
+)
 
 
 def perm_parity(perm):
@@ -531,3 +538,146 @@ def dense_solve(m, b):
     for p, row in ech.rows.items():
         x[p] = row.get(n, m.field.zero)
     return x
+
+
+# ---------------------------------------------------------------------------
+# the enumerated bigraded Hilbert table, as the package had it before boxes
+# were counted by generating function
+#
+# enumerated_box_monomials loops over every exponent of every generator and
+# sorts; enumerated_bigraded_dims enumerates every box (k, l) for its column
+# index and again for each relation that reads it; scanned_fit_polynomial
+# takes the finite differences of every tail again.
+
+
+def enumerated_box_monomials(gens, k, l):
+    """Exponent tuples of the free supercommutative monomials of bidegree
+    exactly (k, l), in canonical order."""
+    n = len(gens)
+    out = []
+    acc = [0] * n
+
+    def rec(i, rk, rl):
+        if i == n:
+            if rk == 0 and rl == 0:
+                out.append(tuple(acc))
+            return
+        gk, gl = gens[i].bidegree
+        emax = rk // gk if gk else None
+        if gl:
+            cap = rl // gl
+            emax = cap if emax is None else min(emax, cap)
+        if gens[i].parity == ODD:
+            emax = min(emax, 1)
+        for e in range(emax + 1):
+            acc[i] = e
+            rec(i + 1, rk - e * gk, rl - e * gl)
+        acc[i] = 0
+
+    rec(0, k, l)
+    out.sort(key=lambda m: monomial_sort_key(m, gens, SUPERCOMMUTATIVE))
+    return out
+
+
+def enumerated_bigraded_dims(pres, kmax=DEFAULT_KMAX, lmax=None):
+    """Bigraded dimension table of the quotient presented by ``pres``.
+
+    Relations must be bihomogeneous; each (k, l) box is echelonized
+    independently, so no degree cap enters.
+    """
+    if pres.flavor != SUPERCOMMUTATIVE:
+        raise AlgebraError("bigraded tables need a supercommutative presentation")
+    gens = pres.gens
+    field = pres.field
+    rel_degs = []
+    for r in pres.relations:
+        bd = r.bidegree()
+        if bd is None:
+            raise AlgebraError("relation %r is not bihomogeneous" % (r,))
+        rel_degs.append(bd)
+    if lmax is None:
+        lmax = _natural_lmax(gens)
+        if lmax is None:
+            raise AlgebraError(
+                "odd weight is unbounded for these generators; pass lmax"
+            )
+    dims = {}
+    for l in range(lmax + 1):
+        for k in range(kmax + 1):
+            monos = enumerated_box_monomials(gens, k, l)
+            if not monos:
+                dims[(k, l)] = 0
+                continue
+            index = {m: i for i, m in enumerate(monos)}
+            ech = Echelon(field)
+            for r, (rk, rl) in zip(pres.relations, rel_degs):
+                if rk > k or rl > l:
+                    continue
+                for m in enumerated_box_monomials(gens, k - rk, l - rl):
+                    vec = {}
+                    for m2, c in r.terms.items():
+                        sm = mul_monomials(m, m2, gens, SUPERCOMMUTATIVE)
+                        if sm is None:
+                            continue
+                        sign, prod = sm
+                        pos = index[prod]
+                        val = vec.get(pos)
+                        val = sign * c if val is None else val + sign * c
+                        if val:
+                            vec[pos] = val
+                        else:
+                            vec.pop(pos, None)
+                    if vec:
+                        ech.insert(vec)
+            dims[(k, l)] = len(monos) - ech.rank
+    even_count = sum(1 for g in gens if g.parity != ODD)
+    return BigradedTable(dims, kmax, lmax, pres.name, even_count)
+
+
+def _scanned_difference_rows(tail, upto):
+    rows = [[Fraction(v) for v in tail]]
+    for _ in range(upto):
+        prev = rows[-1]
+        if len(prev) < 2:
+            break
+        rows.append([prev[i + 1] - prev[i] for i in range(len(prev) - 1)])
+    return rows
+
+
+def scanned_fit_polynomial(values, dmax):
+    """Fit an exact polynomial of degree <= dmax to a tail of ``values``.
+
+    Scans thresholds upward; accepts the first tail of length >= dmax + 2
+    whose finite differences of order dmax + 1 vanish identically.
+    Returns None when no such tail exists in the window (not stabilized).
+    """
+    values = list(values)
+    if dmax < 0:
+        raise ValueError("dmax must be nonnegative")
+    for k0 in range(len(values)):
+        tail = values[k0:]
+        if len(tail) < dmax + 2:
+            return None
+        rows = _scanned_difference_rows(tail, dmax + 1)
+        if len(rows) <= dmax + 1 or any(rows[dmax + 1]):
+            continue
+        # Newton form sum_r rows[r][0] * C(x - k0, r), expanded exactly.
+        coeffs = [Fraction(0)] * (dmax + 1)
+        basis = [Fraction(1)]
+        fact = 1
+        for r in range(dmax + 1):
+            if r:
+                # multiply by (x - k0 - (r - 1))
+                shift = -Fraction(k0 + r - 1)
+                nxt = [Fraction(0)] * (len(basis) + 1)
+                for i, b in enumerate(basis):
+                    nxt[i] += b * shift
+                    nxt[i + 1] += b
+                basis = nxt
+                fact *= r
+            lead = rows[r][0] / fact
+            if lead:
+                for i, b in enumerate(basis):
+                    coeffs[i] += lead * b
+        return PolynomialFit(coeffs, k0)
+    return None

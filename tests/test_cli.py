@@ -182,6 +182,14 @@ class TestHilbert:
         data = json.loads(capsys.readouterr().out)
         assert data["table"]["rows"]["0"] == [1, 1, 1, 1, 1, 1]
 
+    @pytest.mark.parametrize("flag,value", [("--kmax", "-1"), ("--lmax", "-2")])
+    def test_negative_bound_is_usage_error(self, capsys, flag, value):
+        code = main(["hilbert", asset("free_2_3.alg"), flag, value, "--fit"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "%s must be nonnegative" % flag in captured.err
+
 
 class TestHochschild:
     def test_sh_dim(self, capsys):
@@ -314,6 +322,31 @@ class TestSubprocess:
         code, _out, err = run_cli("sdim", asset("grassmann2.alg"), "--module", str(mod), timeout=2)
         assert code in (0, 2)
         assert "Traceback" not in err
+
+    def test_hilbert_far_window_without_relations(self):
+        code, out, err = run_cli(
+            "hilbert", asset("free_3_2.alg"), "--kmax", "400", "--fit", timeout=20
+        )
+        assert code == 0, err
+        assert "super-dimension: 3|2" in out
+
+    def test_hilbert_past_the_box_budget_is_refused(self):
+        code, out, err = run_cli("hilbert", asset("xy.alg"), "--kmax", "10000000", timeout=2)
+        assert code == 2
+        assert out == ""
+        assert "20000002 boxes" in err
+        assert "Traceback" not in err
+
+    def test_relation_power_with_constant_term_is_refused(self, tmp_path):
+        alg = tmp_path / "onex.alg"
+        alg.write_text(
+            "algebra onex over Q\nflavor supercommutative\neven x\ncap 3\n"
+            "relations\n  (1+x)^99999999\nend\n"
+        )
+        code, _out, err = run_cli("sdim", str(alg), timeout=2)
+        assert code == 2
+        assert "line 6, column 3" in err
+        assert "exceeds cap 3" in err
 
     def test_determinism_byte_identical(self):
         args = ("corpus", "--case", "c2", "--format", "report")

@@ -1,5 +1,11 @@
 """Bigraded dimension tables and exact Hilbert polynomial fitting."""
 
+import contextlib
+import io
+import json
+import os
+import random
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -7,9 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superdim.algebra import AlgebraError, Presentation
-from superdim.exactlin import QQ
+from superdim.cli import main
+from superdim.exactlin import QQ, PrimeField
 from superdim.hilbert import (
+    MAX_BOXES,
+    MAX_RELATION_ROWS,
     bigraded_dims,
+    box_counts,
     box_monomials,
     fit_polynomial,
     fit_rows,
@@ -25,7 +35,13 @@ from superdim.superpoly import (
     SuperPolynomial,
 )
 
-from oracles import free_bigraded_dim, free_cumulative
+from oracles import (
+    enumerated_bigraded_dims,
+    enumerated_box_monomials,
+    free_bigraded_dim,
+    free_cumulative,
+    scanned_fit_polynomial,
+)
 
 
 def free_pres(d, s):
@@ -117,6 +133,82 @@ class TestRelationQuotients:
             Presentation(SUPERCOMMUTATIVE, gens, [two], None, QQ)
 
 
+# -- the enumerated tables as reference ---------------------------------------
+
+_EVEN_WEIGHTS = ((1, 0), (1, 0), (2, 0), (3, 0), (1, 2), (0, 2))
+_ODD_WEIGHTS = ((0, 1), (0, 1), (1, 1), (0, 3), (2, 1), (1, 0))
+
+
+def random_bigraded_presentation(rng, field):
+    """Weighted generators and 0-3 random bihomogeneous, parity-homogeneous
+    relations, each a combination of 1-3 monomials of one bidegree."""
+    gens = []
+    for i in range(rng.randint(1, 5)):
+        if rng.random() < 0.5:
+            gens.append(GeneratorSpec("e%d" % i, EVEN, rng.choice(_EVEN_WEIGHTS)))
+        else:
+            gens.append(GeneratorSpec("o%d" % i, ODD, rng.choice(_ODD_WEIGHTS)))
+    gens = tuple(gens)
+    relations = []
+    count = rng.randint(0, 3)
+    while len(relations) < count:
+        k, l = rng.randint(0, 3), rng.randint(0, 2)
+        monos = enumerated_box_monomials(gens, k, l)
+        if not monos or (k, l) == (0, 0):
+            continue
+        parity = sum(e * g.parity for e, g in zip(rng.choice(monos), gens)) % 2
+        monos = [m for m in monos if sum(e * g.parity for e, g in zip(m, gens)) % 2 == parity]
+        terms = {
+            m: field.of(rng.choice([1, -1, 2, 3, Fraction(1, 2)]) if field is QQ
+                        else rng.randint(1, field.p - 1))
+            for m in rng.sample(monos, min(len(monos), rng.randint(1, 3)))
+        }
+        relations.append(SuperPolynomial(SUPERCOMMUTATIVE, gens, field, terms))
+    return Presentation(SUPERCOMMUTATIVE, gens, relations, None, field, "random")
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)], ids=["Q", "F2", "F5"])
+def test_tables_match_enumerated_reference(field):
+    rng = random.Random("hilbert:%s" % field.name)
+    for _ in range(40):
+        pres = random_bigraded_presentation(rng, field)
+        kmax, lmax = rng.randint(0, 8), rng.randint(0, 5)
+        table = bigraded_dims(pres, kmax=kmax, lmax=lmax)
+        assert table.dims == enumerated_bigraded_dims(pres, kmax=kmax, lmax=lmax).dims
+        counts = box_counts(pres.gens, kmax, lmax)
+        for l in range(lmax + 1):
+            for k in range(kmax + 1):
+                monos = enumerated_box_monomials(pres.gens, k, l)
+                assert box_monomials(pres.gens, k, l) == monos
+                assert counts[l][k] == len(monos)
+
+
+class TestBudgets:
+    def test_box_budget(self):
+        pres = free_pres(1, 1)
+        assert bigraded_dims(pres, kmax=MAX_BOXES // 2 - 1).dim(5, 1) == 1
+        with pytest.raises(AlgebraError, match="a table of %d boxes" % (MAX_BOXES + 2)):
+            bigraded_dims(pres, kmax=MAX_BOXES // 2)
+
+    def test_relation_row_budget(self):
+        # K[x1, x2 | y] / (x1 - x2): box (k, l) reads box (k - 1, l) of k
+        # monomials, so the table up to kmax takes kmax * (kmax + 1) rows.
+        gens = free_pres(2, 1).gens
+        rel = SuperPolynomial(SUPERCOMMUTATIVE, gens, QQ, {(1, 0, 0): 1, (0, 1, 0): -1})
+        pres = Presentation(SUPERCOMMUTATIVE, gens, [rel], None, QQ)
+        kmax = max(k for k in range(1000) if k * (k + 1) <= MAX_RELATION_ROWS) + 1
+        with pytest.raises(AlgebraError, match="take %d rows" % (kmax * (kmax + 1))):
+            bigraded_dims(pres, kmax=kmax)
+        table = bigraded_dims(pres, kmax=20)
+        assert table.row(0) == [1] * 21 and table.row(1) == [1] * 21
+
+    def test_negative_window_rejected(self):
+        with pytest.raises(ValueError):
+            bigraded_dims(free_pres(1, 1), kmax=-1)
+        with pytest.raises(ValueError):
+            bigraded_dims(free_pres(1, 1), lmax=-1)
+
+
 class TestFitting:
     polys = st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=4)
 
@@ -137,6 +229,18 @@ class TestFitting:
         for k in range(len(values)):
             if k >= fit.threshold:
                 assert fit(k) == values[k]
+
+    @given(st.lists(st.integers(min_value=-3, max_value=3), max_size=12),
+           st.integers(min_value=0, max_value=3))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scanned_reference(self, values, dmax):
+        # Cumulative sums make polynomial tails likely.
+        sums = [sum(values[: i + 1]) for i in range(len(values))]
+        for data in (values, sums):
+            fit, ref = fit_polynomial(data, dmax), scanned_fit_polynomial(data, dmax)
+            assert (fit is None) == (ref is None)
+            if fit is not None:
+                assert (fit.coeffs, fit.threshold) == (ref.coeffs, ref.threshold)
 
     def test_factorial_growth_not_stabilized(self):
         import math
@@ -160,3 +264,87 @@ class TestFitting:
         assert data["stabilized"] is True
         assert data["degree"] == 1
         assert data["coeffs"] == [{"num": 1, "den": 1}, {"num": 1, "den": 1}]
+
+
+# -- golden reports ----------------------------------------------------------
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "hilbert_reports.json")
+ASSETS = os.path.join(os.path.dirname(__file__), "..", "src", "superdim", "assets")
+
+# Presentations written to a scratch directory: Lambda_7, the chain
+# workload's rel_2_3 with fixed labels, and two with weighted bidegrees.
+_GOLDEN_INPUTS = {
+    "lambda7.alg": """algebra lambda7 over Q
+flavor supercommutative
+odd z1 z2 z3 z4 z5 z6 z7
+cap 7
+relations
+end
+""",
+    "rel_2_3.alg": """algebra rel_2_3 over Q
+flavor supercommutative
+even X1 X2
+odd Y1 Y2 Y3
+relations
+  X1*Y1 - X2*Y2
+  X1*X2*Y3
+end
+""",
+    "weighted.alg": """algebra weighted over Q
+flavor supercommutative
+even a b(2,0)
+odd y z(0,3)
+relations
+  a^2*y - b*y
+  a*b*z
+end
+""",
+    "weighted_u.alg": """algebra weighted_u over Q
+flavor supercommutative
+even a u(1,2)
+odd y w(0,3)
+relations
+  u*y - 2*a*w
+  u^2
+end
+""",
+}
+
+# (name, argv after "hilbert"); "{assets}" and "{work}" are filled in.
+_GOLDEN_JOBS = (
+    ("free_3_2 kmax 40", ["{assets}/free_3_2.alg", "--kmax", "40"]),
+    ("free_2_3 kmax 30", ["{assets}/free_2_3.alg", "--kmax", "30"]),
+    ("lambda7 kmax 4", ["{work}/lambda7.alg", "--kmax", "4"]),
+    ("rel_2_3 kmax 30", ["{work}/rel_2_3.alg", "--kmax", "30"]),
+    ("rel_2_3 kmax 12 f5", ["{work}/rel_2_3.alg", "--kmax", "12", "--field", "f5"]),
+    ("weighted kmax 14 lmax 5", ["{work}/weighted.alg", "--kmax", "14", "--lmax", "5"]),
+    ("weighted_u kmax 10 lmax 6", ["{work}/weighted_u.alg", "--kmax", "10", "--lmax", "6"]),
+)
+
+
+def hilbert_reports():
+    """``hilbert ... --fit --format report`` output of every golden job."""
+    out = {}
+    with tempfile.TemporaryDirectory() as work:
+        for fname, text in _GOLDEN_INPUTS.items():
+            with open(os.path.join(work, fname), "w") as fh:
+                fh.write(text)
+        for name, argv in _GOLDEN_JOBS:
+            argv = [a.format(assets=ASSETS, work=work) for a in argv]
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = main(["hilbert", *argv, "--fit", "--format", "report"])
+            out[name] = {"exit": code, "report": buf.getvalue()}
+    return out
+
+
+def test_hilbert_reports_match_golden():
+    with open(GOLDEN) as fh:
+        assert hilbert_reports() == json.load(fh)
+
+
+if __name__ == "__main__":
+    # Rewrites the golden file; run as  PYTHONPATH=src:tests python tests/test_hilbert.py
+    with open(GOLDEN, "w") as fh:
+        json.dump(hilbert_reports(), fh, indent=1, sort_keys=True)
+        fh.write("\n")

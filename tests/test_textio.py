@@ -101,6 +101,16 @@ class TestPresentationGrammar:
                 "exceeds cap 3",
             ),
             (
+                "algebra a over Q\nflavor supercommutative\neven x\ncap 3\nrelations\n (1+x)^99999999\nend\n",
+                6,
+                "exceeds cap 3",
+            ),
+            (
+                "algebra a over Q\nflavor supercommutative\neven x\ncap 3\nrelations\n 2^99999999*x^3\nend\n",
+                6,
+                "past 16384 bits",
+            ),
+            (
                 "algebra a over Q\nflavor supercommutative\neven x\nrelations\n x^99999999\nend\ncap 3\n",
                 5,
                 "exceeds cap 3",
@@ -123,6 +133,13 @@ class TestPresentationGrammar:
         text = ("algebra a over Q\nflavor supercommutative\nodd a b\ncap 1\n"
                 "relations\n (a + b)^99999999\nend\n")
         assert parse_presentation(text).relations == []
+
+    def test_power_with_nilpotent_terms_is_squared(self):
+        # (1 + y)^n = 1 + n*y for odd y, so the relation below is 5*y.
+        text = ("algebra a over Q\nflavor supercommutative\neven x\nodd y\ncap 3\n"
+                "relations\n (1+y)^99999999 - 1 + 5*y - 99999999*y\nend\n")
+        (rel,) = parse_presentation(text).relations
+        assert rel.terms == {(0, 1): 5}
 
     def test_round_trip_idempotent_on_all_assets(self):
         for path in sorted(glob.glob(os.path.join(ASSETS, "*.alg"))):
