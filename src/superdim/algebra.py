@@ -440,6 +440,52 @@ def is_supercommutative(A):
     return True
 
 
+def presented_supercommutative(A):
+    """A is monomial kind with a supercommutative presentation.
+
+    Then every a in A supercommutes with every homogeneous g, so for an
+    A-stable subspace S the subspace A g S is g S; filtrations can step by
+    generators instead of bases.
+    """
+    return A.kind == "monomial" and A.presentation.flavor == SUPERCOMMUTATIVE
+
+
+def odd_multipliers(A):
+    """Odd elements y_i with A_1 S = sum_i y_i S for every A-stable S.
+
+    A presented supercommutative algebra uses its odd generators (A_1 is
+    the sum of the A_0 y_i, and A_0 y_i S = y_i S).  Any other algebra
+    uses all of its odd basis elements.
+    """
+    if presented_supercommutative(A):
+        return [vec for _label, vec in A.odd_module_generators()]
+    return [A.basis_element(i) for i in range(A.dim) if A.parities[i] == ODD]
+
+
+def filtration_step(X, act, multipliers):
+    """The step S -> span{act(u, s) : u in multipliers, s in S} on X."""
+
+    def step(stage):
+        basis = stage.basis()
+        return Subspace.span(
+            X.parities, X.field, (act(u, s) for u in multipliers for s in basis)
+        )
+
+    return step
+
+
+def filtration_chain(stage, step, bound, what, error=AlgebraError):
+    """[stage, step(stage), ...] up to the first zero stage, which is left
+    out; more than ``bound`` nonzero stages raise ``error``."""
+    chain = []
+    while not stage.is_zero():
+        chain.append(stage)
+        if len(chain) > bound:
+            raise error("%s is not nilpotent" % what)
+        stage = step(stage)
+    return chain
+
+
 def _closure_multipliers(A):
     if A.kind == "monomial":
         return [vec for _n, _p, vec in A.generators]
@@ -458,18 +504,20 @@ def superideal_span(A, elements, two_sided=None):
     """Graded ideal generated by the given elements, as a Subspace.
 
     Inhomogeneous generators contribute both their graded components (a
-    graded ideal containing v contains its components).
+    graded ideal containing v contains its components).  The components
+    that are not in the span of the earlier ones are recorded as the
+    span's ``generators``.
     """
     if two_sided is None:
-        two_sided = not (
-            A.kind == "monomial" and A.presentation.flavor == SUPERCOMMUTATIVE
-        )
+        two_sided = not presented_supercommutative(A)
     mults = _closure_multipliers(A)
     span = Subspace(A.parities, A.field)
-    queue = []
+    gens = []
     for v in elements:
-        if span.insert(v):
-            queue.append(dict(v))
+        for part in span.split(v):
+            if part and span.insert(part):
+                gens.append(part)
+    queue = list(gens)
     while queue:
         v = queue.pop()
         for g in mults:
@@ -479,27 +527,29 @@ def superideal_span(A, elements, two_sided=None):
             for w in prods:
                 if w and span.insert(w):
                     queue.append(w)
+    span.generators = gens
     return span
 
 
 def odd_radical(A):
-    """The superideal A*A_1 generated by the whole odd part."""
-    odd_basis = [A.basis_element(i) for i in range(A.dim) if A.parities[i] == ODD]
-    return superideal_span(A, odd_basis)
+    """The superideal A*A_1 generated by the whole odd part, seeded with
+    ``odd_multipliers(A)`` (odd generators generate it)."""
+    return superideal_span(A, odd_multipliers(A))
 
 
 def odd_power_span(A, l):
-    """Span of all products of l odd elements (l = 0 gives all of A)."""
+    """Span of all products of l odd elements (l = 0 gives all of A).
+
+    Each step multiplies the span on the left by ``odd_multipliers(A)``.
+    """
     if l < 0:
         raise AlgebraError("negative power")
     span = A.full_subspace()
-    odd_basis = [A.basis_element(i) for i in range(A.dim) if A.parities[i] == ODD]
+    step = filtration_step(A, A.mul, odd_multipliers(A))
     for _ in range(l):
-        rows = span.basis()
-        products = (A.mul(b, row) for b in odd_basis for row in rows)
-        span = Subspace.span(A.parities, A.field, products)
         if span.is_zero():
             break
+        span = step(span)
     return span
 
 

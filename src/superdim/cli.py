@@ -38,7 +38,7 @@ from .graded import (
     bgr_to_gr_surjective,
     gr,
     gr_module,
-    verify_graded_comparison,
+    graded_comparison,
 )
 from .hilbert import bigraded_dims, fit_rows, sdim_from_hilbert
 from .hochschild import (
@@ -51,7 +51,13 @@ from .hochschild import (
     is_super_skew,
     sh_dim,
 )
-from .sdim import odd_parameter_systems, odd_power_spans_of_module, sdim, verify_factoring
+from .sdim import (
+    odd_parameter_systems,
+    odd_power_spans_of_module,
+    sdim,
+    sdim_of_chain,
+    verify_factoring,
+)
 from .smodule import ModuleError, regular_module
 from .superpoly import EVEN, ODD
 from .textio import (
@@ -163,8 +169,9 @@ def _clause_lines(clauses):
 def _cmd_sdim(args):
     A = _load_algebra(args)
     M = _load_module(args, A)
-    sd = sdim(M)
-    chain = [s.dim for s in odd_power_spans_of_module(M)]
+    spans = odd_power_spans_of_module(M)
+    sd = sdim_of_chain(spans)
+    chain = [s.dim for s in spans]
     report = {
         "command": "sdim",
         "algebra": {"name": A.name, "dim": A.dim},
@@ -276,7 +283,7 @@ def _cmd_gr(args):
         )
     failed = False
     if args.verify:
-        rep = verify_graded_comparison(M, ideal)
+        rep = graded_comparison(M, ideal, GM, sd, gsd)
         report["clauses"] = rep["clauses"]
         report["ok"] = rep["ok"]
         lines += _clause_lines(rep["clauses"])

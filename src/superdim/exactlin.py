@@ -598,15 +598,20 @@ class Subspace:
     Vectors are sparse dicts over coordinates whose parities are given by
     ``parities``.  Inserted vectors are split into even and odd components
     (the graded closure), each tracked in its own echelon.
+
+    ``generators`` is None, or a list of homogeneous elements that generate
+    the span as an ideal (``algebra.superideal_span`` records them).  A copy
+    has none, and an insert that grows the span drops them.
     """
 
-    __slots__ = ("parities", "field", "even", "odd")
+    __slots__ = ("parities", "field", "even", "odd", "generators")
 
     def __init__(self, parities, field):
         self.parities = parities
         self.field = field
         self.even = Echelon(field)
         self.odd = Echelon(field)
+        self.generators = None
 
     def copy(self):
         other = Subspace.__new__(Subspace)
@@ -614,6 +619,7 @@ class Subspace:
         other.field = self.field
         other.even = self.even.copy()
         other.odd = self.odd.copy()
+        other.generators = None
         return other
 
     @classmethod
@@ -641,6 +647,8 @@ class Subspace:
             grew = True
         if od and self.odd.insert(od) is not None:
             grew = True
+        if grew:
+            self.generators = None
         return grew
 
     def residual(self, vec):

@@ -12,10 +12,16 @@ echelon solve.
 All four constructions (``gr``, ``gr_module``, ``bgr``, ``bgr_module``)
 share three private builders:
 
-* the filtration: ``_chain`` applies a step (``_step``: multiply every
-  stage row by a list of ideal rows) until the stage vanishes, which gives
-  the I^n and I^n M chains and, once per parity, the (k, l) lattice of
-  ``_lattice``;
+* the filtration: ``algebra.filtration_chain`` applies a step
+  (``algebra.filtration_step``: multiply every stage row by a list of
+  multipliers) until the stage vanishes, which gives the I^n and I^n M
+  chains and, once per parity, the (k, l) lattice of ``_lattice``.  Every
+  stage is A-stable, so over a presented supercommutative algebra the
+  multipliers are generators: I^{n+1} = sum_j g_j I^n over the ideal's
+  recorded generators (``_multipliers``), and the lattice steps by the
+  generators of each parity plus the products g y_i with the odd
+  generators y_i of A (``_lattice_multipliers``).  Otherwise they are the
+  ideal's basis rows;
 * the components: ``_Components`` walks the stage keys (n or (k, l)) in
   sorted order, picks representatives of each stage modulo the stage(s)
   below it and keeps one class solver per stage;
@@ -40,11 +46,20 @@ from __future__ import annotations
 
 import operator
 
-from .algebra import AlgebraError, FiniteSuperAlgebra, odd_radical, require_two_sided
+from .algebra import (
+    AlgebraError,
+    FiniteSuperAlgebra,
+    filtration_chain,
+    filtration_step,
+    odd_multipliers,
+    odd_radical,
+    presented_supercommutative,
+    require_two_sided,
+)
 from .exactlin import Echelon, Matrix, Subspace
 from .sdim import sdim
 from .smodule import SuperModule
-from .superpoly import SUPERCOMMUTATIVE
+from .superpoly import EVEN, SUPERCOMMUTATIVE
 
 __all__ = [
     "GradedSuperAlgebra",
@@ -57,48 +72,59 @@ __all__ = [
     "class_in_degree",
     "odd_radical",
     "verify_graded_comparison",
+    "graded_comparison",
     "bgr_to_gr_surjective",
     "ideal_powers",
 ]
 
 
-def _chain(stage, step, bound, what):
-    """[stage, step(stage), ...] up to the first zero stage, which is left out."""
-    chain = []
-    while not stage.is_zero():
-        chain.append(stage)
-        if len(chain) > bound:
-            raise AlgebraError("%s is not nilpotent" % what)
-        stage = step(stage)
-    return chain
+def _multipliers(A, ideal):
+    """Elements g_j with I S = sum_j g_j S for every A-stable S: the
+    recorded generators of the ideal when A is presented supercommutative,
+    otherwise the ideal's basis rows."""
+    if ideal.generators is not None and presented_supercommutative(A):
+        return ideal.generators
+    return ideal.basis()
 
 
-def _step(X, act, rows):
-    """The filtration step S -> span{act(u, s) : u in rows, s in S} on X."""
+def _lattice_multipliers(A, ideal):
+    """The multipliers of the I_0 step and of the I_1 step.
 
-    def step(stage):
-        basis = stage.basis()
-        return Subspace.span(X.parities, X.field, (act(u, s) for u in rows for s in basis))
+    With generators g_j and odd multipliers y_i of A, for A-stable S:
+    I_0 S = sum_{g even} g S + sum_{g odd} g y_i S and
+    I_1 S = sum_{g odd} g S + sum_{g even} g y_i S, since
+    I_0 = sum_{g even} A_0 g + sum_{g odd} A_1 g and A_1 = sum_i A_0 y_i.
+    """
+    if ideal.generators is None or not presented_supercommutative(A):
+        return ideal.even.basis_rows(), ideal.odd.basis_rows()
+    ys = odd_multipliers(A)
+    even, odd = [], []
+    for g in ideal.generators:
+        same, other = (even, odd) if A.element_parity(g) == EVEN else (odd, even)
+        same.append(g)
+        other.extend(gy for gy in (A.mul(g, y) for y in ys) if gy)
+    return even, odd
 
-    return step
 
-
-def _lattice(X, act, ideal, what):
+def _lattice(X, act, A, ideal, what):
     """{(k, l): I_0^k I_1^l X} over the nonzero stages."""
-    even = _step(X, act, ideal.even.basis_rows())
-    odd = _step(X, act, ideal.odd.basis_rows())
+    even_mults, odd_mults = _lattice_multipliers(A, ideal)
+    even = filtration_step(X, act, even_mults)
+    odd = filtration_step(X, act, odd_mults)
     lattice = {}
-    for l, column in enumerate(_chain(X.full_subspace(), odd, X.dim + 1, what)):
-        for k, stage in enumerate(_chain(column, even, X.dim + 1, what)):
+    for l, column in enumerate(filtration_chain(X.full_subspace(), odd, X.dim + 1, what)):
+        for k, stage in enumerate(filtration_chain(column, even, X.dim + 1, what)):
             lattice[(k, l)] = stage
     return lattice
 
 
 def ideal_powers(A, ideal):
     """[A, I, I^2, ...] ending just before the zero power; I must be a
-    nilpotent two-sided superideal."""
+    nilpotent two-sided superideal.  I^{n+1} = sum_j g_j I^n over
+    ``_multipliers``."""
     require_two_sided(A, ideal)
-    return [A.full_subspace()] + _chain(ideal, _step(A, A.mul, ideal.basis()), A.dim, "ideal")
+    step = filtration_step(A, A.mul, _multipliers(A, ideal))
+    return [A.full_subspace()] + filtration_chain(ideal, step, A.dim, "ideal")
 
 
 def _component_reps(stage, below):
@@ -285,9 +311,9 @@ def gr(A, ideal, name=None):
 def gr_module(M, ideal, graded_algebra=None, name=None):
     """The module over gr(A, I) with components I^n M / I^{n+1} M."""
     G = graded_algebra if graded_algebra is not None else gr(M.algebra, ideal)
-    step = _step(M, M.apply_element, ideal.basis())
+    step = filtration_step(M, M.apply_element, _multipliers(M.algebra, ideal))
     full = M.full_subspace()
-    powers = [full] + _chain(step(full), step, M.dim, "ideal action")
+    powers = [full] + filtration_chain(step(full), step, M.dim, "ideal action")
     comps = _Components(M, dict(enumerate(powers)), _below_n)
     module = comps.module(M, G, operator.add, name or ("gr " + M.name))
     return GradedSuperModule(module, comps.keys, comps.rows, powers)
@@ -313,7 +339,7 @@ def bgr(A, ideal, name=None):
     if A.kind == "monomial" and A.presentation.flavor != SUPERCOMMUTATIVE:
         raise AlgebraError("bigraded construction needs a supercommutative algebra")
     require_two_sided(A, ideal)
-    lattice = _lattice(A, A.mul, ideal, "ideal")
+    lattice = _lattice(A, A.mul, A, ideal, "ideal")
     comps = _Components(A, lattice, _below_kl)
     algebra = comps.algebra(A, _add_pairs, lambda kl: "(%d,%d)" % kl, name or ("bgr " + A.name))
     out = BigradedSuperAlgebra(algebra, comps.keys, comps.rows, lattice, A)
@@ -325,7 +351,7 @@ def bgr(A, ideal, name=None):
 def bgr_module(M, ideal, bigraded_algebra=None, name=None):
     """Module components S(k,l)M / (S(k+1,l)M + S(k,l+1)M) over bgr(A, I)."""
     B = bigraded_algebra if bigraded_algebra is not None else bgr(M.algebra, ideal)
-    lattice = _lattice(M, M.apply_element, ideal, "ideal action")
+    lattice = _lattice(M, M.apply_element, M.algebra, ideal, "ideal action")
     comps = _Components(M, lattice, _below_kl)
     module = comps.module(M, B, _add_pairs, name or ("bgr " + M.name))
     return GradedSuperModule(module, comps.keys, comps.rows, lattice)
@@ -356,11 +382,14 @@ def verify_graded_comparison(M, ideal):
     Clauses: conservation of total dimension, sdim_1(gr M) <= sdim_1(M),
     and equality when the ideal is the odd radical.
     """
+    GM = gr_module(M, ideal)
+    return graded_comparison(M, ideal, GM, sdim(M), sdim(GM.module))
+
+
+def graded_comparison(M, ideal, GM, msd, gsd):
+    """The report of ``verify_graded_comparison`` from objects already
+    built: GM = gr_module(M, ideal), msd = sdim(M), gsd = sdim(GM.module)."""
     A = M.algebra
-    G = gr(A, ideal)
-    GM = gr_module(M, ideal, graded_algebra=G)
-    msd = sdim(M)
-    gsd = sdim(GM.module)
     clauses = [
         {
             "id": "dimension-conservation",

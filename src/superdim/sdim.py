@@ -8,6 +8,12 @@ product does not kill M.  Both routes are implemented; their agreement is
 a theorem and is exercised by the test suite, never collapsed into one
 code path.
 
+The chain steps by generators, not by bases: each R_1^l M is R-stable, so
+over a presented supercommutative algebra R_1^{l+1} M = sum_i y_i R_1^l M
+for the odd generators y_i.  Any other algebra steps by all of its odd
+basis elements.  The subset search multiplies out the ordered products
+themselves and shares no code with the chain.
+
 The zero module gets a distinguished empty value, not 0|0.
 """
 
@@ -15,8 +21,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .algebra import odd_power_span, superideal_span
-from .exactlin import Subspace
+from .algebra import filtration_chain, filtration_step, odd_multipliers
+from .exactlin import Matrix
 from .smodule import (
     ModuleError,
     is_regular_sequence,
@@ -65,41 +71,35 @@ EMPTY_SDIM = SuperDimension.make_empty()
 
 
 def odd_power_spans_of_module(M):
-    """[M, R_1 M, R_1^2 M, ...] down to (and excluding) the zero span."""
-    if M.is_zero():
-        return []
-    odd_basis = [
-        M.act_basis(i) for i in range(M.algebra.dim) if M.algebra.parities[i] == 1
-    ]
-    spans = [M.full_subspace()]
-    guard = M.dim + M.algebra.dim + 2
-    while True:
-        rows = spans[-1].basis()
-        images = (mat.apply(row) for mat in odd_basis for row in rows)
-        nxt = Subspace.span(M.parities, M.field, images)
-        if nxt.is_zero():
-            return spans
-        spans.append(nxt)
-        if len(spans) > guard:
-            raise ModuleError("odd part action is not nilpotent")
+    """[M, R_1 M, R_1^2 M, ...] down to (and excluding) the zero span.
+
+    Each stage is R-stable, so one step is R_1^{l+1} M = sum_i y_i R_1^l M
+    over ``odd_multipliers``: the odd generators of a presented
+    supercommutative algebra, all odd basis elements otherwise.
+    """
+    mats = [M.act_element(y) for y in odd_multipliers(M.algebra)]
+    step = filtration_step(M, Matrix.apply, mats)
+    return filtration_chain(
+        M.full_subspace(), step, M.dim, "odd part action", ModuleError
+    )
+
+
+def sdim_of_chain(spans):
+    """The super-dimension read off an odd chain: 0|(len - 1), or empty."""
+    return SuperDimension(0, len(spans) - 1) if spans else EMPTY_SDIM
 
 
 def sdim(M):
     """Krull super-dimension of a module over an Artinian superalgebra."""
-    if M.is_zero():
-        return EMPTY_SDIM
-    return SuperDimension(0, len(odd_power_spans_of_module(M)) - 1)
+    return sdim_of_chain(odd_power_spans_of_module(M))
 
 
 def sdim_algebra(A):
-    """Super-dimension of A over itself (no module plumbing needed)."""
-    l = 0
-    while True:
-        if odd_power_span(A, l + 1).is_zero():
-            return SuperDimension(0, l)
-        l += 1
-        if l > 2 * A.dim + 2:
-            raise ModuleError("odd part is not nilpotent")
+    """Super-dimension of A over itself: the length of one odd chain of A,
+    stepped as in ``odd_power_span``."""
+    step = filtration_step(A, A.mul, odd_multipliers(A))
+    chain = filtration_chain(A.full_subspace(), step, A.dim, "odd part", ModuleError)
+    return sdim_of_chain(chain)
 
 
 def default_odd_generating_set(M, gens=None):
@@ -186,8 +186,7 @@ def is_extendable_to_longest(ys, M):
     if not is_regular_sequence(ys, M):
         raise ModuleError("not an odd regular sequence")
     t = len(ys)
-    ideal = superideal_span(M.algebra, ys)
-    Q = quotient(M, product_span(M, ideal))
+    Q = quotient(M, product_span(M, ys))
     total = sdim(M)
     quot = sdim(Q)
     if quot.empty:
@@ -219,8 +218,7 @@ def verify_factoring(M, ys):
         {"id": "sdim-at-least-length", "ok": (not total.empty) and total.odd >= t}
     )
 
-    ideal = superideal_span(A, ys)
-    Q = quotient(M, product_span(M, ideal))
+    Q = quotient(M, product_span(M, ys))  # I M = A ys M, I the superideal of ys
     quot_sd = sdim(Q)
 
     prod = ordered_product(A, ys)

@@ -71,8 +71,12 @@ class SuperModule:
         return out
 
     def act_element(self, vec):
-        """Matrix of the action of an algebra element."""
-        return _combination(self, [(self.act_basis(i), c) for i, c in vec.items() if c])
+        """Matrix of the action of an algebra element (the cached matrix of
+        ``act_basis`` when the element is a basis element)."""
+        terms = [(self.act_basis(i), c) for i, c in vec.items() if c]
+        if len(terms) == 1 and terms[0][1] == self.field.one:
+            return terms[0][0]
+        return _combination(self, terms)
 
     def apply_element(self, vec, mvec):
         """(algebra element) . (sparse module vector)."""

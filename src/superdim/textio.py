@@ -36,6 +36,7 @@ import json
 import operator
 import re
 from fractions import Fraction
+from math import comb
 
 from .algebra import AlgebraError, Presentation
 from .exactlin import FpElement, Matrix, field_from_name, power, vec_add_scaled
@@ -253,6 +254,9 @@ def _poly_eval(node, pres, relation_span):
         if high is not None:
             raise ParseError("relation degree exceeds cap %d (a power of degree >= %d)"
                              % (pres.cap, high), relation_span)
+        if _power_terms_past_budget(base, n, pres):
+            raise ParseError("a power may expand to more than %d terms" % MAX_POWER_TERMS,
+                             relation_span)
 
         def poly(terms):
             return SuperPolynomial(pres.flavor, pres.gens, pres.field, terms)
@@ -291,6 +295,38 @@ def _power_degree_past_cap(base, n, pres):
     if not degs or n * max(degs) <= pres.cap:
         return None
     return n * max(degs)
+
+
+# A relation power whose term bound passes this is refused before it is expanded.
+MAX_POWER_TERMS = 256
+
+
+def _power_terms_past_budget(base, n, pres):
+    """True unless every power base^m, m <= n, has at most MAX_POWER_TERMS terms.
+
+    With t terms in base, base^m has at most C(m+t-1, t-1) terms in the
+    supercommutative flavor (a product of m terms only depends on how often
+    each one occurs) and t^m in the associative one.  With ve even and vo
+    odd generators in base and top degree D, it also has at most
+    2^vo * C(mD + ve, ve) terms: an even monomial of at most mD factors
+    times a set of odd generators; in the associative flavor at most
+    v^(mD + 1) words in v letters.  Both bounds grow with m, so the one at n
+    covers every repeated squaring step, and it is checked before any.
+    """
+    t = len(base.terms)
+    if t <= 1:
+        return False
+    gens, flavor = pres.gens, pres.flavor
+    top = n * max(monomial_degree(m, gens, flavor) for m in base.terms)
+    if flavor == SUPERCOMMUTATIVE:
+        used = {i for m in base.terms for i, e in enumerate(m) if e}
+        ve = sum(1 for i in used if gens[i].parity == EVEN)
+        bound = min(comb(n + t - 1, t - 1), 2 ** (len(used) - ve) * comb(top + ve, ve))
+    else:
+        # powers past 2^64 are past any budget, so the exponents are clipped there
+        v = len({i for m in base.terms for i in m})
+        bound = min(t ** min(n, 64), v ** min(top + 1, 64) if v > 1 else top + 1)
+    return bound > MAX_POWER_TERMS
 
 
 def _combo_eval(node, symtab, field, span_of_line):

@@ -3,9 +3,10 @@
 Everything here is computed from first principles (combinatorics, naive
 row reduction over Fraction, direct formula evaluation) so that the
 package under test is never the judge of its own output.  The Hochschild
-references, the dense matrix and the enumerated Hilbert tables at the end
-are the exception: they are the package's earlier, slower kernels, kept to
-pin the faster ones to the same results.
+references, the dense matrix, the enumerated Hilbert tables and the
+basis-stepped filtrations at the end are the exception: they are the
+package's earlier, slower kernels, kept to pin the faster ones to the same
+results.
 """
 
 import itertools
@@ -13,10 +14,11 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from superdim.algebra import AlgebraError
-from superdim.exactlin import Echelon, kernel_of_constraints, vec_add_scaled
+from superdim.algebra import AlgebraError, require_two_sided
+from superdim.exactlin import Echelon, Subspace, kernel_of_constraints, vec_add_scaled
 from superdim.hilbert import DEFAULT_KMAX, BigradedTable, PolynomialFit, _natural_lmax
 from superdim.hochschild import Cochain
+from superdim.smodule import ModuleError
 from superdim.superpoly import (
     EVEN,
     ODD,
@@ -681,3 +683,84 @@ def scanned_fit_polynomial(values, dmax):
                     coeffs[i] += lead * b
         return PolynomialFit(coeffs, k0)
     return None
+
+
+# ---------------------------------------------------------------------------
+# basis-stepped filtrations: the package's earlier odd chains, ideal powers
+# and (k, l) lattice, which multiply every stage row by every basis row of
+# R_1 or of the ideal.  Copied verbatim; the generator-stepped ones in
+# sdim, algebra and graded must give the same basis() rows at every stage.
+
+
+def odd_power_spans_of_module(M):
+    """[M, R_1 M, R_1^2 M, ...] down to (and excluding) the zero span."""
+    if M.is_zero():
+        return []
+    odd_basis = [
+        M.act_basis(i) for i in range(M.algebra.dim) if M.algebra.parities[i] == 1
+    ]
+    spans = [M.full_subspace()]
+    guard = M.dim + M.algebra.dim + 2
+    while True:
+        rows = spans[-1].basis()
+        images = (mat.apply(row) for mat in odd_basis for row in rows)
+        nxt = Subspace.span(M.parities, M.field, images)
+        if nxt.is_zero():
+            return spans
+        spans.append(nxt)
+        if len(spans) > guard:
+            raise ModuleError("odd part action is not nilpotent")
+
+
+def odd_power_span(A, l):
+    """Span of all products of l odd elements (l = 0 gives all of A)."""
+    if l < 0:
+        raise AlgebraError("negative power")
+    span = A.full_subspace()
+    odd_basis = [A.basis_element(i) for i in range(A.dim) if A.parities[i] == ODD]
+    for _ in range(l):
+        rows = span.basis()
+        products = (A.mul(b, row) for b in odd_basis for row in rows)
+        span = Subspace.span(A.parities, A.field, products)
+        if span.is_zero():
+            break
+    return span
+
+
+def _chain(stage, step, bound, what):
+    """[stage, step(stage), ...] up to the first zero stage, which is left out."""
+    chain = []
+    while not stage.is_zero():
+        chain.append(stage)
+        if len(chain) > bound:
+            raise AlgebraError("%s is not nilpotent" % what)
+        stage = step(stage)
+    return chain
+
+
+def _step(X, act, rows):
+    """The filtration step S -> span{act(u, s) : u in rows, s in S} on X."""
+
+    def step(stage):
+        basis = stage.basis()
+        return Subspace.span(X.parities, X.field, (act(u, s) for u in rows for s in basis))
+
+    return step
+
+
+def _lattice(X, act, ideal, what):
+    """{(k, l): I_0^k I_1^l X} over the nonzero stages."""
+    even = _step(X, act, ideal.even.basis_rows())
+    odd = _step(X, act, ideal.odd.basis_rows())
+    lattice = {}
+    for l, column in enumerate(_chain(X.full_subspace(), odd, X.dim + 1, what)):
+        for k, stage in enumerate(_chain(column, even, X.dim + 1, what)):
+            lattice[(k, l)] = stage
+    return lattice
+
+
+def ideal_powers(A, ideal):
+    """[A, I, I^2, ...] ending just before the zero power; I must be a
+    nilpotent two-sided superideal."""
+    require_two_sided(A, ideal)
+    return [A.full_subspace()] + _chain(ideal, _step(A, A.mul, ideal.basis()), A.dim, "ideal")

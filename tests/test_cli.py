@@ -348,6 +348,20 @@ class TestSubprocess:
         assert "line 6, column 3" in err
         assert "exceeds cap 3" in err
 
+    @pytest.mark.parametrize("field", ["Q", "F5"])
+    def test_relation_power_past_the_term_budget_is_refused(self, tmp_path, field):
+        alg = tmp_path / "xy.alg"
+        alg.write_text(
+            "algebra xy over %s\nflavor supercommutative\neven x y\n"
+            "relations\n  (x+y)^99999999\nend\n" % field
+        )
+        code, out, err = run_cli("hilbert", str(alg), "--kmax", "4", timeout=2)
+        assert code == 2
+        assert out == ""
+        assert "line 5, column 3" in err
+        assert "more than 256 terms" in err
+        assert "Traceback" not in err
+
     def test_determinism_byte_identical(self):
         args = ("corpus", "--case", "c2", "--format", "report")
         first = run_cli(*args)

@@ -1,0 +1,97 @@
+"""Generator-stepped filtrations against the basis-stepped references.
+
+The odd chains, ideal powers, I^n M chains and (k, l) lattices step by
+generators of R_1 or of the ideal; ``oracles`` keeps the earlier versions
+that multiply by every basis row.  Both must give the same basis() rows at
+every stage (Echelon rows are fully reduced, so equal spans give equal
+rows).
+"""
+
+import pytest
+
+import oracles
+from superdim.algebra import odd_power_span, odd_radical, superideal_span
+from superdim.exactlin import QQ, PrimeField
+from superdim.graded import _lattice, gr_module, ideal_powers
+from superdim.sdim import (
+    SuperDimension,
+    odd_power_spans_of_module,
+    sdim_algebra,
+    sdim_odd_by_subset_search,
+)
+from superdim.smodule import regular_module
+
+from conftest import random_algebra, random_module, rng_for
+from test_algebra import grassmann
+
+FIELDS = [QQ, PrimeField(2), PrimeField(5)]
+
+
+def rows(chain):
+    return [S.basis() for S in chain]
+
+
+def lattice_rows(lattice):
+    return {key: S.basis() for key, S in lattice.items()}
+
+
+def ideals(rng, A):
+    """The odd radical, a one-generator ideal and an ideal of an
+    inhomogeneous seed, each labelled."""
+    nonunit = [i for i in range(A.dim) if i != A.unit_index]
+    out = [("odd radical", odd_radical(A))]
+    if not nonunit:
+        return out
+    g = A.basis_element(rng.choice(nonunit))
+    out.append(("one generator", superideal_span(A, [g])))
+    even = [i for i in nonunit if A.parities[i] == 0]
+    odd = [i for i in nonunit if A.parities[i] == 1]
+    if even and odd:
+        seed = {rng.choice(even): A.field.one, rng.choice(odd): A.field.of(2)}
+        out.append(("inhomogeneous seed", superideal_span(A, [seed])))
+    return out
+
+
+def cases(field, count=20):
+    rng = rng_for("filtration-steps-%s" % field)
+    for _ in range(count):
+        A = random_algebra(rng, max_gens=4, max_cap=4, max_dim=40, field=field)
+        yield rng, A, random_module(rng, A)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+class TestAgainstBasisStepped:
+    def test_odd_chains(self, field):
+        for _rng, A, M in cases(field):
+            assert rows(odd_power_spans_of_module(M)) == rows(oracles.odd_power_spans_of_module(M))
+            chain = oracles.odd_power_spans_of_module(regular_module(A))
+            for l in range(len(chain) + 1):
+                assert odd_power_span(A, l).basis() == oracles.odd_power_span(A, l).basis()
+            assert sdim_algebra(A) == SuperDimension(0, len(chain) - 1)
+
+    def test_ideal_filtrations(self, field):
+        seen = set()
+        for rng, A, M in cases(field):
+            for label, I in ideals(rng, A):
+                assert I.generators is not None
+                seen.add(label)
+                assert rows(ideal_powers(A, I)) == rows(oracles.ideal_powers(A, I)), label
+                step = oracles._step(M, M.apply_element, I.basis())
+                full = M.full_subspace()
+                want = [full] + oracles._chain(step(full), step, M.dim, "ideal action")
+                assert rows(gr_module(M, I).powers) == rows(want), label
+                for X, act in ((A, A.mul), (M, M.apply_element)):
+                    got = _lattice(X, act, A, I, "ideal")
+                    assert lattice_rows(got) == lattice_rows(oracles._lattice(X, act, I, "ideal")), label
+        assert seen == {"odd radical", "one generator", "inhomogeneous seed"}
+
+
+class TestGrassmann:
+    def test_odd_radical_has_one_generator_per_odd_generator(self):
+        A = grassmann(5)
+        assert len(odd_radical(A).generators) == 5
+
+    def test_sdim_algebra_of_lambda_8(self):
+        A = grassmann(8)
+        assert sdim_algebra(A) == SuperDimension(0, 8)
+        assert sdim_odd_by_subset_search(regular_module(A)) == 8

@@ -120,6 +120,16 @@ class TestPresentationGrammar:
                 4,
                 "exceeds cap 1",
             ),
+            (
+                "algebra a over F5\nflavor supercommutative\neven x y\nrelations\n (x+y)^99999999\nend\n",
+                5,
+                "more than 256 terms",
+            ),
+            (
+                "algebra a over Q\nflavor associative\neven x y\nrelations\n (x+y)^9\nend\n",
+                5,
+                "more than 256 terms",
+            ),
         ],
     )
     def test_errors_carry_spans(self, text, line, fragment):
@@ -133,6 +143,16 @@ class TestPresentationGrammar:
         text = ("algebra a over Q\nflavor supercommutative\nodd a b\ncap 1\n"
                 "relations\n (a + b)^99999999\nend\n")
         assert parse_presentation(text).relations == []
+
+    def test_power_within_the_term_budget_is_expanded(self):
+        # (x + y)^255 has 256 terms; (x + y + z)^2 in the associative flavor 9 words.
+        text = ("algebra a over F5\nflavor supercommutative\neven x y\n"
+                "relations\n (x+y)^255\nend\n")
+        (rel,) = parse_presentation(text).relations
+        assert rel.degree() == 255
+        text = ("algebra a over Q\nflavor associative\neven x y z\nrelations\n (x+y+z)^2\nend\n")
+        (rel,) = parse_presentation(text).relations
+        assert len(rel.terms) == 9
 
     def test_power_with_nilpotent_terms_is_squared(self):
         # (1 + y)^n = 1 + n*y for odd y, so the relation below is 5*y.
