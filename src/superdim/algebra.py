@@ -17,7 +17,7 @@ algebras and quotients).  Elements are sparse dicts {basis index: scalar}.
 from __future__ import annotations
 
 from . import superpoly
-from .exactlin import Echelon, Subspace, power
+from .exactlin import Echelon, Subspace, power, vec_add_scaled
 from .superpoly import (
     ASSOCIATIVE,
     EVEN,
@@ -74,12 +74,6 @@ class Presentation:
         self.cap = cap
         self.field = field
         self.name = name
-
-    def gen_index(self, name):
-        for i, g in enumerate(self.gens):
-            if g.name == name:
-                return i
-        raise AlgebraError("unknown generator %r" % (name,))
 
     def poly(self, terms):
         return SuperPolynomial(self.flavor, self.gens, self.field, terms)
@@ -139,30 +133,20 @@ def compile_presentation(pres):
         return v
 
     def mul_vec_by_gen(vec, gi, side):
+        # m -> g m is injective on monomials, so no two terms meet
+        g = (gi,) if flavor == ASSOCIATIVE else tuple(
+            1 if j == gi else 0 for j in range(len(gens))
+        )
         out = {}
         for mi, c in vec.items():
             m = monomials[mi]
-            g = (gi,) if flavor == ASSOCIATIVE else tuple(
-                1 if j == gi else 0 for j in range(len(gens))
-            )
             sm = (
                 mul_monomials(g, m, gens, flavor)
                 if side == "left"
                 else mul_monomials(m, g, gens, flavor)
             )
-            if sm is None:
-                continue
-            sign, mm = sm
-            if monomial_degree(mm, gens, flavor) > cap:
-                continue
-            c2 = -c if sign < 0 else c
-            k = index[mm]
-            val = out.get(k)
-            val = c2 if val is None else val + c2
-            if val:
-                out[k] = val
-            else:
-                out.pop(k, None)
+            if sm is not None and monomial_degree(sm[1], gens, flavor) <= cap:
+                out[index[sm[1]]] = -c if sm[0] < 0 else c
         return out
 
     # two-sided graded ideal closure; for the supercommutative flavor the
@@ -296,16 +280,8 @@ class FiniteSuperAlgebra:
             if not a:
                 continue
             for j, b in v.items():
-                if not b:
-                    continue
-                coeff = a * b
-                for k, c in self.mul_basis(i, j).items():
-                    val = out.get(k)
-                    val = coeff * c if val is None else val + coeff * c
-                    if val:
-                        out[k] = val
-                    else:
-                        out.pop(k, None)
+                if b:
+                    vec_add_scaled(out, self.mul_basis(i, j), a * b)
         return out
 
     def power_of_element(self, vec, n):

@@ -362,8 +362,8 @@ def _load_cochain(path, A):
         f = Cochain(n, parity, table)
     except (KeyError, ValueError, TypeError) as exc:
         raise UsageError("bad cochain file %s: %s" % (path, exc))
-    for tup in f.table:
-        for i in tup:
+    for tup, vec in table.items():
+        for i in (*tup, *vec):
             if not 0 <= i < A.dim:
                 raise UsageError("cochain index %d out of range" % i)
     bad = cochain_parity_violations(f, A, A.parities)

@@ -45,7 +45,7 @@ from .algebra import (
     table_is_associative,
     table_respects_unit,
 )
-from .exactlin import QQ, Matrix, Subspace, rank
+from .exactlin import QQ, Matrix, Subspace, rank, vec_add_scaled
 from .graded import class_in_degree, gr, gr_module
 from .hochschild import (
     Cochain,
@@ -58,11 +58,11 @@ from .hochschild import (
 )
 from .sdim import (
     SuperDimension,
-    is_extendable_to_longest,
     odd_parameter_systems,
     odd_power_spans_of_module,
     sdim,
     sdim_algebra,
+    sdim_of_chain,
     subset_chain_agreement,
     system_acts_nonzero,
     verify_factoring,
@@ -112,16 +112,7 @@ def _combine(field, *pairs):
     """Exact linear combination sum(coeff * vec) of sparse vectors."""
     out = {}
     for coeff, vec in pairs:
-        c0 = field.of(coeff)
-        if not c0:
-            continue
-        for r, c in vec.items():
-            val = out.get(r)
-            val = c0 * c if val is None else val + c0 * c
-            if val:
-                out[r] = val
-            else:
-                out.pop(r, None)
+        vec_add_scaled(out, vec, field.of(coeff))
     return out
 
 
@@ -282,16 +273,17 @@ def verify_c1(field=QQ):
     )
     clauses.append({"id": "z1z2z3-module-nonzero", "ok": nonzero})
 
-    sd = sdim(M)
+    spans = odd_power_spans_of_module(M)
+    sd = sdim_of_chain(spans)
     clauses.append({"id": "sdim-0-3", "ok": sd == SuperDimension(0, 3)})
 
-    Q = quotient(M, ym, name="M/YM")
-    sdq = sdim(Q)
+    fact = verify_factoring(M, [y])
+    sdq = fact["sdim_quotient"]
     clauses.append(
-        {"id": "quotient-by-y-sdim-at-most-1", "ok": (not sdq.empty) and sdq.odd <= 1}
+        {"id": "quotient-by-y-sdim-at-most-1", "ok": "odd" in sdq and sdq["odd"] <= 1}
     )
 
-    clauses.append({"id": "y-not-extendable", "ok": not is_extendable_to_longest([y], M)})
+    clauses.append({"id": "y-not-extendable", "ok": not fact["extendable"]})
 
     systems = odd_parameter_systems(M, 3)
     clauses.append(
@@ -301,12 +293,10 @@ def verify_c1(field=QQ):
         {"id": "no-longest-system-contains-y", "ok": all("Y" not in s for s in systems)}
     )
 
-    fact = verify_factoring(M, [y])
     clauses.append({"id": "factoring-identities", "ok": fact["ok"]})
 
     clauses.append({"id": "subset-chain-agreement", "ok": subset_chain_agreement(M)})
 
-    spans = odd_power_spans_of_module(M)
     return {
         "case": "c1",
         "field": field.name,
@@ -315,7 +305,7 @@ def verify_c1(field=QQ):
             "dim_B": B.dim,
             "dim_M": M.dim,
             "sdim": sd.as_json(),
-            "sdim_quotient_by_y": sdq.as_json(),
+            "sdim_quotient_by_y": sdq,
             "odd_chain_dims": [s.dim for s in spans],
             "longest_systems": [list(s) for s in systems],
         },
@@ -459,28 +449,20 @@ def build_c2(field=QQ):
                     core = core * poly({mono([(gens[g].name, 1)]): field.one})
         return core
 
-    pi_prime = {}
-    for i in range(Aprime.dim):
-        w1 = Aprime.basis_word(i)
-        for j in range(Aprime.dim):
-            p = pi_entry(w1, Aprime.basis_word(j))
-            if p is None:
-                continue
-            vec = A.reduce_poly(p)
-            if vec:
-                pi_prime[(i, j)] = vec
+    def pi_table(source):
+        """pi' on the basis pairs of source, with values reduced in A."""
+        words = [source.basis_word(i) for i in range(source.dim)]
+        table = {}
+        for i, w1 in enumerate(words):
+            for j, w2 in enumerate(words):
+                p = pi_entry(w1, w2)
+                vec = None if p is None else A.reduce_poly(p)
+                if vec:
+                    table[(i, j)] = vec
+        return table
 
-    pi_table = {}
-    for i in range(A.dim):
-        w1 = A.basis_word(i)
-        for j in range(A.dim):
-            p = pi_entry(w1, A.basis_word(j))
-            if p is None:
-                continue
-            vec = A.reduce_poly(p)
-            if vec:
-                pi_table[(i, j)] = vec
-    pi = Cochain(1, ODD, pi_table)
+    pi_prime = pi_table(Aprime)
+    pi = Cochain(1, ODD, pi_table(A))
 
     R = build_A_pi(A, pi, name="R")
     y = {A.dim + A.unit_index: field.one}
@@ -521,20 +503,10 @@ def _bilinear_value(table, u, v, field):
     """The bilinear extension of a basis-pair table at (u, v)."""
     out = {}
     for i, a in u.items():
-        if not a:
-            continue
         for j, b in v.items():
             hit = table.get((i, j))
-            if not hit or not b:
-                continue
-            coeff = a * b
-            for r, c in hit.items():
-                val = out.get(r)
-                val = coeff * c if val is None else val + coeff * c
-                if val:
-                    out[r] = val
-                else:
-                    out.pop(r, None)
+            if hit and a and b:
+                vec_add_scaled(out, hit, a * b)
     return out
 
 
@@ -556,14 +528,10 @@ def verify_c2(field=QQ):
     )
     clauses.append({"id": "z-identities", "ok": zok})
 
-    nspan = Subspace(Ap.parities, field)
-    for v in z:
-        nspan.insert(v)
+    nspan = Subspace.span(Ap.parities, field, z)
     clauses.append({"id": "nprime-rank-3", "ok": nspan.dim == 3})
 
-    tail = Subspace(Ap.parities, field)
-    for v in z[3:]:
-        tail.insert(v)
+    tail = Subspace.span(Ap.parities, field, z[3:])
     clauses.append(
         {"id": "v4-outside-nprime", "ok": tail.dim == 3 and not tail.contains(data.v4)}
     )
@@ -609,16 +577,13 @@ def verify_c2(field=QQ):
     sdr = sdim(MR)
     clauses.append({"id": "sdim-0-4", "ok": sdr == SuperDimension(0, 4)})
 
-    Qr = quotient(MR, product_span(MR, [data.y]), name="R/Ry")
-    sdq = sdim(Qr)
+    fact = verify_factoring(MR, [data.y])
+    sdq = fact["sdim_quotient"]
     clauses.append(
-        {"id": "quotient-by-y-sdim-at-most-2", "ok": (not sdq.empty) and sdq.odd <= 2}
+        {"id": "quotient-by-y-sdim-at-most-2", "ok": "odd" in sdq and sdq["odd"] <= 2}
     )
     clauses.append(
-        {
-            "id": "drop-strictly-exceeds-one",
-            "ok": (not sdq.empty) and sdq.odd < sdr.odd - 1,
-        }
+        {"id": "drop-strictly-exceeds-one", "ok": "odd" in sdq and sdq["odd"] < sdr.odd - 1}
     )
 
     clauses.append(
@@ -642,7 +607,6 @@ def verify_c2(field=QQ):
         }
     )
 
-    fact = verify_factoring(MR, [data.y])
     clauses.append({"id": "factoring-identities", "ok": fact["ok"]})
 
     clauses.append({"id": "subset-chain-agreement", "ok": subset_chain_agreement(MR)})
@@ -658,7 +622,7 @@ def verify_c2(field=QQ):
             "dim_R": R.dim,
             "sdim_Aprime": sdap.as_json(),
             "sdim": sdr.as_json(),
-            "sdim_quotient_by_y": sdq.as_json(),
+            "sdim_quotient_by_y": sdq,
             "longest_systems": [list(s) for s in systems],
         },
         "factoring": fact,
@@ -682,13 +646,7 @@ def _section_is_isomorphism(G):
             lhs = A.mul(G.reps[i], G.reps[j])
             rhs = {}
             for k, c in G.algebra.mul_basis(i, j).items():
-                for r, x in G.reps[k].items():
-                    val = rhs.get(r)
-                    val = c * x if val is None else val + c * x
-                    if val:
-                        rhs[r] = val
-                    else:
-                        rhs.pop(r, None)
+                vec_add_scaled(rhs, G.reps[k], c)
             if lhs != rhs:
                 return False
     return True

@@ -3,6 +3,8 @@
 Scalars are ``fractions.Fraction`` for Q and :class:`FpElement` for GF(p).
 Vectors are sparse dicts index -> nonzero scalar, and a :class:`Matrix` (the
 exchange format used across the package) is a list of such column dicts.
+:func:`vec_add_scaled` is the package's one sparse accumulation: every
+"add a scaled vector and drop the zeros" goes through it.
 Row reduction goes through a fully reduced sparse row-echelon accumulator
 (:class:`Echelon`).  Both keep the closure computations elsewhere in the
 package near the cost of their actual support instead of the ambient
@@ -287,6 +289,8 @@ class Echelon:
 
     def reduce(self, vec):
         """Residual of vec modulo the stored span (a fresh dict)."""
+        # This loop and the one in insert inline vec_add_scaled: they are the
+        # package's hottest, and a call per row made the benchmark slower.
         v = {c: x for c, x in vec.items() if x}
         for c in sorted(v):
             coef = v.get(c)

@@ -365,14 +365,7 @@ def assemble_square_zero(A, pi, name=None):
 def build_A_pi(A, pi, name=None):
     """Validated square-zero extension: pi must be an odd super-skew
     cocycle, otherwise the product rules fail associativity."""
-    p = _as_pi(pi)
-    if p.parity != ODD:
-        raise AlgebraError("pi must be odd")
-    bad = cochain_parity_violations(p, A, A.parities)
-    if bad:
-        raise AlgebraError("pi value not parity-homogeneous at %r" % (bad[0],))
-    if not is_super_skew(p, A):
-        raise AlgebraError("pi is not super-skew")
+    p = ExtensionDatum(A, _as_pi(pi)).pi
     if not is_cocycle_pi(p, A):
         raise AlgebraError("pi is not a cocycle")
     return assemble_square_zero(A, p, name=name)
@@ -423,13 +416,7 @@ def adapted_equivalence(pi, pi2, A):
     eqs = {}
 
     def bump(key, var, c):
-        row = eqs.setdefault(key, {})
-        v = row.get(var)
-        t = c if v is None else v + c
-        if t:
-            row[var] = t
-        else:
-            row.pop(var, None)
+        vec_add_scaled(eqs.setdefault(key, {}), {var: field.one}, c)
 
     for i in range(dim):
         left_sign = field.one if A.parities[i] == ODD else -field.one

@@ -22,7 +22,7 @@ enumerator.
 
 from __future__ import annotations
 
-from .exactlin import QQ
+from .exactlin import QQ, vec_add_scaled
 
 EVEN = 0
 ODD = 1
@@ -228,15 +228,7 @@ class SuperPolynomial:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            val = out.get(m)
-            val = c if val is None else val + c
-            if val:
-                out[m] = val
-            else:
-                out.pop(m, None)
-        return self._like(out)
+        return self._like(vec_add_scaled(dict(self.terms), other.terms, self.field.one))
 
     def __sub__(self, other):
         return self + (-other)
@@ -311,20 +303,13 @@ def multiply(p, q):
     p._check(q)
     out = {}
     for m1, c1 in p.terms.items():
+        # m2 -> m1 m2 is injective on monomials, so one row per m1
+        row = {}
         for m2, c2 in q.terms.items():
             sm = mul_monomials(m1, m2, p.gens, p.flavor)
-            if sm is None:
-                continue
-            sign, m = sm
-            c = c1 * c2
-            if sign < 0:
-                c = -c
-            val = out.get(m)
-            val = c if val is None else val + c
-            if val:
-                out[m] = val
-            else:
-                out.pop(m, None)
+            if sm is not None:
+                row[sm[1]] = -c2 if sm[0] < 0 else c2
+        vec_add_scaled(out, row, c1)
     return SuperPolynomial(p.flavor, p.gens, p.field, out)
 
 

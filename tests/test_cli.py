@@ -241,6 +241,18 @@ class TestHochschild:
         assert code == 2
 
 
+    @pytest.mark.parametrize("index", ["99", "-2"])
+    def test_value_index_out_of_range_is_usage_error(self, tmp_path, index):
+        bad = tmp_path / "bad_index.json"
+        bad.write_text(json.dumps({"n": 1, "parity": "odd", "table": {"1,1": {index: 1}}}))
+        code, out, err = run_cli(
+            "hochschild", asset("grassmann2.alg"), "--n", "1", "--cocycle", str(bad)
+        )
+        assert code == 2
+        assert "cochain index %s out of range" % index in err
+        assert "FAIL" not in out + err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "den,field", [(0, []), (5, ["--field", "f5"])], ids=["den-zero", "den-p"]
     )

@@ -2,10 +2,20 @@
 
 import json
 import os
+import sys
 
 import pytest
 
-from superdim.corpus import CASES, build_c1, build_c2, corpus_all, corpus_report
+import superdim.corpus
+from superdim.corpus import (
+    CASES,
+    build_c1,
+    build_c2,
+    corpus_all,
+    corpus_report,
+    verify_c1,
+    verify_c2,
+)
 from superdim.exactlin import PrimeField
 from superdim.smodule import check_module
 from superdim.textio import emit_report
@@ -91,6 +101,26 @@ class TestFlatConstants:
         assert k["sdim"] == {"even": 0, "odd": 4}
         assert k["sdim_quotient_by_y"] == {"even": 0, "odd": 2}
         assert [d["after"]["odd"] for d in k["grassmann_drops"]] == [0, 1, 2]
+
+
+class TestChainsBuilt:
+    """Each case builds the odd chain of a module once per quantity it reads."""
+
+    @pytest.mark.parametrize("verify", [verify_c1, verify_c2], ids=["c1", "c2"])
+    def test_at_most_five_chains(self, monkeypatch, verify):
+        # the ``superdim.sdim`` attribute is the function, so patch the module
+        sdim_module = sys.modules["superdim.sdim"]
+        inner = sdim_module.odd_power_spans_of_module
+        built = []
+
+        def counted(M):
+            built.append(M.dim)
+            return inner(M)
+
+        monkeypatch.setattr(sdim_module, "odd_power_spans_of_module", counted)
+        monkeypatch.setattr(superdim.corpus, "odd_power_spans_of_module", counted)
+        assert verify()["ok"]
+        assert 0 < len(built) <= 5, built
 
 
 class TestDeterminism:
