@@ -16,6 +16,8 @@ algebras and quotients).  Elements are sparse dicts {basis index: scalar}.
 
 from __future__ import annotations
 
+import heapq
+
 from . import superpoly
 from .exactlin import Echelon, Subspace, power, vec_add_scaled
 from .superpoly import (
@@ -79,6 +81,56 @@ class Presentation:
         return SuperPolynomial(self.flavor, self.gens, self.field, terms)
 
 
+# Normal monomials up to the cap that compile_presentation admits; the
+# largest count a shipped asset, test or benchmark input reaches is 259.
+MAX_MONOMIALS = 1 << 16
+
+
+def count_monomials(pres, limit):
+    """The number of normal monomials of degree <= cap, or None once it
+    passes ``limit``; counted without listing them.
+
+    Supercommutative: the coefficients of prod_even 1/(1 - t^d) *
+    prod_odd (1 + t^d), one generator at a time.  Associative: words by
+    degree, w(n) = sum_g w(n - d_g).  Both keep only the degrees that
+    occur, and each step adds at least one monomial to a running total
+    that never exceeds the count, so the work stays near ``limit`` however
+    large the cap is.
+    """
+    cap = pres.cap
+    degs = [g.bidegree[0] + g.bidegree[1] for g in pres.gens]
+    total = 1
+    if pres.flavor == SUPERCOMMUTATIVE:
+        counts = {0: 1}
+        for g, d in zip(pres.gens, degs):
+            new = dict(counts)
+            for n, c in counts.items():
+                for m in range(n + d, cap + 1, d):
+                    new[m] = new.get(m, 0) + c
+                    total += c
+                    if total > limit:
+                        return None
+                    if g.parity == ODD:
+                        break
+            counts = new
+    else:
+        words = {0: 1}
+        pending = [0]
+        while pending:
+            n = heapq.heappop(pending)
+            c = words.pop(n)
+            for d in degs:
+                if n + d <= cap:
+                    if n + d not in words:
+                        words[n + d] = 0
+                        heapq.heappush(pending, n + d)
+                    words[n + d] += c
+                    total += c
+                    if total > limit:
+                        return None
+    return total if total <= limit else None
+
+
 def _enumerate_monomials(pres):
     """All normal monomial keys of total degree <= cap, degree-lex sorted."""
     gens, cap, flavor = pres.gens, pres.cap, pres.flavor
@@ -121,6 +173,10 @@ def compile_presentation(pres):
     """Quotient of the free (super)algebra by relations and the degree cap."""
     if pres.cap is None:
         raise AlgebraError("compilation needs a degree cap")
+    if count_monomials(pres, MAX_MONOMIALS) is None:
+        raise AlgebraError(
+            "cap %d admits more than %d normal monomials" % (pres.cap, MAX_MONOMIALS)
+        )
     gens, flavor, field, cap = pres.gens, pres.flavor, pres.field, pres.cap
     monomials = _enumerate_monomials(pres)
     index = {m: i for i, m in enumerate(monomials)}
@@ -573,13 +629,21 @@ def quotient_algebra(A, ideal, name=None):
 
 
 def table_is_associative(A):
-    """Check (ab)c = a(bc) on all basis triples."""
-    for i in range(A.dim):
-        for j in range(A.dim):
-            ij = A.mul_basis(i, j)
-            for k in range(A.dim):
-                left = A.mul(ij, A.basis_element(k))
-                right = A.mul(A.basis_element(i), A.mul_basis(j, k))
+    """Check (ab)c = a(bc) on all basis triples, from the rows of mul_basis:
+    (e_i e_j) e_k = sum_r (e_i e_j)_r e_r e_k and
+    e_i (e_j e_k) = sum_r (e_j e_k)_r e_i e_r."""
+    n = A.dim
+    table = [[A.mul_basis(i, j) for j in range(n)] for i in range(n)]
+    for row_i in table:
+        for j in range(n):
+            ij, row_j = row_i[j], table[j]
+            for k in range(n):
+                left = {}
+                for r, a in ij.items():
+                    vec_add_scaled(left, table[r][k], a)
+                right = {}
+                for r, b in row_j[k].items():
+                    vec_add_scaled(right, row_i[r], b)
                 if left != right:
                     return False
     return True

@@ -67,7 +67,7 @@ from .textio import (
     field_from_name,
     parse_module,
     parse_presentation,
-    report_to_data,
+    scalar_to_data,
 )
 
 
@@ -376,7 +376,7 @@ def _cochain_json(f):
     table = {}
     for tup, vec in sorted(f.table.items()):
         table[",".join(str(i) for i in tup)] = {
-            str(r): report_to_data(vec[r]) for r in sorted(vec)
+            str(r): scalar_to_data(vec[r]) for r in sorted(vec)
         }
     return {"n": f.n, "parity": "odd" if f.parity == ODD else "even", "table": table}
 

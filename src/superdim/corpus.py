@@ -277,7 +277,7 @@ def verify_c1(field=QQ):
     sd = sdim_of_chain(spans)
     clauses.append({"id": "sdim-0-3", "ok": sd == SuperDimension(0, 3)})
 
-    fact = verify_factoring(M, [y])
+    fact = verify_factoring(M, [y], chain=spans)
     sdq = fact["sdim_quotient"]
     clauses.append(
         {"id": "quotient-by-y-sdim-at-most-1", "ok": "odd" in sdq and sdq["odd"] <= 1}
@@ -295,7 +295,9 @@ def verify_c1(field=QQ):
 
     clauses.append({"id": "factoring-identities", "ok": fact["ok"]})
 
-    clauses.append({"id": "subset-chain-agreement", "ok": subset_chain_agreement(M)})
+    clauses.append(
+        {"id": "subset-chain-agreement", "ok": subset_chain_agreement(M, chain=spans)}
+    )
 
     return {
         "case": "c1",
@@ -574,10 +576,11 @@ def verify_c2(field=QQ):
         {"id": "top-product-witness", "ok": bool(prod) and prod == expected}
     )
 
-    sdr = sdim(MR)
+    spans = odd_power_spans_of_module(MR)
+    sdr = sdim_of_chain(spans)
     clauses.append({"id": "sdim-0-4", "ok": sdr == SuperDimension(0, 4)})
 
-    fact = verify_factoring(MR, [data.y])
+    fact = verify_factoring(MR, [data.y], chain=spans)
     sdq = fact["sdim_quotient"]
     clauses.append(
         {"id": "quotient-by-y-sdim-at-most-2", "ok": "odd" in sdq and sdq["odd"] <= 2}
@@ -609,7 +612,9 @@ def verify_c2(field=QQ):
 
     clauses.append({"id": "factoring-identities", "ok": fact["ok"]})
 
-    clauses.append({"id": "subset-chain-agreement", "ok": subset_chain_agreement(MR)})
+    clauses.append(
+        {"id": "subset-chain-agreement", "ok": subset_chain_agreement(MR, chain=spans)}
+    )
 
     return {
         "case": "c2",

@@ -1,6 +1,11 @@
 """Exact linear algebra over Q and prime fields.
 
-Scalars are ``fractions.Fraction`` for Q and :class:`FpElement` for GF(p).
+A scalar over Q is an ``int`` when its denominator is 1 and a
+``fractions.Fraction`` otherwise (``RationalField.of`` normalises input
+that way); over GF(p) it is an :class:`FpElement`.  Arithmetic may still
+yield an integral Fraction, which is exact and equals and hashes like the
+int, so nothing normalises it in the hot loops.  Division of scalars goes
+only through ``field.inv``: int / int would be a float.
 Vectors are sparse dicts index -> nonzero scalar, and a :class:`Matrix` (the
 exchange format used across the package) is a list of such column dicts.
 :func:`vec_add_scaled` is the package's one sparse accumulation: every
@@ -20,21 +25,26 @@ from fractions import Fraction
 
 
 class RationalField:
-    """The rational field; scalars are Fraction."""
+    """The rational field; a scalar is an int when its denominator is 1 and
+    a Fraction otherwise."""
 
     name = "Q"
     characteristic = 0
+    zero = 0
+    one = 1
 
     def of(self, x):
-        return Fraction(x)
+        if type(x) is int:
+            return x
+        x = Fraction(x)
+        return x.numerator if x.denominator == 1 else x
 
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    def inv(self, x):
+        """1 / x as a scalar of the field: x itself for +-1."""
+        if x == 1 or x == -1:
+            return x
+        y = Fraction(1, x)
+        return y.numerator if y.denominator == 1 else y
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -101,18 +111,6 @@ class FpElement:
             raise ZeroDivisionError("inverse of zero in GF(p)")
         return FpElement(pow(self.val, self.p - 2, self.p), self.p)
 
-    def __truediv__(self, other):
-        v = self._lift(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return self * FpElement(v, self.p).inverse()
-
-    def __rtruediv__(self, other):
-        v = self._lift(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElement(v, self.p) * self.inverse()
-
     def __neg__(self):
         return FpElement(-self.val, self.p)
 
@@ -155,6 +153,13 @@ class PrimeField:
         self.p = p
         self.characteristic = p
         self.name = "F%d" % p
+        # FpElement is never assigned to after construction, so the
+        # constants are shared.
+        self.zero = FpElement(0, p)
+        self.one = FpElement(1, p)
+
+    def inv(self, x):
+        return x.inverse()
 
     def of(self, x):
         if isinstance(x, FpElement):
@@ -165,14 +170,6 @@ class PrimeField:
             num = FpElement(x.numerator, self.p)
             return num * FpElement(x.denominator, self.p).inverse()
         return FpElement(x, self.p)
-
-    @property
-    def zero(self):
-        return FpElement(0, self.p)
-
-    @property
-    def one(self):
-        return FpElement(1, self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -240,7 +237,7 @@ def power(x, n, one, mul, scalars):
 
     def checked(y):
         for c in scalars(y):
-            if isinstance(c, Fraction) and max(
+            if isinstance(c, (int, Fraction)) and max(
                 c.numerator.bit_length(), c.denominator.bit_length()
             ) > POWER_BITS:
                 raise ValueError("a power has a coefficient past %d bits" % POWER_BITS)
@@ -312,7 +309,7 @@ class Echelon:
         if not v:
             return None
         piv = min(v)
-        inv = self.field.one / v[piv]
+        inv = self.field.inv(v[piv])
         row = {c: x * inv for c, x in v.items()}
         for r2 in self.rows.values():
             coef = r2.get(piv)
@@ -583,14 +580,14 @@ def kernel_of_constraints(n, constraints, field):
                 break
         if pivot is None:
             continue
-        pv = vals[pivot]
+        inv = field.inv(vals[pivot])
         pvec = basis[pivot]
         new_basis = []
         for k, v in enumerate(basis):
             if k == pivot:
                 continue
             if vals[k]:
-                v = vec_add_scaled(dict(v), pvec, -vals[k] / pv)
+                v = vec_add_scaled(dict(v), pvec, -vals[k] * inv)
             new_basis.append(v)
         basis = new_basis
     return basis

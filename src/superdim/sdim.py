@@ -152,13 +152,17 @@ def sdim_odd_by_subset_search(M, gens=None):
     return None
 
 
-def subset_chain_agreement(M, gens=None):
-    """For every l: a size-l system exists iff R_1^l M != 0."""
+def subset_chain_agreement(M, gens=None, chain=None):
+    """For every l: a size-l system exists iff R_1^l M != 0.
+
+    ``chain`` is the odd chain of M when the caller already holds it.
+    """
     if M.is_zero():
         return True
     pool = default_odd_generating_set(M, gens)
-    spans = odd_power_spans_of_module(M)
-    chain_odd = len(spans) - 1
+    if chain is None:
+        chain = odd_power_spans_of_module(M)
+    chain_odd = len(chain) - 1
     for l in range(len(pool) + 1):
         has_system = any(
             system_acts_nonzero(M, [pool[i][1] for i in combo])
@@ -195,7 +199,7 @@ def is_extendable_to_longest(ys, M):
     return quot.odd == total.odd - t
 
 
-def verify_factoring(M, ys):
+def verify_factoring(M, ys, chain=None):
     """Check the dimension-factoring identities for a regular sequence.
 
     Returns a report dict with one entry per clause:
@@ -205,6 +209,8 @@ def verify_factoring(M, ys):
       * sdim_1(M/IM) <= sdim_1(M) - t,
       * a completion witness from the generating set, if one exists, forces
         equality above (the searchable direction of the extendability test).
+
+    ``chain`` is the odd chain of M when the caller already holds it.
     """
     A = M.algebra
     t = len(ys)
@@ -213,7 +219,9 @@ def verify_factoring(M, ys):
     regular = is_regular_sequence(ys, M)
     clauses.append({"id": "sequence-is-regular", "ok": regular})
 
-    total = sdim(M)
+    if chain is None:
+        chain = odd_power_spans_of_module(M)
+    total = sdim_of_chain(chain)
     clauses.append(
         {"id": "sdim-at-least-length", "ok": (not total.empty) and total.odd >= t}
     )

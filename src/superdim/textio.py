@@ -63,6 +63,7 @@ __all__ = [
     "format_module",
     "emit_report",
     "report_to_data",
+    "scalar_to_data",
 ]
 
 
@@ -519,6 +520,11 @@ def parse_presentation(text, field=None):
     return presentation(relations)
 
 
+def _is_negative(c):
+    """A rational scalar (int or Fraction) below zero; F_p has no sign."""
+    return not isinstance(c, FpElement) and c < 0
+
+
 def _scalar_text(c):
     if isinstance(c, FpElement):
         return str(c.val)
@@ -543,7 +549,7 @@ def _poly_text(p):
         else:
             factors = [gens[gi].name for gi in m]
         body = "*".join(factors)
-        negative = isinstance(c, Fraction) and c < 0
+        negative = _is_negative(c)
         mag = -c if negative else c
         if not body:
             text = _scalar_text(mag)
@@ -691,7 +697,7 @@ def _combo_text(vec, names):
     chunks = []
     for r in sorted(vec):
         c = vec[r]
-        negative = isinstance(c, Fraction) and c < 0
+        negative = _is_negative(c)
         mag = -c if negative else c
         text = names[r] if _is_one(mag) else "%s*%s" % (_scalar_text(mag), names[r])
         chunks.append(("-" if negative else "+", text))
@@ -731,16 +737,26 @@ def format_module(M, name=None):
 # reports
 
 
+def scalar_to_data(c):
+    """A field scalar as {"num": n, "den": d}; an int over Q has d = 1."""
+    if isinstance(c, FpElement):
+        return {"num": c.val, "den": 1}
+    return {"num": c.numerator, "den": c.denominator}
+
+
 def report_to_data(value):
-    """Recursively convert report values to JSON-serializable data."""
-    if isinstance(value, Fraction):
-        return {"num": value.numerator, "den": value.denominator}
-    if isinstance(value, FpElement):
-        return {"num": value.val, "den": 1}
+    """Recursively convert report values to JSON-serializable data.
+
+    A bare int stays a count.  Over Q an integral scalar is an int too, so
+    a site that puts scalars into a report outside a Matrix serialises them
+    with ``scalar_to_data`` itself.
+    """
+    if isinstance(value, (Fraction, FpElement)):
+        return scalar_to_data(value)
     if isinstance(value, SuperDimension):
         return value.as_json()
     if isinstance(value, Matrix):
-        return [[report_to_data(x) for x in value.row(i)] for i in range(value.nrows)]
+        return [[scalar_to_data(x) for x in value.row(i)] for i in range(value.nrows)]
     if isinstance(value, dict):
         return {str(k): report_to_data(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

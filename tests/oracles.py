@@ -3,10 +3,10 @@
 Everything here is computed from first principles (combinatorics, naive
 row reduction over Fraction, direct formula evaluation) so that the
 package under test is never the judge of its own output.  The Hochschild
-references, the dense matrix, the enumerated Hilbert tables and the
-basis-stepped filtrations at the end are the exception: they are the
-package's earlier, slower kernels, kept to pin the faster ones to the same
-results.
+references, the dense matrix, the enumerated Hilbert tables, the
+basis-stepped filtrations and the Fraction-only rationals at the end are
+the exception: they are the package's earlier, slower kernels, kept to pin
+the faster ones to the same results.
 """
 
 import itertools
@@ -15,7 +15,7 @@ from itertools import combinations
 from math import comb
 
 from superdim.algebra import AlgebraError, require_two_sided
-from superdim.exactlin import Echelon, Subspace, kernel_of_constraints, vec_add_scaled
+from superdim.exactlin import Echelon, Subspace, kernel_of_constraints, vec_add_scaled, vec_dot
 from superdim.hilbert import DEFAULT_KMAX, BigradedTable, PolynomialFit, _natural_lmax
 from superdim.hochschild import Cochain
 from superdim.smodule import ModuleError
@@ -764,3 +764,125 @@ def ideal_powers(A, ideal):
     nilpotent two-sided superideal."""
     require_two_sided(A, ideal)
     return [A.full_subspace()] + _chain(ideal, _step(A, A.mul, ideal.basis()), A.dim, "ideal")
+
+
+# ---------------------------------------------------------------------------
+# Fraction-only rationals: the package's field over Q, Echelon, solve_sparse
+# and kernel_of_constraints as they were before an integral scalar became a
+# plain int.  Copied verbatim apart from the names; every scalar here is a
+# Fraction and division is Fraction division.
+
+
+class FractionRationalField:
+    """The rational field; scalars are Fraction."""
+
+    name = "Q"
+    characteristic = 0
+
+    def of(self, x):
+        return Fraction(x)
+
+    @property
+    def zero(self):
+        return Fraction(0)
+
+    @property
+    def one(self):
+        return Fraction(1)
+
+
+class FractionEchelon:
+    """Fully reduced sparse row echelon over a fixed field."""
+
+    __slots__ = ("field", "rows")
+
+    def __init__(self, field):
+        self.field = field
+        self.rows = {}
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def pivots(self):
+        return sorted(self.rows)
+
+    def reduce(self, vec):
+        v = {c: x for c, x in vec.items() if x}
+        for c in sorted(v):
+            coef = v.get(c)
+            if coef is None or c not in self.rows:
+                continue
+            row = self.rows[c]
+            for c2, x in row.items():
+                y = v.get(c2)
+                val = -coef * x if y is None else y - coef * x
+                if val:
+                    v[c2] = val
+                else:
+                    v.pop(c2, None)
+        return v
+
+    def insert(self, vec):
+        v = self.reduce(vec)
+        if not v:
+            return None
+        piv = min(v)
+        inv = self.field.one / v[piv]
+        row = {c: x * inv for c, x in v.items()}
+        for r2 in self.rows.values():
+            coef = r2.get(piv)
+            if coef:
+                for c, x in row.items():
+                    y = r2.get(c)
+                    val = -coef * x if y is None else y - coef * x
+                    if val:
+                        r2[c] = val
+                    else:
+                        r2.pop(c, None)
+        self.rows[piv] = row
+        return piv
+
+
+def fraction_solve_sparse(nvars, equations, field):
+    """One solution of a sparse linear system (free variables 0), or None."""
+    ech = FractionEchelon(field)
+    for coeffs, rhs in equations:
+        row = {j: c for j, c in coeffs.items() if c}
+        if rhs:
+            row[nvars] = rhs
+        if row:
+            ech.insert(row)
+    if nvars in ech.rows:
+        return None
+    x = [field.zero] * nvars
+    for p, row in ech.rows.items():
+        x[p] = row.get(nvars, field.zero)
+    return x
+
+
+def fraction_kernel_of_constraints(n, constraints, field):
+    """Common kernel of sparse linear functionals on F^n."""
+    basis = [{i: field.one} for i in range(n)]
+    for con in constraints:
+        if not con:
+            continue
+        vals = [vec_dot(con, v) for v in basis]
+        pivot = None
+        for k, val in enumerate(vals):
+            if val:
+                pivot = k
+                break
+        if pivot is None:
+            continue
+        pv = vals[pivot]
+        pvec = basis[pivot]
+        new_basis = []
+        for k, v in enumerate(basis):
+            if k == pivot:
+                continue
+            if vals[k]:
+                v = vec_add_scaled(dict(v), pvec, -vals[k] / pv)
+            new_basis.append(v)
+        basis = new_basis
+    return basis

@@ -5,8 +5,11 @@ from fractions import Fraction
 import pytest
 
 from superdim.algebra import (
+    MAX_MONOMIALS,
     AlgebraError,
     FiniteSuperAlgebra,
+    _enumerate_monomials,
+    count_monomials,
     Presentation,
     compile_presentation,
     is_supercommutative,
@@ -80,6 +83,38 @@ class TestPresentationValidation:
         pres = Presentation(SUPERCOMMUTATIVE, gens, [], None, QQ)
         with pytest.raises(AlgebraError):
             compile_presentation(pres)
+
+
+class TestMonomialBudget:
+    def test_count_matches_enumeration(self):
+        rng = rng_for("count-vs-enumerate")
+        for _trial in range(300):
+            flavor = rng.choice((SUPERCOMMUTATIVE, ASSOCIATIVE))
+            gens = []
+            for i in range(rng.randint(1, 4)):
+                parity = rng.choice((EVEN, ODD))
+                l = rng.choice((0, 2) if parity == EVEN else (1, 3))
+                k = rng.randint(0 if l else 1, 3)
+                gens.append(GeneratorSpec("g%d" % i, parity, (k, l)))
+            cap = rng.randint(0, 12 if flavor == SUPERCOMMUTATIVE else 7)
+            pres = Presentation(flavor, gens, [], cap, QQ)
+            n = len(_enumerate_monomials(pres))
+            assert count_monomials(pres, n) == n
+            assert count_monomials(pres, n - 1) is None
+            assert count_monomials(pres, rng.randint(n, 2 * n)) == n
+
+    @pytest.mark.parametrize("flavor", [SUPERCOMMUTATIVE, ASSOCIATIVE])
+    def test_huge_cap_is_refused_before_enumeration(self, flavor):
+        gens = (GeneratorSpec("x", EVEN, (7, 0)), GeneratorSpec("y", ODD))
+        pres = Presentation(flavor, gens, [], 10**12, QQ)
+        assert count_monomials(pres, MAX_MONOMIALS) is None
+        with pytest.raises(AlgebraError, match="more than %d normal monomials" % MAX_MONOMIALS):
+            compile_presentation(pres)
+
+    def test_odd_generators_bound_the_count(self):
+        gens = tuple(GeneratorSpec("z%d" % i, ODD) for i in range(16))
+        pres = Presentation(SUPERCOMMUTATIVE, gens, [], 10**12, QQ)
+        assert count_monomials(pres, MAX_MONOMIALS) == 1 << 16
 
 
 class TestGrassmannCompilation:

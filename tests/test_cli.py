@@ -217,6 +217,22 @@ class TestHochschild:
         assert "extension dim 8" in out
         assert "adapted-equivalent" in out
 
+    def test_classify_certificate_scalars_are_fractions(self, capsys):
+        code = main(
+            [
+                "hochschild", asset("grassmann2.alg"), "--n", "1",
+                "--cocycle", asset("coboundary_pi.json"),
+                "--classify", asset("zero_pi.json"), "--format", "report",
+            ]
+        )
+        assert code == 0
+        cert = json.loads(capsys.readouterr().out)["certificate"]
+        scalars = [c for vec in cert["table"].values() for c in vec.values()]
+        assert scalars
+        for c in scalars:
+            assert set(c) == {"num", "den"} and type(c["num"]) is int
+        assert {"num": -1, "den": 1} in scalars
+
     def test_corrupted_cocycle_fails_clauses(self, tmp_path, capsys):
         with open(asset("coboundary_pi.json")) as fh:
             data = json.load(fh)
@@ -372,6 +388,18 @@ class TestSubprocess:
         assert out == ""
         assert "line 5, column 3" in err
         assert "more than 256 terms" in err
+        assert "Traceback" not in err
+
+    def test_cap_past_the_monomial_budget_is_refused(self, tmp_path):
+        alg = tmp_path / "cap60.alg"
+        alg.write_text(
+            "algebra cap60 over Q\nflavor supercommutative\neven x y z w\nodd a b\n"
+            "cap 60\nrelations\nend\n"
+        )
+        code, out, err = run_cli("sdim", str(alg), timeout=2)
+        assert code == 2
+        assert out == ""
+        assert "more than 65536 normal monomials" in err
         assert "Traceback" not in err
 
     def test_determinism_byte_identical(self):

@@ -30,6 +30,10 @@ from oracles import (
     dense_rank,
     dense_rref,
     dense_solve,
+    FractionEchelon,
+    FractionRationalField,
+    fraction_kernel_of_constraints,
+    fraction_solve_sparse,
     naive_rank,
 )
 
@@ -56,7 +60,7 @@ class TestFields:
         assert (a + b).val == 1
         assert (a * b).val == 1
         assert (a - b).val == 5
-        assert (a / b).val == (3 * pow(5, 5, 7)) % 7
+        assert (a * F.inv(b)).val == (3 * pow(5, 5, 7)) % 7
         assert (-a).val == 4
         assert not F.zero
         assert F.of(Fraction(1, 3)) == F.of(3).inverse()
@@ -70,6 +74,22 @@ class TestFields:
     def test_rational_of(self):
         assert QQ.of(2) == Fraction(2)
         assert QQ.of(Fraction(1, 3)) == Fraction(1, 3)
+        # an integral rational is a plain int, whatever it came from
+        for x in (2, Fraction(4, 2), "-3", True):
+            assert type(QQ.of(x)) is int
+        assert type(QQ.zero) is int and type(QQ.one) is int
+
+    def test_inverses(self):
+        assert QQ.inv(1) == 1 and QQ.inv(-1) == -1
+        assert QQ.inv(2) == Fraction(1, 2)
+        assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+        assert type(QQ.inv(Fraction(1, 3))) is int and QQ.inv(Fraction(-1, 3)) == -3
+        F = PrimeField(5)
+        assert F.inv(F.of(2)) == F.of(3)
+        with pytest.raises(ZeroDivisionError):
+            QQ.inv(0)
+        with pytest.raises(ZeroDivisionError):
+            F.inv(F.zero)
 
 
 class TestSparseVectors:
@@ -171,6 +191,60 @@ class TestSolvers:
         for v in basis:
             s = (v.get(0, F.zero) + v.get(1, F.zero))
             assert not s
+
+
+def _mixed_scalar(rng):
+    """Zero, a unit, a non-unit integer or a proper fraction, as QQ.of gives
+    them."""
+    kind = rng.random()
+    if kind < 0.3:
+        return 0
+    if kind < 0.5:
+        return rng.choice((1, -1))
+    if kind < 0.75:
+        return rng.choice((2, 3, 4, 6, 9)) * rng.choice((1, -1))
+    return QQ.of(Fraction(rng.randint(-7, 7), rng.randint(2, 5)))
+
+
+def _assert_exact(scalars):
+    """Each scalar is an int or a Fraction: never a float or a bool."""
+    for x in scalars:
+        assert type(x) in (int, Fraction), (x, type(x))
+
+
+class TestIntegralRationals:
+    """Int-or-Fraction scalars over Q against the Fraction-only kernels."""
+
+    def test_agree_with_fraction_only_oracle(self):
+        rng = rng_for("integral-rationals")
+        FQ = FractionRationalField()
+        for _trial in range(200):
+            nvars = rng.randint(1, 7)
+            eqs = []
+            for _ in range(rng.randint(0, 8)):
+                row = {j: x for j in range(nvars) if (x := _mixed_scalar(rng))}
+                eqs.append((row, _mixed_scalar(rng)))
+            frac_eqs = [({j: Fraction(x) for j, x in r.items()}, Fraction(b)) for r, b in eqs]
+            ech, oracle = Echelon(QQ), FractionEchelon(FQ)
+            for (row, _b), (frow, _fb) in zip(eqs, frac_eqs):
+                assert ech.insert(row) == oracle.insert(frow)
+            assert ech.pivots() == oracle.pivots()
+            assert ech.rows == oracle.rows
+            _assert_exact(x for r in ech.rows.values() for x in r.values())
+
+            x = solve_sparse(nvars, eqs, QQ)
+            assert x == fraction_solve_sparse(nvars, frac_eqs, FQ)
+            if x is not None:
+                _assert_exact(x)
+
+            rows = [r for r, _b in eqs]
+            kernel = kernel_of_constraints(nvars, rows, QQ)
+            assert kernel == fraction_kernel_of_constraints(
+                nvars, [f for f, _fb in frac_eqs], FQ
+            )
+            _assert_exact(x for v in kernel for x in v.values())
+            for v in kernel:
+                assert all(vec_dot(r, v) is None or vec_dot(r, v) == 0 for r in rows)
 
 
 class TestMatrix:

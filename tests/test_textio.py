@@ -18,6 +18,7 @@ from superdim.textio import (
     parse_module,
     parse_presentation,
     report_to_data,
+    scalar_to_data,
 )
 
 ASSETS = os.path.join(os.path.dirname(__file__), "..", "src", "superdim", "assets")
@@ -161,6 +162,14 @@ class TestPresentationGrammar:
         (rel,) = parse_presentation(text).relations
         assert rel.terms == {(0, 1): 5}
 
+    def test_negative_coefficients_keep_their_sign(self):
+        # integral coefficients are ints over Q; each prints with a minus
+        text = (
+            "algebra a over Q\nflavor supercommutative\neven x\nodd y z\ncap 3\n"
+            "relations\n  x*y - 2*x*z\n  -3/2*x^2*y\n  -x*z\nend\n"
+        )
+        assert format_presentation(parse_presentation(text)) == text
+
     def test_round_trip_idempotent_on_all_assets(self):
         for path in sorted(glob.glob(os.path.join(ASSETS, "*.alg"))):
             text = open(path).read()
@@ -184,6 +193,13 @@ class TestModuleGrammar:
         once = format_module(M)
         assert once == text
         assert format_module(parse_module(once, self.A)) == once
+
+    def test_negative_coefficients_keep_their_sign(self):
+        text = (
+            "module m\nm0 : even\nm1 : odd\nm2 : odd\n"
+            "z1 m0 -> m1 - 2*m2\nz2 m0 -> -1/2*m1\n"
+        )
+        assert format_module(parse_module(text, self.A)) == text
 
     def test_formatter_uses_module_name(self):
         M = regular_module(self.A)
@@ -246,6 +262,19 @@ class TestReports:
             [{"num": 1, "den": 1}, {"num": 0, "den": 1}],
             [{"num": 0, "den": 1}, {"num": 2, "den": 1}],
         ]
+
+    def test_integral_scalars_serialise_as_fractions(self):
+        m = Matrix.from_rows([[1, 0], [Fraction(6, 3), -3]], QQ)
+        assert all(type(x) is int for col in m.cols for x in col.values())
+        assert report_to_data(m) == [
+            [{"num": 1, "den": 1}, {"num": 0, "den": 1}],
+            [{"num": 2, "den": 1}, {"num": -3, "den": 1}],
+        ]
+        assert scalar_to_data(-4) == {"num": -4, "den": 1}
+        assert scalar_to_data(Fraction(-3, 2)) == {"num": -3, "den": 2}
+        assert scalar_to_data(PrimeField(7).of(-1)) == {"num": 6, "den": 1}
+        # a bare int elsewhere in a report is a count
+        assert report_to_data({"count": 3}) == {"count": 3}
 
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
