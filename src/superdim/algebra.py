@@ -1,10 +1,13 @@
 """Finite-dimensional superalgebras from presentations or multiplication tables.
 
 ``compile_presentation`` takes generators, parity/degree-homogeneous
-relations and a degree cap, enumerates all normal monomials up to the cap,
-closes the relation span into the two-sided graded ideal (degree-truncated:
-monomials beyond the cap are zero by fiat) and returns the quotient with
-its monomial basis.  Every finite-dimensional superalgebra here is
+relations and a degree cap, enumerates all normal monomials up to the cap
+(``_enumerate_monomials``, the package's one list of them), closes the
+relation span into the two-sided graded ideal with ``Subspace.close``
+(degree-truncated: monomials beyond the cap are zero by fiat) and returns
+the quotient, whose monomial basis and reduction map are the ideal's
+``Subspace.complement``.  Superideals and quotient algebras are closed,
+checked and projected the same way.  Every finite-dimensional superalgebra here is
 automatically Artinian, which is what the dimension theory downstream
 assumes.
 
@@ -19,7 +22,7 @@ from __future__ import annotations
 import heapq
 
 from . import superpoly
-from .exactlin import Echelon, Subspace, power, vec_add_scaled
+from .exactlin import Subspace, power, vec_add_scaled
 from .superpoly import (
     ASSOCIATIVE,
     EVEN,
@@ -131,9 +134,8 @@ def count_monomials(pres, limit):
     return total if total <= limit else None
 
 
-def _enumerate_monomials(pres):
+def _enumerate_monomials(gens, flavor, cap):
     """All normal monomial keys of total degree <= cap, degree-lex sorted."""
-    gens, cap, flavor = pres.gens, pres.cap, pres.flavor
     out = []
     if flavor == SUPERCOMMUTATIVE:
         n = len(gens)
@@ -178,7 +180,7 @@ def compile_presentation(pres):
             "cap %d admits more than %d normal monomials" % (pres.cap, MAX_MONOMIALS)
         )
     gens, flavor, field, cap = pres.gens, pres.flavor, pres.field, pres.cap
-    monomials = _enumerate_monomials(pres)
+    monomials = _enumerate_monomials(gens, flavor, cap)
     index = {m: i for i, m in enumerate(monomials)}
 
     def poly_vec(p):
@@ -208,40 +210,32 @@ def compile_presentation(pres):
     # two-sided graded ideal closure; for the supercommutative flavor the
     # left side suffices because relations are parity-homogeneous
     sides = ("left",) if flavor == SUPERCOMMUTATIVE else ("left", "right")
-    ideal = Echelon(field)
-    queue = []
-    for r in pres.relations:
-        v = poly_vec(r)
-        if ideal.insert(v) is not None:
-            queue.append(v)
-    while queue:
-        v = queue.pop()
-        for gi in range(len(gens)):
-            for side in sides:
-                w = mul_vec_by_gen(v, gi, side)
-                if w and ideal.insert(w) is not None:
-                    queue.append(w)
-
-    pivots = set(ideal.rows)
-    if index[monomials[0]] in pivots and monomial_degree(
-        monomials[0], gens, flavor
-    ) == 0:
+    parities = [monomial_parity(m, gens, flavor) for m in monomials]
+    ideal = Subspace(parities, field)
+    ideal.close(
+        map(poly_vec, pres.relations),
+        [
+            lambda v, gi=gi, side=side: mul_vec_by_gen(v, gi, side)
+            for gi in range(len(gens))
+            for side in sides
+        ],
+    )
+    if ideal.contains({0: field.one}):  # monomials[0] is the empty monomial
         raise AlgebraError("the unit lies in the ideal; the quotient is zero")
-    basis_monos = [m for i, m in enumerate(monomials) if i not in pivots]
+    keep, project = ideal.complement()
+    basis_monos = [monomials[i] for i in keep]
     A = FiniteSuperAlgebra.__new__(FiniteSuperAlgebra)
     A.kind = "monomial"
     A.field = field
     A.name = pres.name
     A.presentation = pres
     A.cap = cap
-    A._monomials = monomials
     A._mono_index = index
-    A._ideal = ideal
     A._basis_monos = basis_monos
-    A._mono_to_pos = {index[m]: p for p, m in enumerate(basis_monos)}
+    A._reduce_mono_vec = project
     A.dim = len(basis_monos)
     A.labels = [monomial_name(m, gens, flavor) for m in basis_monos]
-    A.parities = [monomial_parity(m, gens, flavor) for m in basis_monos]
+    A.parities = [parities[i] for i in keep]
     A.bidegrees = [monomial_bidegree(m, gens, flavor) for m in basis_monos]
     A.degrees = [k + l for k, l in A.bidegrees]
     A.unit_index = 0  # the empty monomial sorts first and is not in the ideal
@@ -342,10 +336,6 @@ class FiniteSuperAlgebra:
 
     def power_of_element(self, vec, n):
         return power(vec, n, self.unit_element(), self.mul, dict.values)
-
-    def _reduce_mono_vec(self, vec):
-        res = self._ideal.reduce(vec)
-        return {self._mono_to_pos[i]: c for i, c in res.items()}
 
     def reduce_poly(self, p):
         """Image of a SuperPolynomial in the algebra, as an element vec."""
@@ -518,48 +508,39 @@ def filtration_chain(stage, step, bound, what, error=AlgebraError):
     return chain
 
 
-def _closure_multipliers(A):
+def _multiplication_maps(A, two_sided):
+    """Multiplication on the left by the generators of A (the whole basis
+    for a table-kind algebra), and also on the right when ``two_sided``."""
     if A.kind == "monomial":
-        return [vec for _n, _p, vec in A.generators]
-    return [A.basis_element(i) for i in range(A.dim)]
+        mults = [vec for _n, _p, vec in A.generators]
+    else:
+        mults = [A.basis_element(i) for i in range(A.dim)]
+    maps = []
+    for g in mults:
+        maps.append(lambda v, g=g: A.mul(g, v))
+        if two_sided:
+            maps.append(lambda v, g=g: A.mul(v, g))
+    return maps
 
 
 def require_two_sided(A, span):
     """Raise unless the span is closed under multiplication by A on both sides."""
-    for row in span.basis():
-        for g in _closure_multipliers(A):
-            if not (span.contains(A.mul(g, row)) and span.contains(A.mul(row, g))):
-                raise AlgebraError("subspace is not a two-sided superideal")
+    if not span.is_closed(_multiplication_maps(A, True)):
+        raise AlgebraError("subspace is not a two-sided superideal")
 
 
-def superideal_span(A, elements, two_sided=None):
+def superideal_span(A, elements):
     """Graded ideal generated by the given elements, as a Subspace.
 
     Inhomogeneous generators contribute both their graded components (a
     graded ideal containing v contains its components).  The components
     that are not in the span of the earlier ones are recorded as the
-    span's ``generators``.
+    span's ``generators``.  Over a presented supercommutative algebra
+    left multiplication closes the span; otherwise both sides do.
     """
-    if two_sided is None:
-        two_sided = not presented_supercommutative(A)
-    mults = _closure_multipliers(A)
     span = Subspace(A.parities, A.field)
-    gens = []
-    for v in elements:
-        for part in span.split(v):
-            if part and span.insert(part):
-                gens.append(part)
-    queue = list(gens)
-    while queue:
-        v = queue.pop()
-        for g in mults:
-            prods = [A.mul(g, v)]
-            if two_sided:
-                prods.append(A.mul(v, g))
-            for w in prods:
-                if w and span.insert(w):
-                    queue.append(w)
-    span.generators = gens
+    maps = _multiplication_maps(A, not presented_supercommutative(A))
+    span.generators = span.close((part for v in elements for part in span.split(v)), maps)
     return span
 
 
@@ -595,13 +576,7 @@ def quotient_algebra(A, ideal, name=None):
     require_two_sided(A, ideal)
     if ideal.contains(A.unit_element()):
         raise AlgebraError("ideal contains the unit")
-    pivset = set(ideal.pivots())
-    keep = [i for i in range(A.dim) if i not in pivset]
-    pos = {i: p for p, i in enumerate(keep)}
-
-    def project(vec):
-        return {pos[c]: x for c, x in ideal.residual(vec).items()}
-
+    keep, project = ideal.complement()
     table = {}
     for a, i in enumerate(keep):
         for b, j in enumerate(keep):

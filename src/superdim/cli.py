@@ -40,7 +40,7 @@ from .graded import (
     gr_module,
     graded_comparison,
 )
-from .hilbert import bigraded_dims, fit_rows, sdim_from_hilbert
+from .hilbert import DEFAULT_KMAX, bigraded_dims, fit_rows, sdim_from_hilbert
 from .hochschild import (
     Cochain,
     adapted_equivalence,
@@ -335,14 +335,18 @@ def _cmd_hilbert(args):
 
 
 def _scalar_from_json(field, c):
-    if isinstance(c, dict):
-        try:
-            return field.of(Fraction(int(c["num"]), int(c["den"])))
-        except ZeroDivisionError:
-            raise UsageError("coefficient %r is not defined over %s" % (c, field.name))
-    if isinstance(c, int):
-        return field.of(c)
-    raise UsageError("bad coefficient %r in cochain file" % (c,))
+    """A cochain coefficient: a JSON integer, or {"num": n, "den": d} with
+    JSON integers n and d (a float, a string or a boolean is refused)."""
+    parts = (c["num"], c["den"]) if isinstance(c, dict) else (c,)
+    if any(type(x) is not int for x in parts):
+        raise UsageError(
+            "bad coefficient %r in cochain file: not an integer or a num/den pair of integers"
+            % (c,)
+        )
+    try:
+        return field.of(Fraction(*parts))
+    except ZeroDivisionError:
+        raise UsageError("coefficient %r is not defined over %s" % (c, field.name))
 
 
 def _load_cochain(path, A):
@@ -513,7 +517,7 @@ def _build_parser():
         "hilbert", parents=[common], help="bigraded dimension table and growth fits"
     )
     sp.add_argument("algebra")
-    sp.add_argument("--kmax", type=int, default=12)
+    sp.add_argument("--kmax", type=int, default=DEFAULT_KMAX)
     sp.add_argument("--lmax", type=int)
     sp.add_argument("--fit", action="store_true")
     sp.add_argument(

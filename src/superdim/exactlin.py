@@ -14,6 +14,10 @@ Row reduction goes through a fully reduced sparse row-echelon accumulator
 (:class:`Echelon`).  Both keep the closure computations elsewhere in the
 package near the cost of their actual support instead of the ambient
 dimension.
+A :class:`Subspace` is the package's one graded span: it closes a span
+under linear maps (``close``), tests that closure (``is_closed``) and
+projects onto the coordinates outside its pivots (``complement``).  Every
+superideal, submodule and quotient elsewhere is built through those three.
 
 All pivot choices are "first nonzero column", so every reduced object and
 every basis this module returns is deterministic.
@@ -652,11 +656,47 @@ class Subspace:
             self.generators = None
         return grew
 
+    def close(self, vectors, maps):
+        """Insert the vectors, then close the span under the linear maps.
+
+        Each map sends a vector to a vector and must send homogeneous
+        vectors to homogeneous ones, so the graded components of an image
+        are the images of the components.  Returns the vectors that grew
+        the span when inserted, in input order.
+        """
+        grown = [v for v in vectors if v and self.insert(v)]
+        queue = list(grown)
+        while queue:
+            v = queue.pop()
+            for f in maps:
+                w = f(v)
+                if w and self.insert(w):
+                    queue.append(w)
+        return grown
+
+    def is_closed(self, maps):
+        """Every map sends every basis row back into the span."""
+        return all(self.contains(f(row)) for row in self.basis() for f in maps)
+
+    def complement(self):
+        """``(keep, project)``: the non-pivot coordinates in ascending order,
+        and the map sending vec to its residual renumbered by position in
+        ``keep``, i.e. the projection onto the quotient by the span."""
+        pivots = self.even.rows.keys() | self.odd.rows.keys()
+        keep = [i for i in range(len(self.parities)) if i not in pivots]
+        pos = {i: k for k, i in enumerate(keep)}
+
+        def project(vec):
+            return {pos[c]: x for c, x in self.residual(vec).items()}
+
+        return keep, project
+
     def residual(self, vec):
         """vec modulo the span: its even residual, then its odd one."""
         ev, od = self.split(vec)
-        out = self.even.reduce(ev)
-        out.update(self.odd.reduce(od))
+        out = self.even.reduce(ev) if ev else {}
+        if od:
+            out.update(self.odd.reduce(od))
         return out
 
     def contains(self, vec):

@@ -46,7 +46,6 @@ __all__ = [
     "fit_polynomial",
     "fit_rows",
     "sdim_from_hilbert",
-    "evaluate_fit",
     "box_monomials",
     "box_counts",
 ]
@@ -390,14 +389,12 @@ class HilbertPolynomial:
         return {"table": self.table.as_json(), "fits": rows}
 
 
-def fit_rows(table, dmax=None):
-    """Fit every cumulative row g_l of the table; dmax defaults to the
-    number of even generators."""
-    if dmax is None:
-        dmax = table.even_count
+def fit_rows(table):
+    """Fit every cumulative row g_l of the table with a polynomial of degree
+    at most the number of even generators."""
     fits = {}
     for l in range(table.lmax + 1):
-        fits[l] = fit_polynomial(table.cumulative_row(l), dmax)
+        fits[l] = fit_polynomial(table.cumulative_row(l), table.even_count)
     return HilbertPolynomial(table, fits)
 
 
@@ -415,6 +412,3 @@ def sdim_from_hilbert(hp):
     odd = max(l for l, dl in degs.items() if dl == d)
     return SuperDimension(d, odd)
 
-
-def evaluate_fit(fit, k):
-    return fit(k)

@@ -197,42 +197,52 @@ def _reversal_flips(n, odd_count):
     return (n * (n - 1) // 2 + odd_count * (odd_count - 1) // 2) % 2 == 1
 
 
-def _odd_diagonals(A, n, limit):
+# Most nonempty sets of odd basis elements the F2 odd-diagonal conditions
+# are enumerated over.
+MAX_ODD_DIAGONAL_SETS = 4096
+
+
+def _odd_diagonals(A, n):
     """One tuple list S^(n+1) per nonempty set S of odd basis elements.
 
     Over F2 every odd vector is the sum of such an S, and f vanishes on its
-    diagonal exactly when f sums to zero over S^(n+1).  At most ``limit``
-    sets are allowed.
+    diagonal exactly when f sums to zero over S^(n+1).  At most
+    MAX_ODD_DIAGONAL_SETS sets are allowed.
     """
     odd_idx = [i for i in range(A.dim) if A.parities[i] == ODD]
-    if 2 ** len(odd_idx) > limit:
+    if 2 ** len(odd_idx) > MAX_ODD_DIAGONAL_SETS:
         raise AlgebraError("odd part too large for the pointwise diagonal check")
     for mask in range(1, 2 ** len(odd_idx)):
         support = [odd_idx[b] for b in range(len(odd_idx)) if mask >> b & 1]
         yield list(itertools.product(support, repeat=n + 1))
 
 
-def is_in_C(f, A, M, max_pointwise=4096):
+def _reversal_symmetric(f, A):
+    """f(reversed t) is f(t) times the reversal sign, on every basis tuple."""
+    for tup in set(f.table) | {t[::-1] for t in f.table}:
+        want = f.value(tup)
+        if _reversal_flips(f.n, sum(A.parities[i] for i in tup)):
+            want = {r: -c for r, c in want.items()}
+        if f.value(tup[::-1]) != want:
+            return False
+    return True
+
+
+def is_in_C(f, A, M):
     """Membership in C^n(A, M).
 
     Checks the unit condition in the first slot, the reversal symmetry on
     basis tuples, and over F2 additionally f(a, ..., a) = 0 for every odd
-    a, enumerated pointwise (guarded by ``max_pointwise`` vectors).
+    a, enumerated pointwise over the subsets of the odd basis.
     """
-    n = f.n
     unit = A.unit_index
     for tup, vec in f.table.items():
         if tup[0] == unit and vec:
             return False
-    seen = set(f.table) | {t[::-1] for t in f.table}
-    for tup in seen:
-        want = f.value(tup)
-        if _reversal_flips(n, sum(A.parities[i] for i in tup)):
-            want = {r: -c for r, c in want.items()}
-        if f.value(tup[::-1]) != want:
-            return False
-    if A.field.characteristic == 2 and n >= 1:
-        for tuples in _odd_diagonals(A, n, max_pointwise):
+    if not _reversal_symmetric(f, A):
+        return False
+    if A.field.characteristic == 2 and f.n >= 1:
+        for tuples in _odd_diagonals(A, f.n):
             acc = {}
             for tup in tuples:
                 vec_add_scaled(acc, f.value(tup), A.field.one)
@@ -254,18 +264,15 @@ def is_super_skew(pi, A):
 
     Basis pairs suffice: bilinearity makes the symmetry pointwise, and the
     diagonal of any odd vector expands into basis diagonals plus pairs
-    that cancel by the symmetry (in every characteristic).
+    that cancel by the symmetry (in every characteristic).  The symmetry is
+    the reversal symmetry of C^1: for n = 1 the reversal sign is -1 exactly
+    on pairs of odd entries.
     """
     p = _as_pi(pi)
     if p.n != 1:
         raise AlgebraError("extension data are 2-argument cochains")
-    keys = set(p.table) | {t[::-1] for t in p.table}
-    for i, j in keys:
-        want = p.value((i, j))
-        if A.parities[i] and A.parities[j]:
-            want = {r: -c for r, c in want.items()}
-        if p.value((j, i)) != want:
-            return False
+    if not _reversal_symmetric(p, A):
+        return False
     for i in range(A.dim):
         if A.parities[i] == ODD and p.value((i, i)):
             return False
@@ -544,7 +551,7 @@ def _odd_diagonal_kernel(A, M, n, orbits):
         (tup, r): k for k, table in enumerate(orbits) for tup, vec in table.items() for r in vec
     }
     constraints = []
-    for tuples in _odd_diagonals(A, n, 4096):
+    for tuples in _odd_diagonals(A, n):
         for r in range(M.dim):
             row = {}
             for tup in tuples:

@@ -102,13 +102,6 @@ def sdim_algebra(A):
     return sdim_of_chain(chain)
 
 
-def default_odd_generating_set(M, gens=None):
-    """(label, element) pairs generating A_1 as an A_0-module."""
-    if gens is not None:
-        return list(gens)
-    return M.algebra.odd_module_generators()
-
-
 def system_acts_nonzero(M, elements):
     """The ordered product of the odd elements acts nontrivially on M."""
     A = M.algebra
@@ -125,13 +118,13 @@ def system_acts_nonzero(M, elements):
     return False
 
 
-def odd_parameter_systems(M, size, gens=None):
+def odd_parameter_systems(M, size):
     """All systems of odd parameters of the given size from a generating set.
 
     Returns a list of label tuples, each listing a subset (in generating-set
     order) whose ordered product acts nontrivially on M.
     """
-    pool = default_odd_generating_set(M, gens)
+    pool = M.algebra.odd_module_generators()
     out = []
     for combo in combinations(range(len(pool)), size):
         elements = [pool[i][1] for i in combo]
@@ -140,11 +133,11 @@ def odd_parameter_systems(M, size, gens=None):
     return out
 
 
-def sdim_odd_by_subset_search(M, gens=None):
+def sdim_odd_by_subset_search(M):
     """Largest size of an odd parameter system, by descending subset search."""
     if M.is_zero():
         return None
-    pool = default_odd_generating_set(M, gens)
+    pool = M.algebra.odd_module_generators()
     for size in range(len(pool), -1, -1):
         for combo in combinations(range(len(pool)), size):
             if system_acts_nonzero(M, [pool[i][1] for i in combo]):
@@ -152,14 +145,14 @@ def sdim_odd_by_subset_search(M, gens=None):
     return None
 
 
-def subset_chain_agreement(M, gens=None, chain=None):
+def subset_chain_agreement(M, chain=None):
     """For every l: a size-l system exists iff R_1^l M != 0.
 
     ``chain`` is the odd chain of M when the caller already holds it.
     """
     if M.is_zero():
         return True
-    pool = default_odd_generating_set(M, gens)
+    pool = M.algebra.odd_module_generators()
     if chain is None:
         chain = odd_power_spans_of_module(M)
     chain_odd = len(chain) - 1
@@ -253,7 +246,7 @@ def verify_factoring(M, ys, chain=None):
     # generating set is a genuine longest system, so it forces equality.
     witness = False
     if regular and not total.empty and total.odd - t >= 0:
-        pool = default_odd_generating_set(M)
+        pool = M.algebra.odd_module_generators()
         for combo in combinations(range(len(pool)), total.odd - t):
             if system_acts_nonzero(M, list(ys) + [pool[i][1] for i in combo]):
                 witness = True

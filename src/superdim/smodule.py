@@ -8,15 +8,17 @@ the canonical word of the monomial; well-definedness is exactly what
 ``check_module`` verifies (declared relations, the supercommutation law,
 odd squares and the degree cap all act as zero).
 
-Submodules are kept as graded echelonized spans inside the ambient module;
-quotients take the non-pivot complement as their basis, which keeps every
-construction deterministic.
+Submodules are kept as graded echelonized spans inside the ambient module,
+closed under the generator actions by ``Subspace.close``; quotients check
+``Subspace.is_closed`` and take ``Subspace.complement`` (the non-pivot
+coordinates) as their basis, which keeps every construction deterministic.
 """
 
 from __future__ import annotations
 
+from .algebra import _enumerate_monomials
 from .exactlin import Matrix, Subspace, kernel_of_constraints, rank, vec_add_scaled
-from .superpoly import EVEN, ODD, SUPERCOMMUTATIVE
+from .superpoly import EVEN, ODD, SUPERCOMMUTATIVE, monomial_degree, monomial_word
 
 
 class ModuleError(ValueError):
@@ -189,68 +191,41 @@ def check_module(M):
                         % (gens[i].name, gens[j].name)
                     )
     for r in pres.relations:
-        terms = [(_word_action(M, _mono_word(mono, pres)), c) for mono, c in r.sorted_terms()]
+        terms = [
+            (_word_action(M, monomial_word(mono, gens, pres.flavor)), c)
+            for mono, c in r.sorted_terms()
+        ]
         if not _combination(M, terms).is_zero():
             bad.append("relation does not act as zero: %r" % (r,))
     bad.extend(_cap_violations(M, pres))
     return bad
 
 
-def _mono_word(mono, pres):
-    from .superpoly import monomial_word
-
-    return monomial_word(mono, pres.gens, pres.flavor)
+def _words_past_cap(pres):
+    """The words in the degree window (cap, cap + max generator degree]
+    that must act as zero: the normal monomials there for the
+    supercommutative flavor (the pair checks cover the rest), and for the
+    associative one every word past the cap whose proper prefixes all lie
+    within it."""
+    gens, cap, flavor = pres.gens, pres.cap, pres.flavor
+    gdegs = [g.bidegree[0] + g.bidegree[1] for g in gens]
+    hi = cap + (max(gdegs) if gens else 0)
+    if flavor == SUPERCOMMUTATIVE:
+        return [
+            monomial_word(m, gens, flavor)
+            for m in _enumerate_monomials(gens, flavor, hi)
+            if monomial_degree(m, gens, flavor) > cap
+        ]
+    return _all_words_in_window(gens, gdegs, cap, hi)
 
 
 def _cap_violations(M, pres):
     """Words just past the cap must act as zero."""
-    bad = []
-    gens, cap = pres.gens, pres.cap
-    gdegs = [g.bidegree[0] + g.bidegree[1] for g in gens]
-    if pres.flavor == SUPERCOMMUTATIVE:
-        # after the pair checks, normal monomials in the window suffice
-        maxg = max(gdegs) if gens else 0
-        words = _normal_words_in_window(gens, gdegs, cap, cap + maxg)
-    else:
-        words = _all_words_in_window(gens, gdegs, cap, cap + (max(gdegs) if gens else 0))
-    for word in words:
-        if not _word_action(M, word).is_zero():
-            bad.append(
-                "word beyond the cap acts nontrivially: %s"
-                % "*".join(gens[i].name for i in word)
-            )
-    return bad
-
-
-def _normal_words_in_window(gens, gdegs, lo, hi):
-    out = []
-    n = len(gens)
-    exps = [0] * n
-
-    def rec(i, deg):
-        if deg > hi:
-            return
-        if i == n:
-            if lo < deg <= hi:
-                word = []
-                for j in range(n):
-                    if gens[j].parity == EVEN:
-                        word.extend([j] * exps[j])
-                for j in range(n):
-                    if gens[j].parity == ODD and exps[j]:
-                        word.append(j)
-                out.append(tuple(word))
-            return
-        emax = 1 if gens[i].parity == ODD else (
-            (hi - deg) // gdegs[i] if gdegs[i] else 0
-        )
-        for e in range(emax + 1):
-            exps[i] = e
-            rec(i + 1, deg + e * gdegs[i])
-        exps[i] = 0
-
-    rec(0, 0)
-    return out
+    return [
+        "word beyond the cap acts nontrivially: %s" % "*".join(pres.gens[i].name for i in word)
+        for word in _words_past_cap(pres)
+        if not _word_action(M, word).is_zero()
+    ]
 
 
 def _all_words_in_window(gens, gdegs, lo, hi):
@@ -278,17 +253,7 @@ def _all_words_in_window(gens, gdegs, lo, hi):
 def module_span(M, seeds):
     """Smallest action-closed graded subspace containing the seed vectors."""
     span = Subspace(M.parities, M.field)
-    queue = []
-    for v in seeds:
-        if v and span.insert(v):
-            queue.append(dict(v))
-    gen_mats = [M.actions[i] for i in range(len(M.actions))]
-    while queue:
-        v = queue.pop()
-        for mat in gen_mats:
-            w = mat.apply(v)
-            if w and span.insert(w):
-                queue.append(w)
+    span.close(seeds, [mat.apply for mat in M.actions])
     return span
 
 
@@ -332,24 +297,14 @@ def product_submodule(M, elements, name=None):
 
 
 def is_action_closed(M, span):
-    for row in span.basis():
-        for mat in M.actions:
-            if not span.contains(mat.apply(row)):
-                return False
-    return True
+    return span.is_closed([mat.apply for mat in M.actions])
 
 
 def quotient(M, span, name=None):
     """M / span for an action-closed graded subspace."""
     if not is_action_closed(M, span):
         raise ModuleError("subspace is not action-closed")
-    pivset = set(span.pivots())
-    keep = [i for i in range(M.dim) if i not in pivset]
-    pos = {i: k for k, i in enumerate(keep)}
-
-    def project(vec):
-        return {pos[c]: x for c, x in span.residual(vec).items()}
-
+    keep, project = span.complement()
     actions = []
     for mat in M.actions:
         cols = [project(mat.apply({i: M.field.one})) for i in keep]

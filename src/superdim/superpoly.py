@@ -313,10 +313,6 @@ def multiply(p, q):
     return SuperPolynomial(p.flavor, p.gens, p.field, out)
 
 
-def poly_from_coeff(coeff, flavor, gens, field):
-    return SuperPolynomial.one(flavor, gens, field).scaled(coeff)
-
-
 __all__ = [
     "EVEN",
     "ODD",
@@ -333,6 +329,5 @@ __all__ = [
     "monomial_name",
     "SuperPolynomial",
     "multiply",
-    "poly_from_coeff",
     "QQ",
 ]

@@ -531,13 +531,32 @@ def _scalar_text(c):
     return str(c)
 
 
+def _signed_sum(terms):
+    """Text of a sum of (scalar, body) terms: each sign pulled out front, a
+    unit magnitude left off, and an empty body printed as the scalar."""
+    parts = []
+    for c, body in terms:
+        negative = _is_negative(c)
+        mag = -c if negative else c
+        if not body:
+            text = _scalar_text(mag)
+        elif mag == 1:
+            text = body
+        else:
+            text = "%s*%s" % (_scalar_text(mag), body)
+        if parts:
+            parts.append("-" if negative else "+")
+        elif negative:
+            text = "-" + text
+        parts.append(text)
+    return " ".join(parts) or "0"
+
+
 def _poly_text(p):
     """Deterministic expression text for a polynomial; parses back to p."""
-    if p.is_zero():
-        return "0"
     gens, flavor = p.gens, p.flavor
     items = sorted(p.terms.items(), key=lambda kv: monomial_sort_key(kv[0], gens, flavor))
-    chunks = []
+    terms = []
     for m, c in items:
         factors = []
         if flavor == SUPERCOMMUTATIVE:
@@ -548,21 +567,8 @@ def _poly_text(p):
                     factors.append("%s^%d" % (gens[gi].name, e))
         else:
             factors = [gens[gi].name for gi in m]
-        body = "*".join(factors)
-        negative = _is_negative(c)
-        mag = -c if negative else c
-        if not body:
-            text = _scalar_text(mag)
-        elif mag == p.field.one:
-            text = body
-        else:
-            text = "%s*%s" % (_scalar_text(mag), body)
-        chunks.append(("-" if negative else "+", text))
-    sign, text = chunks[0]
-    out = ("-" + text) if sign == "-" else text
-    for sign, text in chunks[1:]:
-        out += " %s %s" % (sign, text)
-    return out
+        terms.append((c, "*".join(factors)))
+    return _signed_sum(terms)
 
 
 def format_presentation(pres):
@@ -692,26 +698,7 @@ def parse_module(text, A):
 
 
 def _combo_text(vec, names):
-    if not vec:
-        return "0"
-    chunks = []
-    for r in sorted(vec):
-        c = vec[r]
-        negative = _is_negative(c)
-        mag = -c if negative else c
-        text = names[r] if _is_one(mag) else "%s*%s" % (_scalar_text(mag), names[r])
-        chunks.append(("-" if negative else "+", text))
-    sign, text = chunks[0]
-    out = ("-" + text) if sign == "-" else text
-    for sign, text in chunks[1:]:
-        out += " %s %s" % (sign, text)
-    return out
-
-
-def _is_one(c):
-    if isinstance(c, FpElement):
-        return c.val == 1
-    return c == 1
+    return _signed_sum((vec[r], names[r]) for r in sorted(vec))
 
 
 def format_module(M, name=None):

@@ -4,9 +4,9 @@ Everything here is computed from first principles (combinatorics, naive
 row reduction over Fraction, direct formula evaluation) so that the
 package under test is never the judge of its own output.  The Hochschild
 references, the dense matrix, the enumerated Hilbert tables, the
-basis-stepped filtrations and the Fraction-only rationals at the end are
-the exception: they are the package's earlier, slower kernels, kept to pin
-the faster ones to the same results.
+basis-stepped filtrations, the Fraction-only rationals and the hand-written
+closures at the end are the exception: they are the package's earlier
+kernels, kept to pin the current ones to the same results.
 """
 
 import itertools
@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from superdim.algebra import AlgebraError, require_two_sided
+from superdim.algebra import AlgebraError, presented_supercommutative, require_two_sided
 from superdim.exactlin import Echelon, Subspace, kernel_of_constraints, vec_add_scaled, vec_dot
 from superdim.hilbert import DEFAULT_KMAX, BigradedTable, PolynomialFit, _natural_lmax
 from superdim.hochschild import Cochain
@@ -886,3 +886,70 @@ def fraction_kernel_of_constraints(n, constraints, field):
             new_basis.append(v)
         basis = new_basis
     return basis
+
+
+# ---------------------------------------------------------------------------
+# Hand-written closures: the supercommutative cap window of check_module
+# and the superideal worklist as they were before both moved onto shared
+# code (algebra._enumerate_monomials and Subspace.close).  Copied verbatim
+# apart from the inlined multiplier list.
+
+
+def normal_words_in_window(gens, gdegs, lo, hi):
+    out = []
+    n = len(gens)
+    exps = [0] * n
+
+    def rec(i, deg):
+        if deg > hi:
+            return
+        if i == n:
+            if lo < deg <= hi:
+                word = []
+                for j in range(n):
+                    if gens[j].parity == EVEN:
+                        word.extend([j] * exps[j])
+                for j in range(n):
+                    if gens[j].parity == ODD and exps[j]:
+                        word.append(j)
+                out.append(tuple(word))
+            return
+        emax = 1 if gens[i].parity == ODD else (
+            (hi - deg) // gdegs[i] if gdegs[i] else 0
+        )
+        for e in range(emax + 1):
+            exps[i] = e
+            rec(i + 1, deg + e * gdegs[i])
+        exps[i] = 0
+
+    rec(0, 0)
+    return out
+
+
+def superideal_span(A, elements, two_sided=None):
+    """Graded ideal generated by the given elements, as a Subspace, with
+    the components that grew the span recorded as its ``generators``."""
+    if two_sided is None:
+        two_sided = not presented_supercommutative(A)
+    if A.kind == "monomial":
+        mults = [vec for _n, _p, vec in A.generators]
+    else:
+        mults = [A.basis_element(i) for i in range(A.dim)]
+    span = Subspace(A.parities, A.field)
+    gens = []
+    for v in elements:
+        for part in span.split(v):
+            if part and span.insert(part):
+                gens.append(part)
+    queue = list(gens)
+    while queue:
+        v = queue.pop()
+        for g in mults:
+            prods = [A.mul(g, v)]
+            if two_sided:
+                prods.append(A.mul(v, g))
+            for w in prods:
+                if w and span.insert(w):
+                    queue.append(w)
+    span.generators = gens
+    return span

@@ -30,8 +30,9 @@ from superdim.superpoly import (
     SuperPolynomial,
 )
 
-from conftest import random_algebra, random_nilpotent_ideal, rng_for
+from conftest import random_algebra, random_nilpotent_ideal, random_scalar, rng_for
 from oracles import ext_chain_dims, ext_dims_by_degree, ext_mul
+from oracles import superideal_span as worklist_superideal_span
 
 
 def grassmann(s, field=None):
@@ -98,7 +99,7 @@ class TestMonomialBudget:
                 gens.append(GeneratorSpec("g%d" % i, parity, (k, l)))
             cap = rng.randint(0, 12 if flavor == SUPERCOMMUTATIVE else 7)
             pres = Presentation(flavor, gens, [], cap, QQ)
-            n = len(_enumerate_monomials(pres))
+            n = len(_enumerate_monomials(gens, flavor, cap))
             assert count_monomials(pres, n) == n
             assert count_monomials(pres, n - 1) is None
             assert count_monomials(pres, rng.randint(n, 2 * n)) == n
@@ -200,6 +201,38 @@ class TestSuperideals:
             v[i] = v.get(i, A.field.zero) + c  # mixed parity element
         I = superideal_span(A, [v])
         assert I.contains(z1)
+
+    def test_matches_hand_written_worklist(self):
+        # presented supercommutative (left closure), table kind and
+        # associative (two-sided closure), over Q, F2 and F5
+        rng = rng_for("superideal-span-vs-worklist")
+        for trial in range(60):
+            field = (QQ, PrimeField(2), PrimeField(5))[trial % 3]
+            kind = trial // 3 % 3
+            if kind == 2:
+                gens = [
+                    GeneratorSpec("g%d" % i, rng.choice((EVEN, ODD)))
+                    for i in range(rng.randint(1, 2))
+                ]
+                A = compile_presentation(
+                    Presentation(ASSOCIATIVE, gens, [], rng.randint(1, 3), field)
+                )
+            else:
+                A = random_algebra(rng, max_dim=14, field=field)
+                if kind == 1:
+                    A = quotient_algebra(A, random_nilpotent_ideal(rng, A))
+            elements = []
+            for _ in range(rng.randint(1, 3)):
+                picks = rng.sample(range(A.dim), rng.randint(1, min(3, A.dim)))
+                vec = {i: random_scalar(field, rng, nonzero=True) for i in picks}
+                if A.unit_index in vec and rng.random() < 0.8:
+                    del vec[A.unit_index]
+                elements.append(vec)
+            got = superideal_span(A, elements)
+            want = worklist_superideal_span(A, elements)
+            assert got.generators == want.generators
+            assert got.basis() == want.basis()
+            assert got.dims() == want.dims()
 
     def test_odd_radical_of_grassmann(self):
         for s in (1, 2, 3):

@@ -287,6 +287,24 @@ class TestHochschild:
         assert "not defined over" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "coeff",
+        [{"num": 1.5, "den": 1}, {"num": 3, "den": 2.9}, True, {"num": "7", "den": 1}],
+        ids=["float-num", "float-den", "bool", "string-num"],
+    )
+    def test_non_integer_coefficient_is_usage_error(self, tmp_path, capsys, coeff):
+        with open(asset("coboundary_pi.json")) as fh:
+            data = json.load(fh)
+        key = sorted(data["table"])[0]
+        slot = sorted(data["table"][key])[0]
+        data["table"][key][slot] = coeff
+        bad = tmp_path / "bad_coeff.json"
+        bad.write_text(json.dumps(data))
+        code = main(["hochschild", asset("grassmann2.alg"), "--n", "1", "--cocycle", str(bad)])
+        assert code == 2
+        assert "bad coefficient %r" % (coeff,) in capsys.readouterr().err
+
+
 class TestCorpus:
     def test_single_case_text(self, capsys):
         assert main(["corpus", "--case", "flat"]) == 0

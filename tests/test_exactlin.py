@@ -23,7 +23,7 @@ from superdim.exactlin import (
     vec_dot,
 )
 
-from conftest import rng_for
+from conftest import random_scalar, rng_for
 from oracles import (
     DenseMatrix,
     dense_kernel_basis,
@@ -376,3 +376,80 @@ class TestSubspace:
         S.insert({0: Fraction(1), 1: Fraction(1)})
         assert S.contains({0: Fraction(2), 1: Fraction(2)})
         assert not S.contains({0: Fraction(1)})
+
+
+def _random_vector(rng, field, n, density=0.4):
+    vec = {}
+    for i in range(n):
+        if rng.random() < density:
+            vec[i] = random_scalar(field, rng, nonzero=True)
+    return vec
+
+
+def _random_graded_map(rng, field, parities, shift):
+    """A random linear map that adds ``shift`` to the parity, as Matrix.apply."""
+    n = len(parities)
+    cols = [
+        {
+            i: random_scalar(field, rng, nonzero=True)
+            for i in range(n)
+            if (parities[i] - parities[j]) % 2 == shift and rng.random() < 0.3
+        }
+        for j in range(n)
+    ]
+    return Matrix(n, n, cols, field).apply
+
+
+def _naive_closure(parities, field, vectors, maps):
+    """Span the vectors, then span the basis and all its images until the
+    dimension stops growing."""
+    span = Subspace.span(parities, field, vectors)
+    while True:
+        rows = span.basis()
+        bigger = Subspace.span(parities, field, rows + [f(r) for f in maps for r in rows])
+        if bigger.dim == span.dim:
+            return span
+        span = bigger
+
+
+class TestSubspaceClosure:
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)], ids=repr)
+    def test_close_is_closed_and_complement(self, field):
+        rng = rng_for("subspace-closure-%s" % field.name)
+        closed_outcomes = set()
+        for _trial in range(60):
+            n = rng.randint(1, 8)
+            parities = [rng.randint(0, 1) for _ in range(n)]
+            maps = [
+                _random_graded_map(rng, field, parities, rng.randint(0, 1))
+                for _ in range(rng.randint(0, 3))
+            ]
+            vectors = [_random_vector(rng, field, n) for _ in range(rng.randint(0, 4))]
+
+            S = Subspace(parities, field)
+            grown = S.close(vectors, maps)
+            assert S == _naive_closure(parities, field, vectors, maps)
+            dims = [Subspace.span(parities, field, vectors[:k]).dim for k in range(len(vectors) + 1)]
+            assert grown == [v for k, v in enumerate(vectors) if dims[k + 1] > dims[k]]
+
+            T = Subspace.span(parities, field, vectors)
+            for X in (S, T):
+                rows = X.basis()
+                row_by_row = all(
+                    Subspace.span(parities, field, rows + [f(r)]).dim == X.dim
+                    for f in maps
+                    for r in rows
+                )
+                assert X.is_closed(maps) == row_by_row
+                closed_outcomes.add(row_by_row)
+            assert S.is_closed(maps)
+
+            keep, project = T.complement()
+            assert keep == [i for i in range(n) if i not in T.pivots()]
+            for row in T.basis():
+                assert project(row) == {}
+            for k, i in enumerate(keep):
+                assert project({i: field.one}) == {k: field.one}
+            vec = _random_vector(rng, field, n, density=0.7)
+            assert {keep[k]: x for k, x in project(vec).items()} == T.residual(vec)
+        assert closed_outcomes == {False, True}

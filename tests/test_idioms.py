@@ -1,5 +1,5 @@
-"""Source idioms: sparse accumulation has one implementation, and no scalar
-division can make a float."""
+"""Source idioms: sparse accumulation and the closure of a span under maps
+each have one implementation, and no scalar division can make a float."""
 
 import ast
 import os
@@ -40,6 +40,60 @@ def test_accumulation_goes_through_vec_add_scaled(name):
 
 def test_the_idiom_is_detected_in_exactlin():
     assert _drop_zero_sites(os.path.join(SRC, "exactlin.py"))
+
+
+def _worklist_closure_sites(source):
+    """Lines of ``while`` loops that both ``.pop()`` and ``.insert(``: a
+    hand-written "close a span under maps" worklist."""
+
+    def calls(node, attr):
+        return any(
+            isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == attr
+            for n in ast.walk(node)
+        )
+
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.While) and calls(node, "pop") and calls(node, "insert")
+    ]
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(n for n in os.listdir(SRC) if n.endswith(".py") and n != "exactlin.py"),
+)
+def test_closures_go_through_subspace_close(name):
+    with open(os.path.join(SRC, name)) as fh:
+        sites = _worklist_closure_sites(fh.read())
+    assert not sites, "%s: worklist closure at lines %s; use exactlin.Subspace.close" % (
+        name,
+        sites,
+    )
+
+
+def test_closure_check_flags_hand_written_worklists():
+    with open(os.path.join(SRC, "exactlin.py")) as fh:
+        assert _worklist_closure_sites(fh.read())
+    # module_span as it was before Subspace.close
+    module_span = (
+        "def module_span(M, seeds):\n"
+        "    span = Subspace(M.parities, M.field)\n"
+        "    queue = []\n"
+        "    for v in seeds:\n"
+        "        if v and span.insert(v):\n"
+        "            queue.append(dict(v))\n"
+        "    gen_mats = [M.actions[i] for i in range(len(M.actions))]\n"
+        "    while queue:\n"
+        "        v = queue.pop()\n"
+        "        for mat in gen_mats:\n"
+        "            w = mat.apply(v)\n"
+        "            if w and span.insert(w):\n"
+        "                queue.append(w)\n"
+        "    return span\n"
+    )
+    assert _worklist_closure_sites(module_span) == [8]
+    assert _worklist_closure_sites("while queue:\n    queue.pop()\n") == []
 
 
 def _float_division_sites(source):

@@ -2,11 +2,12 @@
 
 import pytest
 
-from superdim.algebra import odd_radical, superideal_span
+from superdim.algebra import Presentation, compile_presentation, odd_radical, superideal_span
 from superdim.exactlin import Matrix, QQ
 from superdim.smodule import (
     ModuleError,
     SuperModule,
+    _words_past_cap,
     annihilator_even,
     check_module,
     is_action_closed,
@@ -20,7 +21,11 @@ from superdim.smodule import (
     submodule,
 )
 
+from superdim.superpoly import EVEN, ODD, SUPERCOMMUTATIVE, GeneratorSpec
+from superdim.textio import parse_presentation
+
 from conftest import random_algebra, random_module, rng_for
+from oracles import normal_words_in_window
 from test_algebra import grassmann
 
 
@@ -183,3 +188,54 @@ class TestRegularElements:
         M = SuperModule(A, [0, 1], [swap])
         with pytest.raises(ModuleError):
             is_odd_regular(A.generator_element("z1"), M)
+
+
+class TestCapWindow:
+    """A module over the cap-4 algebra seen over the cap-2 one: the words of
+    degree 3 and 4 that no relation kills act nontrivially."""
+
+    TEXTS = {
+        SUPERCOMMUTATIVE: (
+            "algebra a over Q\nflavor supercommutative\neven x y(2,0)\nodd z\n"
+            "cap %d\nrelations\n x^2\nend\n"
+        ),
+        "associative": (
+            "algebra a over Q\nflavor associative\neven a c(2,0)\nodd b\n"
+            "cap %d\nrelations\n a*b - b*a\nend\n"
+        ),
+    }
+    # check_module's violations on these modules, recorded before the
+    # supercommutative window was read off algebra._enumerate_monomials
+    RECORDED = {
+        SUPERCOMMUTATIVE: ["x*y", "x*y*z", "y*y", "y*z"],
+        "associative": [
+            "a*a*a", "a*a*b", "a*a*c", "a*b*a", "a*b*b", "a*b*c", "a*c", "b*a*a", "b*a*b",
+            "b*a*c", "b*b*a", "b*b*b", "b*b*c", "b*c", "c*a", "c*b", "c*c",
+        ],
+    }
+
+    @pytest.mark.parametrize("flavor", sorted(TEXTS))
+    def test_words_past_the_cap_are_reported(self, flavor):
+        text = self.TEXTS[flavor]
+        low = compile_presentation(parse_presentation(text % 2))
+        high = regular_module(compile_presentation(parse_presentation(text % 4)))
+        bad = check_module(SuperModule(low, high.parities, high.actions))
+        want = ["word beyond the cap acts nontrivially: %s" % w for w in self.RECORDED[flavor]]
+        assert sorted(bad) == want
+
+    def test_supercommutative_window_matches_hand_written_enumerator(self):
+        rng = rng_for("supercommutative-cap-window")
+        for _trial in range(400):
+            gens = []
+            for i in range(rng.randint(0, 4)):
+                parity = rng.choice((EVEN, ODD))
+                l = rng.choice((0, 2) if parity == EVEN else (1, 3))
+                k = rng.randint(0 if l else 1, 3)
+                gens.append(GeneratorSpec("g%d" % i, parity, (k, l)))
+            cap = rng.randint(0, 8)
+            pres = Presentation(SUPERCOMMUTATIVE, gens, [], cap, QQ)
+            gdegs = [g.bidegree[0] + g.bidegree[1] for g in gens]
+            hi = cap + (max(gdegs) if gens else 0)
+            words = _words_past_cap(pres)
+            assert len(set(words)) == len(words)
+            assert set(words) == set(normal_words_in_window(gens, gdegs, cap, hi))
