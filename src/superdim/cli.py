@@ -355,7 +355,9 @@ def _load_cochain(path, A):
     except ValueError as exc:
         raise UsageError("bad cochain file %s: %s" % (path, exc))
     try:
-        n = int(data["n"])
+        n = data["n"]
+        if type(n) is not int:
+            raise ValueError("arity %r is not a JSON integer" % (n,))
         parity = {"even": EVEN, "odd": ODD}[data["parity"]]
         table = {}
         for key, vec in data.get("table", {}).items():
@@ -386,6 +388,8 @@ def _cochain_json(f):
 
 
 def _cmd_hochschild(args):
+    if args.n < 0:
+        raise UsageError("--n must be nonnegative, not %d" % args.n)
     A = _load_algebra(args)
     M = _load_module(args, A)
     report = {"command": "hochschild", "algebra": {"name": A.name, "dim": A.dim}}

@@ -13,18 +13,21 @@ exchange format used across the package) is a list of such column dicts.
 Row reduction goes through a fully reduced sparse row-echelon accumulator
 (:class:`Echelon`).  Both keep the closure computations elsewhere in the
 package near the cost of their actual support instead of the ambient
-dimension.
+dimension.  Where only a rank is read, :func:`row_rank` eliminates forward
+only: its pivot rows are never back-substituted.
 A :class:`Subspace` is the package's one graded span: it closes a span
 under linear maps (``close``), tests that closure (``is_closed``) and
 projects onto the coordinates outside its pivots (``complement``).  Every
 superideal, submodule and quotient elsewhere is built through those three.
 
-All pivot choices are "first nonzero column", so every reduced object and
-every basis this module returns is deterministic.
+All pivot choices are "first nonzero column" (the last in :func:`row_rank`),
+so every reduced object and every basis this module returns is
+deterministic.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 
@@ -342,6 +345,59 @@ class Echelon:
         return [self.rows[p] for p in self.pivots()]
 
 
+def row_rank(vectors, field):
+    """Rank of the span of an iterable of sparse vectors with int columns.
+
+    Forward elimination only (see :func:`_pivot_rows`): nothing but the
+    count is returned, so no stored row is back-substituted.  Use
+    :class:`Echelon` where rows or coordinates are read.
+    """
+    return len(_pivot_rows(vectors, field))
+
+
+def _pivot_rows(vectors, field):
+    """{leading column: row} of a forward elimination of the vectors.
+
+    Each pivot row is stored under its leading column, scaled through
+    ``field.inv`` so that entry is 1, and is never reduced again.  An
+    incoming vector is cleared column by column until its leading column
+    has no row (a new pivot) or nothing is left.
+
+    The leading column is the largest one.  Any order gives the rank; on
+    the coboundary images of ``hochschild.sh_dim`` the largest took about
+    half the time of the smallest (Lambda_4 at n = 2: 4.2 s against
+    8.5 s).
+    """
+    rows = {}
+    for vec in vectors:
+        v = {c: x for c, x in vec.items() if x}
+        todo = [-c for c in v]  # a heap of the columns to clear, largest first
+        heapq.heapify(todo)
+        while todo:
+            piv = -heapq.heappop(todo)
+            coef = v.get(piv)
+            if coef is None:
+                continue
+            row = rows.get(piv)
+            if row is None:
+                inv = field.inv(coef)
+                rows[piv] = v if inv == 1 else {c: x * inv for c, x in v.items()}
+                break
+            # inlined like Echelon.reduce; a new column goes on the heap
+            for c, x in row.items():
+                y = v.get(c)
+                if y is None:
+                    v[c] = -coef * x
+                    heapq.heappush(todo, -c)
+                else:
+                    y -= coef * x
+                    if y:
+                        v[c] = y
+                    else:
+                        del v[c]
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # matrices as sparse columns (exchange type)
 
@@ -471,20 +527,15 @@ class Matrix:
         return "Matrix(%d x %d over %s)" % (self.nrows, self.ncols, self.field)
 
 
-def _echelon_of_rows(m):
-    ech = Echelon(m.field)
-    for row in m.rows_sparse():
-        ech.insert(row)
-    return ech
-
-
 def rref(m):
     """Reduce m; returns (reduced Matrix, pivot column tuple).
 
     Pivot columns are first-nonzero, rows of the result are the reduced
     echelon rows in pivot order followed by zero rows.
     """
-    ech = _echelon_of_rows(m)
+    ech = Echelon(m.field)
+    for row in m.rows_sparse():
+        ech.insert(row)
     pivots = tuple(ech.pivots())
     cols = [{} for _ in range(m.ncols)]
     for r, p in enumerate(pivots):
@@ -494,7 +545,7 @@ def rref(m):
 
 
 def rank(m):
-    return _echelon_of_rows(m).rank
+    return row_rank(m.rows_sparse(), m.field)
 
 
 def kernel_basis(m):

@@ -56,7 +56,7 @@ from .algebra import (
     presented_supercommutative,
     require_two_sided,
 )
-from .exactlin import Echelon, Matrix, Subspace
+from .exactlin import Echelon, Matrix, Subspace, row_rank
 from .sdim import sdim
 from .smodule import SuperModule
 from .superpoly import EVEN, SUPERCOMMUTATIVE
@@ -365,13 +365,8 @@ def bgr_to_gr_surjective(B, G):
         by_total.setdefault(kl[0] + kl[1], []).append(rep)
     field = G.algebra.field
     for n in range(len(G.powers)):
-        want = G.degrees.count(n)
-        ech = Echelon(field)
-        for rep in by_total.get(n, []):
-            coords = G._solvers[n].coords(rep)
-            if coords:
-                ech.insert(coords)
-        if ech.rank != want:
+        coords = (G._solvers[n].coords(rep) for rep in by_total.get(n, []))
+        if row_rank((c for c in coords if c), field) != G.degrees.count(n):
             return False
     return True
 

@@ -16,7 +16,12 @@ f instead of evaluating it on all dim^(n+2) output tuples: an entry at t
 reaches the inner terms of exactly the tuples that split one t[i] into a
 product a b containing it, and the outer terms of (a0,) + t and t + (a,).
 A call costs O(nnz(f) * (dim + sum of preimage counts)) against the
-O(dim^(n+2) * (n+1)) of a full scan.
+O(dim^(n+2) * (n+1)) of a full scan, plus dim^2 ``A.mul_basis`` lookups
+for the preimage index.  A private coboundary object holds that index and
+the action columns for one parity; :func:`coboundary` builds one and
+applies it once, while :func:`sh_dim` builds one per parity and streams
+every basis image, as a flat sparse vector, into the rank-only
+``exactlin.row_rank``.
 
 The subcomplex C^n(A, M) is cut out by the unit condition in the first
 slot, the reversal symmetry with sign (-1)^{n(n-1)/2 + sum_{i<j}|a_i||a_j|},
@@ -38,7 +43,7 @@ from __future__ import annotations
 import itertools
 
 from .algebra import AlgebraError, FiniteSuperAlgebra
-from .exactlin import Echelon, Matrix, kernel_of_constraints, solve_sparse, vec_add_scaled
+from .exactlin import Matrix, kernel_of_constraints, row_rank, solve_sparse, vec_add_scaled
 from .smodule import regular_module
 from .superpoly import EVEN, ODD
 
@@ -148,41 +153,107 @@ def cochain_parity_violations(f, A, target_parities):
 # coboundary
 
 
+class _Coboundary:
+    """d_n on the cochains of one parity over (A, M), for every n.
+
+    Holds what every application shares, built once: the preimage index
+    (for each basis element e_k, the products e_a e_b whose coefficient c
+    on e_k is nonzero, as (a * dim + b, c), from dim^2 ``A.mul_basis``
+    lookups), and the columns of the ``act_basis`` matrices with the signs
+    of the left and the twisted right action.
+
+    A tuple u of basis indices is coded as the integer sum_j u_j
+    dim^(len(u)-1-j), which orders codes as the tuples are ordered.  An
+    image is a dict from output codes to values in M; :meth:`row` flattens
+    it to the coordinates code * M.dim + r.
+    """
+
+    __slots__ = ("dim", "mdim", "preimages", "actions", "one")
+
+    def __init__(self, A, M, parity):
+        dim = A.dim
+        one = M.field.one
+        preimages = [[] for _ in range(dim)]
+        for a in range(dim):
+            for b in range(dim):
+                for k, c in A.mul_basis(a, b).items():
+                    preimages[k].append((a * dim + b, c))
+        # per value coordinate r: (a, a.e_r, left sign, right twist) for
+        # every basis element a with a.e_r nonzero.  The left sign
+        # -(-1)^{|f||a|} is -1 unless both f and a are odd; the twisted
+        # right action e_r.a = (-1)^{|a||r|} a.e_r flips when both are odd.
+        actions = [[] for _ in range(M.dim)]
+        for a in range(dim):
+            odd = A.parities[a] == ODD
+            left = one if parity == ODD and odd else -one
+            for r, col in enumerate(M.act_basis(a).cols):
+                if col:
+                    actions[r].append((a, col, left, -one if odd and M.parities[r] else one))
+        self.dim = dim
+        self.mdim = M.dim
+        self.preimages = preimages
+        self.actions = actions
+        self.one = one
+
+    def image(self, table, n):
+        """d_n of the cochain with this table, as {output code: value}."""
+        dim = self.dim
+        preimages = self.preimages
+        actions = self.actions
+        right = -self.one if n % 2 == 0 else self.one  # (-1)^{n+1}
+        top = dim ** (n + 1)
+        # slot i: the code of t[i+1:] is below w = dim^(n-i), and t[:i]
+        # moves up past the pair (a, b) that replaces t[i]
+        slots = [(i, dim ** (n - i)) for i in range(n + 1)]
+        out = {}
+        for t, val in table.items():
+            code = 0
+            for x in t:
+                code = code * dim + x
+            for i, w in slots:
+                base = code // (w * dim) * (w * dim * dim) + code % w
+                for ab, c in preimages[t[i]]:
+                    vec_add_scaled(out.setdefault(base + ab * w, {}), val, -c if i % 2 else c)
+            for r, x in val.items():
+                xr = right * x
+                for a, col, left, twist in actions[r]:
+                    vec_add_scaled(out.setdefault(a * top + code, {}), col, left * x)
+                    vec_add_scaled(out.setdefault(code * dim + a, {}), col, twist * xr)
+        return out
+
+    def cochain(self, f):
+        """d_n(f) as a Cochain: the image with its codes decoded to tuples."""
+        table = {}
+        for code, vec in self.image(f.table, f.n).items():
+            tup = []
+            for _ in range(f.n + 2):
+                code, x = divmod(code, self.dim)
+                tup.append(x)
+            table[tuple(reversed(tup))] = vec
+        return Cochain(f.n + 1, f.parity, table)
+
+    def row(self, table, n):
+        """d_n of the cochain with this table as one flat sparse vector."""
+        mdim = self.mdim
+        return {
+            code * mdim + r: c for code, vec in self.image(table, n).items() for r, c in vec.items()
+        }
+
+
 def coboundary(f, A, M):
     """d_n(f) as a Cochain of arity n+2 with the same parity.
 
     Pushed forward from the support of f.  A value c at tuple t adds
     (-1)^i * mu * c at t[:i] + (a, b) + t[i+1:] for every slot i and every
-    basis product e_a e_b whose coefficient on e_{t[i]} is mu; the index of
-    these preimages is built from ``A.mul_basis`` on each call (dim^2
-    lookups).  The left and right actions add at (a0,) + t and t + (a,)
-    for every basis element.  The cost is O(nnz(f) * (dim + sum of
-    preimage counts)) instead of a scan of all dim^(n+2) output tuples.
+    basis product e_a e_b whose coefficient on e_{t[i]} is mu.  The left and
+    right actions add at (a0,) + t and t + (a,) for every basis element.
+    The cost is O(nnz(f) * (dim + sum of preimage counts)) instead of a
+    scan of all dim^(n+2) output tuples, plus the dim^2 ``A.mul_basis``
+    lookups of the preimage index, which each call builds once.
+    :func:`sh_dim` builds that index once per parity and applies it to a
+    whole basis.
     """
-    n = f.n
-    dim = A.dim
-    one = M.field.one
-    preimages = [[] for _ in range(dim)]
-    for a in range(dim):
-        for b in range(dim):
-            for k, c in A.mul_basis(a, b).items():
-                preimages[k].append((a, b, c))
-    # -(-1)^{|f||a0|} is -1 unless both f and a0 are odd
-    left = [one if f.parity == ODD and A.parities[a] == ODD else -one for a in range(dim)]
-    right = -one if n % 2 == 0 else one  # (-1)^{n+1}
-    out = {}
-    for t, val in f.table.items():
-        for i in range(n + 1):
-            head, tail = t[:i], t[i + 1 :]
-            for a, b, c in preimages[t[i]]:
-                vec_add_scaled(out.setdefault(head + (a, b) + tail, {}), val, -c if i % 2 else c)
-        twisted = {r: -c if M.parities[r] else c for r, c in val.items()}
-        for a in range(dim):
-            act = M.act_basis(a)
-            vec_add_scaled(out.setdefault((a,) + t, {}), act.apply(val), left[a])
-            moved = act.apply(twisted if A.parities[a] == ODD else val)
-            vec_add_scaled(out.setdefault(t + (a,), {}), moved, right)
-    return Cochain(n + 1, f.parity, out)
+    return _Coboundary(A, M, f.parity).cochain(f)
 
 
 # ---------------------------------------------------------------------------
@@ -569,33 +640,31 @@ def _odd_diagonal_kernel(A, M, n, orbits):
     return out
 
 
-def _flatten(f):
-    vec = {}
-    for tup, val in f.table.items():
-        for r, c in val.items():
-            vec[tup + (r,)] = c
-    return vec
+# Most cells, dim(A)^(n+2) * dim(M), the cochain tables of sh_dim may span:
+# 2^20 admits the 32-dimensional Grassmann algebra at n = 1.
+MAX_SH_CELLS = 1 << 20
 
 
-def sh_dim(A, M, n, max_cells=200000):
-    """(even, odd) dimensions of SH^n(A, M) = ker/im inside C^n."""
+def sh_dim(A, M, n, max_cells=MAX_SH_CELLS):
+    """(even, odd) dimensions of SH^n(A, M) = ker/im inside C^n.
+
+    Per parity, one :class:`_Coboundary` serves both d_n and d_{n-1}; each
+    basis image is streamed as a flat sparse vector into the rank-only
+    ``row_rank``, so no d is held whole.  Then
+    SH^n = (dim C^n - rank d_n) - rank d_{n-1}.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative, not %d" % n)
     if (A.dim ** (n + 2)) * M.dim > max_cells:
         raise AlgebraError("cochain tables exceed the size bound")
     out = []
     for parity in (EVEN, ODD):
+        d = _Coboundary(A, M, parity)
         basis_n = cochain_space_basis(A, M, n, parity)
-        ech = Echelon(A.field)
-        kernel_count = 0
-        for f in basis_n:
-            img = coboundary(f, A, M)
-            if ech.insert(_flatten(img)) is None:
-                kernel_count += 1
+        kernel_dim = len(basis_n) - row_rank((d.row(f.table, n) for f in basis_n), A.field)
         image_rank = 0
         if n > 0:
             prev = cochain_space_basis(A, M, n - 1, parity)
-            ech_im = Echelon(A.field)
-            for g in prev:
-                ech_im.insert(_flatten(coboundary(g, A, M)))
-            image_rank = ech_im.rank
-        out.append(kernel_count - image_rank)
+            image_rank = row_rank((d.row(g.table, n - 1) for g in prev), A.field)
+        out.append(kernel_dim - image_rank)
     return tuple(out)

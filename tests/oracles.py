@@ -17,7 +17,7 @@ from math import comb
 from superdim.algebra import AlgebraError, presented_supercommutative, require_two_sided
 from superdim.exactlin import Echelon, Subspace, kernel_of_constraints, vec_add_scaled, vec_dot
 from superdim.hilbert import DEFAULT_KMAX, BigradedTable, PolynomialFit, _natural_lmax
-from superdim.hochschild import Cochain
+from superdim.hochschild import Cochain, cochain_space_basis
 from superdim.smodule import ModuleError
 from superdim.superpoly import (
     EVEN,
@@ -336,6 +336,62 @@ def solved_cochain_space_basis(A, M, n, parity):
             table.setdefault(tup, {})[r] = c
         out.append(Cochain(n, parity, table))
     return out
+
+
+# sh_dim as it was before one coboundary per parity and the rank-only
+# row_rank: one push-forward coboundary per basis cochain, each building its
+# own preimage index, flattened and inserted into a fully reduced Echelon.
+
+
+def percall_coboundary(f, A, M):
+    """d_n(f) pushed forward from the support of f, the index built per call."""
+    n = f.n
+    dim = A.dim
+    one = M.field.one
+    preimages = [[] for _ in range(dim)]
+    for a in range(dim):
+        for b in range(dim):
+            for k, c in A.mul_basis(a, b).items():
+                preimages[k].append((a, b, c))
+    left = [one if f.parity == ODD and A.parities[a] == ODD else -one for a in range(dim)]
+    right = -one if n % 2 == 0 else one
+    out = {}
+    for t, val in f.table.items():
+        for i in range(n + 1):
+            head, tail = t[:i], t[i + 1 :]
+            for a, b, c in preimages[t[i]]:
+                vec_add_scaled(out.setdefault(head + (a, b) + tail, {}), val, -c if i % 2 else c)
+        twisted = {r: -c if M.parities[r] else c for r, c in val.items()}
+        for a in range(dim):
+            act = M.act_basis(a)
+            vec_add_scaled(out.setdefault((a,) + t, {}), act.apply(val), left[a])
+            moved = act.apply(twisted if A.parities[a] == ODD else val)
+            vec_add_scaled(out.setdefault(t + (a,), {}), moved, right)
+    return Cochain(n + 1, f.parity, out)
+
+
+def _flatten(f):
+    return {tup + (r,): c for tup, val in f.table.items() for r, c in val.items()}
+
+
+def echelon_sh_dim(A, M, n):
+    """(even, odd) dimensions of SH^n(A, M) = ker/im inside C^n."""
+    out = []
+    for parity in (EVEN, ODD):
+        basis_n = cochain_space_basis(A, M, n, parity)
+        ech = Echelon(A.field)
+        kernel_count = 0
+        for f in basis_n:
+            if ech.insert(_flatten(percall_coboundary(f, A, M))) is None:
+                kernel_count += 1
+        image_rank = 0
+        if n > 0:
+            ech_im = Echelon(A.field)
+            for g in cochain_space_basis(A, M, n - 1, parity):
+                ech_im.insert(_flatten(percall_coboundary(g, A, M)))
+            image_rank = ech_im.rank
+        out.append(kernel_count - image_rank)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -305,6 +305,30 @@ class TestHochschild:
         assert "bad coefficient %r" % (coeff,) in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("arity", [1.9, True, "1"], ids=["float", "bool", "string"])
+    def test_non_integer_arity_is_usage_error(self, tmp_path, arity):
+        with open(asset("coboundary_pi.json")) as fh:
+            data = json.load(fh)
+        data["n"] = arity
+        bad = tmp_path / "bad_arity.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run_cli(
+            "hochschild", asset("grassmann2.alg"), "--n", "1", "--cocycle", str(bad)
+        )
+        assert code == 2
+        assert "arity %r is not a JSON integer" % (arity,) in err
+        assert "FAIL" not in out + err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("n", ["-1", "-3"])
+    def test_negative_n_is_usage_error(self, n):
+        code, out, err = run_cli("hochschild", asset("grassmann2.alg"), "--n", n)
+        assert code == 2
+        assert out == ""
+        assert "--n must be nonnegative, not %s" % n in err
+        assert "Traceback" not in err
+
+
 class TestCorpus:
     def test_single_case_text(self, capsys):
         assert main(["corpus", "--case", "flat"]) == 0

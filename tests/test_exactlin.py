@@ -11,11 +11,13 @@ from superdim.exactlin import (
     PrimeField,
     QQ,
     Subspace,
+    _pivot_rows,
     field_from_name,
     in_span,
     kernel_basis,
     kernel_of_constraints,
     rank,
+    row_rank,
     rref,
     solve,
     solve_sparse,
@@ -245,6 +247,35 @@ class TestIntegralRationals:
             _assert_exact(x for v in kernel for x in v.values())
             for v in kernel:
                 assert all(vec_dot(r, v) is None or vec_dot(r, v) == 0 for r in rows)
+
+
+class TestRowRank:
+    """The forward-only rank against the fully reduced Echelon."""
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)], ids=str)
+    def test_matches_echelon_rank(self, field):
+        rng = rng_for("row-rank-%s" % field)
+        scalar = _mixed_scalar if field == QQ else (lambda r: random_scalar(field, r))
+        for _trial in range(200):
+            ncols = rng.randint(1, 8)
+            vectors = []
+            for _ in range(rng.randint(0, 9)):
+                if len(vectors) >= 2 and rng.random() < 0.3:
+                    u, w = rng.sample(vectors, 2)
+                    vectors.append(vec_add_scaled(dict(u), w, scalar(rng) or field.one))
+                else:
+                    vectors.append({j: x for j in range(ncols) if (x := scalar(rng))})
+            given = [dict(v) for v in vectors]
+            ech = Echelon(field)
+            for v in vectors:
+                ech.insert(v)
+            rows = _pivot_rows(vectors, field)
+            assert len(rows) == row_rank(vectors, field) == ech.rank
+            assert vectors == given
+            for piv, row in rows.items():
+                assert max(row) == piv and row[piv] == field.one
+            if field == QQ:
+                _assert_exact(x for r in rows.values() for x in r.values())
 
 
 class TestMatrix:

@@ -1,6 +1,7 @@
 """Superized Hochschild cochains, SH^n and square-zero extensions."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,8 +12,10 @@ from superdim.algebra import (
     table_is_associative,
     table_respects_unit,
 )
+from superdim import hochschild
 from superdim.exactlin import QQ, PrimeField
 from superdim.hochschild import (
+    MAX_SH_CELLS,
     Cochain,
     adapted_equivalence,
     assemble_square_zero,
@@ -41,7 +44,12 @@ from conftest import (
     random_super_skew,
     rng_for,
 )
-from oracles import direct_coboundary0, scan_coboundary, solved_cochain_space_basis
+from oracles import (
+    direct_coboundary0,
+    echelon_sh_dim,
+    scan_coboundary,
+    solved_cochain_space_basis,
+)
 from test_algebra import grassmann
 
 
@@ -128,10 +136,11 @@ class TestCoboundary:
                 assert is_in_C(coboundary(f, A, M), A, M)
 
 
-def _reference_cases(name, per_field=5, max_cells=3000):
-    """(A, M, n) over Q, F2 and F3 with regular and random modules."""
+def _reference_cases(name, per_field=5, max_cells=3000, fields=(QQ, PrimeField(2), PrimeField(3))):
+    """(A, M, n) over the fields (Q, F2 and F3 unless given) with regular
+    and random modules."""
     rng = rng_for(name)
-    for field in (QQ, PrimeField(2), PrimeField(3)):
+    for field in fields:
         for _ in range(per_field):
             A = random_algebra(rng, max_dim=6, field=field)
             for M in (regular_module(A), random_module(rng, A)):
@@ -160,6 +169,14 @@ class TestReferenceKernels:
                 dense = random_cochain(A, M, n, parity, rng, density=0.8)
                 for f in [dense] + cochain_space_basis(A, M, n, parity)[:6]:
                     assert coboundary(f, A, M) == scan_coboundary(f, A, M)
+
+    def test_sh_dim_matches_echelon_sh_dim(self):
+        seen = set()
+        fields = (QQ, PrimeField(2), PrimeField(5))
+        for _rng, A, M, n in _reference_cases("test_sh_dim_matches_echelon", fields=fields):
+            assert sh_dim(A, M, n) == echelon_sh_dim(A, M, n)
+            seen.add((A.field.characteristic, n))
+        assert seen == {(p, n) for p in (0, 2, 5) for n in (0, 1, 2)}
 
     def test_grassmann_agrees_over_every_field(self):
         for s in (1, 2, 3):
@@ -225,6 +242,27 @@ class TestShDim:
         A = grassmann(3)
         with pytest.raises(AlgebraError):
             sh_dim(A, regular_module(A), 1, max_cells=10)
+
+    def test_default_bound_admits_lambda5_at_n1(self, monkeypatch):
+        class Admitted(Exception):
+            pass
+
+        def admitted(*_args):
+            raise Admitted
+
+        # the size check comes first; past it, stop before any work
+        monkeypatch.setattr(hochschild, "_Coboundary", admitted)
+        A = grassmann(5)
+        assert A.dim ** 3 * A.dim == MAX_SH_CELLS == 2**20
+        with pytest.raises(Admitted):
+            sh_dim(A, regular_module(A), 1)
+        with pytest.raises(AlgebraError, match="size bound"):
+            sh_dim(SimpleNamespace(dim=1), SimpleNamespace(dim=2**20 + 1), 0)
+
+    def test_negative_n_is_refused(self):
+        A = grassmann(1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            sh_dim(A, regular_module(A), -1)
 
 
 class TestSquareZeroExtensions:
