@@ -75,6 +75,13 @@ class UsageError(ValueError):
     pass
 
 
+# Most product pairs, dim(A) * max(dim A, dim M), that ``gr`` may classify,
+# checked before any work; chosen to keep a ``--bigraded --verify`` run under
+# 1 GB of memory.  It admits the 1024-dimensional Grassmann algebra Lambda_10
+# and refuses Lambda_11.
+MAX_GR_PAIRS = 1 << 21
+
+
 def _read(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -244,6 +251,12 @@ def _cmd_regular(args):
 def _cmd_gr(args):
     A = _load_algebra(args)
     M = _load_module(args, A)
+    pairs = A.dim * max(A.dim, M.dim)
+    if pairs > MAX_GR_PAIRS:
+        raise UsageError(
+            "gr over a %d-dimensional algebra and a %d-dimensional module takes %d "
+            "product pairs, past the budget of %d" % (A.dim, M.dim, pairs, MAX_GR_PAIRS)
+        )
     if args.ideal == "odd-radical":
         ideal = odd_radical(A)
     else:

@@ -37,9 +37,13 @@ represent classes in two incomparable lattice positions, so only the
 componentwise surjection onto the graded object is checked there.
 
 The modules I^n M / I^{n+1} M over the graded algebra are built the same
-way, and ``verify_graded_comparison`` packages the dimension comparison:
-passing to the graded module can only drop the odd dimension, with
-equality when I is the odd radical A A_1.
+way, except for the regular module M = A: I^n A = I^n as subspaces with
+canonical reduced echelon bases, so the representatives are gr's and action
+column j of basis element i is gr's table entry (i, j).  ``gr_module`` of
+it is gr(A, I)'s regular module with gr's keys, representatives and
+filtration, and ``bgr_module`` of it likewise bgr(A, I)'s.  Passing to the
+graded module can only drop the odd dimension, with equality when I is the
+odd radical A A_1 (``verify_graded_comparison``).
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from .algebra import (
 )
 from .exactlin import Echelon, Matrix, Subspace, row_rank
 from .sdim import sdim
-from .smodule import SuperModule
+from .smodule import RegularModule, SuperModule, regular_module
 from .superpoly import EVEN, SUPERCOMMUTATIVE
 
 __all__ = [
@@ -235,6 +239,10 @@ class _Components:
 class _Graded:
     """A graded object; ``keys`` holds the stage key of each representative."""
 
+    @property
+    def dim(self):
+        return len(self.keys)
+
     def component_dims(self):
         out = {}
         for key in self.keys:
@@ -245,30 +253,22 @@ class _Graded:
 class GradedSuperAlgebra(_Graded):
     """Table-kind algebra on component representatives, with degrees."""
 
-    def __init__(self, algebra, degrees, reps, powers, source):
+    def __init__(self, algebra, degrees, reps, powers, source, ideal):
         self.algebra = algebra
         self.degrees = self.keys = degrees
         self.reps = reps
         self.powers = powers
         self.source = source
-
-    @property
-    def dim(self):
-        return self.algebra.dim
-
+        self.ideal = ideal
 
 class BigradedSuperAlgebra(_Graded):
-    def __init__(self, algebra, bidegrees, reps, lattice, source):
+    def __init__(self, algebra, bidegrees, reps, lattice, source, ideal):
         self.algebra = algebra
         self.bidegrees = self.keys = bidegrees
         self.reps = reps
         self.lattice = lattice
         self.source = source
-
-    @property
-    def dim(self):
-        return self.algebra.dim
-
+        self.ideal = ideal
 
 class GradedSuperModule(_Graded):
     def __init__(self, module, degrees, reps, powers):
@@ -276,11 +276,6 @@ class GradedSuperModule(_Graded):
         self.degrees = self.keys = degrees
         self.reps = reps
         self.powers = powers
-
-    @property
-    def dim(self):
-        return self.module.dim
-
 
 def _add_pairs(a, b):
     return (a[0] + b[0], a[1] + b[1])
@@ -302,20 +297,33 @@ def gr(A, ideal, name=None):
     algebra = comps.algebra(
         A, operator.add, str, name or ("gr " + A.name), degrees=list(comps.keys)
     )
-    out = GradedSuperAlgebra(algebra, comps.keys, comps.rows, powers, A)
+    out = GradedSuperAlgebra(algebra, comps.keys, comps.rows, powers, A, ideal)
     out._solvers = comps.solvers
     out._positions = comps.positions
     return out
 
 
+def _checked(M, ideal, graded, build):
+    """``graded``, or build(A, I) when it is None; raises unless it was built
+    from M's algebra and this ideal."""
+    if graded is None:
+        return build(M.algebra, ideal)
+    if graded.source is not M.algebra or graded.ideal != ideal:
+        raise AlgebraError("the graded algebra was built from another algebra or ideal")
+    return graded
+
+
 def gr_module(M, ideal, graded_algebra=None, name=None):
     """The module over gr(A, I) with components I^n M / I^{n+1} M."""
-    G = graded_algebra if graded_algebra is not None else gr(M.algebra, ideal)
+    G = _checked(M, ideal, graded_algebra, gr)
+    name = name or ("gr " + M.name)
+    if isinstance(M, RegularModule):  # gr's own regular module, see the module docstring
+        return GradedSuperModule(regular_module(G.algebra, name), G.keys, G.reps, G.powers)
     step = filtration_step(M, M.apply_element, _multipliers(M.algebra, ideal))
     full = M.full_subspace()
     powers = [full] + filtration_chain(step(full), step, M.dim, "ideal action")
     comps = _Components(M, dict(enumerate(powers)), _below_n)
-    module = comps.module(M, G, operator.add, name or ("gr " + M.name))
+    module = comps.module(M, G, operator.add, name)
     return GradedSuperModule(module, comps.keys, comps.rows, powers)
 
 
@@ -342,7 +350,7 @@ def bgr(A, ideal, name=None):
     lattice = _lattice(A, A.mul, A, ideal, "ideal")
     comps = _Components(A, lattice, _below_kl)
     algebra = comps.algebra(A, _add_pairs, lambda kl: "(%d,%d)" % kl, name or ("bgr " + A.name))
-    out = BigradedSuperAlgebra(algebra, comps.keys, comps.rows, lattice, A)
+    out = BigradedSuperAlgebra(algebra, comps.keys, comps.rows, lattice, A, ideal)
     out._solvers = comps.solvers
     out._positions = comps.positions
     return out
@@ -350,10 +358,13 @@ def bgr(A, ideal, name=None):
 
 def bgr_module(M, ideal, bigraded_algebra=None, name=None):
     """Module components S(k,l)M / (S(k+1,l)M + S(k,l+1)M) over bgr(A, I)."""
-    B = bigraded_algebra if bigraded_algebra is not None else bgr(M.algebra, ideal)
+    B = _checked(M, ideal, bigraded_algebra, bgr)
+    name = name or ("bgr " + M.name)
+    if isinstance(M, RegularModule):  # bgr's own regular module
+        return GradedSuperModule(regular_module(B.algebra, name), B.keys, B.reps, B.lattice)
     lattice = _lattice(M, M.apply_element, M.algebra, ideal, "ideal action")
     comps = _Components(M, lattice, _below_kl)
-    module = comps.module(M, B, _add_pairs, name or ("bgr " + M.name))
+    module = comps.module(M, B, _add_pairs, name)
     return GradedSuperModule(module, comps.keys, comps.rows, lattice)
 
 

@@ -6,7 +6,9 @@ is the whole basis).  The action of an arbitrary basis element of a
 monomial-kind algebra is the composition of the generator matrices along
 the canonical word of the monomial; well-definedness is exactly what
 ``check_module`` verifies (declared relations, the supercommutation law,
-odd squares and the degree cap all act as zero).
+odd squares and the degree cap all act as zero).  The regular module acts
+by A's multiplication table instead: column j of its ``act_basis(i)`` is
+``A.mul_basis(i, j)``, and its generator matrices are built when read.
 
 Submodules are kept as graded echelonized spans inside the ambient module,
 closed under the generator actions by ``Subspace.close``; quotients check
@@ -15,6 +17,8 @@ coordinates) as their basis, which keeps every construction deterministic.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .algebra import _enumerate_monomials
 from .exactlin import Matrix, Subspace, kernel_of_constraints, rank, vec_add_scaled
@@ -60,17 +64,15 @@ class SuperModule:
     # -- action -------------------------------------------------------------
 
     def act_basis(self, i):
-        """Action matrix of the i-th basis element of the algebra."""
+        """Action matrix of the i-th basis element of the algebra (cached)."""
         hit = self._act_basis.get(i)
-        if hit is not None:
-            return hit
+        if hit is None:
+            hit = self._act_basis[i] = self._basis_action(i)
+        return hit
+
+    def _basis_action(self, i):
         A = self.algebra
-        if A.kind == "table":
-            out = self.actions[i]
-        else:
-            out = _word_action(self, A.basis_word(i))
-        self._act_basis[i] = out
-        return out
+        return self.actions[i] if A.kind == "table" else _word_action(self, A.basis_word(i))
 
     def act_element(self, vec):
         """Matrix of the action of an algebra element (the cached matrix of
@@ -113,13 +115,28 @@ def _combination(M, terms):
     return Matrix(M.dim, M.dim, cols, M.field)
 
 
+class RegularModule(SuperModule):
+    """A acting on itself through ``A.mul_basis``; see ``regular_module``."""
+
+    def __init__(self, A, name):
+        self.algebra = A
+        self.parities = list(A.parities)
+        self.dim = A.dim
+        self.name = name
+        self._act_basis = {}
+
+    def _basis_action(self, i):
+        A = self.algebra
+        return Matrix.from_cols_sparse(A.dim, [A.mul_basis(i, j) for j in range(A.dim)], A.field)
+
+    @cached_property
+    def actions(self):
+        return [self.act_element(gvec) for _label, _parity, gvec in self.algebra.generators]
+
+
 def regular_module(A, name=None):
     """A acting on itself by left multiplication."""
-    actions = []
-    for _label, _parity, gvec in A.generators:
-        cols = [A.mul(gvec, A.basis_element(j)) for j in range(A.dim)]
-        actions.append(Matrix.from_cols_sparse(A.dim, cols, A.field))
-    return SuperModule(A, list(A.parities), actions, name=name or (A.name + " regular"))
+    return RegularModule(A, name or (A.name + " regular"))
 
 
 def parity_shift(M, name=None):

@@ -4,9 +4,10 @@ Everything here is computed from first principles (combinatorics, naive
 row reduction over Fraction, direct formula evaluation) so that the
 package under test is never the judge of its own output.  The Hochschild
 references, the dense matrix, the enumerated Hilbert tables, the
-basis-stepped filtrations, the Fraction-only rationals and the hand-written
-closures at the end are the exception: they are the package's earlier
-kernels, kept to pin the current ones to the same results.
+basis-stepped filtrations, the Fraction-only rationals, the hand-written
+closures and the eagerly built regular module at the end are the
+exception: they are the package's earlier kernels, kept to pin the current
+ones to the same results.
 """
 
 import itertools
@@ -15,10 +16,17 @@ from itertools import combinations
 from math import comb
 
 from superdim.algebra import AlgebraError, presented_supercommutative, require_two_sided
-from superdim.exactlin import Echelon, Subspace, kernel_of_constraints, vec_add_scaled, vec_dot
+from superdim.exactlin import (
+    Echelon,
+    Matrix,
+    Subspace,
+    kernel_of_constraints,
+    vec_add_scaled,
+    vec_dot,
+)
 from superdim.hilbert import DEFAULT_KMAX, BigradedTable, PolynomialFit, _natural_lmax
 from superdim.hochschild import Cochain, cochain_space_basis
-from superdim.smodule import ModuleError
+from superdim.smodule import ModuleError, SuperModule
 from superdim.superpoly import (
     EVEN,
     ODD,
@@ -1009,3 +1017,18 @@ def superideal_span(A, elements, two_sided=None):
                     queue.append(w)
     span.generators = gens
     return span
+
+
+# ---------------------------------------------------------------------------
+# the regular module as a plain SuperModule
+
+
+def eager_regular_module(A):
+    """A acting on itself, built eagerly: generator columns A.mul(g, e_j),
+    and every other basis element of a monomial-kind algebra acting by the
+    composition of generator matrices along its word."""
+    actions = []
+    for _label, _parity, gvec in A.generators:
+        cols = [A.mul(gvec, A.basis_element(j)) for j in range(A.dim)]
+        actions.append(Matrix.from_cols_sparse(A.dim, cols, A.field))
+    return SuperModule(A, list(A.parities), actions, name=A.name + " regular")

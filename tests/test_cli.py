@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from superdim import cli
 from superdim.cli import main
 
 ASSETS = os.path.join(os.path.dirname(__file__), "..", "src", "superdim", "assets")
@@ -152,6 +153,28 @@ class TestGr:
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert data["component_dims"] == {"0": 2, "1": 2}
+
+
+    @pytest.mark.parametrize("alg", ["grassmann2.alg", "c1_r.alg"])
+    @pytest.mark.parametrize("field", ["q", "f5"])
+    @pytest.mark.parametrize("fmt", ["text", "report"])
+    def test_parsed_regular_module_prints_the_same_bytes(self, capsys, alg, field, fmt):
+        args = ["gr", asset(alg), "--ideal", "odd-radical", "--bigraded", "--verify",
+                "--field", field, "--format", fmt]
+        assert main(args) == 0
+        plain = capsys.readouterr().out
+        assert main(args + ["--module", asset("regular.mod")]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_budget_admits_exactly_its_pairs(self, capsys, monkeypatch):
+        # grassmann2 is 4-dimensional, so gr takes 4 * 4 = 16 product pairs
+        args = ["gr", asset("grassmann2.alg"), "--ideal", "odd-radical"]
+        monkeypatch.setattr(cli, "MAX_GR_PAIRS", 16)
+        assert main(args) == 0
+        monkeypatch.setattr(cli, "MAX_GR_PAIRS", 15)
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "takes 16 product pairs, past the budget of 15" in err
 
 
 class TestHilbert:
@@ -442,6 +465,18 @@ class TestSubprocess:
         assert code == 2
         assert out == ""
         assert "more than 65536 normal monomials" in err
+        assert "Traceback" not in err
+
+    def test_gr_past_the_pair_budget_is_refused(self, tmp_path):
+        alg = tmp_path / "lambda12.alg"
+        alg.write_text(
+            "algebra lambda12 over Q\nflavor supercommutative\nodd %s\ncap 12\n"
+            "relations\nend\n" % " ".join("z%d" % i for i in range(1, 13))
+        )
+        code, out, err = run_cli("gr", str(alg), "--ideal", "odd-radical", timeout=2)
+        assert code == 2
+        assert out == ""
+        assert "takes 16777216 product pairs, past the budget of 2097152" in err
         assert "Traceback" not in err
 
     def test_determinism_byte_identical(self):

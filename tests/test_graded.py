@@ -15,7 +15,7 @@ from superdim.algebra import (
     table_is_associative,
 )
 from superdim.corpus import build_c1
-from superdim.exactlin import QQ
+from superdim.exactlin import QQ, PrimeField
 from superdim.graded import (
     bgr,
     bgr_module,
@@ -26,10 +26,11 @@ from superdim.graded import (
     ideal_powers,
     verify_graded_comparison,
 )
-from superdim.smodule import check_module, regular_module
+from superdim.smodule import SuperModule, check_module, regular_module
 from superdim.superpoly import ASSOCIATIVE, EVEN, GeneratorSpec
 
 from conftest import random_algebra, random_module, random_nilpotent_ideal, rng_for
+from oracles import eager_regular_module
 from test_algebra import grassmann
 
 
@@ -138,6 +139,72 @@ class TestBgr:
             bgr(A, superideal_span(A, [A.generator_element("x")]))
 
 
+def _rows(filtration):
+    if isinstance(filtration, dict):
+        return {key: S.basis() for key, S in filtration.items()}
+    return [S.basis() for S in filtration]
+
+
+def _assert_same_graded_module(got, want):
+    assert got.keys == want.keys
+    assert got.reps == want.reps
+    assert _rows(got.powers) == _rows(want.powers)
+    assert got.module.parities == want.module.parities
+    assert got.module.actions == want.module.actions
+
+
+def _shortcut_cases():
+    """The golden cases, then random supercommutative algebras over Q, F2
+    and F5 with their odd radical and a random nilpotent ideal."""
+    for _name, A, I in golden_cases():
+        yield A, I
+    for field in (QQ, PrimeField(2), PrimeField(5)):
+        rng = rng_for("regular-shortcut-%s" % field)
+        for _ in range(8):
+            A = random_algebra(rng, max_gens=4, max_cap=4, max_dim=24, field=field)
+            yield A, odd_radical(A)
+            yield A, random_nilpotent_ideal(rng, A)
+
+
+class TestRegularShortcut:
+    """gr_module and bgr_module of the regular module are the regular
+    modules of gr and bgr; the eager oracle goes the general way."""
+
+    def test_matches_general_path(self):
+        for A, I in _shortcut_cases():
+            G, B = gr(A, I), bgr(A, I)
+            M, oracle = regular_module(A), eager_regular_module(A)
+            assert type(oracle) is SuperModule
+            GM = gr_module(M, I, graded_algebra=G)
+            _assert_same_graded_module(GM, gr_module(oracle, I, graded_algebra=G))
+            BM = bgr_module(M, I, bigraded_algebra=B)
+            _assert_same_graded_module(BM, bgr_module(oracle, I, bigraded_algebra=B))
+            assert GM.module.algebra is G.algebra and BM.module.algebra is B.algebra
+
+    def test_mismatched_ideal_is_refused(self):
+        A = grassmann(3)
+        I, J = odd_radical(A), superideal_span(A, [A.generator_element("z1")])
+        for M in (regular_module(A), eager_regular_module(A)):
+            with pytest.raises(AlgebraError):
+                gr_module(M, I, graded_algebra=gr(A, J))
+            with pytest.raises(AlgebraError):
+                bgr_module(M, I, bigraded_algebra=bgr(A, J))
+
+    def test_mismatched_algebra_is_refused(self):
+        A, other = grassmann(3), grassmann(3)
+        for M in (regular_module(A), eager_regular_module(A)):
+            with pytest.raises(AlgebraError):
+                gr_module(M, odd_radical(A), graded_algebra=gr(other, odd_radical(other)))
+            with pytest.raises(AlgebraError):
+                bgr_module(M, odd_radical(A), bigraded_algebra=bgr(other, odd_radical(other)))
+
+    def test_equal_ideal_built_twice_is_accepted(self):
+        A = grassmann(3)
+        G = gr(A, odd_radical(A))
+        GM = gr_module(regular_module(A), odd_radical(A), graded_algebra=G)
+        assert GM.component_dims() == G.component_dims()
+
+
 class TestComparison:
     def test_odd_radical_gives_equality(self):
         A = grassmann(3)
@@ -191,8 +258,8 @@ def _actions_dump(GM):
     return [[_sparse(col) for col in mat.cols] for mat in GM.module.actions]
 
 
-def graded_structures():
-    """gr, bgr and their regular modules on a few fixed (algebra, ideal) pairs."""
+def golden_cases():
+    """The fixed (name, algebra, ideal) triples of the golden file."""
     cases = []
     for s in (2, 3):
         A = grassmann(s)
@@ -200,8 +267,13 @@ def graded_structures():
         cases.append(("grassmann%d z1" % s, A, superideal_span(A, [A.generator_element("z1")])))
     R = build_c1().R
     cases.append(("c1 R, I = RY", R, superideal_span(R, [R.generator_element("Y")])))
+    return cases
+
+
+def graded_structures():
+    """gr, bgr and their regular modules on a few fixed (algebra, ideal) pairs."""
     out = {}
-    for name, A, I in cases:
+    for name, A, I in golden_cases():
         M = regular_module(A)
         G = gr(A, I)
         B = bgr(A, I)

@@ -6,6 +6,7 @@ from superdim.algebra import Presentation, compile_presentation, odd_radical, su
 from superdim.exactlin import Matrix, QQ
 from superdim.smodule import (
     ModuleError,
+    RegularModule,
     SuperModule,
     _words_past_cap,
     annihilator_even,
@@ -22,11 +23,53 @@ from superdim.smodule import (
 )
 
 from superdim.superpoly import EVEN, ODD, SUPERCOMMUTATIVE, GeneratorSpec
-from superdim.textio import parse_presentation
+from superdim.textio import parse_module, parse_presentation
 
 from conftest import random_algebra, random_module, rng_for
-from oracles import normal_words_in_window
+from oracles import eager_regular_module, normal_words_in_window
 from test_algebra import grassmann
+
+
+LAMBDA4_X3 = """algebra lambda4x over Q
+flavor supercommutative
+even x
+odd z1 z2 z3 z4
+cap 6
+relations
+  x^3
+end
+"""
+
+
+class TestRegularModule:
+    """The regular module acts by the multiplication table; the eager
+    oracle composes generator matrices along each basis word."""
+
+    def _assert_acts_as_oracle(self, A):
+        M, oracle = regular_module(A), eager_regular_module(A)
+        for i in range(A.dim):
+            assert M.act_basis(i) == oracle.act_basis(i), A.labels[i]
+        assert M.actions == oracle.actions
+
+    def test_monomial_kind_matches_word_composition(self):
+        A = compile_presentation(parse_presentation(LAMBDA4_X3))
+        assert A.kind == "monomial" and A.dim == 48
+        self._assert_acts_as_oracle(A)
+
+    def test_table_kind_matches_generator_matrices(self, c2):
+        assert c2.R.kind == "table"
+        self._assert_acts_as_oracle(c2.R)
+
+    def test_generator_matrices_are_built_when_read(self):
+        M = regular_module(grassmann(3))
+        assert "actions" not in vars(M) and M._act_basis == {}
+        assert check_module(M) == []
+        assert "actions" in vars(M)
+
+    def test_parsed_regular_module_is_the_regular_module(self):
+        A = grassmann(2)
+        M = parse_module("module regular\n", A)
+        assert isinstance(M, RegularModule) and M.name == regular_module(A).name
 
 
 class TestConstruction:
