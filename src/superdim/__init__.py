@@ -39,7 +39,6 @@ from .hilbert import (
 )
 from .hochschild import (
     Cochain,
-    ExtensionDatum,
     adapted_equivalence,
     build_A_pi,
     coboundary,

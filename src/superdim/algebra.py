@@ -630,3 +630,16 @@ def table_respects_unit(A):
         if A.mul(A.unit_element(), e) != e or A.mul(e, A.unit_element()) != e:
             return False
     return True
+
+
+def is_algebra_map(R1, R2, phi):
+    """phi : R1 -> R2, a Matrix on the bases, sends 1 to 1 and every basis
+    product e_i e_j to phi(e_i) phi(e_j)."""
+    if phi.apply({R1.unit_index: R1.field.one}) != {R2.unit_index: R2.field.one}:
+        return False
+    images = [phi.apply({i: R1.field.one}) for i in range(R1.dim)]
+    return all(
+        phi.apply(R1.mul_basis(i, j)) == R2.mul(images[i], images[j])
+        for i in range(R1.dim)
+        for j in range(R1.dim)
+    )

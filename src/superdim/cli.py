@@ -58,7 +58,7 @@ from .sdim import (
     sdim_of_chain,
     verify_factoring,
 )
-from .smodule import ModuleError, regular_module
+from .smodule import ModuleError, RegularModule, check_module, regular_module
 from .superpoly import EVEN, ODD
 from .textio import (
     ParseError,
@@ -97,9 +97,15 @@ def _load_algebra(args):
 
 
 def _load_module(args, A):
-    if getattr(args, "module", None):
-        return parse_module(_read(args.module), A)
-    return regular_module(A)
+    """The --module file, checked against the module axioms, or the regular module."""
+    if not getattr(args, "module", None):
+        return regular_module(A)
+    M = parse_module(_read(args.module), A)
+    if not isinstance(M, RegularModule):
+        bad = check_module(M)
+        if bad:
+            raise UsageError("%s is not a module: %s" % (args.module, bad[0]))
+    return M
 
 
 def _eval_element(text, A):
@@ -372,8 +378,11 @@ def _load_cochain(path, A):
         if type(n) is not int:
             raise ValueError("arity %r is not a JSON integer" % (n,))
         parity = {"even": EVEN, "odd": ODD}[data["parity"]]
+        raw = data.get("table", {})
+        if not isinstance(raw, dict) or not all(isinstance(v, dict) for v in raw.values()):
+            raise ValueError("the table and each of its values must be JSON objects")
         table = {}
-        for key, vec in data.get("table", {}).items():
+        for key, vec in raw.items():
             tup = tuple(int(x) for x in key.split(","))
             table[tup] = {
                 int(r): _scalar_from_json(A.field, c) for r, c in vec.items()

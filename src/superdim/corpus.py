@@ -39,6 +39,7 @@ from .algebra import (
     AlgebraError,
     Presentation,
     compile_presentation,
+    is_algebra_map,
     odd_radical,
     quotient_algebra,
     superideal_span,
@@ -643,18 +644,8 @@ def verify_c2(field=QQ):
 def _section_is_isomorphism(G):
     """Classes -> representatives is bijective and multiplicative."""
     A = G.source
-    n = G.algebra.dim
-    if n != A.dim:
-        return False
-    for i in range(n):
-        for j in range(n):
-            lhs = A.mul(G.reps[i], G.reps[j])
-            rhs = {}
-            for k, c in G.algebra.mul_basis(i, j).items():
-                vec_add_scaled(rhs, G.reps[k], c)
-            if lhs != rhs:
-                return False
-    return True
+    reps = Matrix.from_cols_sparse(A.dim, G.reps, A.field)
+    return G.algebra.dim == A.dim and is_algebra_map(G.algebra, A, reps)
 
 
 def verify_gr_example(field=QQ):

@@ -35,21 +35,22 @@ An odd super-skew pi in C^1(A, A) is the datum of a square-zero extension
 A_pi on A + PiA; pi is a cocycle exactly when the four product rules give
 an associative unital algebra, and two extensions are adaptively
 isomorphic exactly when pi' - pi is a coboundary d0(f) with f odd and
-f(1) = 0.
+f(1) = 0.  :func:`adapted_equivalence` builds that linear system from the
+odd coboundary object on the regular module: its columns are the flat
+images of the unit cochains e_i -> e_r.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .algebra import AlgebraError, FiniteSuperAlgebra
+from .algebra import AlgebraError, FiniteSuperAlgebra, is_algebra_map
 from .exactlin import Matrix, kernel_of_constraints, row_rank, solve_sparse, vec_add_scaled
 from .smodule import regular_module
 from .superpoly import EVEN, ODD
 
 __all__ = [
     "Cochain",
-    "ExtensionDatum",
     "zero_cochain",
     "cochain_add",
     "cochain_scale",
@@ -326,10 +327,6 @@ def is_in_C(f, A, M):
 # extension data
 
 
-def _as_pi(pi):
-    return pi.pi if isinstance(pi, ExtensionDatum) else pi
-
-
 def is_super_skew(pi, A):
     """pi(b,c) = (-1)^{|b||c|} pi(c,b) and pi(a,a) = 0 for odd a.
 
@@ -339,67 +336,61 @@ def is_super_skew(pi, A):
     the reversal symmetry of C^1: for n = 1 the reversal sign is -1 exactly
     on pairs of odd entries.
     """
-    p = _as_pi(pi)
-    if p.n != 1:
+    if pi.n != 1:
         raise AlgebraError("extension data are 2-argument cochains")
-    if not _reversal_symmetric(p, A):
+    if not _reversal_symmetric(pi, A):
         return False
     for i in range(A.dim):
-        if A.parities[i] == ODD and p.value((i, i)):
+        if A.parities[i] == ODD and pi.value((i, i)):
             return False
     return True
-
-
-class ExtensionDatum:
-    """A validated square-zero extension datum: odd super-skew pi in
-    C~^1(A, A) with parity-homogeneous values."""
-
-    __slots__ = ("A", "pi")
-
-    def __init__(self, A, pi):
-        if pi.n != 1:
-            raise AlgebraError("pi must take two arguments")
-        if pi.parity != ODD:
-            raise AlgebraError("pi must be odd")
-        bad = cochain_parity_violations(pi, A, A.parities)
-        if bad:
-            raise AlgebraError("pi value not parity-homogeneous at %r" % (bad[0],))
-        if not is_super_skew(pi, A):
-            raise AlgebraError("pi is not super-skew")
-        self.A = A
-        self.pi = pi
 
 
 def is_cocycle_pi(pi, A):
     """Exactly what associativity of the extension table needs, on basis triples:
     pi(1, a) = 0 and pi(ab, c) - pi(a, bc) + pi(a, b)c - (-1)^{|a|} a pi(b, c) = 0.
     """
-    p = _as_pi(pi)
     dim = A.dim
     unit = A.unit_index
     for j in range(dim):
-        if p.value((unit, j)) or p.value((j, unit)):
+        if pi.value((unit, j)) or pi.value((j, unit)):
             return False
     for i in range(dim):
         sign_a = A.field.one if A.parities[i] == ODD else -A.field.one
         ei = A.basis_element(i)
         for j in range(dim):
             ab = A.mul_basis(i, j)
-            vab = p.value((i, j))
+            vab = pi.value((i, j))
             for k in range(dim):
                 acc = {}
                 for r, c in ab.items():
-                    vec_add_scaled(acc, p.value((r, k)), c)
+                    vec_add_scaled(acc, pi.value((r, k)), c)
                 for r, c in A.mul_basis(j, k).items():
-                    vec_add_scaled(acc, p.value((i, r)), -c)
+                    vec_add_scaled(acc, pi.value((i, r)), -c)
                 if vab:
                     vec_add_scaled(acc, A.mul(vab, A.basis_element(k)), A.field.one)
-                vbc = p.value((j, k))
+                vbc = pi.value((j, k))
                 if vbc:
                     vec_add_scaled(acc, A.mul(ei, vbc), sign_a)
                 if acc:
                     return False
     return True
+
+
+def _require_extension_datum(A, pi):
+    """Refuse pi unless it is an odd, parity-homogeneous, super-skew
+    2-argument cocycle: the datum of a square-zero extension A_pi."""
+    if pi.n != 1:
+        raise AlgebraError("pi must take two arguments")
+    if pi.parity != ODD:
+        raise AlgebraError("pi must be odd")
+    bad = cochain_parity_violations(pi, A, A.parities)
+    if bad:
+        raise AlgebraError("pi value not parity-homogeneous at %r" % (bad[0],))
+    if not is_super_skew(pi, A):
+        raise AlgebraError("pi is not super-skew")
+    if not is_cocycle_pi(pi, A):
+        raise AlgebraError("pi is not a cocycle")
 
 
 def assemble_square_zero(A, pi, name=None):
@@ -408,7 +399,6 @@ def assemble_square_zero(A, pi, name=None):
     a o b = ab + Pi pi(a,b); a o Pib = (-1)^{|a|} Pi(ab); (Pib) o a = Pi(ba);
     (Pia) o (Pib) = 0.  Use :func:`build_A_pi` for the validated build.
     """
-    p = _as_pi(pi)
     dim = A.dim
     table = {}
     for i in range(dim):
@@ -416,7 +406,7 @@ def assemble_square_zero(A, pi, name=None):
         for j in range(dim):
             prod = A.mul_basis(i, j)
             vec = dict(prod)
-            for r, c in p.value((i, j)).items():
+            for r, c in pi.value((i, j)).items():
                 vec[dim + r] = c
             if vec:
                 table[(i, j)] = vec
@@ -443,10 +433,8 @@ def assemble_square_zero(A, pi, name=None):
 def build_A_pi(A, pi, name=None):
     """Validated square-zero extension: pi must be an odd super-skew
     cocycle, otherwise the product rules fail associativity."""
-    p = ExtensionDatum(A, _as_pi(pi)).pi
-    if not is_cocycle_pi(p, A):
-        raise AlgebraError("pi is not a cocycle")
-    return assemble_square_zero(A, p, name=name)
+    _require_extension_datum(A, pi)
+    return assemble_square_zero(A, pi, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -469,61 +457,29 @@ def _odd_map_variables(A):
 def adapted_equivalence(pi, pi2, A):
     """A certificate f with d0(f) = pi2 - pi (odd, f(1) = 0), or None.
 
-    Both inputs must be cocycles; when a solution exists the induced map
+    Both inputs must be extension data (see :func:`build_A_pi`).  The
+    system is d_0 of the odd cochains on the regular module, from one
+    :class:`_Coboundary`: column t is the flat image of the unit cochain
+    e_i -> e_r of variable t = (i, r), and pi2 - pi is flattened with the
+    same coding.  A solution is substituted back, and the induced map
     a -> a + Pi f(a), Pi a -> Pi a is verified to be an isomorphism of the
     two square-zero extensions.
     """
-    p1 = _as_pi(pi)
-    p2 = _as_pi(pi2)
-    for p in (p1, p2):
-        if p.parity != ODD:
-            raise AlgebraError("extension data must be odd")
-        if not is_super_skew(p, A):
-            raise AlgebraError("extension data must be super-skew")
-        if not is_cocycle_pi(p, A):
-            raise AlgebraError("extension data must be cocycles")
+    for p in (pi, pi2):
+        _require_extension_datum(A, p)
     field = A.field
     dim = A.dim
-    unit = A.unit_index
+    d0 = _Coboundary(A, regular_module(A), ODD)
     variables = _odd_map_variables(A)
-    vidx = {v: t for t, v in enumerate(variables)}
-    allowed = {}
-    for i, r in variables:
-        allowed.setdefault(i, []).append(r)
-
     eqs = {}
-
-    def bump(key, var, c):
-        vec_add_scaled(eqs.setdefault(key, {}), {var: field.one}, c)
-
-    for i in range(dim):
-        left_sign = field.one if A.parities[i] == ODD else -field.one
-        for j in range(dim):
-            # f(ab)
-            for k, c in A.mul_basis(i, j).items():
-                for r in allowed.get(k, ()):
-                    bump((i, j, r), vidx[(k, r)], c)
-            # -(-1)^{|a0|} a0 f(a1)   (|f| = 1)
-            for r in allowed.get(j, ()):
-                for s, m in A.mul_basis(i, r).items():
-                    bump((i, j, s), vidx[(j, r)], left_sign * m)
-            # - f(a0).a1 with the twisted right action
-            for r in allowed.get(i, ()):
-                tw = -field.one
-                if A.parities[j] and A.parities[r]:
-                    tw = field.one
-                for s, m in A.mul_basis(j, r).items():
-                    bump((i, j, s), vidx[(i, r)], tw * m)
-
-    diff = cochain_sub(p2, p1)
-    keys = set(eqs)
-    for (i, j), vec in diff.table.items():
-        for s in vec:
-            keys.add((i, j, s))
-    rows = []
-    for key in sorted(keys):
-        i, j, s = key
-        rows.append((eqs.get(key, {}), diff.value((i, j)).get(s, field.zero)))
+    for t, (i, r) in enumerate(variables):
+        for k, c in d0.row({(i,): {r: field.one}}, 0).items():
+            eqs.setdefault(k, {})[t] = c
+    diff = cochain_sub(pi2, pi)
+    rhs = {
+        (i * dim + j) * dim + s: c for (i, j), vec in diff.table.items() for s, c in vec.items()
+    }
+    rows = ((eqs.get(k, {}), rhs.get(k, field.zero)) for k in sorted(eqs.keys() | rhs.keys()))
     x = solve_sparse(len(variables), rows, field)
     if x is None:
         return None
@@ -532,13 +488,11 @@ def adapted_equivalence(pi, pi2, A):
         if x[t]:
             table.setdefault((i,), {})[r] = x[t]
     f = Cochain(0, ODD, table)
-    reg = regular_module(A)
-    if coboundary(f, A, reg) != diff:
+    if d0.cochain(f) != diff:
         raise AlgebraError("internal error: solved f fails substitution")
-    R1 = assemble_square_zero(A, p1)
-    R2 = assemble_square_zero(A, p2)
-    phi = adapted_isomorphism_matrix(A, f)
-    if not _is_algebra_map(R1, R2, phi):
+    R1 = assemble_square_zero(A, pi)
+    R2 = assemble_square_zero(A, pi2)
+    if not is_algebra_map(R1, R2, adapted_isomorphism_matrix(A, f)):
         raise AlgebraError("internal error: adapted map is not multiplicative")
     return f
 
@@ -555,18 +509,6 @@ def adapted_isomorphism_matrix(A, f):
     for i in range(dim):
         cols.append({dim + i: A.field.one})
     return Matrix.from_cols_sparse(2 * dim, cols, A.field)
-
-
-def _is_algebra_map(R1, R2, phi):
-    if phi.apply({R1.unit_index: R1.field.one}) != {R2.unit_index: R2.field.one}:
-        return False
-    for i in range(R1.dim):
-        fi = phi.apply({i: R1.field.one})
-        for j in range(R1.dim):
-            fj = phi.apply({j: R1.field.one})
-            if phi.apply(R1.mul_basis(i, j)) != R2.mul(fi, fj):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +587,7 @@ def _odd_diagonal_kernel(A, M, n, orbits):
 MAX_SH_CELLS = 1 << 20
 
 
-def sh_dim(A, M, n, max_cells=MAX_SH_CELLS):
+def sh_dim(A, M, n):
     """(even, odd) dimensions of SH^n(A, M) = ker/im inside C^n.
 
     Per parity, one :class:`_Coboundary` serves both d_n and d_{n-1}; each
@@ -655,7 +597,7 @@ def sh_dim(A, M, n, max_cells=MAX_SH_CELLS):
     """
     if n < 0:
         raise ValueError("n must be nonnegative, not %d" % n)
-    if (A.dim ** (n + 2)) * M.dim > max_cells:
+    if (A.dim ** (n + 2)) * M.dim > MAX_SH_CELLS:
         raise AlgebraError("cochain tables exceed the size bound")
     out = []
     for parity in (EVEN, ODD):

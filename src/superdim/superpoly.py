@@ -79,36 +79,6 @@ def _merge_inversions(left, right):
     return inv
 
 
-def normalize(word, gens):
-    """Normal form of a product of generators in the supercommutative flavor.
-
-    ``word`` is a sequence of generator indices in multiplication order.
-    Returns ``(sign, exps)`` or ``None`` when the product is zero (repeated
-    odd letter).
-
-    >>> gens = (GeneratorSpec("y1", ODD), GeneratorSpec("y2", ODD))
-    >>> normalize((1, 0), gens)
-    (-1, (1, 1))
-    >>> normalize((0, 0), gens) is None
-    True
-    """
-    odd_seq = [i for i in word if gens[i].parity == ODD]
-    seen = set()
-    for i in odd_seq:
-        if i in seen:
-            return None
-        seen.add(i)
-    inv = 0
-    for a in range(len(odd_seq)):
-        for b in range(a + 1, len(odd_seq)):
-            if odd_seq[a] > odd_seq[b]:
-                inv += 1
-    exps = [0] * len(gens)
-    for i in word:
-        exps[i] += 1
-    return (-1 if inv % 2 else 1, tuple(exps))
-
-
 def mul_monomials(m1, m2, gens, flavor):
     """Product of two monomial keys. Returns (sign, key) or None for zero."""
     if flavor == ASSOCIATIVE:
@@ -319,7 +289,6 @@ __all__ = [
     "SUPERCOMMUTATIVE",
     "ASSOCIATIVE",
     "GeneratorSpec",
-    "normalize",
     "mul_monomials",
     "monomial_bidegree",
     "monomial_degree",

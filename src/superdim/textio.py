@@ -644,6 +644,10 @@ def parse_module(text, A):
                 raise ParseError(
                     "unknown basis symbol %r" % sym, SourceSpan(n, body.find(sym) + 1, len(sym))
                 )
+            if (gname, symtab[sym]) in images:
+                raise ParseError(
+                    "second action of %s on %s" % (gname, sym), SourceSpan(n, 1, len(body))
+                )
             col0 = len(body) - len(right)
             span = SourceSpan(n, col0 + 1, max(len(right.strip()), 1))
             node = _parse_expression(right.strip(), n, col0 + (len(right) - len(right.lstrip())))

@@ -8,7 +8,10 @@ import sys
 import pytest
 
 from superdim import cli
+from superdim.algebra import compile_presentation
 from superdim.cli import main
+from superdim.smodule import regular_module
+from superdim.textio import format_module, parse_presentation
 
 ASSETS = os.path.join(os.path.dirname(__file__), "..", "src", "superdim", "assets")
 
@@ -119,6 +122,39 @@ class TestRegular:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestModuleFiles:
+    """A parsed --module file must satisfy the module axioms."""
+
+    LAMBDA3 = "algebra l3 over Q\nflavor supercommutative\nodd z1 z2 z3\ncap %d\nrelations\nend\n"
+
+    def _lambda3_regular_under_cap_2(self, tmp_path):
+        # the regular module of Lambda_3 written out, then read over the
+        # cap-2 quotient, where z1*z2*z3 must act as zero and does not
+        A = compile_presentation(parse_presentation(self.LAMBDA3 % 3))
+        (tmp_path / "l3.alg").write_text(self.LAMBDA3 % 2)
+        (tmp_path / "reg3.mod").write_text(format_module(regular_module(A), name="reg3"))
+        return str(tmp_path / "l3.alg"), str(tmp_path / "reg3.mod")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sdim"], ["gr", "--ideal", "odd-radical", "--verify"]],
+        ids=["sdim", "gr-verify"],
+    )
+    def test_violation_is_usage_error(self, tmp_path, capsys, argv):
+        alg, mod = self._lambda3_regular_under_cap_2(tmp_path)
+        assert main([argv[0], alg, "--module", mod, *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is not a module: word beyond the cap acts nontrivially: z1*z2*z3" in captured.err
+
+    def test_valid_module_file_is_accepted(self, tmp_path, capsys):
+        A = compile_presentation(parse_presentation(self.LAMBDA3 % 3))
+        (tmp_path / "l3.alg").write_text(self.LAMBDA3 % 3)
+        (tmp_path / "reg3.mod").write_text(format_module(regular_module(A), name="reg3"))
+        assert main(["sdim", str(tmp_path / "l3.alg"), "--module", str(tmp_path / "reg3.mod")]) == 0
+        assert "super-dimension: 0|3" in capsys.readouterr().out
 
 
 class TestGr:
@@ -279,6 +315,19 @@ class TestHochschild:
         )
         assert code == 2
 
+
+    @pytest.mark.parametrize(
+        "table", [[1], {"1,2": [3]}], ids=["table-list", "value-list"]
+    )
+    def test_table_that_is_not_an_object_is_usage_error(self, tmp_path, table):
+        bad = tmp_path / "bad_table.json"
+        bad.write_text(json.dumps({"n": 1, "parity": "odd", "table": table}))
+        code, out, err = run_cli(
+            "hochschild", asset("grassmann2.alg"), "--n", "1", "--cocycle", str(bad)
+        )
+        assert code == 2
+        assert "must be JSON objects" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("index", ["99", "-2"])
     def test_value_index_out_of_range_is_usage_error(self, tmp_path, index):

@@ -1,5 +1,9 @@
 """Superized Hochschild cochains, SH^n and square-zero extensions."""
 
+import contextlib
+import io
+import json
+import os
 import random
 from types import SimpleNamespace
 
@@ -13,6 +17,7 @@ from superdim.algebra import (
     table_respects_unit,
 )
 from superdim import hochschild
+from superdim.cli import main
 from superdim.exactlin import QQ, PrimeField
 from superdim.hochschild import (
     MAX_SH_CELLS,
@@ -53,12 +58,12 @@ from oracles import (
 from test_algebra import grassmann
 
 
-def xy2_algebra():
+def xy2_algebra(field=QQ):
     """K[x | y] / (x^2), basis 1, x, y, x*y; odd SH^1 is one-dimensional."""
     gens = (GeneratorSpec("x", EVEN), GeneratorSpec("y", ODD))
-    x = SuperPolynomial.generator(0, SUPERCOMMUTATIVE, gens, QQ)
+    x = SuperPolynomial.generator(0, SUPERCOMMUTATIVE, gens, field)
     return compile_presentation(
-        Presentation(SUPERCOMMUTATIVE, gens, [x * x], 2, QQ, "xy2")
+        Presentation(SUPERCOMMUTATIVE, gens, [x * x], 2, field, "xy2")
     )
 
 
@@ -238,10 +243,11 @@ class TestShDim:
         A = grassmann(3)
         assert sh_dim(A, regular_module(A), 2) == (40, 40)
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
+        monkeypatch.setattr(hochschild, "MAX_SH_CELLS", 10)
         A = grassmann(3)
         with pytest.raises(AlgebraError):
-            sh_dim(A, regular_module(A), 1, max_cells=10)
+            sh_dim(A, regular_module(A), 1)
 
     def test_default_bound_admits_lambda5_at_n1(self, monkeypatch):
         class Admitted(Exception):
@@ -306,9 +312,15 @@ class TestSquareZeroExtensions:
 
 
 class TestAdaptedEquivalence:
-    def test_coboundary_shift_is_equivalent(self):
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=lambda F: F.name)
+    @pytest.mark.parametrize("kind", ["xy2", "table"])
+    def test_coboundary_shift_is_equivalent(self, field, kind):
         rng = rng_for("test_coboundary_shift_is_equivalent")
-        A = xy2_algebra()
+        A = xy2_algebra(field)
+        if kind == "table":
+            # the trivial square-zero extension of xy2: table kind, dim 8
+            A = build_A_pi(A, zero_cochain(1, ODD))
+            assert A.kind == "table"
         M = regular_module(A)
         pi = zero_cochain(1, ODD)
         f = random_in_C(A, M, 0, ODD, rng)
@@ -334,3 +346,42 @@ class TestAdaptedEquivalence:
         zero = zero_cochain(1, ODD)
         assert adapted_equivalence(zero, trivial, A) is not None
         assert adapted_equivalence(zero, nontrivial, A) is None
+
+
+# -- golden reports ----------------------------------------------------------
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "hochschild_reports.json")
+ASSETS = os.path.join(os.path.dirname(__file__), "..", "src", "superdim", "assets")
+
+# (name, cocycle file, classify file): the shipped pair, both ways round
+_GOLDEN_JOBS = (
+    ("coboundary_pi vs zero_pi", "coboundary_pi.json", "zero_pi.json"),
+    ("zero_pi vs coboundary_pi", "zero_pi.json", "coboundary_pi.json"),
+)
+
+
+def hochschild_reports():
+    """``hochschild grassmann2.alg --n 1 --cocycle P --build-api --classify Q
+    --format report`` output of every golden job."""
+    out = {}
+    for name, cocycle, other in _GOLDEN_JOBS:
+        argv = ["hochschild", os.path.join(ASSETS, "grassmann2.alg"), "--n", "1",
+                "--cocycle", os.path.join(ASSETS, cocycle), "--build-api",
+                "--classify", os.path.join(ASSETS, other), "--format", "report"]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        out[name] = {"exit": code, "report": buf.getvalue()}
+    return out
+
+
+def test_hochschild_reports_match_golden():
+    with open(GOLDEN) as fh:
+        assert hochschild_reports() == json.load(fh)
+
+
+if __name__ == "__main__":
+    # Rewrites the golden file; run as  PYTHONPATH=src:tests python tests/test_hochschild.py
+    with open(GOLDEN, "w") as fh:
+        json.dump(hochschild_reports(), fh, indent=1, sort_keys=True)
+        fh.write("\n")

@@ -2,6 +2,7 @@
 each have one implementation, and no scalar division can make a float."""
 
 import ast
+import importlib
 import os
 
 import pytest
@@ -139,3 +140,12 @@ def test_division_check_flags_a_bare_scalar_division():
     assert _float_division_sites("x = a\nx /= b\n") == [2]
     assert _float_division_sites("lead = Fraction(w[0]) / fact\n") == []
     assert _float_division_sites("class FpElement:\n    def f(self, o):\n        return o / self\n") == []
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n[:-3] for n in os.listdir(SRC) if n.endswith(".py") and n != "__main__.py")
+)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module("superdim." + name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, "superdim.%s.__all__ names %s, which it does not define" % (name, missing)

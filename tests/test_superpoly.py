@@ -18,7 +18,6 @@ from superdim.superpoly import (
     monomial_name,
     monomial_parity,
     mul_monomials,
-    normalize,
 )
 
 from oracles import ext_mul
@@ -47,32 +46,6 @@ class TestGeneratorSpec:
             GeneratorSpec("y", ODD, (0, 2))
         with pytest.raises(ValueError):
             GeneratorSpec("x", EVEN, (0, 1))
-
-
-class TestNormalize:
-    def test_swap_sign(self):
-        assert normalize((1, 0), ODD4[:2]) == (-1, (1, 1))
-        assert normalize((0, 1), ODD4[:2]) == (1, (1, 1))
-
-    def test_repeated_odd_is_zero(self):
-        assert normalize((0, 0), ODD4[:2]) is None
-        assert normalize((1, 0, 1), ODD4[:3]) is None
-
-    def test_even_letters_commute_freely(self):
-        gens = (GeneratorSpec("a", EVEN), GeneratorSpec("b", EVEN))
-        assert normalize((1, 0, 1, 0), gens) == (1, (2, 2))
-
-    @given(st.permutations(list(range(4))))
-    @settings(max_examples=30, deadline=None)
-    def test_sign_matches_exterior_oracle(self, word):
-        got = normalize(tuple(word), ODD4)
-        assert got is not None
-        sign = 1
-        acc = frozenset([word[0]])
-        for i in word[1:]:
-            s, acc = ext_mul(acc, frozenset([i]))
-            sign *= s
-        assert got == (sign, (1, 1, 1, 1))
 
 
 class TestMulMonomials:

@@ -233,6 +233,13 @@ class TestModuleGrammar:
         assert e.value.span.line == 4
         assert "not defined over F2" in str(e.value)
 
+    def test_second_action_on_a_symbol_is_refused(self):
+        text = "module m\nm0 : even\nm1 : odd\nz1 m0 -> m1\nz2 m0 -> m1\nz1 m0 -> 2*m1\n"
+        with pytest.raises(ParseError) as e:
+            parse_module(text, self.A)
+        assert e.value.span.line == 6
+        assert "second action of z1 on m0" in str(e.value)
+
     def test_omitted_images_are_zero(self):
         M = parse_module("module m\nm0 : even\n", self.A)
         assert M.actions[0].is_zero()
