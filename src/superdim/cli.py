@@ -382,8 +382,12 @@ def _load_cochain(path, A):
         if not isinstance(raw, dict) or not all(isinstance(v, dict) for v in raw.values()):
             raise ValueError("the table and each of its values must be JSON objects")
         table = {}
+        keys = {}
         for key, vec in raw.items():
             tup = tuple(int(x) for x in key.split(","))
+            if tup in keys:
+                raise ValueError("keys %r and %r name the same tuple" % (keys[tup], key))
+            keys[tup] = key
             table[tup] = {
                 int(r): _scalar_from_json(A.field, c) for r, c in vec.items()
             }

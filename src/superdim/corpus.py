@@ -363,8 +363,11 @@ def build_c2(field=QQ):
         pi'(Y_i Y_j, Y_s Y_k) = -t_skj Y_i,
 
     extended bilinearly over the symbols, with all values reduced in A.
-    It kills the forcing ideal (a verified clause), so it induces the
-    cocycle pi on A used to glue R.
+    So pi' is zero on a pair of words when either word contains a symbol:
+    every nonzero value above has a symbol factor, and every product of
+    two symbols is a relation of A', and so of A.  It kills the forcing
+    ideal (a verified clause), so it induces the cocycle pi on A used to
+    glue R.
     """
     key = ("c2", field.name)
     hit = _CACHE.get(key)
@@ -389,22 +392,15 @@ def build_c2(field=QQ):
     def poly(terms):
         return SuperPolynomial(SUPERCOMMUTATIVE, gens, field, terms)
 
-    def t_times_y(trip, yindex, sign=1):
-        """sign * t_trip * Y_yindex, resolving the antisymmetric symbol."""
+    def t_times_y(trip, yindex=None, sign=1):
+        """sign * t_trip * Y_yindex (t_trip alone without yindex), resolving
+        the antisymmetric symbol."""
         hit = eps.resolve(*trip)
         if hit is None:
             return poly({})
         s, lbl = hit
-        return poly(
-            {mono([(lbl, 1), ("Y%d" % yindex, 1)]): field.of(sign * s)}
-        )
-
-    def t_symbol(trip, sign=1):
-        hit = eps.resolve(*trip)
-        if hit is None:
-            return poly({})
-        s, lbl = hit
-        return poly({mono([(lbl, 1)]): field.of(sign * s)})
+        ys = [("Y%d" % yindex, 1)] if yindex else []
+        return poly({mono([(lbl, 1)] + ys): field.of(sign * s)})
 
     rels = []
     for a in range(nt):
@@ -433,24 +429,18 @@ def build_c2(field=QQ):
 
     def pi_entry(w1, w2):
         """pi'(m1, m2) as a polynomial, for normal monomial words; None = 0."""
-        y1 = [g - nt + 1 for g in w1 if g >= nt]
-        y2 = [g - nt + 1 for g in w2 if g >= nt]
-        if not y1 or not y2 or (len(y1) == 1 and len(y2) == 1):
+        if not w1 or not w2 or len(w1 + w2) == 2 or any(g < nt for g in w1 + w2):
             return None
+        y1 = [g - nt + 1 for g in w1]
+        y2 = [g - nt + 1 for g in w2]
         if len(y1) == 2 and len(y2) == 1:
-            core = t_symbol((y1[0], y1[1], y2[0]))
+            core = t_times_y((y1[0], y1[1], y2[0]))
         elif len(y1) == 1 and len(y2) == 2:
-            core = t_symbol((y2[0], y2[1], y1[0]))
+            core = t_times_y((y2[0], y2[1], y1[0]))
         else:
             (i, j), (s, k) = y1, y2
             core = t_times_y((s, k, j), i, sign=-1)
-        if core.is_zero():
-            return None
-        for w in (w1, w2):
-            for g in w:
-                if g < nt:
-                    core = core * poly({mono([(gens[g].name, 1)]): field.one})
-        return core
+        return None if core.is_zero() else core
 
     def pi_table(source):
         """pi' on the basis pairs of source, with values reduced in A."""

@@ -9,7 +9,8 @@ first-class, since every sign in the coboundary
                            + (-1)^{n+1} f(a0,...,a_n) a_{n+1}
 
 depends on |f|.  The right action in the last term is the twisted one,
-m.a = (-1)^{|a||m|} a.m, applied per basis coordinate of the value.
+m.a = (-1)^{|a||m|} a.m, applied per basis coordinate of the value; only
+on a supercommutative A is it a right action and d a differential.
 
 :func:`coboundary` pushes this formula forward from the nonzero entries of
 f instead of evaluating it on all dim^(n+2) output tuples: an entry at t
@@ -33,18 +34,20 @@ pointwise over the odd part (size-guarded) and solved on the orbit basis.
 
 An odd super-skew pi in C^1(A, A) is the datum of a square-zero extension
 A_pi on A + PiA; pi is a cocycle exactly when the four product rules give
-an associative unital algebra, and two extensions are adaptively
-isomorphic exactly when pi' - pi is a coboundary d0(f) with f odd and
-f(1) = 0.  :func:`adapted_equivalence` builds that linear system from the
-odd coboundary object on the regular module: its columns are the flat
-images of the unit cochains e_i -> e_r.
+an associative unital algebra: pi(1, -) = pi(-, 1) = 0 and d_1 pi = 0 on
+the regular module.  Two extensions are adaptively isomorphic exactly when
+pi' - pi is a coboundary d0(f) with f odd and f(1) = 0.
+:func:`adapted_equivalence` builds that linear system from the odd
+coboundary object on the regular module: its columns are the flat images
+of the unit cochains e_i -> e_r.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .algebra import AlgebraError, FiniteSuperAlgebra, is_algebra_map
+from .algebra import AlgebraError, FiniteSuperAlgebra, is_algebra_map, is_supercommutative
+from .algebra import presented_supercommutative
 from .exactlin import Matrix, kernel_of_constraints, row_rank, solve_sparse, vec_add_scaled
 from .smodule import regular_module
 from .superpoly import EVEN, ODD
@@ -241,6 +244,12 @@ class _Coboundary:
         }
 
 
+def _require_supercommutative(A):
+    """Refuse A unless it is supercommutative, as d is a differential only then."""
+    if not (presented_supercommutative(A) or is_supercommutative(A)):
+        raise AlgebraError("algebra %s is not supercommutative" % A.name)
+
+
 def coboundary(f, A, M):
     """d_n(f) as a Cochain of arity n+2 with the same parity.
 
@@ -348,33 +357,21 @@ def is_super_skew(pi, A):
 
 def is_cocycle_pi(pi, A):
     """Exactly what associativity of the extension table needs, on basis triples:
-    pi(1, a) = 0 and pi(ab, c) - pi(a, bc) + pi(a, b)c - (-1)^{|a|} a pi(b, c) = 0.
+    pi(1, a) = pi(a, 1) = 0 and pi(ab, c) - pi(a, bc) + pi(a, b)c - (-1)^{|a|} a pi(b, c) = 0.
+
+    The second is d_1 pi = 0 for the odd coboundary on the regular module,
+    whatever parity pi declares (the left sign -(-1)^{|a|} is the odd one),
+    since on a supercommutative A, which is required, the twisted right
+    action of the regular module is right multiplication.  So it is one
+    push-forward from the support of pi.
     """
-    dim = A.dim
+    if pi.n != 1:
+        raise AlgebraError("extension data are 2-argument cochains")
+    _require_supercommutative(A)
     unit = A.unit_index
-    for j in range(dim):
-        if pi.value((unit, j)) or pi.value((j, unit)):
-            return False
-    for i in range(dim):
-        sign_a = A.field.one if A.parities[i] == ODD else -A.field.one
-        ei = A.basis_element(i)
-        for j in range(dim):
-            ab = A.mul_basis(i, j)
-            vab = pi.value((i, j))
-            for k in range(dim):
-                acc = {}
-                for r, c in ab.items():
-                    vec_add_scaled(acc, pi.value((r, k)), c)
-                for r, c in A.mul_basis(j, k).items():
-                    vec_add_scaled(acc, pi.value((i, r)), -c)
-                if vab:
-                    vec_add_scaled(acc, A.mul(vab, A.basis_element(k)), A.field.one)
-                vbc = pi.value((j, k))
-                if vbc:
-                    vec_add_scaled(acc, A.mul(ei, vbc), sign_a)
-                if acc:
-                    return False
-    return True
+    if any(pi.value((unit, j)) or pi.value((j, unit)) for j in range(A.dim)):
+        return False
+    return not any(_Coboundary(A, regular_module(A), ODD).image(pi.table, 1).values())
 
 
 def _require_extension_datum(A, pi):
@@ -593,12 +590,13 @@ def sh_dim(A, M, n):
     Per parity, one :class:`_Coboundary` serves both d_n and d_{n-1}; each
     basis image is streamed as a flat sparse vector into the rank-only
     ``row_rank``, so no d is held whole.  Then
-    SH^n = (dim C^n - rank d_n) - rank d_{n-1}.
+    SH^n = (dim C^n - rank d_n) - rank d_{n-1}.  A must be supercommutative.
     """
     if n < 0:
         raise ValueError("n must be nonnegative, not %d" % n)
     if (A.dim ** (n + 2)) * M.dim > MAX_SH_CELLS:
         raise AlgebraError("cochain tables exceed the size bound")
+    _require_supercommutative(A)
     out = []
     for parity in (EVEN, ODD):
         d = _Coboundary(A, M, parity)

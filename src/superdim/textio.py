@@ -615,6 +615,9 @@ def parse_module(text, A):
     if len(parts) != 2 or parts[0] != "module":
         raise ParseError("expected 'module NAME'", SourceSpan(n0, 1, len(header)))
     if parts[1] == "regular":
+        if len(lines) > 1:
+            n, body = lines[1]
+            raise ParseError("nothing may follow 'module regular'", SourceSpan(n, 1, len(body)))
         return regular_module(A)
     name = parts[1]
 

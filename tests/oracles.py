@@ -402,6 +402,48 @@ def echelon_sh_dim(A, M, n):
     return tuple(out)
 
 
+# is_cocycle_pi as it was before it became d_1 on the one coboundary: a scan
+# of all dim^3 basis triples, and the naive associativity scan it matches.
+
+
+def triple_cocycle_pi(pi, A):
+    """pi(1, a) = pi(a, 1) = 0 and, on every basis triple,
+    pi(ab, c) - pi(a, bc) + pi(a, b)c - (-1)^{|a|} a pi(b, c) = 0."""
+    dim = A.dim
+    unit = A.unit_index
+    for j in range(dim):
+        if pi.value((unit, j)) or pi.value((j, unit)):
+            return False
+    for i in range(dim):
+        sign_a = A.field.one if A.parities[i] == ODD else -A.field.one
+        ei = A.basis_element(i)
+        for j in range(dim):
+            ab = A.mul_basis(i, j)
+            vab = pi.value((i, j))
+            for k in range(dim):
+                acc = {}
+                for r, c in ab.items():
+                    vec_add_scaled(acc, pi.value((r, k)), c)
+                for r, c in A.mul_basis(j, k).items():
+                    vec_add_scaled(acc, pi.value((i, r)), -c)
+                if vab:
+                    vec_add_scaled(acc, A.mul(vab, A.basis_element(k)), A.field.one)
+                vbc = pi.value((j, k))
+                if vbc:
+                    vec_add_scaled(acc, A.mul(ei, vbc), sign_a)
+                if acc:
+                    return False
+    return True
+
+
+def naive_is_associative(A):
+    """(e_i e_j) e_k = e_i (e_j e_k) by A.mul on every basis triple."""
+    e = [A.basis_element(i) for i in range(A.dim)]
+    return all(
+        A.mul(A.mul(a, b), c) == A.mul(a, A.mul(b, c)) for a in e for b in e for c in e
+    )
+
+
 # ---------------------------------------------------------------------------
 # the dense row-major Matrix and the row reductions over it, as the package
 # had them before Matrix kept only sparse columns

@@ -31,7 +31,7 @@ from superdim.superpoly import (
 )
 
 from conftest import random_algebra, random_nilpotent_ideal, random_scalar, rng_for
-from oracles import ext_chain_dims, ext_dims_by_degree, ext_mul
+from oracles import ext_chain_dims, ext_dims_by_degree, ext_mul, naive_is_associative
 from oracles import superideal_span as worklist_superideal_span
 
 
@@ -308,6 +308,39 @@ class TestTableKind:
         assert table_is_associative(A)
         e = A.basis_element(1)
         assert A.mul(e, e) == {}
+
+    def test_associativity_matches_naive_scan(self):
+        rng = rng_for("test_associativity_matches_naive_scan")
+        hits = {True: 0, False: 0}
+        for _ in range(60):
+            dim = rng.randint(2, 5)
+            parities = [EVEN] + [rng.choice((EVEN, ODD)) for _ in range(dim - 1)]
+            table = {}
+            for i in range(dim):
+                table[(0, i)] = table[(i, 0)] = {i: QQ.one}
+            for i in range(1, dim):
+                for j in range(1, dim):
+                    if rng.random() < 0.25:
+                        table[(i, j)] = {rng.randrange(1, dim): QQ.of(rng.choice((-1, 1, 2)))}
+            A = FiniteSuperAlgebra.from_table(
+                ["1"] + ["e%d" % i for i in range(1, dim)], parities, QQ, table, 0
+            )
+            ok = table_is_associative(A)
+            assert ok == naive_is_associative(A)
+            hits[ok] += 1
+        assert hits[True] and hits[False]
+
+    def test_failure_where_one_product_is_zero(self):
+        # a b = c and c b = a: (a b) b = a but a (b b) = 0, and every
+        # failing triple has exactly one zero product
+        F = QQ
+        table = {(0, i): {i: F.one} for i in range(4)}
+        table.update({(i, 0): {i: F.one} for i in range(4)})
+        table[(1, 2)] = {3: F.one}
+        table[(3, 2)] = {1: F.one}
+        A = FiniteSuperAlgebra.from_table(["1", "a", "b", "c"], [EVEN] * 4, F, table, 0)
+        assert not naive_is_associative(A)
+        assert not table_is_associative(A)
 
     def test_odd_unit_rejected(self):
         with pytest.raises(AlgebraError):

@@ -392,6 +392,37 @@ class TestHochschild:
         assert "FAIL" not in out + err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("dup", ["1, 2", "01,2"])
+    def test_duplicate_table_key_is_usage_error(self, tmp_path, dup):
+        with open(asset("coboundary_pi.json")) as fh:
+            data = json.load(fh)
+        data["table"][dup] = {"2": {"num": 5, "den": 1}}
+        bad = tmp_path / "dup_pi.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run_cli(
+            "hochschild", asset("grassmann2.alg"), "--n", "1", "--cocycle", str(bad)
+        )
+        assert code == 2
+        assert out == ""
+        assert "keys '1,2' and %r name the same tuple" % dup in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cocycle", [False, True], ids=["sh-dim", "cocycle"])
+    def test_non_supercommutative_algebra_is_refused(self, tmp_path, cocycle):
+        alg = tmp_path / "assoc.alg"
+        alg.write_text(
+            "algebra assoc over Q\nflavor associative\neven x\nodd y\ncap 2\n"
+            "relations\nend\n"
+        )
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps({"n": 1, "parity": "odd", "table": {}}))
+        extra = ["--cocycle", str(zero)] if cocycle else []
+        code, out, err = run_cli("hochschild", str(alg), "--n", "1", *extra, timeout=20)
+        assert code == 2
+        assert out == ""
+        assert "algebra assoc is not supercommutative" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("n", ["-1", "-3"])
     def test_negative_n_is_usage_error(self, n):
         code, out, err = run_cli("hochschild", asset("grassmann2.alg"), "--n", n)
@@ -456,6 +487,16 @@ class TestSubprocess:
             "--elems", "(1+z1)^99999999", timeout=2,
         )
         assert code in (0, 2)
+        assert "Traceback" not in err
+
+    def test_lines_after_module_regular_are_refused(self, tmp_path):
+        mod = tmp_path / "regular_plus.mod"
+        mod.write_text("module regular\nm0 : even\nz1 m0 -> 7*m0\n")
+        code, out, err = run_cli("sdim", asset("grassmann2.alg"), "--module", str(mod), timeout=20)
+        assert code == 2
+        assert out == ""
+        assert "line 2" in err
+        assert "nothing may follow 'module regular'" in err
         assert "Traceback" not in err
 
     def test_huge_scalar_power_in_module_file_is_refused(self, tmp_path):

@@ -16,9 +16,9 @@ from superdim.corpus import (
     verify_c1,
     verify_c2,
 )
-from superdim.exactlin import PrimeField
+from superdim.exactlin import QQ, PrimeField
 from superdim.smodule import check_module
-from superdim.textio import emit_report
+from superdim.textio import emit_report, scalar_to_data
 
 ASSETS = os.path.join(os.path.dirname(__file__), "..", "src", "superdim", "assets")
 
@@ -81,6 +81,25 @@ class TestC2Constants:
         assert cm["drop-strictly-exceeds-one"]
         assert cm["extension-non-split"]
         assert cm["pi-cocycle"] and cm["pi-super-skew"] and cm["pi-in-c1-subcomplex"]
+
+
+def _table_entries(table):
+    """[i, j, r, num, den] for every nonzero value of a basis-pair table."""
+    out = []
+    for (i, j), vec in sorted(table.items()):
+        for r in sorted(vec):
+            d = scalar_to_data(vec[r])
+            out.append([i, j, r, d["num"], d["den"]])
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=lambda F: F.name)
+def test_c2_pi_tables_are_pinned(field):
+    with open(os.path.join(os.path.dirname(__file__), "golden", "c2_pi_tables.json")) as fh:
+        want = json.load(fh)[field.name]
+    data = build_c2(field)
+    assert _table_entries(data.pi_prime) == want["pi_prime"]
+    assert _table_entries(data.pi.table) == want["pi"]
 
 
 class TestGrConstants:

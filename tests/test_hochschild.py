@@ -11,6 +11,7 @@ import pytest
 
 from superdim.algebra import (
     AlgebraError,
+    FiniteSuperAlgebra,
     Presentation,
     compile_presentation,
     table_is_associative,
@@ -39,7 +40,14 @@ from superdim.hochschild import (
 )
 from superdim.sdim import sdim_algebra
 from superdim.smodule import regular_module
-from superdim.superpoly import EVEN, ODD, SUPERCOMMUTATIVE, GeneratorSpec, SuperPolynomial
+from superdim.superpoly import (
+    ASSOCIATIVE,
+    EVEN,
+    ODD,
+    SUPERCOMMUTATIVE,
+    GeneratorSpec,
+    SuperPolynomial,
+)
 
 from conftest import (
     random_algebra,
@@ -54,6 +62,7 @@ from oracles import (
     echelon_sh_dim,
     scan_coboundary,
     solved_cochain_space_basis,
+    triple_cocycle_pi,
 )
 from test_algebra import grassmann
 
@@ -309,6 +318,111 @@ class TestSquareZeroExtensions:
             pytest.skip("unexpectedly a cocycle")
         with pytest.raises(AlgebraError):
             build_A_pi(A, pi)
+
+
+def _cocycle_candidates(A, rng):
+    """Valid, corrupted, unit-breaking and even-declared pi on A."""
+    M = regular_module(A)
+    valid = coboundary(random_in_C(A, M, 0, ODD, rng), A, M)
+    unit = A.unit_index
+    odd = [i for i in range(A.dim) if A.parities[i] == ODD]
+    out = [zero_cochain(1, ODD), valid, random_super_skew(A, rng)]
+    out.append(cochain_add(valid, random_super_skew(A, rng, density=0.2)))
+    if odd:
+        at_unit = Cochain(1, ODD, {(unit, unit): {rng.choice(odd): A.field.one}})
+        out.append(cochain_add(valid, at_unit))
+    out += [Cochain(1, EVEN, p.table) for p in out]
+    return out
+
+
+def _odd_socle(A):
+    """Odd basis elements that every non-unit basis element kills."""
+    return [
+        i
+        for i in range(A.dim)
+        if A.parities[i] == ODD
+        and not any(A.mul_basis(j, i) for j in range(A.dim) if j != A.unit_index)
+    ]
+
+
+class TestCocycleRoute:
+    """is_cocycle_pi is d_1 on the odd coboundary; the triple scan is the reference."""
+
+    @pytest.mark.parametrize(
+        "field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=lambda F: F.name
+    )
+    def test_matches_triple_scan(self, field):
+        rng = rng_for("test_matches_triple_scan_" + field.name)
+        algebras = [random_algebra(rng, max_dim=8, field=field) for _ in range(6)]
+        algebras.append(build_A_pi(xy2_algebra(field), zero_cochain(1, ODD)))
+        assert algebras[-1].kind == "table"
+        hits = {True: 0, False: 0}
+        for A in algebras:
+            for pi in _cocycle_candidates(A, rng):
+                ok = is_cocycle_pi(pi, A)
+                assert ok == triple_cocycle_pi(pi, A)
+                hits[ok] += 1
+        assert hits[True] and hits[False]
+
+    def test_unit_condition_is_checked_apart_from_d1(self):
+        # pi(1, 1) = z for an odd z that all non-unit elements kill has
+        # d_1 pi = 0, so only the unit condition refuses it
+        for s in (1, 3):
+            A = grassmann(s)
+            M = regular_module(A)
+            unit = A.unit_index
+            for z in _odd_socle(A):
+                pi = Cochain(1, ODD, {(unit, unit): {z: QQ.one}})
+                assert coboundary(pi, A, M).is_zero()
+                assert not is_cocycle_pi(pi, A)
+                assert not triple_cocycle_pi(pi, A)
+
+    def test_declared_parity_does_not_change_the_sign(self):
+        # the odd left sign -(-1)^{|a|} applies to an even-declared table too
+        A = xy2_algebra()
+        nontrivial = Cochain(1, ODD, {(1, 1): {2: QQ.one}})
+        shift = coboundary(Cochain(0, ODD, {(2,): {0: QQ.one}}), A, regular_module(A))
+        for pi in (nontrivial, shift):
+            assert is_cocycle_pi(pi, A)
+            assert is_cocycle_pi(Cochain(1, EVEN, pi.table), A)
+
+    def test_arity_other_than_one_is_refused(self):
+        A = grassmann(1)
+        with pytest.raises(AlgebraError, match="2-argument"):
+            is_cocycle_pi(zero_cochain(0, ODD), A)
+
+
+def _associative_x_odd_y(field=QQ):
+    """K<x, y> with x even, y odd, cut at degree 2: not supercommutative."""
+    gens = (GeneratorSpec("x", EVEN), GeneratorSpec("y", ODD))
+    return compile_presentation(Presentation(ASSOCIATIVE, gens, [], 2, field, "xy_assoc"))
+
+
+class TestSupercommutativeRequired:
+    def test_every_entry_point_refuses(self):
+        A = _associative_x_odd_y()
+        assert A.dim == 7
+        zero = zero_cochain(1, ODD)
+        calls = (
+            lambda: sh_dim(A, regular_module(A), 1),
+            lambda: is_cocycle_pi(zero, A),
+            lambda: build_A_pi(A, zero),
+            lambda: adapted_equivalence(zero, zero, A),
+        )
+        for call in calls:
+            with pytest.raises(AlgebraError, match="not supercommutative"):
+                call()
+
+    def test_table_kind_is_checked_by_its_table(self):
+        A = build_A_pi(grassmann(1), zero_cochain(1, ODD))
+        assert A.kind == "table"
+        assert is_cocycle_pi(zero_cochain(1, ODD), A)
+        # x y = y but y x = 0
+        table = {(0, 0): {0: QQ.one}, (0, 1): {1: QQ.one}, (1, 0): {1: QQ.one},
+                 (0, 2): {2: QQ.one}, (2, 0): {2: QQ.one}, (1, 2): {2: QQ.one}}
+        B = FiniteSuperAlgebra.from_table(["1", "x", "y"], [EVEN, EVEN, ODD], QQ, table, 0)
+        with pytest.raises(AlgebraError, match="not supercommutative"):
+            sh_dim(B, regular_module(B), 0)
 
 
 class TestAdaptedEquivalence:

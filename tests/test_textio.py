@@ -219,12 +219,19 @@ class TestModuleGrammar:
             ("module m\nm0 : even\nm0 : odd\n", "duplicate basis symbol"),
             ("module m\nm0 : even\nm1 : odd\nz1 m0 -> 1/0*m1\n", "zero denominator"),
             ("junk\n", "expected 'module NAME'"),
+            ("module regular\nm0 : even\n", "nothing may follow 'module regular'"),
+            ("module regular\n# note\n\nz1 m0 -> 7*m0\n", "nothing may follow"),
         ],
     )
     def test_errors(self, text, fragment):
         with pytest.raises(ParseError) as e:
             parse_module(text, self.A)
         assert fragment in str(e.value)
+
+    def test_lines_after_regular_are_refused_at_their_line(self):
+        with pytest.raises(ParseError) as e:
+            parse_module("module regular\n# note\n\nz1 m0 -> 7*m0\n", self.A)
+        assert e.value.span.line == 4
 
     def test_coefficient_undefined_in_field(self):
         A = compile_presentation(parse_presentation(load("grassmann2.alg"), field=PrimeField(2)))
