@@ -238,11 +238,15 @@ def compile_presentation(pres):
     A.parities = [parities[i] for i in keep]
     A.bidegrees = [monomial_bidegree(m, gens, flavor) for m in basis_monos]
     A.degrees = [k + l for k, l in A.bidegrees]
+    # odd support as a bitmask; an associative word may repeat an odd letter
+    odd = [i for i, g in enumerate(gens) if g.parity == ODD and flavor == SUPERCOMMUTATIVE]
+    A._odd_masks = [sum(1 << i for i in odd if m[i]) for m in basis_monos]
     A.unit_index = 0  # the empty monomial sorts first and is not in the ideal
     assert A.degrees[0] == 0
     A._table = {}
     A._odd_module_generators = None
     A._generators = None
+    A._odd_coboundary = None  # hochschild's, built on first use
     return A
 
 
@@ -282,6 +286,7 @@ class FiniteSuperAlgebra:
         A._table = {k: {i: c for i, c in v.items() if c} for k, v in table.items()}
         A._odd_module_generators = odd_module_generators
         A._generators = None
+        A._odd_coboundary = None
         if A.parities[unit_index] != EVEN:
             raise AlgebraError("unit must be even")
         return A
@@ -301,26 +306,31 @@ class FiniteSuperAlgebra:
         return ps.pop()
 
     def mul_basis(self, i, j):
+        """e_i e_j as a sparse vector, cached per pair.
+
+        On a monomial-kind algebra the product is zero, and no monomial is
+        built, when deg e_i + deg e_j passes the cap or the two monomials
+        share an odd letter (their odd-support masks meet); degree is
+        additive and a repeated odd letter kills a supercommutative
+        monomial.  Otherwise the product monomial is reduced modulo the
+        ideal.
+        """
         key = (i, j)
         hit = self._table.get(key)
         if hit is not None:
             return hit
         if self.kind == "table":
             return {}
-        pres = self.presentation
-        sm = mul_monomials(
-            self._basis_monos[i], self._basis_monos[j], pres.gens, pres.flavor
-        )
-        if sm is None:
+        if self.degrees[i] + self.degrees[j] > self.cap or self._odd_masks[i] & self._odd_masks[j]:
             out = {}
         else:
-            sign, m = sm
-            if monomial_degree(m, pres.gens, pres.flavor) > self.cap:
-                out = {}
-            else:
-                out = self._reduce_mono_vec({self._mono_index[m]: self.field.one})
-                if sign < 0:
-                    out = {k: -c for k, c in out.items()}
+            pres = self.presentation
+            sign, m = mul_monomials(
+                self._basis_monos[i], self._basis_monos[j], pres.gens, pres.flavor
+            )
+            out = self._reduce_mono_vec({self._mono_index[m]: self.field.one})
+            if sign < 0:
+                out = {k: -c for k, c in out.items()}
         self._table[key] = out
         return out
 

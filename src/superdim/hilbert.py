@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import AlgebraError
-from .exactlin import Echelon
+from .exactlin import row_rank
 from .superpoly import (
     ODD,
     SUPERCOMMUTATIVE,
@@ -207,10 +207,11 @@ def _natural_lmax(gens):
 def bigraded_dims(pres, kmax=DEFAULT_KMAX, lmax=None):
     """Bigraded dimension table of the quotient presented by ``pres``.
 
-    Relations must be bihomogeneous; each (k, l) box is echelonized
-    independently, so no degree cap enters.  A table past ``MAX_BOXES``
-    boxes, or whose ideal pieces take more than ``MAX_RELATION_ROWS`` rows,
-    is refused with its predicted size before any work is done.
+    Relations must be bihomogeneous; the ideal piece of each (k, l) box is
+    ranked independently by forward elimination (``row_rank``), so no
+    degree cap enters.  A table past ``MAX_BOXES`` boxes, or whose ideal
+    pieces take more than ``MAX_RELATION_ROWS`` rows, is refused with its
+    predicted size before any work is done.
     """
     if pres.flavor != SUPERCOMMUTATIVE:
         raise AlgebraError("bigraded tables need a supercommutative presentation")
@@ -248,32 +249,32 @@ def bigraded_dims(pres, kmax=DEFAULT_KMAX, lmax=None):
             % (rows, MAX_RELATION_ROWS)
         )
     sources = {}
+
+    def ideal_rows(k, l):
+        """Rows spanning the ideal piece of box (k, l), on its own column numbers."""
+        index = {}
+        for r, (rk, rl) in zip(pres.relations, rel_degs):
+            if rk > k or rl > l or not counts[l - rl][k - rk]:
+                continue
+            monos = sources.get((k - rk, l - rl))
+            if monos is None:
+                monos = sources[(k - rk, l - rl)] = box_monomials(gens, k - rk, l - rl)
+            for m in monos:
+                # distinct relation terms land on distinct products
+                vec = {}
+                for m2, c in r.terms.items():
+                    sm = mul_monomials(m, m2, gens, SUPERCOMMUTATIVE)
+                    if sm is not None:
+                        sign, prod = sm
+                        vec[index.setdefault(prod, len(index))] = c if sign > 0 else -c
+                if vec:
+                    yield vec
+
     dims = {}
     for l in range(lmax + 1):
         for k in range(kmax + 1):
             size = counts[l][k]
-            dims[(k, l)] = size
-            if not size:
-                continue
-            index = {}
-            ech = Echelon(field)
-            for r, (rk, rl) in zip(pres.relations, rel_degs):
-                if rk > k or rl > l or not counts[l - rl][k - rk]:
-                    continue
-                monos = sources.get((k - rk, l - rl))
-                if monos is None:
-                    monos = sources[(k - rk, l - rl)] = box_monomials(gens, k - rk, l - rl)
-                for m in monos:
-                    # distinct relation terms land on distinct products
-                    vec = {}
-                    for m2, c in r.terms.items():
-                        sm = mul_monomials(m, m2, gens, SUPERCOMMUTATIVE)
-                        if sm is not None:
-                            sign, prod = sm
-                            vec[index.setdefault(prod, len(index))] = c if sign > 0 else -c
-                    if vec:
-                        ech.insert(vec)
-            dims[(k, l)] = size - ech.rank
+            dims[(k, l)] = size - row_rank(ideal_rows(k, l), field) if size else 0
     even_count = sum(1 for g in gens if g.parity != ODD)
     return BigradedTable(dims, kmax, lmax, pres.name, even_count)
 

@@ -244,6 +244,13 @@ class _Coboundary:
         }
 
 
+def _odd_regular_coboundary(A):
+    """The odd :class:`_Coboundary` on A's regular module, built once per algebra."""
+    if A._odd_coboundary is None:
+        A._odd_coboundary = _Coboundary(A, regular_module(A), ODD)
+    return A._odd_coboundary
+
+
 def _require_supercommutative(A):
     """Refuse A unless it is supercommutative, as d is a differential only then."""
     if not (presented_supercommutative(A) or is_supercommutative(A)):
@@ -371,7 +378,7 @@ def is_cocycle_pi(pi, A):
     unit = A.unit_index
     if any(pi.value((unit, j)) or pi.value((j, unit)) for j in range(A.dim)):
         return False
-    return not any(_Coboundary(A, regular_module(A), ODD).image(pi.table, 1).values())
+    return not any(_odd_regular_coboundary(A).image(pi.table, 1).values())
 
 
 def _require_extension_datum(A, pi):
@@ -466,7 +473,7 @@ def adapted_equivalence(pi, pi2, A):
         _require_extension_datum(A, p)
     field = A.field
     dim = A.dim
-    d0 = _Coboundary(A, regular_module(A), ODD)
+    d0 = _odd_regular_coboundary(A)
     variables = _odd_map_variables(A)
     eqs = {}
     for t, (i, r) in enumerate(variables):

@@ -22,6 +22,8 @@ enumerator.
 
 from __future__ import annotations
 
+import operator
+
 from .exactlin import QQ, vec_add_scaled
 
 EVEN = 0
@@ -68,28 +70,27 @@ class GeneratorSpec:
         )
 
 
-def _merge_inversions(left, right):
-    # pairs (a in left, b in right) with a > b; both tuples ascending
-    inv = 0
-    j = 0
-    for a in left:
-        while j < len(right) and right[j] < a:
-            j += 1
-        inv += j
-    return inv
-
-
 def mul_monomials(m1, m2, gens, flavor):
-    """Product of two monomial keys. Returns (sign, key) or None for zero."""
+    """Product of two monomial keys. Returns (sign, key) or None for zero.
+
+    Supercommutative keys are multiplied in one pass over the generators,
+    last to first.  The product is None at the first odd letter the two
+    monomials share.  The sign is (-1)^inv, where inv counts, for each odd
+    letter of m2, the odd letters of m1 that come after it: the inversions
+    of the odd subsequence of m1 m2 that the canonical word sorts away.
+    """
     if flavor == ASSOCIATIVE:
         return (1, m1 + m2)
-    odds1 = tuple(i for i, e in enumerate(m1) if e and gens[i].parity == ODD)
-    odds2 = tuple(i for i, e in enumerate(m2) if e and gens[i].parity == ODD)
-    if set(odds1) & set(odds2):
-        return None
-    inv = _merge_inversions(odds1, odds2)
-    exps = tuple(a + b for a, b in zip(m1, m2))
-    return (-1 if inv % 2 else 1, exps)
+    inv = after = 0
+    for i in range(len(gens) - 1, -1, -1):
+        if gens[i].parity == ODD:
+            if m2[i]:
+                if m1[i]:
+                    return None
+                inv += after
+            elif m1[i]:
+                after += 1
+    return (-1 if inv & 1 else 1, tuple(map(operator.add, m1, m2)))
 
 
 def monomial_bidegree(m, gens, flavor):

@@ -2,12 +2,12 @@
 
 Everything here is computed from first principles (combinatorics, naive
 row reduction over Fraction, direct formula evaluation) so that the
-package under test is never the judge of its own output.  The Hochschild
-references, the dense matrix, the enumerated Hilbert tables, the
-basis-stepped filtrations, the Fraction-only rationals, the hand-written
-closures and the eagerly built regular module at the end are the
-exception: they are the package's earlier kernels, kept to pin the current
-ones to the same results.
+package under test is never the judge of its own output.  The three-pass
+monomial product, the Hochschild references, the dense matrix, the
+enumerated Hilbert tables, the basis-stepped filtrations, the
+Fraction-only rationals, the hand-written closures and the eagerly built
+regular module at the end are the exception: they are the package's
+earlier kernels, kept to pin the current ones to the same results.
 """
 
 import itertools
@@ -28,11 +28,11 @@ from superdim.hilbert import DEFAULT_KMAX, BigradedTable, PolynomialFit, _natura
 from superdim.hochschild import Cochain, cochain_space_basis
 from superdim.smodule import ModuleError, SuperModule
 from superdim.superpoly import (
+    ASSOCIATIVE,
     EVEN,
     ODD,
     SUPERCOMMUTATIVE,
     monomial_sort_key,
-    mul_monomials,
 )
 
 
@@ -52,6 +52,29 @@ def epsilon(i, j, k):
     if len({i, j, k}) != 3:
         return 0
     return perm_parity((i, j, k))
+
+
+def reference_mul_monomials(m1, m2, gens, flavor):
+    """The package's earlier monomial product: three generator scans.
+
+    Lists the odd letters of each monomial, refuses a shared one, counts
+    the pairs (a in m1, b in m2) with a > b by a merge, and adds the
+    exponents pairwise.  Returns (sign, key) or None for zero.
+    """
+    if flavor == ASSOCIATIVE:
+        return (1, m1 + m2)
+    odds1 = tuple(i for i, e in enumerate(m1) if e and gens[i].parity == ODD)
+    odds2 = tuple(i for i, e in enumerate(m2) if e and gens[i].parity == ODD)
+    if set(odds1) & set(odds2):
+        return None
+    inv = 0
+    j = 0
+    for a in odds1:
+        while j < len(odds2) and odds2[j] < a:
+            j += 1
+        inv += j
+    exps = tuple(a + b for a, b in zip(m1, m2))
+    return (-1 if inv % 2 else 1, exps)
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +747,7 @@ def enumerated_bigraded_dims(pres, kmax=DEFAULT_KMAX, lmax=None):
                 for m in enumerated_box_monomials(gens, k - rk, l - rl):
                     vec = {}
                     for m2, c in r.terms.items():
-                        sm = mul_monomials(m, m2, gens, SUPERCOMMUTATIVE)
+                        sm = reference_mul_monomials(m, m2, gens, SUPERCOMMUTATIVE)
                         if sm is None:
                             continue
                         sign, prod = sm

@@ -28,10 +28,13 @@ from superdim.superpoly import (
     SUPERCOMMUTATIVE,
     GeneratorSpec,
     SuperPolynomial,
+    monomial_degree,
 )
+from superdim.textio import parse_presentation
 
 from conftest import random_algebra, random_nilpotent_ideal, random_scalar, rng_for
 from oracles import ext_chain_dims, ext_dims_by_degree, ext_mul, naive_is_associative
+from oracles import reference_mul_monomials
 from oracles import superideal_span as worklist_superideal_span
 
 
@@ -157,6 +160,68 @@ class TestGrassmannCompilation:
     def test_unknown_generator(self):
         with pytest.raises(AlgebraError):
             grassmann(2).generator_element("w")
+
+
+ZERO_RULE_CASES = {
+    "lambda6-cap4": ("supercommutative", "odd y1 y2 y3 y4 y5 y6", 4, ""),
+    "lambda4x-cap6": ("supercommutative", "even x\nodd y1 y2 y3 y4", 6, "x^3"),
+    "rel-2-3-cap5": (
+        "supercommutative",
+        "even X1 X2\nodd Y1 Y2 Y3",
+        5,
+        "X1*Y1 - X2*Y2\nX1*X2*Y3",
+    ),
+    "associative-cap4": ("associative", "even x\nodd y", 4, "x*y - y*x"),
+}
+
+
+def _reference_product(A, i, j):
+    """e_i e_j by the earlier route: reference product, cap check, projection.
+
+    Also says whether the product monomial lies outside the basis, so that
+    the projection did work.
+    """
+    pres = A.presentation
+    sm = reference_mul_monomials(A._basis_monos[i], A._basis_monos[j], pres.gens, pres.flavor)
+    if sm is None or monomial_degree(sm[1], pres.gens, pres.flavor) > A.cap:
+        return {}, False
+    out = A._reduce_mono_vec({A._mono_index[sm[1]]: A.field.one})
+    if sm[0] < 0:
+        out = {k: -c for k, c in out.items()}
+    return out, sm[1] not in A._basis_monos
+
+
+class TestMulBasisZeroRule:
+    """mul_basis skips products past the cap or sharing an odd letter."""
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)], ids=lambda F: F.name)
+    @pytest.mark.parametrize("case", sorted(ZERO_RULE_CASES))
+    def test_every_pair_matches_reference(self, case, field):
+        flavor, decls, cap, relations = ZERO_RULE_CASES[case]
+        text = "algebra %s over Q\nflavor %s\n%s\ncap %d\nrelations\n%s\nend\n" % (
+            case, flavor, decls, cap, relations
+        )
+        A = compile_presentation(parse_presentation(text, field))
+        zeros = projected = 0
+        for i in range(A.dim):
+            for j in range(A.dim):
+                want, reduced = _reference_product(A, i, j)
+                assert A.mul_basis(i, j) == want, (A.labels[i], A.labels[j])
+                zeros += not want
+                projected += reduced
+        assert 0 < zeros < A.dim**2
+        if relations:
+            assert projected  # some product monomial is reduced modulo the ideal
+
+    def test_zero_rule_reads_cap_and_odd_support(self):
+        A = compile_presentation(parse_presentation(
+            "algebra l4 over Q\nflavor supercommutative\neven x\nodd y1 y2 y3 y4\ncap 3\n"
+            "relations\nend\n"
+        ))
+        pos = {label: i for i, label in enumerate(A.labels)}
+        assert A.mul_basis(pos["x*y1"], pos["y1*y2"]) == {}  # shared odd letter
+        assert A.mul_basis(pos["x^2"], pos["y1*y2"]) == {}  # degree 4 past the cap
+        assert A.mul_basis(pos["y2"], pos["y1*y3"]) == {pos["y1*y2*y3"]: QQ.of(-1)}
 
 
 class TestRandomCompiledAlgebras:

@@ -20,7 +20,7 @@ from superdim.superpoly import (
     mul_monomials,
 )
 
-from oracles import ext_mul
+from oracles import ext_mul, reference_mul_monomials
 
 ODD4 = tuple(GeneratorSpec("y%d" % i, ODD) for i in range(4))
 MIXED = (
@@ -29,6 +29,37 @@ MIXED = (
     GeneratorSpec("y", ODD),
     GeneratorSpec("z", ODD, (0, 3)),
 )
+
+# (parity, bidegree) of the generators drawn below: odd (0,3) and (1,1)
+# beside the defaults, even (0,2) and (2,0).
+SPECS = (
+    (EVEN, (1, 0)),
+    (EVEN, (0, 2)),
+    (EVEN, (2, 0)),
+    (ODD, (0, 1)),
+    (ODD, (0, 3)),
+    (ODD, (1, 1)),
+)
+
+
+@st.composite
+def monomial_pairs(draw):
+    """(gens, flavor, m1, m2) over a random mixed generator list."""
+    specs = draw(st.lists(st.sampled_from(SPECS), min_size=0, max_size=8))
+    gens = tuple(GeneratorSpec("g%d" % i, p, bd) for i, (p, bd) in enumerate(specs))
+    flavor = draw(st.sampled_from((SUPERCOMMUTATIVE, ASSOCIATIVE)))
+
+    def monomial():
+        if flavor == ASSOCIATIVE:
+            if not gens:
+                return ()
+            letters = st.integers(min_value=0, max_value=len(gens) - 1)
+            return tuple(draw(st.lists(letters, max_size=5)))
+        return tuple(
+            draw(st.integers(min_value=0, max_value=1 if g.parity == ODD else 3)) for g in gens
+        )
+
+    return gens, flavor, monomial(), monomial()
 
 
 class TestGeneratorSpec:
@@ -64,6 +95,12 @@ class TestMulMonomials:
         else:
             sign, prod = want
             assert got == (sign, tuple(1 if i in prod else 0 for i in range(4)))
+
+    @given(monomial_pairs())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_three_pass_reference(self, case):
+        gens, flavor, m1, m2 = case
+        assert mul_monomials(m1, m2, gens, flavor) == reference_mul_monomials(m1, m2, gens, flavor)
 
     def test_associative_concatenates(self):
         assert mul_monomials((0, 1), (1,), ODD4, ASSOCIATIVE) == (1, (0, 1, 1))
