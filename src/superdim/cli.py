@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraError, compile_presentation, odd_radical, superideal_span
 from .corpus import CASES, corpus_all, corpus_report
-from .exactlin import QQ, vec_add_scaled
+from .exactlin import QQ
 from .graded import (
     bgr,
     bgr_module,
@@ -62,9 +62,9 @@ from .smodule import ModuleError, RegularModule, check_module, regular_module
 from .superpoly import EVEN, ODD
 from .textio import (
     ParseError,
-    _parse_expression,
     emit_report,
     field_from_name,
+    parse_elements,
     parse_module,
     parse_presentation,
     scalar_to_data,
@@ -106,36 +106,6 @@ def _load_module(args, A):
         if bad:
             raise UsageError("%s is not a module: %s" % (args.module, bad[0]))
     return M
-
-
-def _eval_element(text, A):
-    """One comma-free expression in the generators, as an algebra vector."""
-    node = _parse_expression(text, 1, 0)
-    return _element_of_node(node, A)
-
-
-def _element_of_node(node, A):
-    kind = node[0]
-    if kind == "num":
-        c = A.field.of(node[1])
-        return {A.unit_index: c} if c else {}
-    if kind == "ident":
-        return A.generator_element(node[1])
-    if kind == "neg":
-        return {r: -c for r, c in _element_of_node(node[1], A).items()}
-    if kind in ("add", "sub"):
-        sign = A.field.one if kind == "add" else -A.field.one
-        left = dict(_element_of_node(node[1], A))
-        return vec_add_scaled(left, _element_of_node(node[2], A), sign)
-    if kind == "mul":
-        return A.mul(_element_of_node(node[1], A), _element_of_node(node[2], A))
-    if kind == "pow":
-        return A.power_of_element(_element_of_node(node[1], A), node[2])
-    raise AssertionError("unreachable node kind %r" % (kind,))
-
-
-def _eval_elements(text, A):
-    return [_eval_element(chunk.strip(), A) for chunk in text.split(",") if chunk.strip()]
 
 
 def _sdim_text(sd):
@@ -227,7 +197,7 @@ def _cmd_odd_params(args):
 def _cmd_regular(args):
     A = _load_algebra(args)
     M = _load_module(args, A)
-    ys = _eval_elements(args.elems, A)
+    ys = parse_elements(args.elems, A)
     if not ys:
         raise UsageError("--elems needs at least one element")
     rep = verify_factoring(M, ys)
@@ -266,7 +236,7 @@ def _cmd_gr(args):
     if args.ideal == "odd-radical":
         ideal = odd_radical(A)
     else:
-        ideal = superideal_span(A, _eval_elements(args.ideal, A))
+        ideal = superideal_span(A, parse_elements(args.ideal, A))
     G = gr(A, ideal)
     GM = gr_module(M, ideal, graded_algebra=G)
     sd = sdim(M)

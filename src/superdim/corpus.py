@@ -731,8 +731,8 @@ def verify_flat_example(field=QQ):
     MR = regular_module(R)
     clauses = []
 
-    mat = MR.act_element(y)
-    clauses.append({"id": "y-multiplication-rank-half", "ok": 2 * rank(mat) == R.dim})
+    rank_y = rank(MR.act_element(y))
+    clauses.append({"id": "y-multiplication-rank-half", "ok": 2 * rank_y == R.dim})
 
     line = _grassmann(field, 1, name="K[y]")
     sdline = sdim_algebra(line)
@@ -769,7 +769,7 @@ def verify_flat_example(field=QQ):
         "field": field.name,
         "clauses": clauses,
         "constants": {
-            "rank_y": rank(mat),
+            "rank_y": rank_y,
             "dim_R": R.dim,
             "sdim": sdr.as_json(),
             "sdim_quotient_by_y": sdq.as_json(),

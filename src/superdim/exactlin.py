@@ -19,6 +19,8 @@ A :class:`Subspace` is the package's one graded span: it closes a span
 under linear maps (``close``), tests that closure (``is_closed``) and
 projects onto the coordinates outside its pivots (``complement``).  Every
 superideal, submodule and quotient elsewhere is built through those three.
+:func:`representatives` picks the rows of a span that are a basis modulo
+lower spans and reads classes over them off one tagged echelon.
 
 All pivot choices are "first nonzero column" (the last in :func:`row_rank`),
 so every reduced object and every basis this module returns is
@@ -799,3 +801,36 @@ class Subspace:
 
     def __repr__(self):
         return "Subspace(dim %d = %d|%d)" % (self.dim, *self.dims())
+
+
+def representatives(stage, below, first):
+    """((parity, row) pairs, echelon): the basis rows of ``stage`` whose
+    classes are a basis modulo the span of the Subspaces ``below``, and one
+    Echelon that gives classes over them.
+
+    The echelon starts from copies of the even and odd rows of below[0].
+    Those have disjoint supports (coordinates of one parity each), so
+    together they are already fully reduced and nothing is eliminated
+    again; further subspaces in ``below`` are inserted on top.  Each basis
+    row of ``stage`` in turn whose residual keeps an ambient coordinate
+    (one < n = len(stage.parities)) becomes representative i = first,
+    first + 1, ... and is inserted with the tag coordinate n + i set to 1.
+    A vector equal to sum_i c_i rep_i modulo ``below`` thus reduces to
+    {n + i: -c_i}; one whose residual keeps an ambient coordinate lies
+    outside the span.
+    """
+    n = len(stage.parities)
+    ech = Echelon(stage.field)
+    if below:
+        ech.rows = {p: dict(r) for E in (below[0].even, below[0].odd) for p, r in E.rows.items()}
+        for S in below[1:]:
+            for row in S.basis():
+                ech.insert(row)
+    reps = []
+    for parity, row in stage.basis_with_parity():
+        res = ech.reduce(row)
+        if res and min(res) < n:
+            res[n + first + len(reps)] = stage.field.one
+            ech.insert(res)
+            reps.append((parity, dict(row)))
+    return reps, ech

@@ -6,8 +6,8 @@ I_{k,l} = I_0^k I_1^l A (even and odd parts of I separately) and takes
 components I_{k,l} / (I_{k+1,l} + I_{k,l+1}).  Both are realized as
 table-kind algebras on chosen representatives: a representative basis is
 extracted deterministically from the echelonized filtration, and products
-of representatives are re-expressed in the next component by an augmented
-echelon solve.
+of representatives are re-expressed in the next component by the stage's
+tagged echelon.
 
 All four constructions (``gr``, ``gr_module``, ``bgr``, ``bgr_module``)
 share three private builders:
@@ -23,8 +23,9 @@ share three private builders:
   generators y_i of A (``_lattice_multipliers``).  Otherwise they are the
   ideal's basis rows;
 * the components: ``_Components`` walks the stage keys (n or (k, l)) in
-  sorted order, picks representatives of each stage modulo the stage(s)
-  below it and keeps one class solver per stage;
+  sorted order; per stage, one echelon seeded with the stage(s) below it
+  (``exactlin.representatives``) picks the representatives, tagged by
+  their global index, and ``_Components.coords`` reads classes off it;
 * the assembly: ``_Components.classes`` re-expresses act(a, rep) in the
   stage whose key is the sum of the two keys, which gives both the product
   table of the graded algebra (``_Components.algebra``, with the unit
@@ -49,6 +50,7 @@ odd radical A A_1 (``verify_graded_comparison``).
 from __future__ import annotations
 
 import operator
+from collections import Counter
 
 from .algebra import (
     AlgebraError,
@@ -60,7 +62,7 @@ from .algebra import (
     presented_supercommutative,
     require_two_sided,
 )
-from .exactlin import Echelon, Matrix, Subspace, row_rank
+from .exactlin import Matrix, representatives, row_rank
 from .sdim import sdim
 from .smodule import RegularModule, SuperModule, regular_module
 from .superpoly import EVEN, SUPERCOMMUTATIVE
@@ -131,66 +133,37 @@ def ideal_powers(A, ideal):
     return [A.full_subspace()] + filtration_chain(ideal, step, A.dim, "ideal")
 
 
-def _component_reps(stage, below):
-    """Rows of `stage` whose classes form a basis modulo `below`."""
-    grow = below.copy()
-    reps = []
-    for parity, row in stage.basis_with_parity():
-        if grow.insert(row):
-            reps.append((parity, dict(row)))
-    return reps
-
-
-class _ClassSolver:
-    """Coordinates in stage/below with respect to chosen representatives."""
-
-    def __init__(self, ambient_dim, field, below, reps):
-        self.ambient_dim = ambient_dim
-        self.ech = Echelon(field)
-        for row in below.basis():
-            self.ech.insert(row)
-        for k, (_p, r) in enumerate(reps):
-            tagged = dict(r)
-            tagged[ambient_dim + k] = field.one
-            self.ech.insert(tagged)
-
-    def coords(self, vec):
-        res = self.ech.reduce(vec)
-        out = {}
-        for c, x in res.items():
-            if c < self.ambient_dim:
-                raise AlgebraError("vector does not lie in the expected stage")
-            out[c - self.ambient_dim] = -x
-        return out
-
-
 class _Components:
     """Stage by stage representatives of a filtration of X, in key order.
 
     ``stages`` maps a key to its stage; the stages below a key are those
     under the keys ``below(key)``.  ``reps`` are (parity, row) pairs and
-    ``keys[i]`` is the stage key of ``reps[i]``; ``solvers`` and
-    ``positions`` give, per key, class coordinates and the indices of that
-    stage's representatives.
+    ``keys[i]`` is the stage key of ``reps[i]``.  Per key, one echelon
+    (``exactlin.representatives``) both picks the stage's representatives
+    and gives the class of a stage vector over them (``coords``).
     """
 
     def __init__(self, X, stages, below):
-        self.reps, self.keys, self.solvers, self.positions = [], [], {}, {}
+        self.ambient = X.dim
+        self.reps, self.keys, self.echelons = [], [], {}
         for key in sorted(stages):
-            parts = [stages[b] for b in below(key) if b in stages]
-            if len(parts) == 1:
-                under = parts[0]
-            else:
-                under = Subspace.span(X.parities, X.field, (r for S in parts for r in S.basis()))
-            comp = _component_reps(stages[key], under)
-            self.solvers[key] = _ClassSolver(X.dim, X.field, under, comp)
-            self.positions[key] = list(range(len(self.reps), len(self.reps) + len(comp)))
+            under = [stages[b] for b in below(key) if b in stages]
+            comp, self.echelons[key] = representatives(stages[key], under, len(self.reps))
             self.reps.extend(comp)
             self.keys.extend([key] * len(comp))
 
     @property
     def rows(self):
         return [r for _p, r in self.reps]
+
+    def coords(self, key, vec):
+        """The class of a vector of stage ``key``: {rep index: coefficient}."""
+        out = {}
+        for c, x in self.echelons[key].reduce(vec).items():
+            if c < self.ambient:
+                raise AlgebraError("vector does not lie in the expected stage")
+            out[c - self.ambient] = -x
+        return out
 
     def classes(self, act, left, add):
         """For each (key, element) in ``left``, the columns of its action:
@@ -200,12 +173,8 @@ class _Components:
             cols = []
             for rkey, (_p, r) in zip(self.keys, self.reps):
                 key = add(lkey, rkey)
-                vec = act(a, r) if key in self.solvers else None
-                if vec:
-                    base = self.positions[key]
-                    cols.append({base[t]: c for t, c in self.solvers[key].coords(vec).items()})
-                else:
-                    cols.append({})
+                vec = act(a, r) if key in self.echelons else None
+                cols.append(self.coords(key, vec) if vec else {})
             yield cols
 
     def algebra(self, A, add, tag, name, degrees=None):
@@ -214,16 +183,15 @@ class _Components:
         table = {
             (i, j): col for i, cols in enumerate(columns) for j, col in enumerate(cols) if col
         }
-        top = min(self.solvers)  # the key of the whole of A
-        unit_coords = self.solvers[top].coords(A.unit_element())
-        if list(unit_coords.values()) != [A.field.one]:
+        unit = self.coords(min(self.echelons), A.unit_element())  # the key of the whole of A
+        if list(unit.values()) != [A.field.one]:
             raise AlgebraError("unit class is not a single representative")
         return FiniteSuperAlgebra.from_table(
             labels=["[%s]@%s" % (A.element_name(r), tag(k)) for k, r in zip(self.keys, self.rows)],
             parities=[p for p, _r in self.reps],
             field=A.field,
             table=table,
-            unit_index=self.positions[top][next(iter(unit_coords))],
+            unit_index=next(iter(unit)),
             name=name,
             degrees=degrees,
         )
@@ -239,43 +207,49 @@ class _Components:
 class _Graded:
     """A graded object; ``keys`` holds the stage key of each representative."""
 
+    def __init__(self, keys, reps):
+        self.keys = keys
+        self.reps = reps
+
     @property
     def dim(self):
         return len(self.keys)
 
     def component_dims(self):
-        out = {}
-        for key in self.keys:
-            out[key] = out.get(key, 0) + 1
-        return out
+        return dict(Counter(self.keys))
 
 
 class GradedSuperAlgebra(_Graded):
     """Table-kind algebra on component representatives, with degrees."""
 
-    def __init__(self, algebra, degrees, reps, powers, source, ideal):
+    def __init__(self, algebra, components, powers, source, ideal):
+        super().__init__(components.keys, components.rows)
+        self.components = components
         self.algebra = algebra
-        self.degrees = self.keys = degrees
-        self.reps = reps
+        self.degrees = self.keys
         self.powers = powers
         self.source = source
         self.ideal = ideal
 
+
 class BigradedSuperAlgebra(_Graded):
-    def __init__(self, algebra, bidegrees, reps, lattice, source, ideal):
+    def __init__(self, algebra, components, lattice, source, ideal):
+        super().__init__(components.keys, components.rows)
+        self.components = components
         self.algebra = algebra
-        self.bidegrees = self.keys = bidegrees
-        self.reps = reps
+        self.bidegrees = self.keys
         self.lattice = lattice
         self.source = source
         self.ideal = ideal
 
+
 class GradedSuperModule(_Graded):
-    def __init__(self, module, degrees, reps, powers):
+    def __init__(self, module, keys, reps, powers):
+        super().__init__(keys, reps)
         self.module = module
-        self.degrees = self.keys = degrees
-        self.reps = reps
+        self.degrees = self.keys
         self.powers = powers
+
 
 def _add_pairs(a, b):
     return (a[0] + b[0], a[1] + b[1])
@@ -294,13 +268,8 @@ def gr(A, ideal, name=None):
     """The graded algebra of the filtration by powers of a superideal."""
     powers = ideal_powers(A, ideal)
     comps = _Components(A, dict(enumerate(powers)), _below_n)
-    algebra = comps.algebra(
-        A, operator.add, str, name or ("gr " + A.name), degrees=list(comps.keys)
-    )
-    out = GradedSuperAlgebra(algebra, comps.keys, comps.rows, powers, A, ideal)
-    out._solvers = comps.solvers
-    out._positions = comps.positions
-    return out
+    algebra = comps.algebra(A, operator.add, str, name or ("gr " + A.name), list(comps.keys))
+    return GradedSuperAlgebra(algebra, comps, powers, A, ideal)
 
 
 def _checked(M, ideal, graded, build):
@@ -332,9 +301,7 @@ def class_in_degree(G, vec, degree):
 
     The vector must lie in the degree-th power of the filtration ideal.
     """
-    coords = G._solvers[degree].coords(vec)
-    base = G._positions[degree]
-    return {base[k]: c for k, c in coords.items()}
+    return G.components.coords(degree, vec)
 
 
 def bgr(A, ideal, name=None):
@@ -350,10 +317,7 @@ def bgr(A, ideal, name=None):
     lattice = _lattice(A, A.mul, A, ideal, "ideal")
     comps = _Components(A, lattice, _below_kl)
     algebra = comps.algebra(A, _add_pairs, lambda kl: "(%d,%d)" % kl, name or ("bgr " + A.name))
-    out = BigradedSuperAlgebra(algebra, comps.keys, comps.rows, lattice, A, ideal)
-    out._solvers = comps.solvers
-    out._positions = comps.positions
-    return out
+    return BigradedSuperAlgebra(algebra, comps, lattice, A, ideal)
 
 
 def bgr_module(M, ideal, bigraded_algebra=None, name=None):
@@ -376,7 +340,7 @@ def bgr_to_gr_surjective(B, G):
         by_total.setdefault(kl[0] + kl[1], []).append(rep)
     field = G.algebra.field
     for n in range(len(G.powers)):
-        coords = (G._solvers[n].coords(rep) for rep in by_total.get(n, []))
+        coords = (G.components.coords(n, rep) for rep in by_total.get(n, []))
         if row_rank((c for c in coords if c), field) != G.degrees.count(n):
             return False
     return True

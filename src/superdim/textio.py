@@ -27,6 +27,9 @@ The module grammar, relative to a compiled algebra A:
     Z1 m0 -> m1                  # generator action, omitted images are 0
     Y  m1 -> -1*m0 + 1/2*m1
 
+A list of algebra elements (``parse_elements``) is comma-separated
+expressions in the generators, like ``z1, 1/2*z2 - z1*z3``.
+
 Reports serialize to JSON with sorted keys; rationals become
 {"num": ..., "den": ...} objects and matrices row-major arrays, so two
 runs over the same input emit identical bytes.
@@ -59,6 +62,7 @@ __all__ = [
     "field_from_name",
     "parse_presentation",
     "parse_module",
+    "parse_elements",
     "format_presentation",
     "format_module",
     "emit_report",
@@ -376,6 +380,47 @@ def _combo_eval(node, symtab, field, span_of_line):
         except ValueError as exc:
             raise ParseError(str(exc), span_of_line)
     raise AssertionError("unreachable node kind %r" % (kind,))
+
+
+def _element_eval(node, A):
+    """Evaluate an expression tree to an element vector of the algebra A."""
+    kind = node[0]
+    if kind == "num":
+        c = A.field.of(node[1])
+        return {A.unit_index: c} if c else {}
+    if kind == "ident":
+        try:
+            return A.generator_element(node[1])
+        except AlgebraError:
+            raise ParseError("unknown generator %r" % node[1], node[2])
+    if kind == "neg":
+        return {r: -c for r, c in _element_eval(node[1], A).items()}
+    if kind in ("add", "sub"):
+        sign = A.field.one if kind == "add" else -A.field.one
+        return vec_add_scaled(dict(_element_eval(node[1], A)), _element_eval(node[2], A), sign)
+    if kind == "mul":
+        return A.mul(_element_eval(node[1], A), _element_eval(node[2], A))
+    if kind == "pow":
+        return A.power_of_element(_element_eval(node[1], A), node[2])
+    raise AssertionError("unreachable node kind %r" % (kind,))
+
+
+def parse_elements(text, A):
+    """Comma-separated expressions in A's generators, as element vectors;
+    an error is located on line 1 at its column in ``text``."""
+    out, col0 = [], 0
+    for chunk in text.split(","):
+        body = chunk.strip()
+        if body:
+            start = col0 + len(chunk) - len(chunk.lstrip())
+            node = _parse_expression(body, 1, start)
+            try:
+                out.append(_element_eval(node, A))
+            except ZeroDivisionError:
+                raise ParseError("a coefficient is not defined over %s" % A.field.name,
+                                 SourceSpan(1, start + 1, len(body)))
+        col0 += len(chunk) + 1
+    return out
 
 
 # ---------------------------------------------------------------------------

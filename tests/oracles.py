@@ -5,9 +5,10 @@ row reduction over Fraction, direct formula evaluation) so that the
 package under test is never the judge of its own output.  The three-pass
 monomial product, the Hochschild references, the dense matrix, the
 enumerated Hilbert tables, the basis-stepped filtrations, the
-Fraction-only rationals, the hand-written closures and the eagerly built
-regular module at the end are the exception: they are the package's
-earlier kernels, kept to pin the current ones to the same results.
+Fraction-only rationals, the hand-written closures, the eagerly built
+regular module and the two-pass graded components at the end are the
+exception: they are the package's earlier kernels, kept to pin the current
+ones to the same results.
 """
 
 import itertools
@@ -15,12 +16,18 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from superdim.algebra import AlgebraError, presented_supercommutative, require_two_sided
+from superdim.algebra import (
+    AlgebraError,
+    FiniteSuperAlgebra,
+    presented_supercommutative,
+    require_two_sided,
+)
 from superdim.exactlin import (
     Echelon,
     Matrix,
     Subspace,
     kernel_of_constraints,
+    row_rank,
     vec_add_scaled,
     vec_dot,
 )
@@ -1097,3 +1104,120 @@ def eager_regular_module(A):
         cols = [A.mul(gvec, A.basis_element(j)) for j in range(A.dim)]
         actions.append(Matrix.from_cols_sparse(A.dim, cols, A.field))
     return SuperModule(A, list(A.parities), actions, name=A.name + " regular")
+
+
+# ---------------------------------------------------------------------------
+# graded components in two passes: one copy of the stage below picks the
+# representatives, then a class solver inserts that stage again, row by row,
+# with the tagged representatives.  Copied from the package as it was before
+# one tagged echelon per stage did both, apart from the names; the
+# filtrations are the package's.
+
+
+def _two_pass_reps(stage, below):
+    """Rows of `stage` whose classes form a basis modulo `below`."""
+    grow = below.copy()
+    reps = []
+    for parity, row in stage.basis_with_parity():
+        if grow.insert(row):
+            reps.append((parity, dict(row)))
+    return reps
+
+
+class _ClassSolver:
+    """Coordinates in stage/below with respect to chosen representatives."""
+
+    def __init__(self, ambient_dim, field, below, reps):
+        self.ambient_dim = ambient_dim
+        self.ech = Echelon(field)
+        for row in below.basis():
+            self.ech.insert(row)
+        for k, (_p, r) in enumerate(reps):
+            tagged = dict(r)
+            tagged[ambient_dim + k] = field.one
+            self.ech.insert(tagged)
+
+    def coords(self, vec):
+        res = self.ech.reduce(vec)
+        out = {}
+        for c, x in res.items():
+            if c < self.ambient_dim:
+                raise AlgebraError("vector does not lie in the expected stage")
+            out[c - self.ambient_dim] = -x
+        return out
+
+
+class TwoPassComponents:
+    """Stage by stage representatives of a filtration of X, in key order,
+    with one class solver and one list of representative positions per key."""
+
+    def __init__(self, X, stages, below):
+        self.reps, self.keys, self.solvers, self.positions = [], [], {}, {}
+        for key in sorted(stages):
+            parts = [stages[b] for b in below(key) if b in stages]
+            if len(parts) == 1:
+                under = parts[0]
+            else:
+                under = Subspace.span(X.parities, X.field, (r for S in parts for r in S.basis()))
+            comp = _two_pass_reps(stages[key], under)
+            self.solvers[key] = _ClassSolver(X.dim, X.field, under, comp)
+            self.positions[key] = list(range(len(self.reps), len(self.reps) + len(comp)))
+            self.reps.extend(comp)
+            self.keys.extend([key] * len(comp))
+
+    @property
+    def rows(self):
+        return [r for _p, r in self.reps]
+
+    def class_in_degree(self, vec, key):
+        base = self.positions[key]
+        return {base[t]: c for t, c in self.solvers[key].coords(vec).items()}
+
+    def classes(self, act, left, add):
+        for lkey, a in left:
+            cols = []
+            for rkey, (_p, r) in zip(self.keys, self.reps):
+                key = add(lkey, rkey)
+                vec = act(a, r) if key in self.solvers else None
+                cols.append(self.class_in_degree(vec, key) if vec else {})
+            yield cols
+
+    def algebra(self, A, add, tag, name, degrees=None):
+        columns = self.classes(A.mul, zip(self.keys, self.rows), add)
+        table = {
+            (i, j): col for i, cols in enumerate(columns) for j, col in enumerate(cols) if col
+        }
+        top = min(self.solvers)
+        unit_coords = self.solvers[top].coords(A.unit_element())
+        if list(unit_coords.values()) != [A.field.one]:
+            raise AlgebraError("unit class is not a single representative")
+        return FiniteSuperAlgebra.from_table(
+            labels=["[%s]@%s" % (A.element_name(r), tag(k)) for k, r in zip(self.keys, self.rows)],
+            parities=[p for p, _r in self.reps],
+            field=A.field,
+            table=table,
+            unit_index=self.positions[top][next(iter(unit_coords))],
+            name=name,
+            degrees=degrees,
+        )
+
+    def module(self, M, keys, rows, algebra, add):
+        """The actions over ``algebra``, whose representatives are ``rows``
+        with stage keys ``keys``."""
+        columns = self.classes(M.apply_element, zip(keys, rows), add)
+        actions = [Matrix.from_cols_sparse(len(self.reps), cols, M.field) for cols in columns]
+        return SuperModule(algebra, [p for p, _r in self.reps], actions)
+
+
+def two_pass_bgr_to_gr_surjective(bkeys, brows, G):
+    """Componentwise surjection of the bigraded representatives onto the
+    components of the TwoPassComponents ``G`` of a gr filtration."""
+    by_total = {}
+    for kl, rep in zip(bkeys, brows):
+        by_total.setdefault(kl[0] + kl[1], []).append(rep)
+    field = next(iter(G.solvers.values())).ech.field
+    for n in sorted(G.solvers):
+        coords = (G.solvers[n].coords(rep) for rep in by_total.get(n, []))
+        if row_rank((c for c in coords if c), field) != G.keys.count(n):
+            return False
+    return True

@@ -489,6 +489,22 @@ class TestSubprocess:
         assert code in (0, 2)
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "args, where",
+        [
+            (("gr", asset("grassmann2.alg"), "--field", "f5", "--ideal", "1/5*z1"),
+             "line 1, column 1"),
+            (("regular", asset("grassmann2.alg"), "--module", asset("regular.mod"),
+              "--field", "f5", "--elems", "z1,(1/5)*z2"), "line 1, column 4"),
+        ],
+    )
+    def test_element_coefficient_undefined_over_fp(self, args, where):
+        code, out, err = run_cli(*args, timeout=20)
+        assert code == 2
+        assert out == ""
+        assert "%s: a coefficient is not defined over F5" % where in err
+        assert "Traceback" not in err
+
     def test_lines_after_module_regular_are_refused(self, tmp_path):
         mod = tmp_path / "regular_plus.mod"
         mod.write_text("module regular\nm0 : even\nz1 m0 -> 7*m0\n")

@@ -17,6 +17,7 @@ from superdim.exactlin import (
     kernel_basis,
     kernel_of_constraints,
     rank,
+    representatives,
     row_rank,
     rref,
     solve,
@@ -484,3 +485,63 @@ class TestSubspaceClosure:
             vec = _random_vector(rng, field, n, density=0.7)
             assert {keep[k]: x for k, x in project(vec).items()} == T.residual(vec)
         assert closed_outcomes == {False, True}
+
+
+class TestRepresentatives:
+    """Representatives of a span modulo lower spans, and their classes."""
+
+    def _cases(self):
+        for field in (QQ, PrimeField(5)):
+            rng = rng_for("representatives-%s" % field)
+            for _ in range(30):
+                n = rng.randint(1, 8)
+                parities = [rng.randint(0, 1) for _ in range(n)]
+                rows = [_random_vector(rng, field, n) for _ in range(rng.randint(1, 6))]
+                stage = Subspace.span(parities, field, rows)
+                below = [
+                    Subspace.span(parities, field, rng.sample(stage.basis(), rng.randint(0, stage.dim)))
+                    for _ in range(rng.randint(0, 2))
+                ]
+                yield rng, field, stage, below
+
+    def test_picks_a_basis_modulo_below(self):
+        for _rng, field, stage, below in self._cases():
+            first = 3
+            reps, _ech = representatives(stage, below, first)
+            lower = Subspace.span(stage.parities, field, (r for S in below for r in S.basis()))
+            assert len(reps) == stage.dim - lower.dim
+            total = Subspace.span(stage.parities, field, lower.basis() + [r for _p, r in reps])
+            assert total == stage
+            assert all(r in stage.basis() for _p, r in reps)
+
+    def test_echelon_gives_classes(self):
+        for rng, field, stage, below in self._cases():
+            n, first = len(stage.parities), 2
+            reps, ech = representatives(stage, below, first)
+            coeffs = [random_scalar(field, rng) for _ in reps]
+            vec = {}
+            for S in below:
+                for row in S.basis():
+                    vec_add_scaled(vec, row, random_scalar(field, rng))
+            for c, (_p, r) in zip(coeffs, reps):
+                vec_add_scaled(vec, r, c)
+            want = {n + first + i: -c for i, c in enumerate(coeffs) if c}
+            assert ech.reduce(vec) == want
+
+    def test_echelon_stays_fully_reduced(self):
+        for _rng, _field, stage, below in self._cases():
+            _reps, ech = representatives(stage, below, 0)
+            for p, row in ech.rows.items():
+                assert min(row) == p and row[p] == 1
+                assert not any(q in row for q in ech.rows if q != p)
+
+    def test_seed_is_not_mutated(self):
+        # the representative e1 gets pivot 2, which the seeded row e1 + e2
+        # holds: back-substitution must change the echelon's copy only
+        T = Subspace([0, 0, 0], QQ)
+        T.insert({1: 1, 2: 1})
+        stage = Subspace.span([0, 0, 0], QQ, [{0: 1}, {1: 1}, {2: 1}])
+        reps, ech = representatives(stage, [T], 0)
+        assert [r for _p, r in reps] == [{0: 1}, {1: 1}]
+        assert T.basis() == [{1: 1, 2: 1}]
+        assert ech.rows[1] == {1: 1, 4: 1}

@@ -1,6 +1,7 @@
 """Associated graded and bigraded structures of superideal filtrations."""
 
 import json
+import operator
 import os
 
 import pytest
@@ -15,8 +16,11 @@ from superdim.algebra import (
     table_is_associative,
 )
 from superdim.corpus import build_c1
-from superdim.exactlin import QQ, PrimeField
+from superdim.exactlin import QQ, PrimeField, vec_add_scaled
 from superdim.graded import (
+    _add_pairs,
+    _below_kl,
+    _below_n,
     bgr,
     bgr_module,
     bgr_to_gr_surjective,
@@ -26,11 +30,11 @@ from superdim.graded import (
     ideal_powers,
     verify_graded_comparison,
 )
-from superdim.smodule import SuperModule, check_module, regular_module
+from superdim.smodule import SuperModule, check_module, parity_shift, regular_module
 from superdim.superpoly import ASSOCIATIVE, EVEN, GeneratorSpec
 
 from conftest import random_algebra, random_module, random_nilpotent_ideal, rng_for
-from oracles import eager_regular_module
+from oracles import TwoPassComponents, eager_regular_module, two_pass_bgr_to_gr_surjective
 from test_algebra import grassmann
 
 
@@ -203,6 +207,70 @@ class TestRegularShortcut:
         G = gr(A, odd_radical(A))
         GM = gr_module(regular_module(A), odd_radical(A), graded_algebra=G)
         assert GM.component_dims() == G.component_dims()
+
+
+def _same_algebra(got, want):
+    assert got.labels == want.labels
+    assert got.parities == want.parities
+    assert got._table == want._table
+    assert got.unit_index == want.unit_index
+
+
+def _stages(filtration):
+    return filtration if isinstance(filtration, dict) else dict(enumerate(filtration))
+
+
+def _check_against_two_pass(A, I, modules):
+    """gr, bgr, their modules over ``modules``, class_in_degree and
+    bgr_to_gr_surjective against the two-pass construction."""
+    G, B = gr(A, I), bgr(A, I)
+    graded = []
+    for X, stages, below, add, tag in (
+        (G, G.powers, _below_n, operator.add, str),
+        (B, B.lattice, _below_kl, _add_pairs, lambda kl: "(%d,%d)" % kl),
+    ):
+        R = TwoPassComponents(A, _stages(stages), below)
+        assert (X.keys, X.reps) == (R.keys, R.rows)
+        _same_algebra(X.algebra, R.algebra(A, add, tag, X.algebra.name))
+        graded.append((X, R, below, add))
+    RG = graded[0][1]
+    for n, stage in enumerate(G.powers):
+        rows = stage.basis()
+        for vec in rows + [vec_add_scaled(dict(rows[0]), rows[-1], A.field.of(3))]:
+            assert class_in_degree(G, vec, n) == RG.class_in_degree(vec, n)
+    assert bgr_to_gr_surjective(B, G) == two_pass_bgr_to_gr_surjective(B.keys, B.reps, RG)
+    for M in modules:
+        for (X, R, below, add), build in zip(graded, (gr_module, bgr_module)):
+            XM = build(M, I, X)
+            RM = TwoPassComponents(M, _stages(XM.powers), below)
+            assert (XM.keys, XM.reps) == (RM.keys, RM.rows)
+            want = RM.module(M, R.keys, R.rows, X.algebra, add)
+            assert XM.module.parities == want.parities
+            assert XM.module.actions == want.actions
+
+
+class TestTwoPassReference:
+    """One tagged echelon per stage gives what the two-pass construction
+    gave: representatives, keys, product tables, module actions, classes."""
+
+    def test_shortcut_cases_and_modules(self):
+        rng = rng_for("two-pass-reference-modules")
+        for A, I in _shortcut_cases():
+            _check_against_two_pass(A, I, [parity_shift(regular_module(A)), random_module(rng, A)])
+
+    def test_c1_module(self):
+        data = build_c1()
+        R = data.R
+        for I in (superideal_span(R, [R.generator_element("Y")]), odd_radical(R)):
+            _check_against_two_pass(R, I, [data.M])
+
+    def test_vector_outside_its_stage_is_refused(self):
+        for _name, A, I in golden_cases():
+            G = gr(A, I)
+            RG = TwoPassComponents(A, dict(enumerate(G.powers)), _below_n)
+            for classify in (lambda v: class_in_degree(G, v, 1), lambda v: RG.class_in_degree(v, 1)):
+                with pytest.raises(AlgebraError, match="does not lie in the expected stage"):
+                    classify(A.unit_element())
 
 
 class TestComparison:

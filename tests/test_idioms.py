@@ -1,5 +1,6 @@
 """Source idioms: sparse accumulation and the closure of a span under maps
-each have one implementation, and no scalar division can make a float."""
+each have one implementation, only exactlin handles an Echelon, and no
+scalar division can make a float."""
 
 import ast
 import importlib
@@ -95,6 +96,33 @@ def test_closure_check_flags_hand_written_worklists():
     )
     assert _worklist_closure_sites(module_span) == [8]
     assert _worklist_closure_sites("while queue:\n    queue.pop()\n") == []
+
+
+def _echelon_import_sites(source):
+    """Lines of an import that names ``Echelon``: outside ``exactlin`` a
+    span goes through Subspace, row_rank or representatives."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and any(alias.name.split(".")[-1] == "Echelon" for alias in node.names)
+    ]
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(n for n in os.listdir(SRC) if n.endswith(".py") and n != "exactlin.py"),
+)
+def test_only_exactlin_uses_echelon(name):
+    with open(os.path.join(SRC, name)) as fh:
+        sites = _echelon_import_sites(fh.read())
+    assert not sites, "%s: imports Echelon at lines %s; use the exactlin span API" % (name, sites)
+
+
+def test_echelon_import_check_flags_an_import():
+    assert _echelon_import_sites("from .exactlin import Echelon, Matrix, Subspace\n") == [1]
+    assert _echelon_import_sites("import os\nfrom superdim.exactlin import Echelon as E\n") == [2]
+    assert _echelon_import_sites("from .exactlin import Matrix, representatives\n") == []
 
 
 def _float_division_sites(source):

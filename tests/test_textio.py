@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from superdim.algebra import compile_presentation
-from superdim.exactlin import FpElement, Matrix, PrimeField, QQ
+from superdim.exactlin import FpElement, Matrix, PrimeField, QQ, vec_add_scaled
 from superdim.sdim import EMPTY_SDIM, SuperDimension
 from superdim.smodule import regular_module
 from superdim.textio import (
@@ -15,6 +15,7 @@ from superdim.textio import (
     emit_report,
     format_module,
     format_presentation,
+    parse_elements,
     parse_module,
     parse_presentation,
     report_to_data,
@@ -250,6 +251,30 @@ class TestModuleGrammar:
     def test_omitted_images_are_zero(self):
         M = parse_module("module m\nm0 : even\n", self.A)
         assert M.actions[0].is_zero()
+
+
+class TestElements:
+    def setup_method(self):
+        self.A = compile_presentation(parse_presentation(load("grassmann2.alg")))
+
+    def test_comma_separated_expressions(self):
+        A = self.A
+        z1, z2 = A.generator_element("z1"), A.generator_element("z2")
+        got = parse_elements(" z1 , 1/2*z2 - z1*z2,, (1+z1)^3", A)
+        half_z2 = vec_add_scaled({}, z2, Fraction(1, 2))
+        assert got[0] == z1
+        assert got[1] == vec_add_scaled(half_z2, A.mul(z1, z2), -1)
+        assert got[2] == vec_add_scaled(A.unit_element(), z1, 3)
+        assert len(got) == 3
+
+    def test_errors_name_their_column(self):
+        with pytest.raises(ParseError, match="line 1, column 6: expected a number"):
+            parse_elements("z1, (", self.A)
+        with pytest.raises(ParseError, match="line 1, column 8: unknown generator 'q'"):
+            parse_elements("z1, z2*q", self.A)
+        F5 = compile_presentation(parse_presentation(load("grassmann2.alg"), field=PrimeField(5)))
+        with pytest.raises(ParseError, match="line 1, column 5: a coefficient is not defined"):
+            parse_elements("z1, 2/5*z2", F5)
 
 
 class TestReports:
