@@ -19,7 +19,7 @@ from .algebra import (
     quotient_algebra,
     superideal_span,
 )
-from .exactlin import FpElement, Matrix, PrimeField, QQ, RationalField, Subspace
+from .exactlin import Matrix, PrimeField, QQ, RationalField, Subspace
 from .graded import (
     bgr,
     bgr_module,

@@ -180,6 +180,7 @@ def compile_presentation(pres):
             "cap %d admits more than %d normal monomials" % (pres.cap, MAX_MONOMIALS)
         )
     gens, flavor, field, cap = pres.gens, pres.flavor, pres.field, pres.cap
+    neg = field.neg
     monomials = _enumerate_monomials(gens, flavor, cap)
     index = {m: i for i, m in enumerate(monomials)}
 
@@ -204,7 +205,7 @@ def compile_presentation(pres):
                 else mul_monomials(m, g, gens, flavor)
             )
             if sm is not None and monomial_degree(sm[1], gens, flavor) <= cap:
-                out[index[sm[1]]] = -c if sm[0] < 0 else c
+                out[index[sm[1]]] = neg(c) if sm[0] < 0 else c
         return out
 
     # two-sided graded ideal closure; for the supercommutative flavor the
@@ -330,18 +331,20 @@ class FiniteSuperAlgebra:
             )
             out = self._reduce_mono_vec({self._mono_index[m]: self.field.one})
             if sign < 0:
-                out = {k: -c for k, c in out.items()}
+                neg = self.field.neg
+                out = {k: neg(c) for k, c in out.items()}
         self._table[key] = out
         return out
 
     def mul(self, u, v):
+        field = self.field
         out = {}
         for i, a in u.items():
             if not a:
                 continue
             for j, b in v.items():
                 if b:
-                    vec_add_scaled(out, self.mul_basis(i, j), a * b)
+                    vec_add_scaled(out, self.mul_basis(i, j), a * b, field)
         return out
 
     def power_of_element(self, vec, n):
@@ -458,6 +461,7 @@ def is_supercommutative(A):
     Over characteristic 2 the sign law is vacuous and the square condition
     carries the content, so both are always checked.
     """
+    neg = A.field.neg
     for i in range(A.dim):
         if A.parities[i] == ODD:
             if A.mul_basis(i, i):
@@ -466,7 +470,7 @@ def is_supercommutative(A):
             ab = A.mul_basis(i, j)
             ba = A.mul_basis(j, i)
             if A.parities[i] == ODD and A.parities[j] == ODD:
-                ba = {k: -c for k, c in ba.items()}
+                ba = {k: neg(c) for k, c in ba.items()}
             if ab != ba:
                 return False
     return True
@@ -618,7 +622,7 @@ def table_is_associative(A):
     (e_i e_j) e_k = sum_r (e_i e_j)_r e_r e_k and
     e_i (e_j e_k) = sum_r (e_j e_k)_r e_i e_r.  Both sides are empty, so
     the triple is skipped, when e_i e_j = 0 and e_j e_k = 0."""
-    n = A.dim
+    n, field = A.dim, A.field
     table = [[A.mul_basis(i, j) for j in range(n)] for i in range(n)]
     nonzero = [[k for k in range(n) if row[k]] for row in table]
     for row_i in table:
@@ -627,10 +631,10 @@ def table_is_associative(A):
             for k in range(n) if ij else nonzero[j]:
                 left = {}
                 for r, a in ij.items():
-                    vec_add_scaled(left, table[r][k], a)
+                    vec_add_scaled(left, table[r][k], a, field)
                 right = {}
                 for r, b in row_j[k].items():
-                    vec_add_scaled(right, row_i[r], b)
+                    vec_add_scaled(right, row_i[r], b, field)
                 if left != right:
                     return False
     return True

@@ -113,7 +113,7 @@ def _combine(field, *pairs):
     """Exact linear combination sum(coeff * vec) of sparse vectors."""
     out = {}
     for coeff, vec in pairs:
-        vec_add_scaled(out, vec, field.of(coeff))
+        vec_add_scaled(out, vec, field.of(coeff), field)
     return out
 
 
@@ -222,7 +222,7 @@ def build_c1(field=QQ):
                 col[nB + r] = c
             cols.append(col)
         for j in range(nB):
-            cols.append({nB + r: -c for r, c in phis[i][j].items()})
+            cols.append({nB + r: field.neg(c) for r, c in phis[i][j].items()})
         actions.append(Matrix.from_cols_sparse(dim, cols, field))
     one = field.one
     ycols = [{nB + j: one} for j in range(nB)] + [{} for _ in range(nB)]
@@ -499,7 +499,7 @@ def _bilinear_value(table, u, v, field):
         for j, b in v.items():
             hit = table.get((i, j))
             if hit and a and b:
-                vec_add_scaled(out, hit, a * b)
+                vec_add_scaled(out, hit, a * b, field)
     return out
 
 

@@ -2,10 +2,14 @@
 
 A scalar over Q is an ``int`` when its denominator is 1 and a
 ``fractions.Fraction`` otherwise (``RationalField.of`` normalises input
-that way); over GF(p) it is an :class:`FpElement`.  Arithmetic may still
-yield an integral Fraction, which is exact and equals and hashes like the
-int, so nothing normalises it in the hot loops.  Division of scalars goes
-only through ``field.inv``: int / int would be a float.
+that way).  A pivot row scaled by a Fraction stores its integral entries as
+ints; the update loops may still yield an integral Fraction, which is exact
+and equals and hashes like the int, so nothing normalises it there.  Over
+GF(p) a scalar is an ``int`` in 0..p-1.  Every stored scalar (in a vector,
+a row, a matrix column) stays in that range, while a coefficient handed to
+:func:`vec_add_scaled` may be any int: the kernels reduce each updated
+entry mod p once.  Negation goes through ``field.neg``, and division only
+through ``field.inv``: int / int would be a float.
 Vectors are sparse dicts index -> nonzero scalar, and a :class:`Matrix` (the
 exchange format used across the package) is a list of such column dicts.
 :func:`vec_add_scaled` is the package's one sparse accumulation: every
@@ -30,6 +34,7 @@ deterministic.
 from __future__ import annotations
 
 import heapq
+import operator
 from fractions import Fraction
 
 
@@ -38,9 +43,15 @@ class RationalField:
     a Fraction otherwise."""
 
     name = "Q"
-    characteristic = 0
     zero = 0
     one = 1
+    neg = operator.neg  # a builtin, so QQ.neg(x) runs no Python frame
+
+    def __init__(self):
+        # an instance attribute, as in PrimeField: every kernel call reads
+        # it, and CPython 3.11 reads an instance attribute faster than a
+        # class attribute through an instance
+        self.characteristic = 0
 
     def of(self, x):
         if type(x) is int:
@@ -65,81 +76,6 @@ class RationalField:
         return "Q"
 
 
-class FpElement:
-    """An element of GF(p), kept reduced to 0..p-1.
-
-    Supports mixed arithmetic with plain ints so sign bookkeeping like
-    ``(-1) * x`` works uniformly for both scalar kinds.
-    """
-
-    __slots__ = ("val", "p")
-
-    def __init__(self, val, p):
-        self.val = val % p
-        self.p = p
-
-    def _lift(self, other):
-        if isinstance(other, FpElement):
-            if other.p != self.p:
-                raise ValueError("mixed prime fields")
-            return other.val
-        if isinstance(other, int):
-            return other % self.p
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._lift(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElement(self.val + v, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._lift(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElement(self.val - v, self.p)
-
-    def __rsub__(self, other):
-        v = self._lift(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElement(v - self.val, self.p)
-
-    def __mul__(self, other):
-        v = self._lift(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElement(self.val * v, self.p)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if self.val == 0:
-            raise ZeroDivisionError("inverse of zero in GF(p)")
-        return FpElement(pow(self.val, self.p - 2, self.p), self.p)
-
-    def __neg__(self):
-        return FpElement(-self.val, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, FpElement):
-            return self.p == other.p and self.val == other.val
-        if isinstance(other, int):
-            return self.val == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.val, self.p))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __repr__(self):
-        return "%d(mod %d)" % (self.val, self.p)
-
-
 def _is_prime(n):
     if n < 2:
         return False
@@ -152,9 +88,11 @@ def _is_prime(n):
 
 
 class PrimeField:
-    """GF(p) for a prime p."""
+    """GF(p) for a prime p; a scalar is an int in 0..p-1."""
 
     characteristic = None  # set per instance
+    zero = 0
+    one = 1
 
     def __init__(self, p):
         if not _is_prime(p):
@@ -162,23 +100,22 @@ class PrimeField:
         self.p = p
         self.characteristic = p
         self.name = "F%d" % p
-        # FpElement is never assigned to after construction, so the
-        # constants are shared.
-        self.zero = FpElement(0, p)
-        self.one = FpElement(1, p)
 
     def inv(self, x):
-        return x.inverse()
+        x %= self.p
+        if not x:
+            raise ZeroDivisionError("inverse of zero in GF(%d)" % self.p)
+        return pow(x, self.p - 2, self.p)
 
     def of(self, x):
-        if isinstance(x, FpElement):
-            if x.p != self.p:
-                raise ValueError("mixed prime fields")
-            return x
+        """x mod p; a Fraction is its numerator times the inverse of its
+        denominator, so a denominator divisible by p raises ZeroDivisionError."""
         if isinstance(x, Fraction):
-            num = FpElement(x.numerator, self.p)
-            return num * FpElement(x.denominator, self.p).inverse()
-        return FpElement(x, self.p)
+            return x.numerator * self.inv(x.denominator) % self.p
+        return x % self.p
+
+    def neg(self, x):
+        return -x % self.p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -207,8 +144,23 @@ def field_from_name(name):
 # sparse vectors: dict index -> nonzero scalar
 
 
-def vec_add_scaled(target, src, coeff):
-    """target += coeff * src, in place, dropping zeros."""
+def vec_add_scaled(target, src, coeff, field):
+    """target += coeff * src, in place, dropping zeros.
+
+    Over GF(p) coeff may be any int; each updated entry is reduced mod p.
+    """
+    p = field.characteristic
+    if p:
+        coeff %= p
+        if not coeff:
+            return target
+        for c, x in src.items():
+            val = (target.get(c, 0) + coeff * x) % p
+            if val:
+                target[c] = val
+            else:
+                target.pop(c, None)
+        return target
     if not coeff:
         return target
     for c, x in src.items():
@@ -221,7 +173,7 @@ def vec_add_scaled(target, src, coeff):
     return target
 
 
-def vec_dot(a, b):
+def vec_dot(a, b, field):
     if len(a) > len(b):
         a, b = b, a
     total = None
@@ -229,7 +181,9 @@ def vec_dot(a, b):
         y = b.get(c)
         if y is not None:
             total = x * y if total is None else total + x * y
-    return total  # None means zero
+    if total is None or not field.characteristic:
+        return total  # None means zero
+    return total % field.characteristic
 
 
 # Bits a numerator or denominator of a power may reach before it is refused.
@@ -266,6 +220,21 @@ def power(x, n, one, mul, scalars):
     return out
 
 
+def _scaled(v, inv, p):
+    """{c: x * inv} as a fresh dict: reduced mod p when p is nonzero; over Q
+    (p = 0) an integral product is stored as the int, so a pivot row scaled
+    by a Fraction holds no Fraction with denominator 1."""
+    if p:
+        return {c: x * inv % p for c, x in v.items()}
+    if type(inv) is int:
+        return {c: x * inv for c, x in v.items()}
+    out = {}
+    for c, x in v.items():
+        y = x * inv
+        out[c] = y.numerator if type(y) is Fraction and y.denominator == 1 else y
+    return out
+
+
 class Echelon:
     """Fully reduced sparse row echelon over a fixed field.
 
@@ -298,12 +267,25 @@ class Echelon:
         # This loop and the one in insert inline vec_add_scaled: they are the
         # package's hottest, and a call per row made the benchmark slower.
         v = {c: x for c, x in vec.items() if x}
+        rows = self.rows
+        p = self.field.characteristic
+        if p:
+            for c in sorted(v):
+                coef = v.get(c)
+                if coef is None or c not in rows:
+                    continue
+                for c2, x in rows[c].items():
+                    val = (v.get(c2, 0) - coef * x) % p
+                    if val:
+                        v[c2] = val
+                    else:
+                        v.pop(c2, None)
+            return v
         for c in sorted(v):
             coef = v.get(c)
-            if coef is None or c not in self.rows:
+            if coef is None or c not in rows:
                 continue
-            row = self.rows[c]
-            for c2, x in row.items():
+            for c2, x in rows[c].items():
                 y = v.get(c2)
                 val = -coef * x if y is None else y - coef * x
                 if val:
@@ -319,17 +301,29 @@ class Echelon:
             return None
         piv = min(v)
         inv = self.field.inv(v[piv])
-        row = {c: x * inv for c, x in v.items()}
+        p = self.field.characteristic
+        # a fresh row: v lost entries in reduce, and a dict keeps the room
+        # of what it lost, which every later pass over the row would cross
+        row = _scaled(v, inv, p)
         for r2 in self.rows.values():
             coef = r2.get(piv)
-            if coef:
+            if not coef:
+                continue
+            if p:
                 for c, x in row.items():
-                    y = r2.get(c)
-                    val = -coef * x if y is None else y - coef * x
+                    val = (r2.get(c, 0) - coef * x) % p
                     if val:
                         r2[c] = val
                     else:
                         r2.pop(c, None)
+                continue
+            for c, x in row.items():
+                y = r2.get(c)
+                val = -coef * x if y is None else y - coef * x
+                if val:
+                    r2[c] = val
+                else:
+                    r2.pop(c, None)
         self.rows[piv] = row
         return piv
 
@@ -371,6 +365,7 @@ def _pivot_rows(vectors, field):
     8.5 s).
     """
     rows = {}
+    p = field.characteristic
     for vec in vectors:
         v = {c: x for c, x in vec.items() if x}
         todo = [-c for c in v]  # a heap of the columns to clear, largest first
@@ -383,9 +378,23 @@ def _pivot_rows(vectors, field):
             row = rows.get(piv)
             if row is None:
                 inv = field.inv(coef)
-                rows[piv] = v if inv == 1 else {c: x * inv for c, x in v.items()}
+                rows[piv] = v if inv == 1 else _scaled(v, inv, p)
                 break
-            # inlined like Echelon.reduce; a new column goes on the heap
+            # inlined like Echelon.reduce; a new column goes on the heap.  Over
+            # GF(p) a new entry -coef * x is nonzero, as p is prime.
+            if p:
+                for c, x in row.items():
+                    y = v.get(c)
+                    if y is None:
+                        v[c] = -coef * x % p
+                        heapq.heappush(todo, -c)
+                    else:
+                        y = (y - coef * x) % p
+                        if y:
+                            v[c] = y
+                        else:
+                            del v[c]
+                continue
             for c, x in row.items():
                 y = v.get(c)
                 if y is None:
@@ -480,9 +489,10 @@ class Matrix:
     def apply(self, vec):
         """Matrix @ sparse vector (dict col -> scalar) -> sparse dict."""
         cols = self.cols
+        field = self.field
         out = {}
         for j, coeff in vec.items():
-            vec_add_scaled(out, cols[j], coeff)
+            vec_add_scaled(out, cols[j], coeff, field)
         return out
 
     def compose(self, other):
@@ -499,23 +509,24 @@ class Matrix:
         return not any(self.cols)
 
     def scaled(self, coeff):
-        cols = [vec_add_scaled({}, c, coeff) for c in self.cols]
+        cols = [vec_add_scaled({}, c, coeff, self.field) for c in self.cols]
         return Matrix(self.nrows, self.ncols, cols, self.field)
 
     def _combined(self, other, coeff):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("dimension mismatch")
-        cols = [vec_add_scaled(dict(a), b, coeff) for a, b in zip(self.cols, other.cols)]
+        field = self.field
+        cols = [vec_add_scaled(dict(a), b, coeff, field) for a, b in zip(self.cols, other.cols)]
         return Matrix(self.nrows, self.ncols, cols, self.field)
 
     def __add__(self, other):
         return self._combined(other, self.field.one)
 
     def __sub__(self, other):
-        return self._combined(other, -self.field.one)
+        return self._combined(other, -1)
 
     def __neg__(self):
-        return self.scaled(-self.field.one)
+        return self.scaled(-1)
 
     def __eq__(self, other):
         return (
@@ -554,7 +565,7 @@ def kernel_basis(m):
     """Basis of {v : m @ v = 0}, as dense lists, one per free column."""
     red, pivots = rref(m)
     pivset = set(pivots)
-    zero, one = m.field.zero, m.field.one
+    zero, one, neg = m.field.zero, m.field.one, m.field.neg
     basis = []
     for j in range(m.ncols):
         if j in pivset:
@@ -562,13 +573,13 @@ def kernel_basis(m):
         v = [zero] * m.ncols
         v[j] = one
         for r, x in red.cols[j].items():
-            v[pivots[r]] = -x
+            v[pivots[r]] = neg(x)
         basis.append(v)
     return basis
 
 
-def in_span(vs, v):
-    """Is v in the span of the vectors vs (all of equal length)?"""
+def in_span(vs, v, field):
+    """Is v in the span of the vectors vs (all of equal length) over field?"""
     vs = [list(u) for u in vs]
     v = list(v)
     for u in vs:
@@ -576,18 +587,10 @@ def in_span(vs, v):
             raise ValueError("dimension mismatch")
     if not vs:
         return not any(v)
-    field = _field_of_scalars(vs[0] + v)
     ech = Echelon(field)
     for u in vs:
         ech.insert({i: x for i, x in enumerate(u) if x})
     return ech.contains({i: x for i, x in enumerate(v) if x})
-
-
-def _field_of_scalars(xs):
-    for x in xs:
-        if isinstance(x, FpElement):
-            return PrimeField(x.p)
-    return QQ
 
 
 def solve(m, b):
@@ -629,7 +632,7 @@ def kernel_of_constraints(n, constraints, field):
     for con in constraints:
         if not con:
             continue
-        vals = [vec_dot(con, v) for v in basis]
+        vals = [vec_dot(con, v, field) for v in basis]
         pivot = None
         for k, val in enumerate(vals):
             if val:
@@ -644,7 +647,7 @@ def kernel_of_constraints(n, constraints, field):
             if k == pivot:
                 continue
             if vals[k]:
-                v = vec_add_scaled(dict(v), pvec, -vals[k] * inv)
+                v = vec_add_scaled(dict(v), pvec, -vals[k] * inv, field)
             new_basis.append(v)
         basis = new_basis
     return basis

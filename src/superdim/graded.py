@@ -158,11 +158,12 @@ class _Components:
 
     def coords(self, key, vec):
         """The class of a vector of stage ``key``: {rep index: coefficient}."""
-        out = {}
-        for c, x in self.echelons[key].reduce(vec).items():
+        ech, out = self.echelons[key], {}
+        neg = ech.field.neg
+        for c, x in ech.reduce(vec).items():
             if c < self.ambient:
                 raise AlgebraError("vector does not lie in the expected stage")
-            out[c - self.ambient] = -x
+            out[c - self.ambient] = neg(x)
         return out
 
     def classes(self, act, left, add):

@@ -219,6 +219,7 @@ def bigraded_dims(pres, kmax=DEFAULT_KMAX, lmax=None):
         raise ValueError("kmax and lmax must be nonnegative")
     gens = pres.gens
     field = pres.field
+    neg = field.neg
     rel_degs = []
     for r in pres.relations:
         bd = r.bidegree()
@@ -266,7 +267,7 @@ def bigraded_dims(pres, kmax=DEFAULT_KMAX, lmax=None):
                     sm = mul_monomials(m, m2, gens, SUPERCOMMUTATIVE)
                     if sm is not None:
                         sign, prod = sm
-                        vec[index.setdefault(prod, len(index))] = c if sign > 0 else -c
+                        vec[index.setdefault(prod, len(index))] = c if sign > 0 else neg(c)
                 if vec:
                     yield vec
 

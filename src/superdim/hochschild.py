@@ -124,23 +124,22 @@ def zero_cochain(n, parity):
     return Cochain(n, parity, {})
 
 
-def cochain_add(f, g):
+def cochain_add(f, g, field, coeff=1):
+    """f + coeff * g over field."""
     if f.n != g.n or f.parity != g.parity:
         raise AlgebraError("cochain shape mismatch")
     table = {t: dict(v) for t, v in f.table.items()}
     for t, v in g.table.items():
-        vec_add_scaled(table.setdefault(t, {}), v, 1)
+        vec_add_scaled(table.setdefault(t, {}), v, coeff, field)
     return Cochain(f.n, f.parity, table)
 
 
-def cochain_scale(f, coeff):
-    return Cochain(
-        f.n, f.parity, {t: {r: coeff * c for r, c in v.items()} for t, v in f.table.items()}
-    )
+def cochain_scale(f, coeff, field):
+    return cochain_add(zero_cochain(f.n, f.parity), f, field, coeff)
 
 
-def cochain_sub(f, g):
-    return cochain_add(f, cochain_scale(g, -1))
+def cochain_sub(f, g, field):
+    return cochain_add(f, g, field, -1)
 
 
 def cochain_parity_violations(f, A, target_parities):
@@ -172,11 +171,10 @@ class _Coboundary:
     it to the coordinates code * M.dim + r.
     """
 
-    __slots__ = ("dim", "mdim", "preimages", "actions", "one")
+    __slots__ = ("dim", "mdim", "preimages", "actions", "field")
 
     def __init__(self, A, M, parity):
         dim = A.dim
-        one = M.field.one
         preimages = [[] for _ in range(dim)]
         for a in range(dim):
             for b in range(dim):
@@ -189,22 +187,23 @@ class _Coboundary:
         actions = [[] for _ in range(M.dim)]
         for a in range(dim):
             odd = A.parities[a] == ODD
-            left = one if parity == ODD and odd else -one
+            left = 1 if parity == ODD and odd else -1
             for r, col in enumerate(M.act_basis(a).cols):
                 if col:
-                    actions[r].append((a, col, left, -one if odd and M.parities[r] else one))
+                    actions[r].append((a, col, left, -1 if odd and M.parities[r] else 1))
         self.dim = dim
         self.mdim = M.dim
         self.preimages = preimages
         self.actions = actions
-        self.one = one
+        self.field = M.field
 
     def image(self, table, n):
         """d_n of the cochain with this table, as {output code: value}."""
         dim = self.dim
+        field = self.field
         preimages = self.preimages
         actions = self.actions
-        right = -self.one if n % 2 == 0 else self.one  # (-1)^{n+1}
+        right = -1 if n % 2 == 0 else 1  # (-1)^{n+1}
         top = dim ** (n + 1)
         # slot i: the code of t[i+1:] is below w = dim^(n-i), and t[:i]
         # moves up past the pair (a, b) that replaces t[i]
@@ -217,12 +216,13 @@ class _Coboundary:
             for i, w in slots:
                 base = code // (w * dim) * (w * dim * dim) + code % w
                 for ab, c in preimages[t[i]]:
-                    vec_add_scaled(out.setdefault(base + ab * w, {}), val, -c if i % 2 else c)
+                    vec_add_scaled(out.setdefault(base + ab * w, {}), val, -c if i % 2 else c,
+                                   field)
             for r, x in val.items():
                 xr = right * x
                 for a, col, left, twist in actions[r]:
-                    vec_add_scaled(out.setdefault(a * top + code, {}), col, left * x)
-                    vec_add_scaled(out.setdefault(code * dim + a, {}), col, twist * xr)
+                    vec_add_scaled(out.setdefault(a * top + code, {}), col, left * x, field)
+                    vec_add_scaled(out.setdefault(code * dim + a, {}), col, twist * xr, field)
         return out
 
     def cochain(self, f):
@@ -307,10 +307,11 @@ def _odd_diagonals(A, n):
 
 def _reversal_symmetric(f, A):
     """f(reversed t) is f(t) times the reversal sign, on every basis tuple."""
+    neg = A.field.neg
     for tup in set(f.table) | {t[::-1] for t in f.table}:
         want = f.value(tup)
         if _reversal_flips(f.n, sum(A.parities[i] for i in tup)):
-            want = {r: -c for r, c in want.items()}
+            want = {r: neg(c) for r, c in want.items()}
         if f.value(tup[::-1]) != want:
             return False
     return True
@@ -333,7 +334,7 @@ def is_in_C(f, A, M):
         for tuples in _odd_diagonals(A, f.n):
             acc = {}
             for tup in tuples:
-                vec_add_scaled(acc, f.value(tup), A.field.one)
+                vec_add_scaled(acc, f.value(tup), 1, A.field)
             if acc:
                 return False
     return True
@@ -403,7 +404,7 @@ def assemble_square_zero(A, pi, name=None):
     a o b = ab + Pi pi(a,b); a o Pib = (-1)^{|a|} Pi(ab); (Pib) o a = Pi(ba);
     (Pia) o (Pib) = 0.  Use :func:`build_A_pi` for the validated build.
     """
-    dim = A.dim
+    dim, neg = A.dim, A.field.neg
     table = {}
     for i in range(dim):
         odd_i = A.parities[i] == ODD
@@ -416,7 +417,7 @@ def assemble_square_zero(A, pi, name=None):
                 table[(i, j)] = vec
             if prod:
                 table[(i, dim + j)] = {
-                    dim + r: -c if odd_i else c for r, c in prod.items()
+                    dim + r: neg(c) if odd_i else c for r, c in prod.items()
                 }
                 table[(dim + i, j)] = {dim + r: c for r, c in prod.items()}
     labels = list(A.labels) + ["Pi(%s)" % lab for lab in A.labels]
@@ -479,7 +480,7 @@ def adapted_equivalence(pi, pi2, A):
     for t, (i, r) in enumerate(variables):
         for k, c in d0.row({(i,): {r: field.one}}, 0).items():
             eqs.setdefault(k, {})[t] = c
-    diff = cochain_sub(pi2, pi)
+    diff = cochain_sub(pi2, pi, field)
     rhs = {
         (i * dim + j) * dim + s: c for (i, j), vec in diff.table.items() for s, c in vec.items()
     }
@@ -543,8 +544,8 @@ def cochain_space_basis(A, M, n, parity):
         if tup[0] == unit or tup[-1] == unit or tup < rev:
             continue
         odd_count = sum(A.parities[i] for i in tup)
-        sign = -one if _reversal_flips(n, odd_count) else one
-        if tup == rev and one - sign:
+        sign = field.neg(one) if _reversal_flips(n, odd_count) else one
+        if tup == rev and sign != one:
             continue
         want = (parity + odd_count) % 2
         for r in range(M.dim):
@@ -574,7 +575,7 @@ def _odd_diagonal_kernel(A, M, n, orbits):
             for tup in tuples:
                 k = orbit_of.get((tup, r))
                 if k is not None:
-                    vec_add_scaled(row, {k: one}, one)
+                    vec_add_scaled(row, {k: one}, 1, A.field)
             constraints.append(row)
     out = []
     for w in kernel_of_constraints(len(orbits), constraints, A.field):

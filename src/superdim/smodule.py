@@ -84,10 +84,11 @@ class SuperModule:
 
     def apply_element(self, vec, mvec):
         """(algebra element) . (sparse module vector)."""
+        field = self.algebra.field
         out = {}
         for i, c in vec.items():
             if c:
-                vec_add_scaled(out, self.act_basis(i).apply(mvec), c)
+                vec_add_scaled(out, self.act_basis(i).apply(mvec), c, field)
         return out
 
     def __repr__(self):
@@ -108,11 +109,12 @@ def _word_action(M, word):
 
 def _combination(M, terms):
     """sum of c * mat over (mat, c) in terms, built column by column."""
+    field = M.field
     cols = [{} for _ in range(M.dim)]
     for mat, c in terms:
         for col, src in zip(cols, mat.cols):
-            vec_add_scaled(col, src, c)
-    return Matrix(M.dim, M.dim, cols, M.field)
+            vec_add_scaled(col, src, c, field)
+    return Matrix(M.dim, M.dim, cols, field)
 
 
 class RegularModule(SuperModule):
@@ -143,7 +145,7 @@ def parity_shift(M, name=None):
     """Pi M: flipped parities; odd generators act with a flipped sign."""
     actions = []
     for (_label, parity, _vec), mat in zip(M.algebra.generators, M.actions):
-        actions.append(mat.scaled(M.field.of(-1)) if parity == ODD else mat)
+        actions.append(-mat if parity == ODD else mat)
     return SuperModule(
         M.algebra,
         [1 - p for p in M.parities],

@@ -199,19 +199,16 @@ class SuperPolynomial:
 
     def __add__(self, other):
         self._check(other)
-        return self._like(vec_add_scaled(dict(self.terms), other.terms, self.field.one))
+        return self._like(vec_add_scaled(dict(self.terms), other.terms, 1, self.field))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._like({m: -c for m, c in self.terms.items()})
+        return self.scaled(-1)
 
     def scaled(self, coeff):
-        coeff = self.field.of(coeff)
-        if not coeff:
-            return self._like({})
-        return self._like({m: coeff * c for m, c in self.terms.items()})
+        return self._like(vec_add_scaled({}, self.terms, self.field.of(coeff), self.field))
 
     def __mul__(self, other):
         if isinstance(other, SuperPolynomial):
@@ -280,7 +277,7 @@ def multiply(p, q):
             sm = mul_monomials(m1, m2, p.gens, p.flavor)
             if sm is not None:
                 row[sm[1]] = -c2 if sm[0] < 0 else c2
-        vec_add_scaled(out, row, c1)
+        vec_add_scaled(out, row, c1, p.field)
     return SuperPolynomial(p.flavor, p.gens, p.field, out)
 
 

@@ -42,7 +42,7 @@ from fractions import Fraction
 from math import comb
 
 from .algebra import AlgebraError, Presentation
-from .exactlin import FpElement, Matrix, field_from_name, power, vec_add_scaled
+from .exactlin import Matrix, field_from_name, power, vec_add_scaled
 from .sdim import SuperDimension
 from .smodule import SuperModule, regular_module
 from .superpoly import (
@@ -347,8 +347,8 @@ def _combo_eval(node, symtab, field, span_of_line):
     if kind == "neg":
         k, v = _combo_eval(node[1], symtab, field, span_of_line)
         if k == "scalar":
-            return ("scalar", -v)
-        return ("vec", {r: -c for r, c in v.items()})
+            return ("scalar", field.neg(v))
+        return ("vec", vec_add_scaled({}, v, -1, field))
     if kind in ("add", "sub"):
         lk, lv = _combo_eval(node[1], symtab, field, span_of_line)
         rk, rv = _combo_eval(node[2], symtab, field, span_of_line)
@@ -357,24 +357,24 @@ def _combo_eval(node, symtab, field, span_of_line):
                 "cannot add a scalar and a basis combination", span_of_line
             )
         if lk == "scalar":
-            return ("scalar", lv + rv if kind == "add" else lv - rv)
-        return ("vec", vec_add_scaled(dict(lv), rv, field.one if kind == "add" else -field.one))
+            return ("scalar", field.of(lv + rv if kind == "add" else lv - rv))
+        return ("vec", vec_add_scaled(dict(lv), rv, 1 if kind == "add" else -1, field))
     if kind == "mul":
         lk, lv = _combo_eval(node[1], symtab, field, span_of_line)
         rk, rv = _combo_eval(node[2], symtab, field, span_of_line)
         if lk == "scalar" and rk == "scalar":
-            return ("scalar", lv * rv)
+            return ("scalar", field.of(lv * rv))
         if lk == "scalar":
-            return ("vec", vec_add_scaled({}, rv, lv))
+            return ("vec", vec_add_scaled({}, rv, lv, field))
         if rk == "scalar":
-            return ("vec", vec_add_scaled({}, lv, rv))
+            return ("vec", vec_add_scaled({}, lv, rv, field))
         raise ParseError("cannot multiply two basis symbols", span_of_line)
     if kind == "pow":
         k, v = _combo_eval(node[1], symtab, field, span_of_line)
         if k != "scalar":
             raise ParseError("cannot raise a basis symbol to a power", span_of_line)
-        if isinstance(v, FpElement):
-            return ("scalar", FpElement(pow(v.val, node[2], v.p), v.p))
+        if field.characteristic:  # modular, whatever the exponent
+            return ("scalar", pow(v, node[2], field.characteristic))
         try:
             return ("scalar", power(v, node[2], field.one, operator.mul, lambda c: (c,)))
         except ValueError as exc:
@@ -394,10 +394,11 @@ def _element_eval(node, A):
         except AlgebraError:
             raise ParseError("unknown generator %r" % node[1], node[2])
     if kind == "neg":
-        return {r: -c for r, c in _element_eval(node[1], A).items()}
+        return vec_add_scaled({}, _element_eval(node[1], A), -1, A.field)
     if kind in ("add", "sub"):
-        sign = A.field.one if kind == "add" else -A.field.one
-        return vec_add_scaled(dict(_element_eval(node[1], A)), _element_eval(node[2], A), sign)
+        sign = 1 if kind == "add" else -1
+        return vec_add_scaled(dict(_element_eval(node[1], A)), _element_eval(node[2], A), sign,
+                              A.field)
     if kind == "mul":
         return A.mul(_element_eval(node[1], A), _element_eval(node[2], A))
     if kind == "pow":
@@ -565,30 +566,20 @@ def parse_presentation(text, field=None):
     return presentation(relations)
 
 
-def _is_negative(c):
-    """A rational scalar (int or Fraction) below zero; F_p has no sign."""
-    return not isinstance(c, FpElement) and c < 0
-
-
-def _scalar_text(c):
-    if isinstance(c, FpElement):
-        return str(c.val)
-    return str(c)
-
-
 def _signed_sum(terms):
     """Text of a sum of (scalar, body) terms: each sign pulled out front, a
-    unit magnitude left off, and an empty body printed as the scalar."""
+    unit magnitude left off, and an empty body printed as the scalar.  An
+    F_p scalar, in 0..p-1, is never negative."""
     parts = []
     for c, body in terms:
-        negative = _is_negative(c)
+        negative = c < 0
         mag = -c if negative else c
         if not body:
-            text = _scalar_text(mag)
+            text = str(mag)
         elif mag == 1:
             text = body
         else:
-            text = "%s*%s" % (_scalar_text(mag), body)
+            text = "%s*%s" % (mag, body)
         if parts:
             parts.append("-" if negative else "+")
         elif negative:
@@ -777,20 +768,18 @@ def format_module(M, name=None):
 
 
 def scalar_to_data(c):
-    """A field scalar as {"num": n, "den": d}; an int over Q has d = 1."""
-    if isinstance(c, FpElement):
-        return {"num": c.val, "den": 1}
+    """A field scalar as {"num": n, "den": d}; an int (over Q or F_p) has d = 1."""
     return {"num": c.numerator, "den": c.denominator}
 
 
 def report_to_data(value):
     """Recursively convert report values to JSON-serializable data.
 
-    A bare int stays a count.  Over Q an integral scalar is an int too, so
-    a site that puts scalars into a report outside a Matrix serialises them
-    with ``scalar_to_data`` itself.
+    A bare int stays a count.  An integral scalar is an int too, so a site
+    that puts scalars into a report outside a Matrix serialises them with
+    ``scalar_to_data`` itself.
     """
-    if isinstance(value, (Fraction, FpElement)):
+    if isinstance(value, Fraction):
         return scalar_to_data(value)
     if isinstance(value, SuperDimension):
         return value.as_json()

@@ -183,7 +183,7 @@ def random_in_C(A, M, n, parity, rng):
     for f in basis:
         c = random_scalar(A.field, rng)
         if c:
-            out = cochain_add(out, cochain_scale(f, c))
+            out = cochain_add(out, cochain_scale(f, c, A.field), A.field)
     return out
 
 

@@ -252,10 +252,10 @@ def direct_coboundary0(f_table, f_parity, A):
 # push-forward coboundary and the orbit basis of C^n replaced them.
 
 
-def _add_scaled(acc, vec, coeff):
+def _add_scaled(acc, vec, coeff, field):
     for r, x in vec.items():
         v = acc.get(r)
-        t = coeff * x if v is None else v + coeff * x
+        t = field.of(coeff * x if v is None else v + coeff * x)
         if t:
             acc[r] = t
         else:
@@ -280,14 +280,14 @@ def scan_coboundary(f, A, M):
             for k, c in prod.items():
                 val = f.table.get(head + (k,) + tail)
                 if val:
-                    _add_scaled(acc, val, -c if negate else c)
+                    _add_scaled(acc, val, -c if negate else c, M.field)
         val = f.table.get(tup[1:])
         if val:
             moved = M.act_basis(tup[0]).apply(val)
             if moved:
                 if neg_left or A.parities[tup[0]] == EVEN:
                     moved = {r: -c for r, c in moved.items()}
-                _add_scaled(acc, moved, _unit_scalar(M.field))
+                _add_scaled(acc, moved, _unit_scalar(M.field), M.field)
         val = f.table.get(tup[:-1])
         if val:
             a = tup[-1]
@@ -297,7 +297,7 @@ def scan_coboundary(f, A, M):
             if moved:
                 if n % 2 == 0:  # (-1)^{n+1}
                     moved = {r: -c for r, c in moved.items()}
-                _add_scaled(acc, moved, _unit_scalar(M.field))
+                _add_scaled(acc, moved, _unit_scalar(M.field), M.field)
         acc = {r: c for r, c in acc.items() if c}
         if acc:
             out[tup] = acc
@@ -334,17 +334,17 @@ def solved_cochain_space_basis(A, M, n, parity):
         exp = n * (n - 1) // 2 + sum(
             pars[i] * pars[j] for i in range(n + 1) for j in range(i + 1, n + 1)
         )
-        sign = -field.one if exp % 2 else field.one
+        sign = field.neg(field.one) if exp % 2 else field.one
         for rr in range(M.dim):
             if (tup, rr) not in vidx:
                 continue
             if rev == tup:
-                coeff = field.one - sign
+                coeff = field.of(field.one - sign)
                 if coeff:
                     constraints.append({vidx[(tup, rr)]: coeff})
             else:
                 constraints.append(
-                    {vidx[(rev, rr)]: field.one, vidx[(tup, rr)]: -sign}
+                    {vidx[(rev, rr)]: field.one, vidx[(tup, rr)]: field.neg(sign)}
                 )
     if field.characteristic == 2 and n >= 1:
         odd_idx = [i for i in range(dim) if A.parities[i] == ODD]
@@ -359,7 +359,7 @@ def solved_cochain_space_basis(A, M, n, parity):
                     if t is not None:
                         row = per_r.setdefault(rr, {})
                         v = row.get(t)
-                        v = field.one if v is None else v + field.one
+                        v = field.one if v is None else field.of(v + field.one)
                         if v:
                             row[t] = v
                         else:
@@ -398,13 +398,14 @@ def percall_coboundary(f, A, M):
         for i in range(n + 1):
             head, tail = t[:i], t[i + 1 :]
             for a, b, c in preimages[t[i]]:
-                vec_add_scaled(out.setdefault(head + (a, b) + tail, {}), val, -c if i % 2 else c)
+                vec_add_scaled(out.setdefault(head + (a, b) + tail, {}), val, -c if i % 2 else c,
+                               M.field)
         twisted = {r: -c if M.parities[r] else c for r, c in val.items()}
         for a in range(dim):
             act = M.act_basis(a)
-            vec_add_scaled(out.setdefault((a,) + t, {}), act.apply(val), left[a])
+            vec_add_scaled(out.setdefault((a,) + t, {}), act.apply(val), left[a], M.field)
             moved = act.apply(twisted if A.parities[a] == ODD else val)
-            vec_add_scaled(out.setdefault(t + (a,), {}), moved, right)
+            vec_add_scaled(out.setdefault(t + (a,), {}), moved, right, M.field)
     return Cochain(n + 1, f.parity, out)
 
 
@@ -439,7 +440,7 @@ def echelon_sh_dim(A, M, n):
 def triple_cocycle_pi(pi, A):
     """pi(1, a) = pi(a, 1) = 0 and, on every basis triple,
     pi(ab, c) - pi(a, bc) + pi(a, b)c - (-1)^{|a|} a pi(b, c) = 0."""
-    dim = A.dim
+    dim, field = A.dim, A.field
     unit = A.unit_index
     for j in range(dim):
         if pi.value((unit, j)) or pi.value((j, unit)):
@@ -453,14 +454,14 @@ def triple_cocycle_pi(pi, A):
             for k in range(dim):
                 acc = {}
                 for r, c in ab.items():
-                    vec_add_scaled(acc, pi.value((r, k)), c)
+                    vec_add_scaled(acc, pi.value((r, k)), c, field)
                 for r, c in A.mul_basis(j, k).items():
-                    vec_add_scaled(acc, pi.value((i, r)), -c)
+                    vec_add_scaled(acc, pi.value((i, r)), -c, field)
                 if vab:
-                    vec_add_scaled(acc, A.mul(vab, A.basis_element(k)), A.field.one)
+                    vec_add_scaled(acc, A.mul(vab, A.basis_element(k)), 1, field)
                 vbc = pi.value((j, k))
                 if vbc:
-                    vec_add_scaled(acc, A.mul(ei, vbc), sign_a)
+                    vec_add_scaled(acc, A.mul(ei, vbc), sign_a, field)
                 if acc:
                     return False
     return True
@@ -555,7 +556,7 @@ class DenseMatrix:
         cols = self.cols_sparse()
         out = {}
         for j, coeff in vec.items():
-            vec_add_scaled(out, cols[j], coeff)
+            vec_add_scaled(out, cols[j], coeff, self.field)
         return out
 
     def compose(self, other):
@@ -577,7 +578,7 @@ class DenseMatrix:
 
     def scaled(self, coeff):
         return DenseMatrix(
-            self.nrows, self.ncols, [coeff * x for x in self.entries], self.field
+            self.nrows, self.ncols, [self.field.of(coeff * x) for x in self.entries], self.field
         )
 
     def __add__(self, other):
@@ -586,7 +587,7 @@ class DenseMatrix:
         return DenseMatrix(
             self.nrows,
             self.ncols,
-            [a + b for a, b in zip(self.entries, other.entries)],
+            [self.field.of(a + b) for a, b in zip(self.entries, other.entries)],
             self.field,
         )
 
@@ -596,12 +597,14 @@ class DenseMatrix:
         return DenseMatrix(
             self.nrows,
             self.ncols,
-            [a - b for a, b in zip(self.entries, other.entries)],
+            [self.field.of(a - b) for a, b in zip(self.entries, other.entries)],
             self.field,
         )
 
     def __neg__(self):
-        return DenseMatrix(self.nrows, self.ncols, [-x for x in self.entries], self.field)
+        return DenseMatrix(
+            self.nrows, self.ncols, [self.field.neg(x) for x in self.entries], self.field
+        )
 
     def __eq__(self, other):
         return (
@@ -654,7 +657,7 @@ def dense_kernel_basis(m):
         for r, p in enumerate(pivots):
             x = red[r, j]
             if x:
-                v[p] = -x
+                v[p] = m.field.neg(x)
         basis.append(v)
     return basis
 
@@ -1003,7 +1006,7 @@ def fraction_kernel_of_constraints(n, constraints, field):
     for con in constraints:
         if not con:
             continue
-        vals = [vec_dot(con, v) for v in basis]
+        vals = [vec_dot(con, v, field) for v in basis]
         pivot = None
         for k, val in enumerate(vals):
             if val:
@@ -1018,7 +1021,7 @@ def fraction_kernel_of_constraints(n, constraints, field):
             if k == pivot:
                 continue
             if vals[k]:
-                v = vec_add_scaled(dict(v), pvec, -vals[k] / pv)
+                v = vec_add_scaled(dict(v), pvec, -vals[k] / pv, field)
             new_basis.append(v)
         basis = new_basis
     return basis
@@ -1143,7 +1146,7 @@ class _ClassSolver:
         for c, x in res.items():
             if c < self.ambient_dim:
                 raise AlgebraError("vector does not lie in the expected stage")
-            out[c - self.ambient_dim] = -x
+            out[c - self.ambient_dim] = self.ech.field.neg(x)
         return out
 
 
@@ -1221,3 +1224,126 @@ def two_pass_bgr_to_gr_surjective(bkeys, brows, G):
         if row_rank((c for c in coords if c), field) != G.keys.count(n):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# GF(p) with FpElement scalars: the package's prime field as it was before a
+# scalar became an int in 0..p-1.  FpElement is copied verbatim; the field
+# is the old PrimeField apart from its name and its characteristic, which
+# reads 0: exactlin's kernels then take their generic loops, which are the
+# loops every field ran before, and the FpElement operators reduce mod p.
+
+
+class FpElement:
+    """An element of GF(p), kept reduced to 0..p-1.
+
+    Supports mixed arithmetic with plain ints so sign bookkeeping like
+    ``(-1) * x`` works uniformly for both scalar kinds.
+    """
+
+    __slots__ = ("val", "p")
+
+    def __init__(self, val, p):
+        self.val = val % p
+        self.p = p
+
+    def _lift(self, other):
+        if isinstance(other, FpElement):
+            if other.p != self.p:
+                raise ValueError("mixed prime fields")
+            return other.val
+        if isinstance(other, int):
+            return other % self.p
+        return NotImplemented
+
+    def __add__(self, other):
+        v = self._lift(other)
+        if v is NotImplemented:
+            return NotImplemented
+        return FpElement(self.val + v, self.p)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        v = self._lift(other)
+        if v is NotImplemented:
+            return NotImplemented
+        return FpElement(self.val - v, self.p)
+
+    def __rsub__(self, other):
+        v = self._lift(other)
+        if v is NotImplemented:
+            return NotImplemented
+        return FpElement(v - self.val, self.p)
+
+    def __mul__(self, other):
+        v = self._lift(other)
+        if v is NotImplemented:
+            return NotImplemented
+        return FpElement(self.val * v, self.p)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        if self.val == 0:
+            raise ZeroDivisionError("inverse of zero in GF(p)")
+        return FpElement(pow(self.val, self.p - 2, self.p), self.p)
+
+    def __neg__(self):
+        return FpElement(-self.val, self.p)
+
+    def __eq__(self, other):
+        if isinstance(other, FpElement):
+            return self.p == other.p and self.val == other.val
+        if isinstance(other, int):
+            return self.val == other % self.p
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.val, self.p))
+
+    def __bool__(self):
+        return self.val != 0
+
+    def __repr__(self):
+        return "%d(mod %d)" % (self.val, self.p)
+
+
+class FpElementField:
+    """GF(p) for a prime p, with FpElement scalars."""
+
+    characteristic = 0  # so that exactlin runs its generic loops; see above
+
+    def __init__(self, p):
+        self.p = p
+        self.name = "F%d" % p
+        self.zero = FpElement(0, p)
+        self.one = FpElement(1, p)
+
+    def inv(self, x):
+        return x.inverse()
+
+    def of(self, x):
+        if isinstance(x, FpElement):
+            if x.p != self.p:
+                raise ValueError("mixed prime fields")
+            return x
+        if isinstance(x, Fraction):
+            num = FpElement(x.numerator, self.p)
+            return num * FpElement(x.denominator, self.p).inverse()
+        return FpElement(x, self.p)
+
+    def neg(self, x):
+        return -x
+
+
+def fp_values(obj):
+    """obj with every FpElement replaced by its value, through dicts, lists
+    and tuples: the form in which the int path states the same result."""
+    if isinstance(obj, FpElement):
+        return obj.val
+    if isinstance(obj, dict):
+        return {k: fp_values(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(fp_values(v) for v in obj)
+    return obj

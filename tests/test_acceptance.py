@@ -141,7 +141,7 @@ def test_criterion_04_cocycle_iff_associative():
         else:
             pi = coboundary(random_in_C(A, M, 0, ODD, rng), A, M)
             if rng.random() < 0.5:
-                pi = cochain_add(pi, _kill_unit(random_super_skew(A, rng, 0.3), A))
+                pi = cochain_add(pi, _kill_unit(random_super_skew(A, rng, 0.3), A), A.field)
         if not is_super_skew(pi, A):
             continue
         valid = is_cocycle_pi(pi, A)

@@ -187,7 +187,7 @@ def _reference_product(A, i, j):
         return {}, False
     out = A._reduce_mono_vec({A._mono_index[sm[1]]: A.field.one})
     if sm[0] < 0:
-        out = {k: -c for k, c in out.items()}
+        out = {k: A.field.neg(c) for k, c in out.items()}
     return out, sm[1] not in A._basis_monos
 
 

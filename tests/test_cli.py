@@ -4,14 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from superdim import cli
 from superdim.algebra import compile_presentation
 from superdim.cli import main
+from superdim.exactlin import PrimeField
 from superdim.smodule import regular_module
-from superdim.textio import format_module, parse_presentation
+from superdim.textio import format_module, parse_module, parse_presentation
 
 ASSETS = os.path.join(os.path.dirname(__file__), "..", "src", "superdim", "assets")
 
@@ -30,6 +32,11 @@ def run_cli(*args, timeout=None):
         timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def load_text(path):
+    with open(path) as fh:
+        return fh.read()
 
 
 def call(*args, capsys=None):
@@ -503,6 +510,63 @@ class TestSubprocess:
         assert code == 2
         assert out == ""
         assert "%s: a coefficient is not defined over F5" % where in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "kind", ["relation", "module-action", "elems", "cochain"]
+    )
+    def test_coefficient_with_denominator_p_exits_two(self, tmp_path, kind):
+        # PrimeField.inv raises ZeroDivisionError on a multiple of p, which
+        # each of these sites turns into a usage error
+        g2 = asset("grassmann2.alg")
+        if kind == "relation":
+            alg = tmp_path / "fifth.alg"
+            alg.write_text("algebra fifth over F5\nflavor supercommutative\neven x\ncap 2\n"
+                           "relations\n  1/5*x^2\nend\n")
+            args = ("sdim", str(alg))
+        elif kind == "module-action":
+            mod = tmp_path / "fifth.mod"
+            mod.write_text("module fifth\nm0 : even\nm1 : odd\nz1 m0 -> 1/5*m1\n")
+            args = ("sdim", g2, "--field", "f5", "--module", str(mod))
+        elif kind == "elems":
+            args = ("regular", g2, "--field", "f5", "--module", asset("regular.mod"),
+                    "--elems", "(1/5)*z1")
+        else:
+            cochain = tmp_path / "fifth.json"
+            cochain.write_text(json.dumps(
+                {"n": 1, "parity": "odd", "table": {"1,2": {"0": {"num": 1, "den": 5}}}}
+            ))
+            args = ("hochschild", g2, "--field", "f5", "--n", "1", "--cocycle", str(cochain))
+        code, out, err = run_cli(*args, timeout=20)
+        assert code == 2, err
+        assert out == ""
+        assert "not defined over F5" in err
+        assert "Traceback" not in err
+
+    def test_huge_scalar_power_is_modular_over_fp(self, tmp_path):
+        # 2^99999999 = 2^3 = 3 (mod 5), by modular powers: no huge integer is built
+        alg = tmp_path / "pow.alg"
+        text = ("algebra pow over %s\nflavor supercommutative\nodd z1 z2\ncap 2\n"
+                "relations\n  2^99999999*z1*z2\nend\n")
+        alg.write_text(text % "F5")
+        start = time.perf_counter()
+        pres = parse_presentation(alg.read_text())
+        assert time.perf_counter() - start < 0.5
+        assert [r.terms for r in pres.relations] == [{(1, 1): 3}]
+        mod = tmp_path / "pow.mod"
+        mod.write_text("module pow\nm0 : even\nm1 : odd\nz1 m0 -> 2^99999999*m1\n")
+        A = compile_presentation(parse_presentation(load_text(asset("grassmann2.alg")),
+                                                    field=PrimeField(5)))
+        start = time.perf_counter()
+        M = parse_module(mod.read_text(), A)
+        assert time.perf_counter() - start < 0.5
+        assert M.actions[0].cols[0] == {1: 3}
+        # over Q the same power passes POWER_BITS and is refused
+        alg.write_text(text % "Q")
+        code, out, err = run_cli("sdim", str(alg), timeout=20)
+        assert code == 2
+        assert out == ""
+        assert "line 6, column 3: a power has a coefficient past 16384 bits" in err
         assert "Traceback" not in err
 
     def test_lines_after_module_regular_are_refused(self, tmp_path):

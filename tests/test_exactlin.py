@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from superdim.exactlin import (
     Echelon,
-    FpElement,
     Matrix,
     PrimeField,
     QQ,
@@ -34,9 +33,12 @@ from oracles import (
     dense_rref,
     dense_solve,
     FractionEchelon,
+    FpElement,
+    FpElementField,
     FractionRationalField,
     fraction_kernel_of_constraints,
     fraction_solve_sparse,
+    fp_values,
     naive_rank,
 )
 
@@ -57,22 +59,25 @@ class TestFields:
             field_from_name("zz")
 
     def test_fp_arithmetic(self):
+        # a GF(p) scalar is an int in 0..p-1; a sum or product is reduced by of()
         F = PrimeField(7)
         a = F.of(3)
         b = F.of(5)
-        assert (a + b).val == 1
-        assert (a * b).val == 1
-        assert (a - b).val == 5
-        assert (a * F.inv(b)).val == (3 * pow(5, 5, 7)) % 7
-        assert (-a).val == 4
-        assert not F.zero
-        assert F.of(Fraction(1, 3)) == F.of(3).inverse()
+        assert type(a) is int and (a, b) == (3, 5)
+        assert F.of(a + b) == 1
+        assert F.of(a * b) == 1
+        assert F.of(a - b) == 5
+        assert F.of(a * F.inv(b)) == (3 * pow(5, 5, 7)) % 7
+        assert F.neg(a) == 4 and F.neg(F.zero) == 0
+        assert not F.zero and (F.zero, F.one) == (0, 1)
+        assert F.of(Fraction(1, 3)) == F.inv(3) == 5
+        assert F.of(-1) == 6 and F.of(Fraction(-2, 3)) == F.of(-2 * 5)
 
     def test_fp_mixed_ints(self):
-        F = PrimeField(5)
-        assert F.of(2) + 4 == F.of(1)
-        assert 3 * F.of(4) == F.of(2)
-        assert 1 - F.of(3) == F.of(3)
+        # the reference FpElement mixes with plain ints in either operand order
+        assert FpElement(2, 5) + 4 == FpElement(1, 5)
+        assert 3 * FpElement(4, 5) == FpElement(2, 5)
+        assert 1 - FpElement(3, 5) == FpElement(3, 5)
 
     def test_rational_of(self):
         assert QQ.of(2) == Fraction(2)
@@ -89,20 +94,34 @@ class TestFields:
         assert type(QQ.inv(Fraction(1, 3))) is int and QQ.inv(Fraction(-1, 3)) == -3
         F = PrimeField(5)
         assert F.inv(F.of(2)) == F.of(3)
+        assert F.inv(4) == 4 and PrimeField(2).inv(1) == 1
         with pytest.raises(ZeroDivisionError):
             QQ.inv(0)
+        # pow(0, -1, p) would raise ValueError, which the exit-2 sites do not catch
+        for zero in (F.zero, 5, -10):
+            with pytest.raises(ZeroDivisionError):
+                F.inv(zero)
         with pytest.raises(ZeroDivisionError):
-            F.inv(F.zero)
+            F.of(Fraction(1, 5))
 
 
 class TestSparseVectors:
     def test_add_scaled_cancels(self):
         v = {0: Fraction(1), 2: Fraction(3)}
-        vec_add_scaled(v, {0: Fraction(1), 1: Fraction(2)}, Fraction(-1))
+        vec_add_scaled(v, {0: Fraction(1), 1: Fraction(2)}, Fraction(-1), QQ)
         assert v == {1: Fraction(-2), 2: Fraction(3)}
 
+    def test_add_scaled_reduces_mod_p(self):
+        F = PrimeField(5)
+        v = {0: 1, 2: 3}
+        # any int coefficient; every updated entry lands in 0..4
+        vec_add_scaled(v, {0: 1, 1: 2, 2: 1}, -1, F)
+        assert v == {1: 3, 2: 2}
+        assert vec_add_scaled(dict(v), {1: 1}, 10, F) == v
+
     def test_dot_none_is_zero(self):
-        assert vec_dot({0: Fraction(1)}, {1: Fraction(5)}) is None
+        assert vec_dot({0: Fraction(1)}, {1: Fraction(5)}, QQ) is None
+        assert vec_dot({0: 2, 1: 3}, {0: 1, 1: 1}, PrimeField(5)) == 0
 
 
 class TestEchelonAndRank:
@@ -146,14 +165,19 @@ class TestEchelonAndRank:
         coords = e.coords(target)
         rebuilt = {}
         for c, row in zip(coords, e.basis_rows()):
-            vec_add_scaled(rebuilt, row, c)
+            vec_add_scaled(rebuilt, row, c, QQ)
         assert rebuilt == target
         assert e.coords({2: Fraction(1)}) is None
 
     def test_in_span(self):
         vs = [[Fraction(1), Fraction(0), Fraction(0)], [Fraction(0), Fraction(1), Fraction(0)]]
-        assert in_span(vs, [Fraction(2), Fraction(-1), Fraction(0)])
-        assert not in_span(vs, [Fraction(0), Fraction(0), Fraction(1)])
+        assert in_span(vs, [Fraction(2), Fraction(-1), Fraction(0)], QQ)
+        assert not in_span(vs, [Fraction(0), Fraction(0), Fraction(1)], QQ)
+        # the field is explicit: (1, 1) spans (2, 2) and, over F2, (0, 0) only
+        F2 = PrimeField(2)
+        assert in_span([[1, 1]], [0, 0], F2) and not in_span([[1, 1]], [1, 0], F2)
+        assert in_span([[1, 2]], [2, 1], PrimeField(3)) and not in_span([[1, 2]], [2, 1], QQ)
+        assert in_span([], [0, 0], QQ) and not in_span([], [0, 1], QQ)
 
 
 class TestSolvers:
@@ -192,8 +216,7 @@ class TestSolvers:
         basis = kernel_of_constraints(3, [{0: F.one, 1: F.one}], F)
         assert len(basis) == 2
         for v in basis:
-            s = (v.get(0, F.zero) + v.get(1, F.zero))
-            assert not s
+            assert not F.of(v.get(0, F.zero) + v.get(1, F.zero))
 
 
 def _mixed_scalar(rng):
@@ -247,7 +270,7 @@ class TestIntegralRationals:
             )
             _assert_exact(x for v in kernel for x in v.values())
             for v in kernel:
-                assert all(vec_dot(r, v) is None or vec_dot(r, v) == 0 for r in rows)
+                assert all(vec_dot(r, v, QQ) is None or vec_dot(r, v, QQ) == 0 for r in rows)
 
 
 class TestRowRank:
@@ -263,7 +286,7 @@ class TestRowRank:
             for _ in range(rng.randint(0, 9)):
                 if len(vectors) >= 2 and rng.random() < 0.3:
                     u, w = rng.sample(vectors, 2)
-                    vectors.append(vec_add_scaled(dict(u), w, scalar(rng) or field.one))
+                    vectors.append(vec_add_scaled(dict(u), w, scalar(rng) or field.one, field))
                 else:
                     vectors.append({j: x for j in range(ncols) if (x := scalar(rng))})
             given = [dict(v) for v in vectors]
@@ -522,10 +545,10 @@ class TestRepresentatives:
             vec = {}
             for S in below:
                 for row in S.basis():
-                    vec_add_scaled(vec, row, random_scalar(field, rng))
+                    vec_add_scaled(vec, row, random_scalar(field, rng), field)
             for c, (_p, r) in zip(coeffs, reps):
-                vec_add_scaled(vec, r, c)
-            want = {n + first + i: -c for i, c in enumerate(coeffs) if c}
+                vec_add_scaled(vec, r, c, field)
+            want = {n + first + i: field.neg(c) for i, c in enumerate(coeffs) if c}
             assert ech.reduce(vec) == want
 
     def test_echelon_stays_fully_reduced(self):
@@ -545,3 +568,69 @@ class TestRepresentatives:
         assert [r for _p, r in reps] == [{0: 1}, {1: 1}]
         assert T.basis() == [{1: 1, 2: 1}]
         assert ech.rows[1] == {1: 1, 4: 1}
+
+
+@st.composite
+def _fp_cases(draw):
+    """A prime, rows and probe vectors over GF(p) as value lists, right-hand
+    sides, coordinate parities and a split of the rows into lower spans."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(min_value=1, max_value=7))
+    entry = st.integers(min_value=0, max_value=p - 1)
+    vector = st.lists(entry, min_size=n, max_size=n)
+    rows = draw(st.lists(vector, max_size=8))
+    probes = draw(st.lists(vector, min_size=1, max_size=3))
+    rhs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+    parities = draw(st.lists(st.integers(min_value=0, max_value=1), min_size=n, max_size=n))
+    cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=len(rows)), max_size=2)))
+    return p, n, rows, probes, rhs, parities, cuts
+
+
+class TestAgainstFpElementReference:
+    """The int-in-0..p-1 kernels against the same kernels run on FpElement
+    scalars (the reference field of tests/oracles.py), over F2, F3, F5, F7."""
+
+    @given(_fp_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_kernels_agree(self, case):
+        p, n, rows, probes, rhs, parities, cuts = case
+        F, R = PrimeField(p), FpElementField(p)
+
+        def pair(values):
+            vec = {j: x for j, x in enumerate(values) if x}
+            return vec, {j: R.of(x) for j, x in vec.items()}
+
+        ints, objs = zip(*map(pair, rows)) if rows else ((), ())
+        ech, ref = Echelon(F), Echelon(R)
+        assert [ech.insert(v) for v in ints] == [ref.insert(v) for v in objs]
+        assert ech.pivots() == ref.pivots()
+        assert ech.rows == fp_values(ref.rows)
+        for vec, obj in map(pair, probes):
+            assert ech.reduce(vec) == fp_values(ref.reduce(obj))
+
+        assert row_rank(ints, F) == row_rank(objs, R) == ech.rank
+        assert _pivot_rows(ints, F) == fp_values(_pivot_rows(objs, R))
+        assert solve_sparse(n, zip(ints, rhs), F) == fp_values(
+            solve_sparse(n, zip(objs, map(R.of, rhs)), R)
+        )
+        assert kernel_of_constraints(n, ints, F) == fp_values(kernel_of_constraints(n, objs, R))
+
+        # a stage spanned by all rows and probes, below it the spans of row prefixes
+        def spans(field, vecs, extra):
+            stage = Subspace.span(parities, field, list(vecs) + list(extra))
+            return stage, [Subspace.span(parities, field, vecs[:k]) for k in cuts]
+
+        probe_ints, probe_objs = zip(*map(pair, probes))
+        stage, below = spans(F, ints, probe_ints)
+        rstage, rbelow = spans(R, objs, probe_objs)
+        reps, ech = representatives(stage, below, 2)
+        rreps, rech = representatives(rstage, rbelow, 2)
+        assert reps == fp_values(rreps)
+        assert ech.rows == fp_values(rech.rows)  # tag coordinates included
+        for vec, obj in zip(probe_ints, probe_objs):
+            assert ech.reduce(vec) == fp_values(rech.reduce(obj))
+
+    def test_reference_values_are_plain(self):
+        R = FpElementField(5)
+        assert fp_values({1: [R.of(7), (R.of(-1), 3)]}) == {1: [2, (4, 3)]}
+        assert R.inv(R.of(2)).val == 3 and R.of(Fraction(1, 2)) == R.of(3)

@@ -236,7 +236,7 @@ def _check_against_two_pass(A, I, modules):
     RG = graded[0][1]
     for n, stage in enumerate(G.powers):
         rows = stage.basis()
-        for vec in rows + [vec_add_scaled(dict(rows[0]), rows[-1], A.field.of(3))]:
+        for vec in rows + [vec_add_scaled(dict(rows[0]), rows[-1], 3, A.field)]:
             assert class_in_degree(G, vec, n) == RG.class_in_degree(vec, n)
     assert bgr_to_gr_surjective(B, G) == two_pass_bgr_to_gr_surjective(B.keys, B.reps, RG)
     for M in modules:

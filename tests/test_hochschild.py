@@ -89,10 +89,17 @@ class TestCochainBasics:
     def test_linear_ops(self):
         f = Cochain(0, ODD, {(1,): {0: QQ.of(2)}})
         g = Cochain(0, ODD, {(1,): {0: QQ.one}})
-        assert cochain_sub(cochain_add(f, g), f) == g
-        assert cochain_scale(g, QQ.of(2)).table == {(1,): {0: QQ.of(2)}}
+        assert cochain_sub(cochain_add(f, g, QQ), f, QQ) == g
+        assert cochain_scale(g, QQ.of(2), QQ).table == {(1,): {0: QQ.of(2)}}
+        assert cochain_add(f, g, QQ, -2).is_zero()
+        F3 = PrimeField(3)
+        h = Cochain(0, ODD, {(1,): {0: 2}})
+        assert cochain_scale(h, 2, F3).table == {(1,): {0: 1}}
+        assert cochain_sub(zero_cochain(0, ODD), h, F3).table == {(1,): {0: 1}}
+        assert cochain_add(h, h, F3).table == {(1,): {0: 1}}
+        assert cochain_add(h, h, F3, 2).is_zero()
         with pytest.raises(AlgebraError):
-            cochain_add(f, zero_cochain(1, ODD))
+            cochain_add(f, zero_cochain(1, ODD), QQ)
 
     def test_parity_violations(self):
         A = grassmann(2)
@@ -327,10 +334,10 @@ def _cocycle_candidates(A, rng):
     unit = A.unit_index
     odd = [i for i in range(A.dim) if A.parities[i] == ODD]
     out = [zero_cochain(1, ODD), valid, random_super_skew(A, rng)]
-    out.append(cochain_add(valid, random_super_skew(A, rng, density=0.2)))
+    out.append(cochain_add(valid, random_super_skew(A, rng, density=0.2), A.field))
     if odd:
         at_unit = Cochain(1, ODD, {(unit, unit): {rng.choice(odd): A.field.one}})
-        out.append(cochain_add(valid, at_unit))
+        out.append(cochain_add(valid, at_unit, A.field))
     out += [Cochain(1, EVEN, p.table) for p in out]
     return out
 
@@ -441,7 +448,7 @@ class TestAdaptedEquivalence:
         pi2 = coboundary(f, A, M)
         cert = adapted_equivalence(pi, pi2, A)
         assert cert is not None
-        assert coboundary(cert, A, M) == cochain_sub(pi2, pi)
+        assert coboundary(cert, A, M) == cochain_sub(pi2, pi, A.field)
 
     def test_self_equivalence(self):
         A = grassmann(2)

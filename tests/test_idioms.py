@@ -1,6 +1,6 @@
 """Source idioms: sparse accumulation and the closure of a span under maps
-each have one implementation, only exactlin handles an Echelon, and no
-scalar division can make a float."""
+each have one implementation, only exactlin handles an Echelon, no
+scalar division can make a float, and an F_p scalar is no FpElement."""
 
 import ast
 import importlib
@@ -127,30 +127,22 @@ def test_echelon_import_check_flags_an_import():
 
 def _float_division_sites(source):
     """Lines of a ``/`` or ``/=`` whose left operand is not an explicit
-    ``Fraction(...)`` call, outside the FpElement class.  Over Q an integral
-    scalar is an int, and int / int is a float; a division of field scalars
-    goes through ``field.inv`` instead."""
+    ``Fraction(...)`` call.  Every integral scalar is an int (over Q and
+    over F_p), and int / int is a float; a division of field scalars goes
+    through ``field.inv`` instead."""
     sites = []
-
-    def visit(node, in_fp):
-        if isinstance(node, ast.ClassDef) and node.name == "FpElement":
-            in_fp = True
-        if not in_fp:
-            if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+            sites.append(node.lineno)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            left = node.left
+            explicit = (
+                isinstance(left, ast.Call)
+                and isinstance(left.func, ast.Name)
+                and left.func.id == "Fraction"
+            )
+            if not explicit:
                 sites.append(node.lineno)
-            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
-                left = node.left
-                explicit = (
-                    isinstance(left, ast.Call)
-                    and isinstance(left.func, ast.Name)
-                    and left.func.id == "Fraction"
-                )
-                if not explicit:
-                    sites.append(node.lineno)
-        for child in ast.iter_child_nodes(node):
-            visit(child, in_fp)
-
-    visit(ast.parse(source), False)
     return sorted(sites)
 
 
@@ -167,7 +159,15 @@ def test_division_check_flags_a_bare_scalar_division():
     assert _float_division_sites(insert) == [3]
     assert _float_division_sites("x = a\nx /= b\n") == [2]
     assert _float_division_sites("lead = Fraction(w[0]) / fact\n") == []
-    assert _float_division_sites("class FpElement:\n    def f(self, o):\n        return o / self\n") == []
+
+
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(SRC) if n.endswith(".py")))
+def test_no_module_names_fp_element(name):
+    """An F_p scalar is an int in 0..p-1; the FpElement class lives on only
+    as the reference in tests/oracles.py."""
+    with open(os.path.join(SRC, name)) as fh:
+        lines = [k for k, line in enumerate(fh, start=1) if "FpElement" in line]
+    assert not lines, "%s: names FpElement at lines %s; an F_p scalar is an int" % (name, lines)
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from superdim.algebra import compile_presentation
-from superdim.exactlin import FpElement, Matrix, PrimeField, QQ, vec_add_scaled
+from superdim.exactlin import Matrix, PrimeField, QQ, vec_add_scaled
 from superdim.sdim import EMPTY_SDIM, SuperDimension
 from superdim.smodule import regular_module
 from superdim.textio import (
@@ -261,10 +261,10 @@ class TestElements:
         A = self.A
         z1, z2 = A.generator_element("z1"), A.generator_element("z2")
         got = parse_elements(" z1 , 1/2*z2 - z1*z2,, (1+z1)^3", A)
-        half_z2 = vec_add_scaled({}, z2, Fraction(1, 2))
+        half_z2 = vec_add_scaled({}, z2, Fraction(1, 2), QQ)
         assert got[0] == z1
-        assert got[1] == vec_add_scaled(half_z2, A.mul(z1, z2), -1)
-        assert got[2] == vec_add_scaled(A.unit_element(), z1, 3)
+        assert got[1] == vec_add_scaled(half_z2, A.mul(z1, z2), -1, QQ)
+        assert got[2] == vec_add_scaled(A.unit_element(), z1, 3, QQ)
         assert len(got) == 3
 
     def test_errors_name_their_column(self):
@@ -283,7 +283,8 @@ class TestReports:
         data = report_to_data(
             {
                 "frac": Fraction(-3, 2),
-                "fp": F.of(4),
+                "fp": scalar_to_data(F.of(4)),
+                "fp_bare": F.of(4),
                 "sdim": SuperDimension(0, 3),
                 "empty": EMPTY_SDIM,
                 "nested": {"xs": [1, True, None, "s"]},
@@ -291,6 +292,9 @@ class TestReports:
         )
         assert data["frac"] == {"num": -3, "den": 2}
         assert data["fp"] == {"num": 4, "den": 1}
+        # an F_p scalar is an int, so outside a Matrix it reads as a count like
+        # an integral rational; its site serialises it with scalar_to_data
+        assert data["fp_bare"] == 4
         assert data["sdim"] == {"even": 0, "odd": 3}
         assert data["empty"] == {"empty": True}
         assert data["nested"] == {"xs": [1, True, None, "s"]}
