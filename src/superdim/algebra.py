@@ -80,9 +80,6 @@ class Presentation:
         self.field = field
         self.name = name
 
-    def poly(self, terms):
-        return SuperPolynomial(self.flavor, self.gens, self.field, terms)
-
 
 # Normal monomials up to the cap that compile_presentation admits; the
 # largest count a shipped asset, test or benchmark input reaches is 259.
@@ -424,15 +421,6 @@ class FiniteSuperAlgebra:
 
     # -- structure ----------------------------------------------------------
 
-    def components(self):
-        """Basis positions grouped by (bidegree, parity); None bidegrees
-        group under the key (None, parity)."""
-        groups = {}
-        for i in range(self.dim):
-            bd = self.bidegrees[i] if self.bidegrees is not None else None
-            groups.setdefault((bd, self.parities[i]), []).append(i)
-        return groups
-
     def full_subspace(self):
         return Subspace.span(self.parities, self.field, map(self.basis_element, range(self.dim)))
 
@@ -525,12 +513,8 @@ def filtration_chain(stage, step, bound, what, error=AlgebraError):
 def _multiplication_maps(A, two_sided):
     """Multiplication on the left by the generators of A (the whole basis
     for a table-kind algebra), and also on the right when ``two_sided``."""
-    if A.kind == "monomial":
-        mults = [vec for _n, _p, vec in A.generators]
-    else:
-        mults = [A.basis_element(i) for i in range(A.dim)]
     maps = []
-    for g in mults:
+    for _label, _parity, g in A.generators:
         maps.append(lambda v, g=g: A.mul(g, v))
         if two_sided:
             maps.append(lambda v, g=g: A.mul(v, g))

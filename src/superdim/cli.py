@@ -173,6 +173,8 @@ def _cmd_sdim(args):
 
 
 def _cmd_odd_params(args):
+    if args.size is not None and args.size < 0:
+        raise UsageError("--size must be nonnegative, not %d" % args.size)
     A = _load_algebra(args)
     M = _load_module(args, A)
     size = args.size

@@ -61,6 +61,7 @@ from .sdim import (
     SuperDimension,
     odd_parameter_systems,
     odd_power_spans_of_module,
+    ordered_product,
     sdim,
     sdim_algebra,
     sdim_of_chain,
@@ -268,11 +269,7 @@ def verify_c1(field=QQ):
                     inside = False
     clauses.append({"id": "zizj-module-inside-ym", "ok": inside})
 
-    z123 = R.mul(R.mul(zs[0], zs[1]), zs[2])
-    nonzero = any(
-        M.apply_element(z123, M.basis_element(t)) for t in range(M.dim)
-    )
-    clauses.append({"id": "z1z2z3-module-nonzero", "ok": nonzero})
+    clauses.append({"id": "z1z2z3-module-nonzero", "ok": system_acts_nonzero(M, zs)})
 
     spans = odd_power_spans_of_module(M)
     sd = sdim_of_chain(spans)
@@ -559,9 +556,7 @@ def verify_c2(field=QQ):
     clauses.append({"id": "y-regular", "ok": is_odd_regular(data.y, MR)})
 
     ys = [A.generator_element("Y%d" % i) for i in (1, 2, 3, 4)]
-    prod = ys[0]
-    for v in ys[1:]:
-        prod = R.mul(prod, v)
+    prod = ordered_product(R, ys)
     expected = {A.dim + r: c for r, c in data.witness.items()}
     clauses.append(
         {"id": "top-product-witness", "ok": bool(prod) and prod == expected}
@@ -677,16 +672,10 @@ def verify_gr_example(field=QQ):
         }
     )
 
-    trivially = True
     zcs = [class_in_degree(G, zv, 0) for zv in zs]
-    for a in range(3):
-        for b in range(3):
-            prod = G.algebra.mul(zcs[a], zcs[b])
-            if not prod:
-                continue
-            for t in range(GM.module.dim):
-                if GM.module.apply_element(prod, GM.module.basis_element(t)):
-                    trivially = False
+    trivially = not any(
+        system_acts_nonzero(GM.module, [za, zb]) for za in zcs for zb in zcs
+    )
     clauses.append({"id": "zizj-act-trivially", "ok": trivially})
 
     IR = odd_radical(R)

@@ -588,7 +588,11 @@ def _odd_diagonal_kernel(A, M, n, orbits):
 
 
 # Most cells, dim(A)^(n+2) * dim(M), the cochain tables of sh_dim may span:
-# 2^20 admits the 32-dimensional Grassmann algebra at n = 1.
+# 2^20 admits the 32-dimensional Grassmann algebra at n = 1.  The arity
+# n + 2 is capped first, at MAX_SH_CELLS.bit_length(): the cell bound
+# implies that cap once dim(A) >= 2, and checking it first means no huge
+# power is formed and a 1-dimensional algebra or a zero module cannot ask
+# for any n.
 MAX_SH_CELLS = 1 << 20
 
 
@@ -602,7 +606,7 @@ def sh_dim(A, M, n):
     """
     if n < 0:
         raise ValueError("n must be nonnegative, not %d" % n)
-    if (A.dim ** (n + 2)) * M.dim > MAX_SH_CELLS:
+    if n + 2 > MAX_SH_CELLS.bit_length() or A.dim ** (n + 2) * M.dim > MAX_SH_CELLS:
         raise AlgebraError("cochain tables exceed the size bound")
     _require_supercommutative(A)
     out = []

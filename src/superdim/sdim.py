@@ -12,7 +12,12 @@ The chain steps by generators, not by bases: each R_1^l M is R-stable, so
 over a presented supercommutative algebra R_1^{l+1} M = sum_i y_i R_1^l M
 for the odd generators y_i.  Any other algebra steps by all of its odd
 basis elements.  The subset search multiplies out the ordered products
-themselves and shares no code with the chain.
+themselves (``ordered_product``) and shares no code with the chain; every
+search for odd parameter systems, the completion witness of
+``verify_factoring`` included, goes through the one enumerator
+``_acting_systems``.  M/IM for I the superideal of y_1, ..., y_t is the
+last of the iterated quotients M/(y_1)M/(y_2)... that
+``smodule.sequence_quotient`` builds while it checks regularity.
 
 The zero module gets a distinguished empty value, not 0|0.
 """
@@ -23,13 +28,7 @@ from itertools import combinations
 
 from .algebra import filtration_chain, filtration_step, odd_multipliers
 from .exactlin import Matrix
-from .smodule import (
-    ModuleError,
-    is_regular_sequence,
-    product_span,
-    quotient,
-    submodule,
-)
+from .smodule import ModuleError, product_span, sequence_quotient, submodule
 
 
 class SuperDimension:
@@ -102,20 +101,36 @@ def sdim_algebra(A):
     return sdim_of_chain(chain)
 
 
-def system_acts_nonzero(M, elements):
-    """The ordered product of the odd elements acts nontrivially on M."""
-    A = M.algebra
+def ordered_product(A, elements):
+    """y_1 ... y_l in A (the unit for l = 0), or {} from the first zero prefix."""
     prod = None
     for y in elements:
         prod = dict(y) if prod is None else A.mul(prod, y)
         if not prod:
-            return False
-    if prod is None:  # empty system
-        return not M.is_zero()
-    for j in range(M.dim):
-        if M.apply_element(prod, M.basis_element(j)):
-            return True
-    return False
+            return {}
+    return A.unit_element() if prod is None else prod
+
+
+def system_acts_nonzero(M, elements):
+    """The ordered product of the odd elements acts nontrivially on M."""
+    prod = ordered_product(M.algebra, elements)
+    return bool(prod) and any(
+        M.apply_element(prod, M.basis_element(j)) for j in range(M.dim)
+    )
+
+
+def _acting_systems(M, size, prefix=()):
+    """Label tuples of the size-``size`` subsets of the odd generating set,
+    in generating-set order, whose ordered product after the ``prefix``
+    elements acts nontrivially on M; lazily, in ``combinations`` order."""
+    pool = M.algebra.odd_module_generators()
+    for combo in combinations(pool, size):
+        if system_acts_nonzero(M, [*prefix, *(vec for _label, vec in combo)]):
+            yield tuple(label for label, _vec in combo)
+
+
+def _has_system(M, size, prefix=()):
+    return next(_acting_systems(M, size, prefix), None) is not None
 
 
 def odd_parameter_systems(M, size):
@@ -124,25 +139,15 @@ def odd_parameter_systems(M, size):
     Returns a list of label tuples, each listing a subset (in generating-set
     order) whose ordered product acts nontrivially on M.
     """
-    pool = M.algebra.odd_module_generators()
-    out = []
-    for combo in combinations(range(len(pool)), size):
-        elements = [pool[i][1] for i in combo]
-        if system_acts_nonzero(M, elements):
-            out.append(tuple(pool[i][0] for i in combo))
-    return out
+    return list(_acting_systems(M, size))
 
 
 def sdim_odd_by_subset_search(M):
     """Largest size of an odd parameter system, by descending subset search."""
     if M.is_zero():
         return None
-    pool = M.algebra.odd_module_generators()
-    for size in range(len(pool), -1, -1):
-        for combo in combinations(range(len(pool)), size):
-            if system_acts_nonzero(M, [pool[i][1] for i in combo]):
-                return size
-    return None
+    top = len(M.algebra.odd_module_generators())
+    return next((size for size in range(top, -1, -1) if _has_system(M, size)), None)
 
 
 def subset_chain_agreement(M, chain=None):
@@ -152,25 +157,13 @@ def subset_chain_agreement(M, chain=None):
     """
     if M.is_zero():
         return True
-    pool = M.algebra.odd_module_generators()
     if chain is None:
         chain = odd_power_spans_of_module(M)
     chain_odd = len(chain) - 1
-    for l in range(len(pool) + 1):
-        has_system = any(
-            system_acts_nonzero(M, [pool[i][1] for i in combo])
-            for combo in combinations(range(len(pool)), l)
-        )
-        if has_system != (l <= chain_odd):
-            return False
-    return chain_odd <= len(pool)
-
-
-def ordered_product(A, elements):
-    out = A.unit_element()
-    for y in elements:
-        out = A.mul(out, y)
-    return out
+    top = len(M.algebra.odd_module_generators())
+    return chain_odd <= top and all(
+        _has_system(M, l) == (l <= chain_odd) for l in range(top + 1)
+    )
 
 
 def is_extendable_to_longest(ys, M):
@@ -180,16 +173,10 @@ def is_extendable_to_longest(ys, M):
     """
     if M.is_zero():
         raise ModuleError("zero module")
-    if not is_regular_sequence(ys, M):
+    regular, Q = sequence_quotient(ys, M)
+    if not regular:
         raise ModuleError("not an odd regular sequence")
-    t = len(ys)
-    Q = quotient(M, product_span(M, ys))
-    total = sdim(M)
-    quot = sdim(Q)
-    if quot.empty:
-        # cannot happen for nonzero M (the ideal is nilpotent), but be safe
-        return False
-    return quot.odd == total.odd - t
+    return sdim(Q).odd == sdim(M).odd - len(ys)
 
 
 def verify_factoring(M, ys, chain=None):
@@ -209,7 +196,7 @@ def verify_factoring(M, ys, chain=None):
     t = len(ys)
     clauses = []
 
-    regular = is_regular_sequence(ys, M)
+    regular, Q = sequence_quotient(ys, M)  # Q = M/IM, I the superideal of ys
     clauses.append({"id": "sequence-is-regular", "ok": regular})
 
     if chain is None:
@@ -219,11 +206,8 @@ def verify_factoring(M, ys, chain=None):
         {"id": "sdim-at-least-length", "ok": (not total.empty) and total.odd >= t}
     )
 
-    Q = quotient(M, product_span(M, ys))  # I M = A ys M, I the superideal of ys
     quot_sd = sdim(Q)
-
-    prod = ordered_product(A, ys)
-    image = submodule(M, product_span(M, [prod]), name="product image")
+    image = submodule(M, product_span(M, [ordered_product(A, ys)]), name="product image")
     image_sd = sdim(image)
 
     clauses.append(
@@ -244,13 +228,12 @@ def verify_factoring(M, ys, chain=None):
     extendable = (not quot_sd.empty) and quot_sd.odd == total.odd - t
     # One direction is independently checkable: a completion found among the
     # generating set is a genuine longest system, so it forces equality.
-    witness = False
-    if regular and not total.empty and total.odd - t >= 0:
-        pool = M.algebra.odd_module_generators()
-        for combo in combinations(range(len(pool)), total.odd - t):
-            if system_acts_nonzero(M, list(ys) + [pool[i][1] for i in combo]):
-                witness = True
-                break
+    witness = (
+        regular
+        and not total.empty
+        and total.odd >= t
+        and _has_system(M, total.odd - t, prefix=ys)
+    )
     clauses.append(
         {
             "id": "extension-witness-implies-equality",

@@ -376,15 +376,21 @@ def is_odd_regular(y, M):
     return 2 * rank(mat) == M.dim
 
 
-def is_regular_sequence(ys, M):
-    """Each y_i regular on M / (R y_1 + ... + R y_{i-1}) M.
+def sequence_quotient(ys, M):
+    """(regular, M / (R y_1 + ... + R y_t) M), the quotient built one y_i at a time.
 
-    The y_i stay elements of the same algebra throughout; only the module
-    shrinks at each step.
+    ``regular`` says whether each y_i is odd regular on
+    M / (R y_1 + ... + R y_{i-1}) M; once one is not, the later y_i are
+    only quotiented by.  The y_i stay elements of the same algebra
+    throughout; only the module shrinks at each step.
     """
-    cur = M
+    regular = True
     for y in ys:
-        if not is_odd_regular(y, cur):
-            return False
-        cur = quotient(cur, product_span(cur, [y]))
-    return True
+        regular = regular and is_odd_regular(y, M)
+        M = quotient(M, product_span(M, [y]))
+    return regular, M
+
+
+def is_regular_sequence(ys, M):
+    """Each y_i regular on M / (R y_1 + ... + R y_{i-1}) M."""
+    return sequence_quotient(ys, M)[0]

@@ -74,6 +74,14 @@ class TestOddParams:
         out = capsys.readouterr().out
         assert "count: 2" in out
 
+    @pytest.mark.parametrize("size", ["-1", "-4"])
+    def test_negative_size_is_usage_error(self, capsys, size):
+        assert main(["odd-params", asset("grassmann2.alg"), "--size", size]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--size must be nonnegative, not %s" % size in captured.err
+        assert "r must be non-negative" not in captured.err
+
 
 class TestRegular:
     def test_regular_sequence_passes(self, capsys):
@@ -428,6 +436,27 @@ class TestHochschild:
         assert code == 2
         assert out == ""
         assert "algebra assoc is not supercommutative" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "alg,n",
+        [("grassmann2.alg", "100000000000"), ("one.alg", "1000000")],
+        ids=["huge-power", "one-dimensional"],
+    )
+    def test_arity_past_the_budget_is_refused(self, tmp_path, alg, n):
+        # The bound on n + 2 is checked before dim(A)^(n + 2) is formed, and
+        # it holds even where that power is 1.
+        if alg == "one.alg":
+            path = tmp_path / alg
+            path.write_text("algebra one over Q\nflavor supercommutative\ncap 0\nrelations\nend\n")
+        else:
+            path = asset(alg)
+        start = time.perf_counter()
+        code, out, err = run_cli("hochschild", str(path), "--n", n, timeout=2)
+        assert time.perf_counter() - start < 2
+        assert code == 2
+        assert out == ""
+        assert "cochain tables exceed the size bound" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("n", ["-1", "-3"])

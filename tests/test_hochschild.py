@@ -281,6 +281,31 @@ class TestShDim:
         with pytest.raises(AlgebraError, match="size bound"):
             sh_dim(SimpleNamespace(dim=1), SimpleNamespace(dim=2**20 + 1), 0)
 
+    def test_arity_bound_admits_what_the_cell_bound_admits(self, monkeypatch):
+        class Admitted(Exception):
+            pass
+
+        def admitted(*_args):
+            raise Admitted
+
+        monkeypatch.setattr(hochschild, "_Coboundary", admitted)
+        monkeypatch.setattr(hochschild, "_require_supercommutative", lambda A: None)
+        top = MAX_SH_CELLS.bit_length() - 2  # the largest n the arity bound admits
+        # Lambda_2 at n = 7 fills the cell bound exactly; a 1-dimensional
+        # algebra is admitted up to the arity bound and refused past it,
+        # with no power of any size formed (A.dim is never read there).
+        for A, M, n in ((SimpleNamespace(dim=4), SimpleNamespace(dim=4), 7),
+                        (SimpleNamespace(dim=1), SimpleNamespace(dim=1), top)):
+            with pytest.raises(Admitted):
+                sh_dim(A, M, n)
+        for n in (top + 1, 10**11):
+            with pytest.raises(AlgebraError, match="size bound"):
+                sh_dim(SimpleNamespace(), SimpleNamespace(dim=0), n)
+        # For dim A >= 2 the cell bound alone refuses every n past the arity bound.
+        for dim in range(2, 40):
+            for n in range(top + 1, top + 4):
+                assert dim ** (n + 2) > MAX_SH_CELLS
+
     def test_negative_n_is_refused(self):
         A = grassmann(1)
         with pytest.raises(ValueError, match="nonnegative"):

@@ -1,6 +1,7 @@
-"""Source idioms: sparse accumulation and the closure of a span under maps
-each have one implementation, only exactlin handles an Echelon, no
-scalar division can make a float, and an F_p scalar is no FpElement."""
+"""Source idioms: sparse accumulation, the closure of a span under maps and
+the search for odd parameter systems each have one implementation, only
+exactlin handles an Echelon, no scalar division can make a float, and an
+F_p scalar is no FpElement."""
 
 import ast
 import importlib
@@ -96,6 +97,46 @@ def test_closure_check_flags_hand_written_worklists():
     )
     assert _worklist_closure_sites(module_span) == [8]
     assert _worklist_closure_sites("while queue:\n    queue.pop()\n") == []
+
+
+def _combinations_sites(source):
+    """Lines of ``combinations(...)`` calls, by bare or dotted name."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "combinations"
+    )
+
+
+def test_one_subset_search_in_sdim():
+    """Every search for odd parameter systems goes through one enumerator."""
+    with open(os.path.join(SRC, "sdim.py")) as fh:
+        sites = _combinations_sites(fh.read())
+    assert len(sites) <= 1, "sdim.py: combinations( at lines %s; use _acting_systems" % (sites,)
+
+
+def test_subset_search_check_flags_hand_written_searches():
+    # the four loops of sdim.py before _acting_systems, condensed
+    loops = (
+        "def odd_parameter_systems(M, size):\n"
+        "    for combo in combinations(range(len(pool)), size):\n"
+        "        pass\n"
+        "def sdim_odd_by_subset_search(M):\n"
+        "    for size in range(len(pool), -1, -1):\n"
+        "        for combo in combinations(range(len(pool)), size):\n"
+        "            pass\n"
+        "def subset_chain_agreement(M):\n"
+        "    has_system = any(\n"
+        "        system_acts_nonzero(M, [pool[i][1] for i in combo])\n"
+        "        for combo in combinations(range(len(pool)), l)\n"
+        "    )\n"
+        "def verify_factoring(M, ys):\n"
+        "    for combo in itertools.combinations(range(len(pool)), total.odd - t):\n"
+        "        pass\n"
+    )
+    assert _combinations_sites(loops) == [2, 6, 11, 14]
+    assert _combinations_sites("from itertools import combinations\n") == []
 
 
 def _echelon_import_sites(source):

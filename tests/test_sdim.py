@@ -1,8 +1,13 @@
 """Krull super-dimension: chains of odd powers and parameter systems."""
 
+import importlib
+from itertools import combinations
+
 import pytest
 
 from superdim.algebra import odd_radical, superideal_span
+from superdim.exactlin import QQ, PrimeField
+from superdim.superpoly import ODD
 from superdim.sdim import (
     EMPTY_SDIM,
     SuperDimension,
@@ -15,11 +20,21 @@ from superdim.sdim import (
     subset_chain_agreement,
     verify_factoring,
 )
-from superdim.smodule import ModuleError, product_span, quotient, regular_module
+from superdim.smodule import (
+    ModuleError,
+    product_span,
+    quotient,
+    regular_module,
+    sequence_quotient,
+)
 
 from conftest import random_algebra, random_module, rng_for
 from oracles import ext_chain_dims
 from test_algebra import grassmann
+
+# The package re-exports the function sdim under the submodule's name.
+sdim_module = importlib.import_module("superdim.sdim")
+smodule = importlib.import_module("superdim.smodule")
 
 
 class TestSuperDimension:
@@ -39,6 +54,23 @@ class TestSuperDimension:
 def zero_module(A):
     M = regular_module(A)
     return quotient(M, M.full_subspace())
+
+
+FIELDS = [QQ, PrimeField(2), PrimeField(5)]
+
+
+def brute_force_systems(M, size):
+    """Label tuples of the size-``size`` subsets of the odd generating set
+    whose product, multiplied out from the unit, acts by a nonzero matrix."""
+    A = M.algebra
+    out = []
+    for combo in combinations(A.odd_module_generators(), size):
+        prod = A.unit_element()
+        for _label, y in combo:
+            prod = A.mul(prod, y)
+        if not M.act_element(prod).is_zero():
+            out.append(tuple(label for label, _y in combo))
+    return out
 
 
 class TestChains:
@@ -100,6 +132,23 @@ class TestParameterSystems:
             assert sdim_odd_by_subset_search(M) == sdim(M).odd
             assert subset_chain_agreement(M)
 
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+    def test_systems_match_brute_force(self, field):
+        rng = rng_for("test_systems_match_brute_force" + field.name)
+        for trial in range(12):
+            A = random_algebra(rng, max_gens=4, max_cap=4, max_dim=20, field=field)
+            M = zero_module(A) if trial == 0 else random_module(rng, A)
+            top = len(A.odd_module_generators())
+            for size in range(top + 2):
+                assert odd_parameter_systems(M, size) == brute_force_systems(M, size)
+        A = grassmann(4, field)
+        M = regular_module(A)
+        for size in range(6):
+            assert odd_parameter_systems(M, size) == brute_force_systems(M, size)
+        assert odd_parameter_systems(M, 0) == [()]
+        assert odd_parameter_systems(zero_module(A), 0) == []
+        assert odd_parameter_systems(M, 5) == []
+
     def test_subset_search_on_zero_module(self):
         assert sdim_odd_by_subset_search(zero_module(grassmann(1))) is None
 
@@ -125,7 +174,54 @@ class TestExtendability:
             is_extendable_to_longest([z1, z1], M)
 
 
+class TestSequenceQuotient:
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+    def test_iterated_quotient_is_the_quotient_by_the_ideal(self, field):
+        rng = rng_for("test_iterated_quotient_is_the_quotient_by_the_ideal" + field.name)
+        checked = 0
+        for _ in range(16):
+            A = random_algebra(rng, max_dim=14, field=field)
+            M = random_module(rng, A)
+            odd = [A.basis_element(i) for i in range(A.dim) if A.parities[i] == ODD]
+            if not odd:
+                continue
+            ys = [rng.choice(odd) for _ in range(rng.randint(1, 3))]
+            _regular, last = sequence_quotient(ys, M)
+            direct = quotient(M, product_span(M, ys))
+            assert last.dim == direct.dim
+            assert sdim(last) == sdim(direct)
+            checked += 1
+        assert checked >= 8
+
+    def test_regularity_verdict(self):
+        A = grassmann(2)
+        M = regular_module(A)
+        z1, z2 = A.generator_element("z1"), A.generator_element("z2")
+        regular, Q = sequence_quotient([z1, z2], M)
+        assert regular and Q.dim == 1
+        regular, Q = sequence_quotient([z1, z1], M)
+        assert not regular and Q.dim == 2
+        assert sequence_quotient([], M) == (True, M)
+
+
 class TestVerifyFactoring:
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_quotient_built_once(self, monkeypatch, t):
+        calls = []
+        real = smodule.quotient
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(smodule, "quotient", counting)
+        # a quotient call that sdim makes by its own import is counted too
+        monkeypatch.setattr(sdim_module, "quotient", counting, raising=False)
+        A = grassmann(3)
+        ys = [A.generator_element("z%d" % i) for i in range(1, t + 1)]
+        assert verify_factoring(regular_module(A), ys)["ok"]
+        assert len(calls) == t
+
     def test_grassmann_report(self):
         A = grassmann(2)
         M = regular_module(A)
