@@ -14,8 +14,10 @@ Global flags on every subcommand: --field q|f<p> overrides the field in
 the algebra file, --format text|report selects human text or the JSON
 report, --seed N is echoed into the output for reproducibility.
 
-Exit codes: 0 success, 1 a verification clause failed (the failing
-clause ids are printed), 2 usage or parse error.
+Each subcommand returns its report, its text lines and the ids of its
+failed clauses; ``main`` alone writes the output, then prints one
+``FAIL <id>`` line per failed clause to stderr and sets the exit code:
+0 success, 1 a verification clause failed, 2 usage or parse error.
 
 Element lists (--elems, --ideal) are comma-separated expressions in the
 algebra's generators, e.g. ``Y1,t123*Y4``.  Cochain files (--cocycle,
@@ -29,7 +31,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .algebra import AlgebraError, compile_presentation, odd_radical, superideal_span
+from .algebra import compile_presentation, odd_radical, superideal_span
 from .corpus import CASES, corpus_all, corpus_report
 from .exactlin import QQ
 from .graded import (
@@ -58,10 +60,9 @@ from .sdim import (
     sdim_of_chain,
     verify_factoring,
 )
-from .smodule import ModuleError, RegularModule, check_module, regular_module
+from .smodule import RegularModule, check_module, regular_module
 from .superpoly import EVEN, ODD
 from .textio import (
-    ParseError,
     emit_report,
     field_from_name,
     parse_elements,
@@ -90,10 +91,13 @@ def _read(path):
         raise UsageError("cannot read %s: %s" % (path, exc))
 
 
+def _field(args, default=None):
+    """The --field override, or ``default`` without one."""
+    return field_from_name(args.field) if args.field else default
+
+
 def _load_algebra(args):
-    field = field_from_name(args.field) if args.field else None
-    pres = parse_presentation(_read(args.algebra), field=field)
-    return compile_presentation(pres)
+    return compile_presentation(parse_presentation(_read(args.algebra), field=_field(args)))
 
 
 def _load_module(args, A):
@@ -118,31 +122,12 @@ def _sdim_text(sd):
     return "%d|%d" % (sd.even, sd.odd)
 
 
-def _emit(args, report, lines):
-    if args.format == "report":
-        sys.stdout.write(emit_report(report))
-    else:
-        for line in lines:
-            print(line)
-
-
-def _seeded(args, report, lines):
-    if args.seed is not None:
-        report["seed"] = args.seed
-        lines.insert(0, "seed: %d" % args.seed)
-    return report, lines
-
-
-def _fail_clauses(clauses, prefix=""):
-    """Print failing clause ids to stderr; return True when any failed."""
-    bad = [cl["id"] for cl in clauses if not cl["ok"]]
-    for cid in bad:
-        print("FAIL %s%s" % (prefix, cid), file=sys.stderr)
-    return bool(bad)
-
-
 def _clause_lines(clauses):
     return [("ok   " if cl["ok"] else "FAIL ") + cl["id"] for cl in clauses]
+
+
+def _failed(clauses, prefix=""):
+    return [prefix + cl["id"] for cl in clauses if not cl["ok"]]
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +153,7 @@ def _cmd_sdim(args):
         "super-dimension: %s" % _sdim_text(sd),
         "odd chain dims: %s" % " ".join(str(d) for d in chain),
     ]
-    _emit(args, *_seeded(args, report, lines))
-    return 0
+    return report, lines, []
 
 
 def _cmd_odd_params(args):
@@ -192,8 +176,7 @@ def _cmd_odd_params(args):
     }
     lines = ["size: %d" % size, "count: %d" % len(systems)]
     lines += [" ".join(s) for s in systems]
-    _emit(args, *_seeded(args, report, lines))
-    return 0
+    return report, lines, []
 
 
 def _cmd_regular(args):
@@ -220,10 +203,7 @@ def _cmd_regular(args):
         "sdim of quotient: %s" % _sdim_text(rep["sdim_quotient"]),
         "extendable to longest: %s" % ("true" if rep["extendable"] else "false"),
     ]
-    _emit(args, *_seeded(args, report, lines))
-    if _fail_clauses(rep["clauses"]):
-        return 1
-    return 0
+    return report, lines, _failed(rep["clauses"])
 
 
 def _cmd_gr(args):
@@ -272,23 +252,19 @@ def _cmd_gr(args):
             "bigraded components: %s"
             % " ".join("(%d,%d):%d" % (kl[0], kl[1], n) for kl, n in sorted(bcomp.items()))
         )
-    failed = False
     if args.verify:
         rep = graded_comparison(M, ideal, GM, sd, gsd)
         report["clauses"] = rep["clauses"]
         report["ok"] = rep["ok"]
         lines += _clause_lines(rep["clauses"])
-        failed = _fail_clauses(rep["clauses"])
-    _emit(args, *_seeded(args, report, lines))
-    return 1 if failed else 0
+    return report, lines, _failed(report.get("clauses", []))
 
 
 def _cmd_hilbert(args):
     for flag, value in (("--kmax", args.kmax), ("--lmax", args.lmax)):
         if value is not None and value < 0:
             raise UsageError("%s must be nonnegative, not %d" % (flag, value))
-    field = field_from_name(args.field) if args.field else None
-    pres = parse_presentation(_read(args.algebra), field=field)
+    pres = parse_presentation(_read(args.algebra), field=_field(args))
     table = bigraded_dims(pres, kmax=args.kmax, lmax=args.lmax)
     report = {
         "command": "hilbert",
@@ -321,8 +297,7 @@ def _cmd_hilbert(args):
                 "rows not stabilized: %s (raise --kmax)"
                 % " ".join(str(l) for l in bad)
             )
-    _emit(args, *_seeded(args, report, lines))
-    return 0
+    return report, lines, []
 
 
 def _scalar_from_json(field, c):
@@ -433,34 +408,24 @@ def _cmd_hochschild(args):
                     "adapted-equivalent (certificate with %d nonzero images)"
                     % len(f.table)
                 )
-    _emit(args, *_seeded(args, report, lines))
-    if clauses and _fail_clauses(clauses):
-        return 1
-    return 0
+    return report, lines, _failed(clauses)
 
 
 def _cmd_corpus(args):
-    field = _default_field(args)
+    field = _field(args, QQ)
     if args.case == "all":
         reports = corpus_all(field=field)
     else:
         reports = {args.case: corpus_report(args.case, field=field)}
     lines = []
-    failed = False
+    failed = []
     for case in sorted(reports):
         rep = reports[case]
         lines.append("--- %s" % case)
         lines += _clause_lines(rep["clauses"])
         lines.append("ok = %s" % ("true" if rep["ok"] else "false"))
-        if _fail_clauses(rep["clauses"], prefix=case + "."):
-            failed = True
-    report = {"command": "corpus", "cases": reports}
-    _emit(args, *_seeded(args, report, lines))
-    return 1 if failed else 0
-
-
-def _default_field(args):
-    return field_from_name(args.field) if args.field else QQ
+        failed += _failed(rep["clauses"], prefix=case + ".")
+    return {"command": "corpus", "cases": reports}, lines, failed
 
 
 # ---------------------------------------------------------------------------
@@ -551,13 +516,23 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ParseError, UsageError, AlgebraError, ModuleError, ValueError) as exc:
+        report, lines, failed = args.func(args)
+    except ValueError as exc:  # ParseError, UsageError, AlgebraError, ModuleError
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    if args.seed is not None:
+        report["seed"] = args.seed
+        lines.insert(0, "seed: %d" % args.seed)
+    if args.format == "report":
+        sys.stdout.write(emit_report(report))
+    else:
+        for line in lines:
+            print(line)
+    for cid in failed:
+        print("FAIL %s" % cid, file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -76,6 +76,11 @@ class RationalField:
         return "Q"
 
 
+# Largest field order F<p> admitted, checked before the trial division of
+# _is_prime, which then takes at most sqrt(2^31) < 46,341 steps.
+MAX_FIELD_ORDER = 1 << 31
+
+
 def _is_prime(n):
     if n < 2:
         return False
@@ -95,6 +100,8 @@ class PrimeField:
     one = 1
 
     def __init__(self, p):
+        if p > MAX_FIELD_ORDER:
+            raise ValueError("field order %d is past the bound %d" % (p, MAX_FIELD_ORDER))
         if not _is_prime(p):
             raise ValueError("field order must be prime, got %r" % (p,))
         self.p = p

@@ -377,9 +377,7 @@ def graded_comparison(M, ideal, GM, msd, gsd):
     ]
     radical = odd_radical(A)
     if ideal == radical:
-        clauses.append(
-            {"id": "equality-at-odd-radical", "ok": (not gsd.empty) and gsd.odd == msd.odd}
-        )
+        clauses.append({"id": "equality-at-odd-radical", "ok": gsd == msd})
     return {
         "clauses": clauses,
         "ok": all(c["ok"] for c in clauses),

@@ -124,6 +124,8 @@ def _acting_systems(M, size, prefix=()):
     in generating-set order, whose ordered product after the ``prefix``
     elements acts nontrivially on M; lazily, in ``combinations`` order."""
     pool = M.algebra.odd_module_generators()
+    if size > len(pool):  # combinations would first allocate size indices
+        return
     for combo in combinations(pool, size):
         if system_acts_nonzero(M, [*prefix, *(vec for _label, vec in combo)]):
             yield tuple(label for label, _vec in combo)

@@ -305,9 +305,7 @@ def submodule(M, span, name="submodule"):
     for mat in M.actions:
         cols = [coords(mat.apply(r)) for _p, r in rows]
         actions.append(Matrix.from_cols_sparse(len(rows), cols, M.field))
-    sub = SuperModule(M.algebra, parities, actions, name=name)
-    sub.ambient_rows = [dict(r) for _p, r in rows]
-    return sub
+    return SuperModule(M.algebra, parities, actions, name=name)
 
 
 def product_submodule(M, elements, name=None):
@@ -328,14 +326,12 @@ def quotient(M, span, name=None):
     for mat in M.actions:
         cols = [project(mat.apply({i: M.field.one})) for i in keep]
         actions.append(Matrix.from_cols_sparse(len(keep), cols, M.field))
-    Q = SuperModule(
+    return SuperModule(
         M.algebra,
         [M.parities[i] for i in keep],
         actions,
         name=name or (M.name + "/N"),
     )
-    Q.project = project
-    return Q
 
 
 def annihilator_even(M):

@@ -217,6 +217,19 @@ class TestGr:
         assert main(args + ["--module", asset("regular.mod")]) == 0
         assert capsys.readouterr().out == plain
 
+    def test_zero_module_verifies_equality(self, tmp_path):
+        # both super-dimensions are empty, so equality at the odd radical holds
+        zero = tmp_path / "zero.mod"
+        zero.write_text("module Z\n")
+        start = time.perf_counter()
+        code, out, err = run_cli("gr", asset("grassmann2.alg"), "--module", str(zero),
+                                 "--ideal", "odd-radical", "--verify", timeout=2)
+        assert time.perf_counter() - start < 2
+        assert code == 0, err
+        assert "graded super-dimension: empty" in out
+        assert "ok   equality-at-odd-radical" in out
+        assert err == ""
+
     def test_budget_admits_exactly_its_pairs(self, capsys, monkeypatch):
         # grassmann2 is 4-dimensional, so gr takes 4 * 4 = 16 product pairs
         args = ["gr", asset("grassmann2.alg"), "--ideal", "odd-radical"]
@@ -484,6 +497,62 @@ class TestCorpus:
         assert main(["corpus", "--case", "flat", "--seed", "11"]) == 0
         assert "seed: 11" in capsys.readouterr().out
 
+    def test_failed_clause_is_prefixed_by_its_case(self, capsys, monkeypatch):
+        clauses = [{"id": "holds", "ok": True}, {"id": "breaks", "ok": False}]
+        monkeypatch.setattr(cli, "corpus_report",
+                            lambda case, field: {"clauses": clauses, "ok": False})
+        assert main(["corpus", "--case", "flat"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "--- flat\nok   holds\nFAIL breaks\nok = false\n"
+        assert captured.err == "FAIL flat.breaks\n"
+
+
+def _corrupted_cocycle(tmp_path):
+    """coboundary_pi.json with one image changed: still a valid file, but
+    the pair checks break."""
+    with open(asset("coboundary_pi.json")) as fh:
+        data = json.load(fh)
+    key = sorted(data["table"])[0]
+    data["table"][key][sorted(data["table"][key])[0]]["num"] += 1
+    bad = tmp_path / "bad_pi.json"
+    bad.write_text(json.dumps(data))
+    return str(bad)
+
+
+G2 = asset("grassmann2.alg")
+CLAUSE_RUNS = {
+    "regular": (True, lambda tmp: ["regular", asset("c1_r.alg"), "--module",
+                                   asset("regular.mod"), "--elems", "Z1,Z1"]),
+    "gr-verify": (False, lambda tmp: ["gr", G2, "--ideal", "odd-radical", "--verify"]),
+    "hochschild-shipped": (False, lambda tmp: ["hochschild", G2, "--n", "1", "--cocycle",
+                                               asset("coboundary_pi.json")]),
+    "hochschild-corrupted": (True, lambda tmp: ["hochschild", G2, "--n", "1", "--cocycle",
+                                                _corrupted_cocycle(tmp)]),
+    "corpus-c2": (False, lambda tmp: ["corpus", "--case", "c2"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLAUSE_RUNS))
+def test_fail_lines_are_the_false_clauses_of_the_report(tmp_path, capsys, name):
+    """The FAIL ids on stderr are exactly the report's clauses whose ok is
+    false, prefixed by the case for corpus; exit 1 exactly when there is one."""
+    expect_failure, argv = CLAUSE_RUNS[name]
+    argv = argv(tmp_path)
+    code = main(argv + ["--format", "report"])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    if argv[0] == "corpus":
+        runs = [(case + ".", rep["clauses"]) for case, rep in report["cases"].items()]
+    else:
+        runs = [("", report.get("clauses", []))]
+    false_ids = sorted(prefix + cl["id"] for prefix, clauses in runs for cl in clauses
+                       if not cl["ok"])
+    fail_lines = captured.err.splitlines()
+    assert all(line.startswith("FAIL ") for line in fail_lines), captured.err
+    assert sorted(line[len("FAIL "):] for line in fail_lines) == false_ids
+    assert bool(false_ids) == expect_failure
+    assert code == (1 if false_ids else 0)
+
 
 class TestExitCodes:
     def test_missing_file(self, capsys):
@@ -614,6 +683,38 @@ class TestSubprocess:
         code, _out, err = run_cli("sdim", asset("grassmann2.alg"), "--module", str(mod), timeout=2)
         assert code in (0, 2)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["flag", "header"])
+    def test_huge_field_order_is_refused_before_trial_division(self, tmp_path, where):
+        order = "1000000000000000000000000000057"
+        header = "algebra big over F%s" % order
+        if where == "flag":
+            args = ("sdim", asset("grassmann2.alg"), "--field", "f" + order)
+        else:
+            alg = tmp_path / "big.alg"
+            alg.write_text(header + "\nflavor supercommutative\nodd z1 z2\ncap 2\n"
+                           "relations\nend\n")
+            args = ("sdim", str(alg))
+        start = time.perf_counter()
+        code, out, err = run_cli(*args, timeout=2)
+        assert time.perf_counter() - start < 2
+        assert code == 2
+        assert out == ""
+        assert "field order %s is past the bound 2147483648" % order in err
+        if where == "header":
+            assert "line 1, column %d:" % (header.index("F") + 1) in err
+        assert "Traceback" not in err
+
+    def test_size_past_the_generating_set_counts_zero(self):
+        # no subset of the two odd generators has 10^11 elements, and none is
+        # allocated for
+        start = time.perf_counter()
+        code, out, err = run_cli("odd-params", asset("grassmann2.alg"), "--size",
+                                 "100000000000", timeout=2)
+        assert time.perf_counter() - start < 2
+        assert code == 0, err
+        assert out == "size: 100000000000\ncount: 0\n"
+        assert err == ""
 
     def test_hilbert_far_window_without_relations(self):
         code, out, err = run_cli(

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superdim.exactlin import (
+    MAX_FIELD_ORDER,
     Echelon,
     Matrix,
     PrimeField,
@@ -57,6 +58,12 @@ class TestFields:
             field_from_name("F4")
         with pytest.raises(ValueError):
             field_from_name("zz")
+
+    def test_order_past_the_bound_is_refused(self):
+        # 2^31 - 1 is prime and admitted; past the bound no trial division runs
+        assert PrimeField(MAX_FIELD_ORDER - 1).p == MAX_FIELD_ORDER - 1
+        with pytest.raises(ValueError, match="past the bound %d" % MAX_FIELD_ORDER):
+            PrimeField(10**30 + 57)
 
     def test_fp_arithmetic(self):
         # a GF(p) scalar is an int in 0..p-1; a sum or product is reduced by of()

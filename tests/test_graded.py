@@ -32,6 +32,7 @@ from superdim.graded import (
 )
 from superdim.smodule import SuperModule, check_module, parity_shift, regular_module
 from superdim.superpoly import ASSOCIATIVE, EVEN, GeneratorSpec
+from superdim.textio import parse_module
 
 from conftest import random_algebra, random_module, random_nilpotent_ideal, rng_for
 from oracles import TwoPassComponents, eager_regular_module, two_pass_bgr_to_gr_surjective
@@ -281,6 +282,14 @@ class TestComparison:
         ids = [c["id"] for c in out["clauses"]]
         assert "equality-at-odd-radical" in ids
         assert out["sdim"] == out["sdim_graded"] == {"even": 0, "odd": 3}
+
+    def test_zero_module_gives_equality(self):
+        # both super-dimensions are the empty value, so the theorem holds
+        A = grassmann(2)
+        out = verify_graded_comparison(parse_module("module Z\n", A), odd_radical(A))
+        assert out["ok"], out
+        assert [c["id"] for c in out["clauses"]][-1] == "equality-at-odd-radical"
+        assert out["sdim"] == out["sdim_graded"] == {"empty": True}
 
     def test_random_comparisons_hold(self):
         rng = rng_for("test_random_comparisons_hold")

@@ -1,7 +1,8 @@
 """Source idioms: sparse accumulation, the closure of a span under maps and
 the search for odd parameter systems each have one implementation, only
-exactlin handles an Echelon, no scalar division can make a float, and an
-F_p scalar is no FpElement."""
+exactlin handles an Echelon, no scalar division can make a float, an F_p
+scalar is no FpElement, and only cli.main writes output or picks an exit
+code."""
 
 import ast
 import importlib
@@ -218,3 +219,64 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module("superdim." + name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, "superdim.%s.__all__ names %s, which it does not define" % (name, missing)
+
+
+def _int_literal(node):
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def _output_sites(source):
+    """Function name -> lines where it prints, names ``sys.stdout`` or
+    ``sys.stderr``, or returns an int literal (``1 if failed else 0``
+    included).  In cli.py only ``main`` may: it alone writes the output,
+    prints the FAIL lines and sets the exit code."""
+    sites = {}
+    for fn in ast.parse(source).body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            prints = isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+            stream = (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("stdout", "stderr")
+                and getattr(node.value, "id", None) == "sys"
+            )
+            exit_code = isinstance(node, ast.Return) and (
+                _int_literal(node.value)
+                or isinstance(node.value, ast.IfExp)
+                and (_int_literal(node.value.body) or _int_literal(node.value.orelse))
+            )
+            if prints or stream or exit_code:
+                sites.setdefault(fn.name, set()).add(node.lineno)
+    return {name: sorted(lines) for name, lines in sites.items()}
+
+
+def test_only_cli_main_writes_output_and_exit_codes():
+    with open(os.path.join(SRC, "cli.py")) as fh:
+        sites = _output_sites(fh.read())
+    assert list(sites) == ["main"], "cli.py: output or exit codes outside main: %s" % (sites,)
+
+
+def test_output_check_flags_a_command_that_writes_its_own():
+    # _cmd_regular as it was before main alone wrote the output
+    regular = (
+        "def _cmd_regular(args):\n"
+        "    rep = verify_factoring(M, ys)\n"
+        "    lines = _clause_lines(rep['clauses'])\n"
+        "    _emit(args, *_seeded(args, report, lines))\n"
+        "    if _fail_clauses(rep['clauses']):\n"
+        "        return 1\n"
+        "    return 0\n"
+        "def _fail_clauses(clauses):\n"
+        "    for cid in clauses:\n"
+        "        print('FAIL %s' % cid, file=sys.stderr)\n"
+        "def _emit(args, report, lines):\n"
+        "    sys.stdout.write(emit_report(report))\n"
+        "def _cmd_gr(args):\n"
+        "    return 1 if failed else 0\n"
+        "def _cmd_sdim(args):\n"
+        "    return report, lines, []\n"
+    )
+    assert _output_sites(regular) == {
+        "_cmd_regular": [6, 7], "_fail_clauses": [10], "_emit": [12], "_cmd_gr": [14]
+    }
