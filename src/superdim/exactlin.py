@@ -15,9 +15,10 @@ exchange format used across the package) is a list of such column dicts.
 :func:`vec_add_scaled` is the package's one sparse accumulation: every
 "add a scaled vector and drop the zeros" goes through it.
 Row reduction goes through a fully reduced sparse row-echelon accumulator
-(:class:`Echelon`).  Both keep the closure computations elsewhere in the
-package near the cost of their actual support instead of the ambient
-dimension.  Where only a rank is read, :func:`row_rank` eliminates forward
+(:class:`Echelon`), whose column index lets an insert back-substitute only
+the rows that hold its new pivot.  Both keep the closure computations
+elsewhere in the package near the cost of their actual support instead of
+the ambient dimension.  Where only a rank is read, :func:`row_rank` eliminates forward
 only: its pivot rows are never back-substituted.
 A :class:`Subspace` is the package's one graded span: it closes a span
 under linear maps (``close``), tests that closure (``is_closed``) and
@@ -138,11 +139,17 @@ QQ = RationalField()
 
 
 def field_from_name(name):
-    """Parse a field tag: "q"/"Q" or "f<p>"/"F<p>" with p prime."""
+    """Parse a field tag: "q"/"Q" or "f<p>"/"F<p>" with p prime.
+
+    An order with more digits than MAX_FIELD_ORDER is refused before
+    ``int()``, which would refuse a string past 4,300 digits on its own."""
     s = name.strip()
     if s in ("q", "Q"):
         return QQ
     if s[:1] in ("f", "F") and s[1:].isdigit():
+        digits = s[1:].lstrip("0")
+        if len(digits) > len(str(MAX_FIELD_ORDER)):
+            raise ValueError("field order %s is past the bound %d" % (digits, MAX_FIELD_ORDER))
         return PrimeField(int(s[1:]))
     raise ValueError("unknown field %r (expected q or f<p>)" % (name,))
 
@@ -249,18 +256,34 @@ class Echelon:
     which contains no other pivot column in its support.  Insertions keep
     the whole collection reduced, so coordinates with respect to the stored
     basis can be read off pivot entries directly.
+
+    ``_occ`` is the column index: it maps each non-pivot column held by
+    some row to the set of pivots whose rows hold it, and holds nothing
+    else (no empty set, no pivot column).  An insert back-substitutes only
+    the rows listed under its new pivot.  Only this module writes ``rows``,
+    and every write leaves the index equal to the one rebuilt from ``rows``.
     """
 
-    __slots__ = ("field", "rows")
+    __slots__ = ("field", "rows", "_occ")
 
     def __init__(self, field):
         self.field = field
         self.rows = {}
+        self._occ = {}
+
+    @classmethod
+    def _joined(cls, field, parts):
+        """An echelon on copies of the rows of the echelons ``parts``, whose
+        supports must be pairwise disjoint: their rows together are then
+        already fully reduced, and their indexes together index them."""
+        out = cls(field)
+        for ech in parts:
+            out.rows.update((p, dict(r)) for p, r in ech.rows.items())
+            out._occ.update((c, set(s)) for c, s in ech._occ.items())
+        return out
 
     def copy(self):
-        other = Echelon(self.field)
-        other.rows = {p: dict(r) for p, r in self.rows.items()}
-        return other
+        return Echelon._joined(self.field, [self])
 
     @property
     def rank(self):
@@ -309,29 +332,52 @@ class Echelon:
         piv = min(v)
         inv = self.field.inv(v[piv])
         p = self.field.characteristic
+        rows, occ = self.rows, self._occ
         # a fresh row: v lost entries in reduce, and a dict keeps the room
         # of what it lost, which every later pass over the row would cross
         row = _scaled(v, inv, p)
-        for r2 in self.rows.values():
-            coef = r2.get(piv)
-            if not coef:
-                continue
+        tail = dict(row)
+        del tail[piv]
+        for c in tail:
+            held = occ.get(c)
+            if held is None:
+                occ[c] = {piv}
+            else:
+                held.add(piv)
+        # Every other column of the new row is a non-pivot column, so a
+        # touched row gains or loses only indexed columns; each keeps the
+        # new row in its set, so no set empties.  A new entry -coef * x is
+        # nonzero, over GF(p) too, as p is prime.
+        for q in occ.pop(piv, ()):
+            r2 = rows[q]
+            coef = r2.pop(piv)
             if p:
-                for c, x in row.items():
-                    val = (r2.get(c, 0) - coef * x) % p
-                    if val:
-                        r2[c] = val
+                for c, x in tail.items():
+                    y = r2.get(c)
+                    if y is None:
+                        r2[c] = -coef * x % p
+                        occ[c].add(q)
+                        continue
+                    y = (y - coef * x) % p
+                    if y:
+                        r2[c] = y
                     else:
-                        r2.pop(c, None)
+                        del r2[c]
+                        occ[c].discard(q)
                 continue
-            for c, x in row.items():
+            for c, x in tail.items():
                 y = r2.get(c)
-                val = -coef * x if y is None else y - coef * x
-                if val:
-                    r2[c] = val
+                if y is None:
+                    r2[c] = -coef * x
+                    occ[c].add(q)
+                    continue
+                y = y - coef * x
+                if y:
+                    r2[c] = y
                 else:
-                    r2.pop(c, None)
-        self.rows[piv] = row
+                    del r2[c]
+                    occ[c].discard(q)
+        rows[piv] = row
         return piv
 
     def contains(self, vec):
@@ -830,9 +876,8 @@ def representatives(stage, below, first):
     outside the span.
     """
     n = len(stage.parities)
-    ech = Echelon(stage.field)
+    ech = Echelon._joined(stage.field, [below[0].even, below[0].odd] if below else [])
     if below:
-        ech.rows = {p: dict(r) for E in (below[0].even, below[0].odd) for p, r in E.rows.items()}
         for S in below[1:]:
             for row in S.basis():
                 ech.insert(row)

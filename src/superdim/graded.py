@@ -30,7 +30,11 @@ share three private builders:
   stage whose key is the sum of the two keys, which gives both the product
   table of the graded algebra (``_Components.algebra``, with the unit
   check) and the action columns of the graded module
-  (``_Components.module``).
+  (``_Components.module``).  Over a presented supercommutative A the
+  table needs only the pairs i <= j: representatives are homogeneous, so
+  r_j r_i = (-1)^(|r_i| |r_j|) r_i r_j, the key sum is symmetric, and the
+  class of r_j r_i is that of r_i r_j, negated when both are odd.  Any
+  other algebra, and every module, has all pairs solved.
 
 Conservation of total dimension holds for the graded object (the chain
 telescopes).  It does not hold bigraded in general: one ambient vector can
@@ -166,30 +170,48 @@ class _Components:
             out[c - self.ambient] = neg(x)
         return out
 
-    def classes(self, act, left, add):
+    def classes(self, act, left, add, half=False):
         """For each (key, element) in ``left``, the columns of its action:
         the class of act(element, rep) in stage add(key, key of rep), over
-        the representatives, or {} when that stage is zero."""
-        for lkey, a in left:
+        the representatives, or {} when that stage is zero.  With ``half``,
+        the columns of the i-th element start at rep i."""
+        keys, reps = self.keys, self.reps
+        for i, (lkey, a) in enumerate(left):
             cols = []
-            for rkey, (_p, r) in zip(self.keys, self.reps):
-                key = add(lkey, rkey)
-                vec = act(a, r) if key in self.echelons else None
+            for j in range(i if half else 0, len(reps)):
+                key = add(lkey, keys[j])
+                vec = act(a, reps[j][1]) if key in self.echelons else None
                 cols.append(self.coords(key, vec) if vec else {})
             yield cols
 
     def algebra(self, A, add, tag, name, degrees=None):
-        """The table-kind algebra on the representatives of a filtration of A."""
-        columns = self.classes(A.mul, zip(self.keys, self.rows), add)
-        table = {
-            (i, j): col for i, cols in enumerate(columns) for j, col in enumerate(cols) if col
-        }
+        """The table-kind algebra on the representatives of a filtration of A.
+
+        On a presented supercommutative A, r_j r_i = (-1)^(|r_i| |r_j|) r_i r_j
+        for the homogeneous representatives, and ``add`` is symmetric, so
+        both products lie in one stage and their classes differ by that
+        sign: only the pairs i <= j are multiplied and solved, and column
+        (j, i) is column (i, j), negated exactly when both are odd.
+        """
+        half = presented_supercommutative(A)
+        neg = A.field.neg
+        parities = [p for p, _r in self.reps]
+        table = {}
+        columns = self.classes(A.mul, zip(self.keys, self.rows), add, half)
+        for i, cols in enumerate(columns):
+            for j, col in enumerate(cols, i if half else 0):
+                if not col:
+                    continue
+                table[(i, j)] = col
+                if half and j != i:
+                    odd = parities[i] and parities[j]
+                    table[(j, i)] = {k: neg(x) for k, x in col.items()} if odd else col
         unit = self.coords(min(self.echelons), A.unit_element())  # the key of the whole of A
         if list(unit.values()) != [A.field.one]:
             raise AlgebraError("unit class is not a single representative")
         return FiniteSuperAlgebra.from_table(
             labels=["[%s]@%s" % (A.element_name(r), tag(k)) for k, r in zip(self.keys, self.rows)],
-            parities=[p for p, _r in self.reps],
+            parities=parities,
             field=A.field,
             table=table,
             unit_index=next(iter(unit)),

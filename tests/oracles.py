@@ -6,9 +6,9 @@ package under test is never the judge of its own output.  The three-pass
 monomial product, the Hochschild references, the dense matrix, the
 enumerated Hilbert tables, the basis-stepped filtrations, the
 Fraction-only rationals, the hand-written closures, the eagerly built
-regular module and the two-pass graded components at the end are the
-exception: they are the package's earlier kernels, kept to pin the current
-ones to the same results.
+regular module, the two-pass graded components and the scan-all echelon at
+the end are the exception: they are the package's earlier kernels, kept to
+pin the current ones to the same results.
 """
 
 import itertools
@@ -25,6 +25,7 @@ from superdim.algebra import (
 from superdim.exactlin import (
     Echelon,
     Matrix,
+    _scaled,
     Subspace,
     kernel_of_constraints,
     row_rank,
@@ -1347,3 +1348,104 @@ def fp_values(obj):
     if isinstance(obj, (list, tuple)):
         return type(obj)(fp_values(v) for v in obj)
     return obj
+
+
+# ---------------------------------------------------------------------------
+# the echelon without a column index: an insert scans every stored row for
+# its new pivot, and representatives seeds its echelon by assigning rows.
+# Copied from the package as it was before Echelon kept its column index,
+# apart from the names.
+
+
+class ScanEchelon:
+    """Fully reduced sparse row echelon; ``insert`` back-substitutes by
+    scanning every stored row."""
+
+    def __init__(self, field):
+        self.field = field
+        self.rows = {}
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def pivots(self):
+        return sorted(self.rows)
+
+    def reduce(self, vec):
+        v = {c: x for c, x in vec.items() if x}
+        rows = self.rows
+        p = self.field.characteristic
+        if p:
+            for c in sorted(v):
+                coef = v.get(c)
+                if coef is None or c not in rows:
+                    continue
+                for c2, x in rows[c].items():
+                    val = (v.get(c2, 0) - coef * x) % p
+                    if val:
+                        v[c2] = val
+                    else:
+                        v.pop(c2, None)
+            return v
+        for c in sorted(v):
+            coef = v.get(c)
+            if coef is None or c not in rows:
+                continue
+            for c2, x in rows[c].items():
+                y = v.get(c2)
+                val = -coef * x if y is None else y - coef * x
+                if val:
+                    v[c2] = val
+                else:
+                    v.pop(c2, None)
+        return v
+
+    def insert(self, vec):
+        v = self.reduce(vec)
+        if not v:
+            return None
+        piv = min(v)
+        inv = self.field.inv(v[piv])
+        p = self.field.characteristic
+        row = _scaled(v, inv, p)
+        for r2 in self.rows.values():
+            coef = r2.get(piv)
+            if not coef:
+                continue
+            if p:
+                for c, x in row.items():
+                    val = (r2.get(c, 0) - coef * x) % p
+                    if val:
+                        r2[c] = val
+                    else:
+                        r2.pop(c, None)
+                continue
+            for c, x in row.items():
+                y = r2.get(c)
+                val = -coef * x if y is None else y - coef * x
+                if val:
+                    r2[c] = val
+                else:
+                    r2.pop(c, None)
+        self.rows[piv] = row
+        return piv
+
+
+def scan_representatives(stage, below, first):
+    """exactlin.representatives on a ScanEchelon seeded by assigning rows."""
+    n = len(stage.parities)
+    ech = ScanEchelon(stage.field)
+    if below:
+        ech.rows = {p: dict(r) for E in (below[0].even, below[0].odd) for p, r in E.rows.items()}
+        for S in below[1:]:
+            for row in S.basis():
+                ech.insert(row)
+    reps = []
+    for parity, row in stage.basis_with_parity():
+        res = ech.reduce(row)
+        if res and min(res) < n:
+            res[n + first + len(reps)] = stage.field.one
+            ech.insert(res)
+            reps.append((parity, dict(row)))
+    return reps, ech

@@ -684,9 +684,10 @@ class TestSubprocess:
         assert code in (0, 2)
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("where", ["flag", "header"])
-    def test_huge_field_order_is_refused_before_trial_division(self, tmp_path, where):
-        order = "1000000000000000000000000000057"
+    @staticmethod
+    def _refuses_field_order(tmp_path, where, order):
+        """sdim with field order ``order`` in the flag or the algebra header
+        exits 2 within 2 s, printing the bound (and the header's location)."""
         header = "algebra big over F%s" % order
         if where == "flag":
             args = ("sdim", asset("grassmann2.alg"), "--field", "f" + order)
@@ -704,6 +705,18 @@ class TestSubprocess:
         if where == "header":
             assert "line 1, column %d:" % (header.index("F") + 1) in err
         assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("where", ["flag", "header"])
+    def test_huge_field_order_is_refused_before_trial_division(self, tmp_path, where):
+        self._refuses_field_order(tmp_path, where, "1000000000000000000000000000057")
+
+    @pytest.mark.parametrize("where", ["flag", "header"])
+    def test_field_order_past_the_int_digit_limit_gives_the_bound(self, tmp_path, where):
+        # 5,000 digits: int() of the string alone would refuse it with the
+        # interpreter's digit-limit message
+        err = self._refuses_field_order(tmp_path, where, "9" * 5000)
+        assert "set_int_max_str_digits" not in err
 
     def test_size_past_the_generating_set_counts_zero(self):
         # no subset of the two odd generators has 10^11 elements, and none is

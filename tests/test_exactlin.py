@@ -34,6 +34,7 @@ from oracles import (
     dense_rref,
     dense_solve,
     FractionEchelon,
+    ScanEchelon,
     FpElement,
     FpElementField,
     FractionRationalField,
@@ -41,6 +42,7 @@ from oracles import (
     fraction_solve_sparse,
     fp_values,
     naive_rank,
+    scan_representatives,
 )
 
 scalars = st.integers(min_value=-6, max_value=6)
@@ -641,3 +643,91 @@ class TestAgainstFpElementReference:
         R = FpElementField(5)
         assert fp_values({1: [R.of(7), (R.of(-1), 3)]}) == {1: [2, (4, 3)]}
         assert R.inv(R.of(2)).val == 3 and R.of(Fraction(1, 2)) == R.of(3)
+
+
+def _rebuilt_index(rows):
+    """The column index of a fully reduced echelon, rebuilt from its rows."""
+    occ = {}
+    for p, row in rows.items():
+        for c in row:
+            if c != p:
+                occ.setdefault(c, set()).add(p)
+    return occ
+
+
+@st.composite
+def _indexed_cases(draw):
+    """A field (Q, F2 or F5), coordinate parities, the rows of two lower
+    spans and of a stage, and vectors inserted afterwards, over the ambient
+    coordinates and a few tag coordinates past them."""
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(5)]))
+    if field is QQ:
+        entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+    else:
+        entry = st.integers(min_value=0, max_value=field.p - 1)
+    n = draw(st.integers(min_value=1, max_value=7))
+
+    def vectors(width, most):
+        rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), max_size=most))
+        return [{j: field.of(x) for j, x in enumerate(r) if x} for r in rows]
+
+    parities = draw(st.lists(st.integers(min_value=0, max_value=1), min_size=n, max_size=n))
+    lows = [vectors(n, 4) for _ in range(draw(st.integers(min_value=0, max_value=2)))]
+    return field, parities, lows, vectors(n, 5), vectors(n + 4, 8)
+
+
+class TestColumnIndex:
+    """The indexed Echelon against the scan-all reference of
+    tests/oracles.py: the same rows, pivots and residuals, and after every
+    insert an index equal to the one rebuilt from the rows."""
+
+    @staticmethod
+    def _agree(ech, ref, vectors):
+        for vec in vectors:
+            assert ech.insert(vec) == ref.insert(vec)
+            assert ech.rows == ref.rows
+            assert ech._occ == _rebuilt_index(ech.rows)
+        assert ech.pivots() == ref.pivots()
+        for vec in vectors:
+            assert ech.reduce(vec) == ref.reduce(vec)
+
+    @given(_indexed_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_inserts_and_copies_agree(self, case):
+        field, _parities, lows, stage_rows, extra = case
+        ech, ref = Echelon(field), ScanEchelon(field)
+        self._agree(ech, ref, [r for rows in lows for r in rows] + stage_rows)
+        before = {p: dict(r) for p, r in ech.rows.items()}
+        clone = ech.copy()
+        assert clone._occ == _rebuilt_index(clone.rows)
+        self._agree(clone, ref, extra)
+        # the copy shares no row and no index set with its source
+        assert ech.rows == before
+        assert ech._occ == _rebuilt_index(before)
+
+    @given(_indexed_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_seeded_as_representatives_seeds_agree(self, case):
+        field, parities, lows, stage_rows, extra = case
+        below = [Subspace.span(parities, field, rows) for rows in lows]
+        stage = Subspace.span(parities, field, [r for rows in lows for r in rows] + stage_rows)
+        reps, ech = representatives(stage, below, 1)
+        ref_reps, ref = scan_representatives(stage, below, 1)
+        assert reps == ref_reps
+        assert ech.rows == ref.rows
+        assert ech._occ == _rebuilt_index(ech.rows)
+        self._agree(ech, ref, extra)
+        for S in below:  # the seed rows were copied, not shared
+            for E in (S.even, S.odd):
+                assert E._occ == _rebuilt_index(E.rows)
+
+    def test_insert_touches_only_the_rows_that_hold_its_pivot(self):
+        ech = Echelon(QQ)
+        for vec in ({0: 1, 5: 2}, {1: 1, 6: 1}, {2: 1, 5: 1, 6: 3}):
+            ech.insert(vec)
+        assert ech._occ == {5: {0, 2}, 6: {1, 2}}
+        assert ech.insert({5: 1, 7: 1}) == 5
+        assert ech.rows == {
+            0: {0: 1, 7: -2}, 1: {1: 1, 6: 1}, 2: {2: 1, 6: 3, 7: -1}, 5: {5: 1, 7: 1}
+        }
+        assert ech._occ == {6: {1, 2}, 7: {0, 2, 5}}

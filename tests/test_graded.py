@@ -274,6 +274,54 @@ class TestTwoPassReference:
                     classify(A.unit_element())
 
 
+def _all_pairs_columns(X, A, add):
+    """The product table of a graded object as ``classes`` solves it on
+    every ordered pair of representatives."""
+    return list(X.components.classes(A.mul, zip(X.keys, X.components.rows), add))
+
+
+class TestHalfProductTable:
+    """On a presented supercommutative algebra gr and bgr solve only the
+    pairs i <= j and fill in (j, i) by the sign rule; every column equals
+    the one solved on its own ordered pair."""
+
+    def test_tables_equal_all_pairs_columns(self):
+        odd_pairs = {}
+        for A, I in _shortcut_cases():
+            for X, add in ((gr(A, I), operator.add), (bgr(A, I), _add_pairs)):
+                cols = _all_pairs_columns(X, A, add)
+                table = X.algebra._table
+                assert set(table) == {
+                    (i, j) for i, row in enumerate(cols) for j, col in enumerate(row) if col
+                }
+                for i, row in enumerate(cols):
+                    for j, col in enumerate(row):
+                        assert table.get((i, j), {}) == col
+                        if col and i != j and X.algebra.parities[i] == X.algebra.parities[j] == 1:
+                            key = A.field.characteristic
+                            odd_pairs[key] = odd_pairs.get(key, 0) + 1
+        # nonzero products of two distinct odd representatives were compared,
+        # in characteristic 2 as well
+        assert set(odd_pairs) == {0, 2, 5}
+
+    def test_associative_flavor_solves_every_pair(self):
+        # x y != y x in the free associative algebra, which the sign rule
+        # would have made equal
+        pres = Presentation(
+            ASSOCIATIVE, (GeneratorSpec("x", EVEN), GeneratorSpec("y", EVEN)), [], 2, QQ, "free"
+        )
+        A = compile_presentation(pres)
+        I = superideal_span(A, [A.generator_element("x"), A.generator_element("y")])
+        G = gr(A, I)
+        cols = _all_pairs_columns(G, A, operator.add)
+        table = G.algebra._table
+        assert table == {
+            (i, j): col for i, row in enumerate(cols) for j, col in enumerate(row) if col
+        }
+        x, y = (G.reps.index(A.generator_element(g)) for g in "xy")
+        assert table[(x, y)] != table[(y, x)]
+
+
 class TestComparison:
     def test_odd_radical_gives_equality(self):
         A = grassmann(3)

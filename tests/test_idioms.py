@@ -1,8 +1,8 @@
 """Source idioms: sparse accumulation, the closure of a span under maps and
 the search for odd parameter systems each have one implementation, only
-exactlin handles an Echelon, no scalar division can make a float, an F_p
-scalar is no FpElement, and only cli.main writes output or picks an exit
-code."""
+exactlin handles an Echelon or writes its rows, no scalar division can make
+a float, an F_p scalar is no FpElement, and only cli.main writes output or
+picks an exit code."""
 
 import ast
 import importlib
@@ -165,6 +165,74 @@ def test_echelon_import_check_flags_an_import():
     assert _echelon_import_sites("from .exactlin import Echelon, Matrix, Subspace\n") == [1]
     assert _echelon_import_sites("import os\nfrom superdim.exactlin import Echelon as E\n") == [2]
     assert _echelon_import_sites("from .exactlin import Matrix, representatives\n") == []
+
+
+_MUTATORS = {"pop", "popitem", "update", "clear", "setdefault", "__setitem__", "__delitem__"}
+
+
+def _rows_write_sites(source):
+    """Lines that assign, subscript-store, delete, pop or update ``<x>.rows``
+    or an entry of it.  Only exactlin may: an Echelon keeps a column index
+    of its rows, and a write from outside would leave it stale."""
+
+    def on_rows(node):
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return isinstance(node, ast.Attribute) and node.attr == "rows"
+
+    def targets(node):
+        if isinstance(node, (ast.Tuple, ast.List)):
+            return [t for elt in node.elts for t in targets(elt)]
+        return [node.value] if isinstance(node, ast.Starred) else [node]
+
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            stores = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            stores = [node.target]
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _MUTATORS
+        ):
+            stores = [node.func.value]
+        else:
+            continue
+        if any(on_rows(t) for store in stores for t in targets(store)):
+            sites.append(node.lineno)
+    return sorted(sites)
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(n for n in os.listdir(SRC) if n.endswith(".py") and n != "exactlin.py"),
+)
+def test_only_exactlin_writes_echelon_rows(name):
+    with open(os.path.join(SRC, name)) as fh:
+        sites = _rows_write_sites(fh.read())
+    assert not sites, "%s: writes .rows at lines %s; the echelon index would go stale" % (
+        name,
+        sites,
+    )
+
+
+def test_rows_write_check_flags_a_hand_written_mutation():
+    with open(os.path.join(SRC, "exactlin.py")) as fh:
+        assert _rows_write_sites(fh.read())
+    # representatives' seed as it was before the index, and further writes
+    writes = (
+        "ech.rows = {p: dict(r) for E in (S.even, S.odd) for p, r in E.rows.items()}\n"
+        "ech.rows[p] = row\n"
+        "ech.rows[p][c] += x\n"
+        "del S.even.rows[p]\n"
+        "ech.rows.pop(p)\n"
+        "ech.rows[p].update(row)\n"
+        "x, ech.rows = 1, {}\n"
+    )
+    assert _rows_write_sites(writes) == [1, 2, 3, 4, 5, 6, 7]
+    reads = "row = ech.rows[p]\nq = ech.rows.get(p)\nfor p in S.odd.rows:\n    rows[p] = 1\n"
+    assert _rows_write_sites(reads) == []
 
 
 def _float_division_sites(source):
