@@ -18,6 +18,8 @@ Each subcommand returns its report, its text lines and the ids of its
 failed clauses; ``main`` alone writes the output, then prints one
 ``FAIL <id>`` line per failed clause to stderr and sets the exit code:
 0 success, 1 a verification clause failed, 2 usage or parse error.
+The argument parser is built once per process, on the first call of
+``main``, and reused by every later call.
 
 Element lists (--elems, --ideal) are comma-separated expressions in the
 algebra's generators, e.g. ``Y1,t123*Y4``.  Cochain files (--cocycle,
@@ -27,6 +29,7 @@ algebra's generators, e.g. ``Y1,t123*Y4``.  Cochain files (--cocycle,
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -515,8 +518,16 @@ def _build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    """The argument parser, built on the first call and reused after it;
+    ``parse_args`` returns a fresh namespace and leaves the parser as it was.
+    Each subcommand's ``_cmd_*`` handler is bound at that first build."""
+    return _build_parser()
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report, lines, failed = args.func(args)
     except ValueError as exc:  # ParseError, UsageError, AlgebraError, ModuleError

@@ -13,7 +13,9 @@ through ``field.inv``: int / int would be a float.
 Vectors are sparse dicts index -> nonzero scalar, and a :class:`Matrix` (the
 exchange format used across the package) is a list of such column dicts.
 :func:`vec_add_scaled` is the package's one sparse accumulation: every
-"add a scaled vector and drop the zeros" goes through it.
+"add a scaled vector and drop the zeros" goes through it, except where a
+caller adds raw products into one dict of sums and hands it to
+:func:`vec_from_sums`, which reduces mod p and drops the zeros in one pass.
 Row reduction goes through a fully reduced sparse row-echelon accumulator
 (:class:`Echelon`), whose column index lets an insert back-substitute only
 the rows that hold its new pivot.  Both keep the closure computations
@@ -185,6 +187,19 @@ def vec_add_scaled(target, src, coeff, field):
         else:
             target.pop(c, None)
     return target
+
+
+def vec_from_sums(sums, field):
+    """The sparse vector of raw sums: each entry reduced mod p, zeros dropped.
+
+    ``sums`` maps an index to an unreduced int (or, over Q, any scalar)
+    added up from products of field scalars.  Reducing once at the end is
+    exact, since reduction mod p is a ring map from the integers.
+    """
+    p = field.characteristic
+    if p:
+        return {c: y for c, x in sums.items() if (y := x % p)}
+    return {c: x for c, x in sums.items() if x}
 
 
 def vec_dot(a, b, field):

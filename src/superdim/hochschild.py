@@ -48,7 +48,8 @@ import itertools
 
 from .algebra import AlgebraError, FiniteSuperAlgebra, is_algebra_map, is_supercommutative
 from .algebra import presented_supercommutative
-from .exactlin import Matrix, kernel_of_constraints, row_rank, solve_sparse, vec_add_scaled
+from .exactlin import Matrix, kernel_of_constraints, row_rank, solve_sparse
+from .exactlin import vec_add_scaled, vec_from_sums
 from .smodule import regular_module
 from .superpoly import EVEN, ODD
 
@@ -162,13 +163,18 @@ class _Coboundary:
     Holds what every application shares, built once: the preimage index
     (for each basis element e_k, the products e_a e_b whose coefficient c
     on e_k is nonzero, as (a * dim + b, c), from dim^2 ``A.mul_basis``
-    lookups), and the columns of the ``act_basis`` matrices with the signs
+    lookups), and the entries of the ``act_basis`` columns with the signs
     of the left and the twisted right action.
 
     A tuple u of basis indices is coded as the integer sum_j u_j
-    dim^(len(u)-1-j), which orders codes as the tuples are ordered.  An
-    image is a dict from output codes to values in M; :meth:`row` flattens
-    it to the coordinates code * M.dim + r.
+    dim^(len(u)-1-j), which orders codes as the tuples are ordered, and the
+    coordinate r of the value at u as code * M.dim + r.  :meth:`image`
+    returns d_n(f) in that flat coding, ready for ``row_rank``.  It adds
+    the unreduced products c * x of every term into one dict of sums and
+    reduces them once, through ``exactlin.vec_from_sums``: over F_p the
+    terms are ints, and reduction mod p is a ring map from the integers,
+    so the sum reduced once equals the sum reduced term by term; over Q
+    nothing is reduced.
     """
 
     __slots__ = ("dim", "mdim", "preimages", "actions", "field")
@@ -180,17 +186,17 @@ class _Coboundary:
             for b in range(dim):
                 for k, c in A.mul_basis(a, b).items():
                     preimages[k].append((a * dim + b, c))
-        # per value coordinate r: (a, a.e_r, left sign, right twist) for
-        # every basis element a with a.e_r nonzero.  The left sign
-        # -(-1)^{|f||a|} is -1 unless both f and a are odd; the twisted
-        # right action e_r.a = (-1)^{|a||r|} a.e_r flips when both are odd.
+        # per value coordinate r, one entry (a, s, left * z, twist * z) for
+        # every coefficient z on e_s of a.e_r.  The left sign -(-1)^{|f||a|}
+        # is -1 unless both f and a are odd; the twisted right action
+        # e_r.a = (-1)^{|a||r|} a.e_r flips when both are odd.
         actions = [[] for _ in range(M.dim)]
         for a in range(dim):
             odd = A.parities[a] == ODD
             left = 1 if parity == ODD and odd else -1
             for r, col in enumerate(M.act_basis(a).cols):
-                if col:
-                    actions[r].append((a, col, left, -1 if odd and M.parities[r] else 1))
+                twist = -1 if odd and M.parities[r] else 1
+                actions[r].extend((a, s, left * z, twist * z) for s, z in col.items())
         self.dim = dim
         self.mdim = M.dim
         self.preimages = preimages
@@ -198,50 +204,50 @@ class _Coboundary:
         self.field = M.field
 
     def image(self, table, n):
-        """d_n of the cochain with this table, as {output code: value}."""
-        dim = self.dim
-        field = self.field
+        """d_n of the cochain with this table, as {output code * M.dim + r: scalar}."""
+        dim, mdim = self.dim, self.mdim
         preimages = self.preimages
         actions = self.actions
         right = -1 if n % 2 == 0 else 1  # (-1)^{n+1}
-        top = dim ** (n + 1)
+        top = dim ** (n + 1) * mdim
         # slot i: the code of t[i+1:] is below w = dim^(n-i), and t[:i]
-        # moves up past the pair (a, b) that replaces t[i]
-        slots = [(i, dim ** (n - i)) for i in range(n + 1)]
-        out = {}
+        # moves up past the pair ab that replaces t[i]
+        slots = [(i, dim ** (n - i), dim ** (n - i + 1), i % 2) for i in range(n + 1)]
+        sums = {}
+        get = sums.get
         for t, val in table.items():
             code = 0
             for x in t:
                 code = code * dim + x
-            for i, w in slots:
-                base = code // (w * dim) * (w * dim * dim) + code % w
-                for ab, c in preimages[t[i]]:
-                    vec_add_scaled(out.setdefault(base + ab * w, {}), val, -c if i % 2 else c,
-                                   field)
+            low = code * mdim
+            high = low * dim
             for r, x in val.items():
+                for i, w, wd, odd in slots:
+                    key = (code // wd * wd * dim + code % w) * mdim + r
+                    step = w * mdim
+                    y = -x if odd else x
+                    for ab, c in preimages[t[i]]:
+                        k = key + ab * step
+                        sums[k] = get(k, 0) + c * y
                 xr = right * x
-                for a, col, left, twist in actions[r]:
-                    vec_add_scaled(out.setdefault(a * top + code, {}), col, left * x, field)
-                    vec_add_scaled(out.setdefault(code * dim + a, {}), col, twist * xr, field)
-        return out
+                for a, s, lz, tz in actions[r]:
+                    k = a * top + low + s
+                    sums[k] = get(k, 0) + lz * x
+                    k = high + a * mdim + s
+                    sums[k] = get(k, 0) + tz * xr
+        return vec_from_sums(sums, self.field)
 
     def cochain(self, f):
-        """d_n(f) as a Cochain: the image with its codes decoded to tuples."""
+        """d_n(f) as a Cochain: the image with its flat keys decoded to tuples."""
         table = {}
-        for code, vec in self.image(f.table, f.n).items():
+        for key, c in self.image(f.table, f.n).items():
+            code, r = divmod(key, self.mdim)
             tup = []
             for _ in range(f.n + 2):
                 code, x = divmod(code, self.dim)
                 tup.append(x)
-            table[tuple(reversed(tup))] = vec
+            table.setdefault(tuple(reversed(tup)), {})[r] = c
         return Cochain(f.n + 1, f.parity, table)
-
-    def row(self, table, n):
-        """d_n of the cochain with this table as one flat sparse vector."""
-        mdim = self.mdim
-        return {
-            code * mdim + r: c for code, vec in self.image(table, n).items() for r, c in vec.items()
-        }
 
 
 def _odd_regular_coboundary(A):
@@ -379,7 +385,7 @@ def is_cocycle_pi(pi, A):
     unit = A.unit_index
     if any(pi.value((unit, j)) or pi.value((j, unit)) for j in range(A.dim)):
         return False
-    return not any(_odd_regular_coboundary(A).image(pi.table, 1).values())
+    return not _odd_regular_coboundary(A).image(pi.table, 1)
 
 
 def _require_extension_datum(A, pi):
@@ -478,7 +484,7 @@ def adapted_equivalence(pi, pi2, A):
     variables = _odd_map_variables(A)
     eqs = {}
     for t, (i, r) in enumerate(variables):
-        for k, c in d0.row({(i,): {r: field.one}}, 0).items():
+        for k, c in d0.image({(i,): {r: field.one}}, 0).items():
             eqs.setdefault(k, {})[t] = c
     diff = cochain_sub(pi2, pi, field)
     rhs = {
@@ -613,10 +619,10 @@ def sh_dim(A, M, n):
     for parity in (EVEN, ODD):
         d = _Coboundary(A, M, parity)
         basis_n = cochain_space_basis(A, M, n, parity)
-        kernel_dim = len(basis_n) - row_rank((d.row(f.table, n) for f in basis_n), A.field)
+        kernel_dim = len(basis_n) - row_rank((d.image(f.table, n) for f in basis_n), A.field)
         image_rank = 0
         if n > 0:
             prev = cochain_space_basis(A, M, n - 1, parity)
-            image_rank = row_rank((d.row(g.table, n - 1) for g in prev), A.field)
+            image_rank = row_rank((d.image(g.table, n - 1) for g in prev), A.field)
         out.append(kernel_dim - image_rank)
     return tuple(out)

@@ -434,6 +434,77 @@ def echelon_sh_dim(A, M, n):
     return tuple(out)
 
 
+# _Coboundary as it was before its image was assembled flat: one
+# vec_add_scaled call per term into a dict of values per output code, which
+# a second pass flattens to the keys code * M.dim + r.
+
+
+class NestedCoboundary:
+    """d_n on the cochains of one parity over (A, M): nested image, then flattened.
+
+    Stands in for ``hochschild._Coboundary`` (the same constructor,
+    ``image`` and ``cochain``), so the package's routes can run on it.
+    """
+
+    def __init__(self, A, M, parity):
+        dim = A.dim
+        preimages = [[] for _ in range(dim)]
+        for a in range(dim):
+            for b in range(dim):
+                for k, c in A.mul_basis(a, b).items():
+                    preimages[k].append((a * dim + b, c))
+        actions = [[] for _ in range(M.dim)]
+        for a in range(dim):
+            odd = A.parities[a] == ODD
+            left = 1 if parity == ODD and odd else -1
+            for r, col in enumerate(M.act_basis(a).cols):
+                if col:
+                    actions[r].append((a, col, left, -1 if odd and M.parities[r] else 1))
+        self.dim = dim
+        self.mdim = M.dim
+        self.preimages = preimages
+        self.actions = actions
+        self.field = M.field
+
+    def nested(self, table, n):
+        """d_n of the cochain with this table, as {output code: value}."""
+        dim, field = self.dim, self.field
+        right = -1 if n % 2 == 0 else 1
+        top = dim ** (n + 1)
+        slots = [(i, dim ** (n - i)) for i in range(n + 1)]
+        out = {}
+        for t, val in table.items():
+            code = 0
+            for x in t:
+                code = code * dim + x
+            for i, w in slots:
+                base = code // (w * dim) * (w * dim * dim) + code % w
+                for ab, c in self.preimages[t[i]]:
+                    vec_add_scaled(out.setdefault(base + ab * w, {}), val, -c if i % 2 else c,
+                                   field)
+            for r, x in val.items():
+                xr = right * x
+                for a, col, left, twist in self.actions[r]:
+                    vec_add_scaled(out.setdefault(a * top + code, {}), col, left * x, field)
+                    vec_add_scaled(out.setdefault(code * dim + a, {}), col, twist * xr, field)
+        return out
+
+    def image(self, table, n):
+        """The nested image flattened to {code * M.dim + r: value}."""
+        nested = self.nested(table, n)
+        return {code * self.mdim + r: c for code, vec in nested.items() for r, c in vec.items()}
+
+    def cochain(self, f):
+        table = {}
+        for code, vec in self.nested(f.table, f.n).items():
+            tup = []
+            for _ in range(f.n + 2):
+                code, x = divmod(code, self.dim)
+                tup.append(x)
+            table[tuple(reversed(tup))] = vec
+        return Cochain(f.n + 1, f.parity, table)
+
+
 # is_cocycle_pi as it was before it became d_1 on the one coboundary: a scan
 # of all dim^3 basis triples, and the naive associativity scan it matches.
 

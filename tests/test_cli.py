@@ -804,3 +804,67 @@ class TestSubprocess:
         assert code == 0
         assert main(["sdim", asset("grassmann2.alg")]) == 0
         assert capsys.readouterr().out == out
+
+
+class TestParserReuse:
+    """``main`` builds the argument parser once per process and reuses it: a
+    sequence of calls in one process prints what fresh processes print."""
+
+    SEQUENCE = (
+        ("gr", asset("grassmann2.alg"), "--ideal", "odd-radical", "--bigraded"),
+        ("gr", asset("grassmann2.alg"), "--ideal", "odd-radical"),
+        ("sdim", asset("grassmann2.alg"), "--seed", "5"),
+        ("sdim", asset("grassmann2.alg")),
+        ("hochschild", asset("grassmann2.alg")),  # --n missing: usage error
+        ("sdim", asset("grassmann2.alg"), "--format", "report"),
+        ("hochschild", asset("grassmann2.alg"), "--n", "1",
+         "--cocycle", asset("coboundary_pi.json"), "--build-api"),
+        ("hochschild", asset("grassmann2.alg"), "--n", "1"),
+    )
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, monkeypatch):
+        # the usage message wraps at the terminal width; pin it for both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        builds = []
+
+        def counted():
+            builds.append(1)
+            return build()
+
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", counted)
+        cli._parser.cache_clear()
+        codes = []
+        try:
+            for argv in self.SEQUENCE:
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:
+                    code = exc.code
+                out, err = capsys.readouterr()
+                assert (code, out, err) == run_cli(*argv), argv
+                codes.append(code)
+        finally:
+            cli._parser.cache_clear()
+        assert codes == [0, 0, 0, 0, 2, 0, 0, 0]
+        assert len(builds) == 1
+
+    def test_import_builds_no_parser(self):
+        probe = (
+            "import sys\n"
+            "calls = []\n"
+            "def watch(frame, event, arg):\n"
+            "    if event == 'call' and frame.f_code.co_name == '_build_parser':\n"
+            "        calls.append(1)\n"
+            "sys.setprofile(watch)\n"
+            "import superdim.cli\n"
+            "at_import = len(calls)\n"
+            "superdim.cli._parser()\n"
+            "superdim.cli._parser()\n"
+            "sys.setprofile(None)\n"
+            "print(at_import, len(calls))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.stdout.split() == ["0", "1"], proc.stderr

@@ -8,6 +8,8 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superdim.algebra import (
     AlgebraError,
@@ -18,7 +20,7 @@ from superdim.algebra import (
     table_respects_unit,
 )
 from superdim import hochschild
-from superdim.cli import main
+from superdim.cli import _load_cochain, main
 from superdim.exactlin import QQ, PrimeField
 from superdim.hochschild import (
     MAX_SH_CELLS,
@@ -48,6 +50,7 @@ from superdim.superpoly import (
     GeneratorSpec,
     SuperPolynomial,
 )
+from superdim.textio import parse_module
 
 from conftest import (
     random_algebra,
@@ -58,6 +61,7 @@ from conftest import (
     rng_for,
 )
 from oracles import (
+    NestedCoboundary,
     direct_coboundary0,
     echelon_sh_dim,
     scan_coboundary,
@@ -211,6 +215,98 @@ class TestReferenceKernels:
                         assert [f.table for f in basis] == [f.table for f in want]
                         for f in basis[:8]:
                             assert coboundary(f, A, M) == scan_coboundary(f, A, M)
+
+
+_FLAT_FIELDS = (QQ, PrimeField(2), PrimeField(5))
+
+
+def _flat_module(kind, A, rng):
+    if kind == "regular":
+        return regular_module(A)
+    if kind == "regular.mod":
+        with open(os.path.join(ASSETS, "regular.mod")) as fh:
+            return parse_module(fh.read(), A)
+    return random_module(rng, A)
+
+
+class TestFlatImage:
+    """``_Coboundary.image`` sums raw products per flat key and reduces once;
+    the reference adds each term through vec_add_scaled into a dict per
+    output code and flattens it afterwards (``NestedCoboundary``)."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("field", _FLAT_FIELDS, ids=lambda F: F.name)
+    @given(
+        parity=st.sampled_from([EVEN, ODD]),
+        kind=st.sampled_from(["regular", "regular.mod", "random"]),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_image_matches_nested_reference(self, field, n, parity, kind, seed):
+        rng = random.Random(seed)
+        A = random_algebra(rng, max_dim=(8, 6, 5, 4)[n], field=field)
+        M = _flat_module(kind, A, rng)
+        d = hochschild._Coboundary(A, M, parity)
+        ref = NestedCoboundary(A, M, parity)
+        f = random_cochain(A, M, n, parity, rng)
+        tables = [f.table]
+        if n > 0:
+            # f + d(h): the terms of d(d(h)) cancel inside the sums
+            h = random_cochain(A, M, n - 1, parity, rng)
+            dh = coboundary(h, A, M)
+            tables += [dh.table, cochain_add(f, dh, field).table]
+        p = field.characteristic
+        for table in tables:
+            got = d.image(table, n)
+            assert got == ref.image(table, n)
+            assert all(got.values())
+            if p:
+                assert all(type(c) is int and 1 <= c < p for c in got.values())
+        assert d.cochain(f) == ref.cochain(f)
+
+
+def _both_routes(monkeypatch, run):
+    """run() on the flat image and again with the nested reference in its place."""
+    flat = run()
+    with monkeypatch.context() as m:
+        m.setattr(hochschild, "_Coboundary", NestedCoboundary)
+        nested = run()
+    return flat, nested
+
+
+class TestFlatImageRoutes:
+    """coboundary, sh_dim and adapted_equivalence on the golden inputs give
+    the same results on the flat image as on the nested reference."""
+
+    @pytest.mark.parametrize("field", _FLAT_FIELDS, ids=lambda F: F.name)
+    def test_sh_dim(self, monkeypatch, field):
+        def run():
+            out = []
+            for A, ns in ((grassmann(2, field), range(4)), (xy2_algebra(field), range(3))):
+                out.append([sh_dim(A, regular_module(A), n) for n in ns])
+            return out
+
+        flat, nested = _both_routes(monkeypatch, run)
+        assert flat == nested
+
+    def test_shipped_cochains(self, monkeypatch):
+        def run():
+            A = grassmann(2)
+            M = regular_module(A)
+            pis = [_load_cochain(os.path.join(ASSETS, name), A)
+                   for name in ("coboundary_pi.json", "zero_pi.json")]
+            certs = [adapted_equivalence(p, q, A) for p in pis for q in pis]
+            return [coboundary(pi, A, M) for pi in pis], [is_cocycle_pi(pi, A) for pi in pis], certs
+
+        flat, nested = _both_routes(monkeypatch, run)
+        assert flat == nested
+        assert all(cert is not None for cert in flat[2])
+
+    def test_golden_reports(self, monkeypatch):
+        with open(GOLDEN) as fh:
+            golden = json.load(fh)
+        flat, nested = _both_routes(monkeypatch, hochschild_reports)
+        assert flat == nested == golden
 
 
 class TestSubcomplex:
