@@ -17,7 +17,8 @@ report, --seed N is echoed into the output for reproducibility.
 Each subcommand returns its report, its text lines and the ids of its
 failed clauses; ``main`` alone writes the output, then prints one
 ``FAIL <id>`` line per failed clause to stderr and sets the exit code:
-0 success, 1 a verification clause failed, 2 usage or parse error.
+0 success, 1 a verification clause failed, 2 usage or parse error, or
+the output could not be written.
 The argument parser is built once per process, on the first call of
 ``main``, and reused by every later call.
 
@@ -31,6 +32,7 @@ algebra's generators, e.g. ``Y1,t123*Y4``.  Cochain files (--cocycle,
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -438,9 +440,8 @@ def _cmd_corpus(args):
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field", help="override field: q or f<p>")
-    common.add_argument(
-        "--format", choices=("text", "report"), default="text", help="output format"
-    )
+    common.add_argument("--format", choices=("text", "report"), default="text",
+                        help="output format")
     common.add_argument("--seed", type=int, help="echoed sampling seed")
 
     p = argparse.ArgumentParser(
@@ -450,43 +451,31 @@ def _build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("sdim", parents=[common], help="super-dimension of a module")
-    sp.add_argument("algebra")
-    sp.add_argument("--module", help="module file (default: regular module)")
-    sp.set_defaults(func=_cmd_sdim)
+    def command(name, func, help, algebra=True):
+        sp = sub.add_parser(name, parents=[common], help=help)
+        if algebra:
+            sp.add_argument("algebra")
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser(
-        "odd-params", parents=[common], help="systems of odd parameters"
-    )
-    sp.add_argument("algebra")
+    sp = command("sdim", _cmd_sdim, "super-dimension of a module")
+    sp.add_argument("--module", help="module file (default: regular module)")
+
+    sp = command("odd-params", _cmd_odd_params, "systems of odd parameters")
     sp.add_argument("--module")
     sp.add_argument("--size", type=int, help="system length (default: longest)")
-    sp.set_defaults(func=_cmd_odd_params)
 
-    sp = sub.add_parser(
-        "regular", parents=[common], help="regular-sequence and factoring checks"
-    )
-    sp.add_argument("algebra")
+    sp = command("regular", _cmd_regular, "regular-sequence and factoring checks")
     sp.add_argument("--module", required=True)
     sp.add_argument("--elems", required=True, help="comma-separated odd elements")
-    sp.set_defaults(func=_cmd_regular)
 
-    sp = sub.add_parser(
-        "gr", parents=[common], help="associated graded algebra and module"
-    )
-    sp.add_argument("algebra")
+    sp = command("gr", _cmd_gr, "associated graded algebra and module")
     sp.add_argument("--module")
-    sp.add_argument(
-        "--ideal", required=True, help="comma-separated elements, or odd-radical"
-    )
+    sp.add_argument("--ideal", required=True, help="comma-separated elements, or odd-radical")
     sp.add_argument("--bigraded", action="store_true")
     sp.add_argument("--verify", action="store_true")
-    sp.set_defaults(func=_cmd_gr)
 
-    sp = sub.add_parser(
-        "hilbert", parents=[common], help="bigraded dimension table and growth fits"
-    )
-    sp.add_argument("algebra")
+    sp = command("hilbert", _cmd_hilbert, "bigraded dimension table and growth fits")
     sp.add_argument("--kmax", type=int, default=DEFAULT_KMAX)
     sp.add_argument("--lmax", type=int)
     sp.add_argument("--fit", action="store_true")
@@ -496,24 +485,16 @@ def _build_parser():
         help="input is a special bigraded algebra; label the result as the "
         "Krull super-dimension",
     )
-    sp.set_defaults(func=_cmd_hilbert)
 
-    sp = sub.add_parser(
-        "hochschild", parents=[common], help="cochain complex computations"
-    )
-    sp.add_argument("algebra")
+    sp = command("hochschild", _cmd_hochschild, "cochain complex computations")
     sp.add_argument("--module")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--cocycle", help="JSON cochain file")
     sp.add_argument("--build-api", action="store_true", dest="build_api")
     sp.add_argument("--classify", help="second JSON cochain file")
-    sp.set_defaults(func=_cmd_hochschild)
 
-    sp = sub.add_parser(
-        "corpus", parents=[common], help="run the built-in verified examples"
-    )
+    sp = command("corpus", _cmd_corpus, "run the built-in verified examples", algebra=False)
     sp.add_argument("--case", choices=CASES + ("all",), default="all")
-    sp.set_defaults(func=_cmd_corpus)
 
     return p
 
@@ -536,11 +517,20 @@ def main(argv=None):
     if args.seed is not None:
         report["seed"] = args.seed
         lines.insert(0, "seed: %d" % args.seed)
-    if args.format == "report":
-        sys.stdout.write(emit_report(report))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if args.format == "report":
+            sys.stdout.write(emit_report(report))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early (| head -c 10); devnull keeps the flush at exit quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: the output could not be written", file=sys.stderr)
+        return 2
     for cid in failed:
         print("FAIL %s" % cid, file=sys.stderr)
     return 1 if failed else 0

@@ -308,12 +308,28 @@ class Echelon:
         return sorted(self.rows)
 
     def reduce(self, vec):
-        """Residual of vec modulo the stored span (a fresh dict)."""
+        """Residual of vec modulo the stored span (a fresh dict).
+
+        A one-entry vec {c: x} is its own residual when c is no pivot, and
+        -x * (row_c - e_c) otherwise: exact, as the rows are fully reduced, so
+        the tail of row_c holds no pivot column to eliminate again.
+        """
+        rows = self.rows
+        p = self.field.characteristic
+        if len(vec) == 1:
+            (c,) = vec
+            x = vec[c]
+            if not x:
+                return {}
+            row = rows.get(c)
+            if row is None:
+                return {c: x}
+            if p:
+                return {c2: -x * y % p for c2, y in row.items() if c2 != c}
+            return {c2: -x * y for c2, y in row.items() if c2 != c}
         # This loop and the one in insert inline vec_add_scaled: they are the
         # package's hottest, and a call per row made the benchmark slower.
         v = {c: x for c, x in vec.items() if x}
-        rows = self.rows
-        p = self.field.characteristic
         if p:
             for c in sorted(v):
                 coef = v.get(c)
@@ -555,9 +571,20 @@ class Matrix:
         return self.cols
 
     def apply(self, vec):
-        """Matrix @ sparse vector (dict col -> scalar) -> sparse dict."""
+        """Matrix @ sparse vector (dict col -> scalar) -> sparse dict.
+
+        A one-entry {j: coeff} gives a fresh copy of column j when coeff is
+        the int 1 (never the column itself), else one vec_add_scaled: the
+        general loop with one term.
+        """
         cols = self.cols
         field = self.field
+        if len(vec) == 1:
+            (j,) = vec
+            coeff = vec[j]
+            if coeff == 1 and type(coeff) is int:
+                return dict(cols[j])
+            return vec_add_scaled({}, cols[j], coeff, field)
         out = {}
         for j, coeff in vec.items():
             vec_add_scaled(out, cols[j], coeff, field)
@@ -769,7 +796,27 @@ class Subspace:
         return ev, od
 
     def insert(self, vec):
-        """Insert the graded components of vec; True if the span grew."""
+        """Insert the graded components of vec; True if the span grew.
+
+        A one-entry vec {c: x}, x nonzero, needs no split and no echelon
+        insert in two cases, in the echelon of c's parity: c is a pivot whose
+        row is {c: 1} (e_c is in the span), or c is no pivot and not in
+        ``_occ`` (no row holds it).  Then the row {c: 1} keeps the rows fully
+        reduced, and its empty tail keeps ``_occ`` equal to the rebuilt index.
+        Every other vec, an explicit zero included, takes the general path.
+        """
+        if len(vec) == 1:
+            (c,) = vec
+            if vec[c]:
+                ech = self.odd if self.parities[c] else self.even
+                row = ech.rows.get(c)
+                if row is None:
+                    if c not in ech._occ:
+                        ech.rows[c] = {c: self.field.one}
+                        self.generators = None
+                        return True
+                elif len(row) == 1:
+                    return False
         ev, od = self.split(vec)
         grew = False
         if ev and self.even.insert(ev) is not None:
@@ -853,13 +900,9 @@ class Subspace:
         return [rows[p] for p in sorted(rows)]
 
     def basis_with_parity(self):
-        out = []
-        for p in self.pivots():
-            if p in self.even.rows:
-                out.append((0, self.even.rows[p]))
-            else:
-                out.append((1, self.odd.rows[p]))
-        return out
+        rows = {p: (0, r) for p, r in self.even.rows.items()}
+        rows.update((p, (1, r)) for p, r in self.odd.rows.items())
+        return [rows[p] for p in sorted(rows)]
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

@@ -57,7 +57,6 @@ __all__ = [
     "Cochain",
     "zero_cochain",
     "cochain_add",
-    "cochain_scale",
     "cochain_sub",
     "cochain_parity_violations",
     "coboundary",
@@ -133,10 +132,6 @@ def cochain_add(f, g, field, coeff=1):
     for t, v in g.table.items():
         vec_add_scaled(table.setdefault(t, {}), v, coeff, field)
     return Cochain(f.n, f.parity, table)
-
-
-def cochain_scale(f, coeff, field):
-    return cochain_add(zero_cochain(f.n, f.parity), f, field, coeff)
 
 
 def cochain_sub(f, g, field):

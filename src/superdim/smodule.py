@@ -21,8 +21,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from .algebra import _enumerate_monomials
-from .exactlin import Matrix, Subspace, kernel_of_constraints, rank, vec_add_scaled
-from .superpoly import EVEN, ODD, SUPERCOMMUTATIVE, monomial_degree, monomial_word
+from .exactlin import Matrix, Subspace, rank, vec_add_scaled
+from .superpoly import ODD, SUPERCOMMUTATIVE, monomial_degree, monomial_word
 
 
 class ModuleError(ValueError):
@@ -308,11 +308,6 @@ def submodule(M, span, name="submodule"):
     return SuperModule(M.algebra, parities, actions, name=name)
 
 
-def product_submodule(M, elements, name=None):
-    """The submodule S.M with its inherited action."""
-    return submodule(M, product_span(M, elements), name=name or ("S." + M.name))
-
-
 def is_action_closed(M, span):
     return span.is_closed([mat.apply for mat in M.actions])
 
@@ -332,29 +327,6 @@ def quotient(M, span, name=None):
         actions,
         name=name or (M.name + "/N"),
     )
-
-
-def annihilator_even(M):
-    """Sparse basis of {a in A_0 : a.M = 0} in even-part coordinates.
-
-    Returns (even_positions, kernel_vectors): kernel vectors are dicts over
-    slots of ``even_positions``.
-    """
-    A = M.algebra
-    evens = [i for i in range(A.dim) if A.parities[i] == EVEN]
-    acts = [M.act_basis(i).cols_sparse() for i in evens]
-
-    def constraints():
-        for j in range(M.dim):
-            per_row = {}
-            for slot, cols in enumerate(acts):
-                for r, x in cols[j].items():
-                    per_row.setdefault(r, {})[slot] = x
-            for r in sorted(per_row):
-                yield per_row[r]
-
-    ker = kernel_of_constraints(len(evens), constraints(), M.field)
-    return evens, ker
 
 
 def is_odd_regular(y, M):

@@ -18,7 +18,6 @@ from superdim.exactlin import QQ, PrimeField
 from superdim.hochschild import (
     Cochain,
     cochain_add,
-    cochain_scale,
     cochain_space_basis,
     zero_cochain,
 )
@@ -183,7 +182,7 @@ def random_in_C(A, M, n, parity, rng):
     for f in basis:
         c = random_scalar(A.field, rng)
         if c:
-            out = cochain_add(out, cochain_scale(f, c, A.field), A.field)
+            out = cochain_add(out, f, A.field, c)
     return out
 
 

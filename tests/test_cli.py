@@ -868,3 +868,27 @@ class TestParserReuse:
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               env=env, timeout=60)
         assert proc.stdout.split() == ["0", "1"], proc.stderr
+
+
+class TestClosedStdout:
+    """A reader that closes its end before the output is written, as
+    ``superdim ... | head -c 10`` may, ends the run with exit 2 and one
+    error line, not a BrokenPipeError traceback."""
+
+    LAMBDA10 = ("algebra l10 over Q\nflavor supercommutative\n"
+                "odd z1 z2 z3 z4 z5 z6 z7 z8 z9 z10\ncap 10\nrelations\nend\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "report"])
+    def test_odd_params_into_a_closed_reader(self, tmp_path, fmt):
+        (tmp_path / "l10.alg").write_text(self.LAMBDA10)
+        argv = ["odd-params", str(tmp_path / "l10.alg"), "--size", "5", "--format", fmt]
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the child writes
+        env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+        try:
+            proc = subprocess.run([sys.executable, "-m", "superdim", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stderr) == (2, "error: the output could not be written\n")

@@ -731,3 +731,141 @@ class TestColumnIndex:
             0: {0: 1, 7: -2}, 1: {1: 1, 6: 1}, 2: {2: 1, 6: 3, 7: -1}, 5: {5: 1, 7: 1}
         }
         assert ech._occ == {6: {1, 2}, 7: {0, 2, 5}}
+
+
+# ---------------------------------------------------------------------------
+# one-entry fast paths of Subspace.insert, Echelon.reduce and Matrix.apply
+
+
+def _coefficients(field):
+    """Zero, one and coefficients other than one (none exist over F2)."""
+    return [field.zero, field.one] + (
+        [-1, Fraction(2, 3)] if field is QQ else [c for c in (3, field.p - 1) if c % field.p > 1]
+    )
+
+
+def _scan_copies(S):
+    """ScanEchelons on copies of the even and odd rows of S: the general
+    path, with no one-entry case, for each parity."""
+    refs = []
+    for E in (S.even, S.odd):
+        ref = ScanEchelon(E.field)
+        ref.rows = {p: dict(r) for p, r in E.rows.items()}
+        refs.append(ref)
+    return refs
+
+
+def _check_insert(S, vec):
+    """S.insert(vec) against the general path on copies of S's rows: the
+    same answer, the same rows in the same order, an index equal to the one
+    rebuilt from the rows, and generators dropped exactly when S grew."""
+    refs = _scan_copies(S)
+    parts = ({}, {})
+    for c, x in vec.items():
+        if x:
+            parts[S.parities[c]][c] = x
+    want = any([ref.insert(part) is not None for ref, part in zip(refs, parts) if part])
+    S.generators = ["marker"]
+    assert S.insert(vec) == want
+    for E, ref in zip((S.even, S.odd), refs):
+        assert E.rows == ref.rows
+        assert list(E.rows) == list(ref.rows)
+        assert E._occ == _rebuilt_index(E.rows)
+    assert S.generators == (None if want else ["marker"])
+
+
+def _typed(vec):
+    return [(c, type(x), x) for c, x in vec.items()]
+
+
+def _check_reduce(E, vec):
+    """E.reduce(vec) against the general loop, entry order and scalar types
+    included; the residual is a fresh dict."""
+    ref = ScanEchelon(E.field)
+    ref.rows = {p: dict(r) for p, r in E.rows.items()}
+    before = dict(vec)
+    got = E.reduce(vec)
+    assert _typed(got) == _typed(ref.reduce(vec))
+    got[-1] = 1
+    assert vec == before and E.rows == ref.rows
+
+
+@st.composite
+def _one_entry_cases(draw):
+    """A field (Q, F2 or F5), coordinate parities, and a list of vectors,
+    most of them one-entry (an explicit zero among them), over n coordinates."""
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(5)]))
+    if field is QQ:
+        entry = st.sampled_from([0, 1, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+    else:
+        entry = st.integers(min_value=0, max_value=field.p - 1)
+    n = draw(st.integers(min_value=1, max_value=7))
+    parities = draw(st.lists(st.integers(min_value=0, max_value=1), min_size=n, max_size=n))
+    unit = st.tuples(st.integers(min_value=0, max_value=n - 1), entry).map(
+        lambda cx: {cx[0]: field.of(cx[1])}
+    )
+    row = st.lists(entry, min_size=n, max_size=n).map(
+        lambda r: {j: field.of(x) for j, x in enumerate(r) if x}
+    )
+    return field, parities, draw(st.lists(st.one_of(unit, unit, row), max_size=12))
+
+
+class TestOneEntryFastPaths:
+    """Each one-entry case against the general path it short-cuts: every
+    coordinate (a pivot whose row is {c: 1} or has a tail, a non-pivot
+    column that no row holds or that one does) with a zero, a one and other
+    coefficients, after every insert of a random sequence."""
+
+    @given(_one_entry_cases())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_subspace_insert_and_reduce_match_the_general_path(self, case):
+        field, parities, vectors = case
+        S = Subspace(parities, field)
+        for vec in vectors:
+            for c in range(len(parities)):
+                for x in _coefficients(field):
+                    _check_insert(S.copy(), {c: x})
+                    for E in (S.even, S.odd):
+                        _check_reduce(E, {c: x})
+            _check_insert(S, vec)
+
+    def test_every_case_is_reached(self):
+        # even coordinates 0..4: pivot 0 has the row {0: 1}, pivot 1 the
+        # tail {4: 1}; 2 is a non-pivot no row holds, 4 one that row 1 holds
+        for field in (QQ, PrimeField(2), PrimeField(5)):
+            S = Subspace.span([0] * 5, field, [{0: 1}, {1: 1, 4: 1}])
+            assert S.even.rows == {0: {0: 1}, 1: {1: 1, 4: 1}} and S.even._occ == {4: {1}}
+            for c in (0, 1, 2, 4):
+                for x in _coefficients(field):
+                    _check_insert(S.copy(), {c: x})
+                    _check_reduce(S.even, {c: x})
+            assert S.even.reduce({1: field.one}) == {4: field.neg(1)}
+            assert S.insert({2: field.one}) and S.even.rows[2] == {2: 1}
+            assert not S.insert({0: field.one}) and not S.insert({1: field.one, 4: field.one})
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)], ids=str)
+    def test_matrix_apply_matches_the_dense_matrix(self, field):
+        rng = rng_for("one-entry-apply-%s" % field)
+        for _trial in range(60):
+            n, k = rng.randint(0, 6), rng.randint(1, 6)
+            rows = _random_rows(rng, field, n, k, rng.choice([0.0, 0.3, 1.0]))
+            a, da = _pair(rows, field, k)
+            for j in range(k):
+                for x in _coefficients(field) + [_random_scalar(rng, field, 0.8)]:
+                    out = a.apply({j: x})
+                    assert _typed(out) == _typed(da.apply({j: x}))
+                    assert out is not a.cols[j]
+                    out[-1] = 1
+                    assert a == Matrix.from_rows(rows, field, k)
+
+    def test_full_subspace_of_the_corpus_module_reaches_no_echelon_insert(self, c1, monkeypatch):
+        calls = []
+        insert = Echelon.insert
+
+        def counted(self, vec):
+            calls.append(vec)
+            return insert(self, vec)
+
+        monkeypatch.setattr(Echelon, "insert", counted)
+        full = c1.M.full_subspace()
+        assert (c1.M.dim, full.dim, len(calls)) == (202, 202, 0)

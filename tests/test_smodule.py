@@ -3,20 +3,18 @@
 import pytest
 
 from superdim.algebra import Presentation, compile_presentation, odd_radical, superideal_span
-from superdim.exactlin import Matrix, QQ
+from superdim.exactlin import Matrix, QQ, kernel_of_constraints
 from superdim.smodule import (
     ModuleError,
     RegularModule,
     SuperModule,
     _words_past_cap,
-    annihilator_even,
     check_module,
     is_action_closed,
     is_odd_regular,
     is_regular_sequence,
     parity_shift,
     product_span,
-    product_submodule,
     quotient,
     regular_module,
     submodule,
@@ -28,6 +26,34 @@ from superdim.textio import parse_module, parse_presentation
 from conftest import random_algebra, random_module, rng_for
 from oracles import eager_regular_module, normal_words_in_window
 from test_algebra import grassmann
+
+
+def product_submodule(M, elements, name=None):
+    """The submodule S.M with its inherited action."""
+    return submodule(M, product_span(M, elements), name=name or ("S." + M.name))
+
+
+def annihilator_even(M):
+    """Sparse basis of {a in A_0 : a.M = 0} in even-part coordinates.
+
+    Returns (even_positions, kernel_vectors): kernel vectors are dicts over
+    slots of ``even_positions``.
+    """
+    A = M.algebra
+    evens = [i for i in range(A.dim) if A.parities[i] == EVEN]
+    acts = [M.act_basis(i).cols_sparse() for i in evens]
+
+    def constraints():
+        for j in range(M.dim):
+            per_row = {}
+            for slot, cols in enumerate(acts):
+                for r, x in cols[j].items():
+                    per_row.setdefault(r, {})[slot] = x
+            for r in sorted(per_row):
+                yield per_row[r]
+
+    ker = kernel_of_constraints(len(evens), constraints(), M.field)
+    return evens, ker
 
 
 LAMBDA4_X3 = """algebra lambda4x over Q
