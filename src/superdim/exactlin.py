@@ -26,6 +26,9 @@ A :class:`Subspace` is the package's one graded span: it closes a span
 under linear maps (``close``), tests that closure (``is_closed``) and
 projects onto the coordinates outside its pivots (``complement``).  Every
 superideal, submodule and quotient elsewhere is built through those three.
+A span is one echelon of homogeneous rows.  That is exact: a homogeneous
+row holds only columns of its own parity, so reduction never mixes
+parities, and a basis row has the parity of its pivot.
 :func:`representatives` picks the rows of a span that are a basis modulo
 lower spans and reads classes over them off one tagged echelon.
 
@@ -286,19 +289,12 @@ class Echelon:
         self.rows = {}
         self._occ = {}
 
-    @classmethod
-    def _joined(cls, field, parts):
-        """An echelon on copies of the rows of the echelons ``parts``, whose
-        supports must be pairwise disjoint: their rows together are then
-        already fully reduced, and their indexes together index them."""
-        out = cls(field)
-        for ech in parts:
-            out.rows.update((p, dict(r)) for p, r in ech.rows.items())
-            out._occ.update((c, set(s)) for c, s in ech._occ.items())
-        return out
-
     def copy(self):
-        return Echelon._joined(self.field, [self])
+        """An echelon on copies of these rows and index sets."""
+        out = Echelon(self.field)
+        out.rows = {p: dict(r) for p, r in self.rows.items()}
+        out._occ = {c: set(s) for c, s in self._occ.items()}
+        return out
 
     @property
     def rank(self):
@@ -752,30 +748,28 @@ class Subspace:
     """A parity-graded subspace of a parity-labelled coordinate space.
 
     Vectors are sparse dicts over coordinates whose parities are given by
-    ``parities``.  Inserted vectors are split into even and odd components
-    (the graded closure), each tracked in its own echelon.
+    ``parities``.  An inserted vector is split into its even and odd
+    components (the graded closure), and each goes into the one echelon
+    ``echelon``.  One echelon is exact: a homogeneous row holds only
+    columns of its own parity, so reduction and back-substitution never
+    mix parities, and a basis row has the parity of its pivot.
 
     ``generators`` is None, or a list of homogeneous elements that generate
     the span as an ideal (``algebra.superideal_span`` records them).  A copy
     has none, and an insert that grows the span drops them.
     """
 
-    __slots__ = ("parities", "field", "even", "odd", "generators")
+    __slots__ = ("parities", "field", "echelon", "generators")
 
     def __init__(self, parities, field):
         self.parities = parities
         self.field = field
-        self.even = Echelon(field)
-        self.odd = Echelon(field)
+        self.echelon = Echelon(field)
         self.generators = None
 
     def copy(self):
-        other = Subspace.__new__(Subspace)
-        other.parities = self.parities
-        other.field = self.field
-        other.even = self.even.copy()
-        other.odd = self.odd.copy()
-        other.generators = None
+        other = Subspace(self.parities, self.field)
+        other.echelon = self.echelon.copy()
         return other
 
     @classmethod
@@ -799,16 +793,16 @@ class Subspace:
         """Insert the graded components of vec; True if the span grew.
 
         A one-entry vec {c: x}, x nonzero, needs no split and no echelon
-        insert in two cases, in the echelon of c's parity: c is a pivot whose
-        row is {c: 1} (e_c is in the span), or c is no pivot and not in
-        ``_occ`` (no row holds it).  Then the row {c: 1} keeps the rows fully
-        reduced, and its empty tail keeps ``_occ`` equal to the rebuilt index.
-        Every other vec, an explicit zero included, takes the general path.
+        insert in two cases: c is a pivot whose row is {c: 1} (e_c is in the
+        span), or c is no pivot and not in ``_occ`` (no row holds it).  Then
+        the row {c: 1} keeps the rows fully reduced, and its empty tail keeps
+        ``_occ`` equal to the rebuilt index.  Every other vec, an explicit
+        zero included, takes the general path.
         """
+        ech = self.echelon
         if len(vec) == 1:
             (c,) = vec
             if vec[c]:
-                ech = self.odd if self.parities[c] else self.even
                 row = ech.rows.get(c)
                 if row is None:
                     if c not in ech._occ:
@@ -817,12 +811,10 @@ class Subspace:
                         return True
                 elif len(row) == 1:
                     return False
-        ev, od = self.split(vec)
         grew = False
-        if ev and self.even.insert(ev) is not None:
-            grew = True
-        if od and self.odd.insert(od) is not None:
-            grew = True
+        for part in self.split(vec):
+            if part and ech.insert(part) is not None:
+                grew = True
         if grew:
             self.generators = None
         return grew
@@ -853,7 +845,7 @@ class Subspace:
         """``(keep, project)``: the non-pivot coordinates in ascending order,
         and the map sending vec to its residual renumbered by position in
         ``keep``, i.e. the projection onto the quotient by the span."""
-        pivots = self.even.rows.keys() | self.odd.rows.keys()
+        pivots = self.echelon.rows
         keep = [i for i in range(len(self.parities)) if i not in pivots]
         pos = {i: k for k, i in enumerate(keep)}
 
@@ -863,12 +855,8 @@ class Subspace:
         return keep, project
 
     def residual(self, vec):
-        """vec modulo the span: its even residual, then its odd one."""
-        ev, od = self.split(vec)
-        out = self.even.reduce(ev) if ev else {}
-        if od:
-            out.update(self.odd.reduce(od))
-        return out
+        """vec modulo the span."""
+        return self.echelon.reduce(vec)
 
     def contains(self, vec):
         return not self.residual(vec)
@@ -882,36 +870,31 @@ class Subspace:
 
     @property
     def dim(self):
-        return self.even.rank + self.odd.rank
+        return self.echelon.rank
 
     def dims(self):
-        return (self.even.rank, self.odd.rank)
+        odd = sum(1 for p in self.echelon.rows if self.parities[p])
+        return (self.dim - odd, odd)
 
     def is_zero(self):
         return self.dim == 0
 
     def pivots(self):
-        return sorted(list(self.even.rows) + list(self.odd.rows))
+        return self.echelon.pivots()
 
     def basis(self):
         """Homogeneous basis rows, ordered by pivot coordinate."""
-        rows = dict(self.even.rows)
-        rows.update(self.odd.rows)
-        return [rows[p] for p in sorted(rows)]
+        return self.echelon.basis_rows()
 
     def basis_with_parity(self):
-        rows = {p: (0, r) for p, r in self.even.rows.items()}
-        rows.update((p, (1, r)) for p, r in self.odd.rows.items())
-        return [rows[p] for p in sorted(rows)]
+        rows = self.echelon.rows
+        return [(self.parities[p], rows[p]) for p in self.pivots()]
 
     def __eq__(self, other):
+        """Equal dimension and one inclusion: the spans are then equal."""
         if not isinstance(other, Subspace):
             return NotImplemented
-        if self.dim != other.dim:
-            return False
-        return all(other.contains(r) for r in self.basis()) and all(
-            self.contains(r) for r in other.basis()
-        )
+        return self.dim == other.dim and all(other.contains(r) for r in self.basis())
 
     def __repr__(self):
         return "Subspace(dim %d = %d|%d)" % (self.dim, *self.dims())
@@ -922,23 +905,21 @@ def representatives(stage, below, first):
     classes are a basis modulo the span of the Subspaces ``below``, and one
     Echelon that gives classes over them.
 
-    The echelon starts from copies of the even and odd rows of below[0].
-    Those have disjoint supports (coordinates of one parity each), so
-    together they are already fully reduced and nothing is eliminated
-    again; further subspaces in ``below`` are inserted on top.  Each basis
-    row of ``stage`` in turn whose residual keeps an ambient coordinate
-    (one < n = len(stage.parities)) becomes representative i = first,
-    first + 1, ... and is inserted with the tag coordinate n + i set to 1.
+    The echelon starts as a copy of the echelon of below[0], so nothing is
+    eliminated again; further subspaces in ``below`` are inserted on top.
+    Each basis row of ``stage`` in turn whose residual keeps an ambient
+    coordinate (one < n = len(stage.parities)) becomes representative
+    i = first, first + 1, ... and is inserted with the tag coordinate n + i
+    set to 1.
     A vector equal to sum_i c_i rep_i modulo ``below`` thus reduces to
     {n + i: -c_i}; one whose residual keeps an ambient coordinate lies
     outside the span.
     """
     n = len(stage.parities)
-    ech = Echelon._joined(stage.field, [below[0].even, below[0].odd] if below else [])
-    if below:
-        for S in below[1:]:
-            for row in S.basis():
-                ech.insert(row)
+    ech = below[0].echelon.copy() if below else Echelon(stage.field)
+    for S in below[1:]:
+        for row in S.basis():
+            ech.insert(row)
     reps = []
     for parity, row in stage.basis_with_parity():
         res = ech.reduce(row)

@@ -106,7 +106,8 @@ def _lattice_multipliers(A, ideal):
     I_0 = sum_{g even} A_0 g + sum_{g odd} A_1 g and A_1 = sum_i A_0 y_i.
     """
     if ideal.generators is None or not presented_supercommutative(A):
-        return ideal.even.basis_rows(), ideal.odd.basis_rows()
+        rows = ideal.basis_with_parity()
+        return [r for p, r in rows if p == EVEN], [r for p, r in rows if p != EVEN]
     ys = odd_multipliers(A)
     even, odd = [], []
     for g in ideal.generators:

@@ -112,11 +112,25 @@ def ordered_product(A, elements):
 
 
 def system_acts_nonzero(M, elements):
-    """The ordered product of the odd elements acts nontrivially on M."""
-    prod = ordered_product(M.algebra, elements)
-    return bool(prod) and any(
-        M.apply_element(prod, M.basis_element(j)) for j in range(M.dim)
-    )
+    """The ordered product of the odd elements acts nontrivially on M.
+
+    A product that is zero in the algebra acts as zero.  Otherwise the
+    elements' own matrices (cached for a basis element) act on one basis
+    vector at a time, last element first, up to the first nonzero image:
+    no matrix is built for the product, and no subspace is spanned.
+    """
+    if not ordered_product(M.algebra, elements):
+        return False
+    mats = [M.act_element(y) for y in reversed(elements)]
+    for j in range(M.dim):
+        v = M.basis_element(j)
+        for mat in mats:
+            v = mat.apply(v)
+            if not v:
+                break
+        else:
+            return True
+    return False
 
 
 def _acting_systems(M, size, prefix=()):

@@ -6,9 +6,9 @@ package under test is never the judge of its own output.  The three-pass
 monomial product, the Hochschild references, the dense matrix, the
 enumerated Hilbert tables, the basis-stepped filtrations, the
 Fraction-only rationals, the hand-written closures, the eagerly built
-regular module, the two-pass graded components and the scan-all echelon at
-the end are the exception: they are the package's earlier kernels, kept to
-pin the current ones to the same results.
+regular module, the two-pass graded components, the scan-all echelon and
+the two-echelon graded span at the end are the exception: they are the
+package's earlier kernels, kept to pin the current ones to the same results.
 """
 
 import itertools
@@ -961,8 +961,9 @@ def _step(X, act, rows):
 
 def _lattice(X, act, ideal, what):
     """{(k, l): I_0^k I_1^l X} over the nonzero stages."""
-    even = _step(X, act, ideal.even.basis_rows())
-    odd = _step(X, act, ideal.odd.basis_rows())
+    rows = ideal.basis_with_parity()
+    even = _step(X, act, [r for p, r in rows if p == EVEN])
+    odd = _step(X, act, [r for p, r in rows if p == ODD])
     lattice = {}
     for l, column in enumerate(_chain(X.full_subspace(), odd, X.dim + 1, what)):
         for k, stage in enumerate(_chain(column, even, X.dim + 1, what)):
@@ -1508,7 +1509,7 @@ def scan_representatives(stage, below, first):
     n = len(stage.parities)
     ech = ScanEchelon(stage.field)
     if below:
-        ech.rows = {p: dict(r) for E in (below[0].even, below[0].odd) for p, r in E.rows.items()}
+        ech.rows = {p: dict(r) for p, r in below[0].echelon.rows.items()}
         for S in below[1:]:
             for row in S.basis():
                 ech.insert(row)
@@ -1520,3 +1521,86 @@ def scan_representatives(stage, below, first):
             ech.insert(res)
             reps.append((parity, dict(row)))
     return reps, ech
+
+
+# ---------------------------------------------------------------------------
+# the graded span as two echelons, one per parity.  Copied from the package
+# as it was before a Subspace kept its rows in one echelon, apart from the
+# name and the closure methods, which do not read the echelons.
+
+
+class TwoEchelonSubspace:
+    """A parity-graded subspace: even and odd components in their own echelons."""
+
+    def __init__(self, parities, field):
+        self.parities = parities
+        self.field = field
+        self.even = Echelon(field)
+        self.odd = Echelon(field)
+
+    def split(self, vec):
+        ev, od = {}, {}
+        for c, x in vec.items():
+            if x:
+                (ev if self.parities[c] == 0 else od)[c] = x
+        return ev, od
+
+    def insert(self, vec):
+        if len(vec) == 1:
+            (c,) = vec
+            if vec[c]:
+                ech = self.odd if self.parities[c] else self.even
+                row = ech.rows.get(c)
+                if row is None:
+                    if c not in ech._occ:
+                        ech.rows[c] = {c: self.field.one}
+                        return True
+                elif len(row) == 1:
+                    return False
+        ev, od = self.split(vec)
+        grew = False
+        if ev and self.even.insert(ev) is not None:
+            grew = True
+        if od and self.odd.insert(od) is not None:
+            grew = True
+        return grew
+
+    def complement(self):
+        pivots = self.even.rows.keys() | self.odd.rows.keys()
+        keep = [i for i in range(len(self.parities)) if i not in pivots]
+        pos = {i: k for k, i in enumerate(keep)}
+
+        def project(vec):
+            return {pos[c]: x for c, x in self.residual(vec).items()}
+
+        return keep, project
+
+    def residual(self, vec):
+        ev, od = self.split(vec)
+        out = self.even.reduce(ev) if ev else {}
+        if od:
+            out.update(self.odd.reduce(od))
+        return out
+
+    def contains(self, vec):
+        return not self.residual(vec)
+
+    def dims(self):
+        return (self.even.rank, self.odd.rank)
+
+    def basis(self):
+        rows = dict(self.even.rows)
+        rows.update(self.odd.rows)
+        return [rows[p] for p in sorted(rows)]
+
+    def basis_with_parity(self):
+        rows = {p: (0, r) for p, r in self.even.rows.items()}
+        rows.update((p, (1, r)) for p, r in self.odd.rows.items())
+        return [rows[p] for p in sorted(rows)]
+
+    def __eq__(self, other):
+        if sum(self.dims()) != sum(other.dims()):
+            return False
+        return all(other.contains(r) for r in self.basis()) and all(
+            self.contains(r) for r in other.basis()
+        )

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -892,3 +893,47 @@ class TestClosedStdout:
             os.close(write_end)
         assert "Traceback" not in proc.stderr
         assert (proc.returncode, proc.stderr) == (2, "error: the output could not be written\n")
+
+
+def _exterior(s):
+    """Lambda_s: s odd generators, no relations."""
+    return ("algebra l%d over Q\nflavor supercommutative\nodd %s\ncap %d\nrelations\nend\n"
+            % (s, " ".join("z%d" % i for i in range(1, s + 1)), s))
+
+
+class TestOddParamsMemory:
+    """The subset search builds no matrix per product: each run is a fresh
+    process with its peak RSS read from the child's ``ru_maxrss``.  With one
+    cached dim x dim matrix per product monomial, Lambda_12 at size 6 took
+    1 GB and Lambda_14 at size 7 ran out of memory."""
+
+    @staticmethod
+    def _run(tmp_path, s, size, address_space=None):
+        (tmp_path / "l.alg").write_text(_exterior(s))
+        argv = [sys.executable, "-m", "superdim", "odd-params", str(tmp_path / "l.alg"),
+                "--size", str(size)]
+        env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+
+        def limits():  # CPU seconds bound the run, as os.wait4 has no timeout
+            resource.setrlimit(resource.RLIMIT_CPU, (120, 120))
+            if address_space is not None:
+                resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+        with open(tmp_path / "out", "w+") as out, open(tmp_path / "err", "w+") as err:
+            proc = subprocess.Popen(argv, stdout=out, stderr=err, env=env, preexec_fn=limits)
+            _pid, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            out.seek(0)
+            err.seek(0)
+            return proc.returncode, out.read(), err.read(), usage.ru_maxrss / 1024
+
+    def test_lambda12_size6_under_200mb(self, tmp_path):
+        code, out, err, rss_mb = self._run(tmp_path, 12, 6, address_space=1 << 30)
+        assert (code, err) == (0, "")
+        assert "count: 924" in out
+        assert rss_mb < 200, "peak RSS %.0f MB" % rss_mb
+
+    def test_lambda14_size7_ends(self, tmp_path):
+        code, out, err, _rss_mb = self._run(tmp_path, 14, 7)
+        assert (code, err) == (0, "")
+        assert "count: 3432" in out

@@ -43,6 +43,7 @@ from oracles import (
     fp_values,
     naive_rank,
     scan_representatives,
+    TwoEchelonSubspace,
 )
 
 scalars = st.integers(min_value=-6, max_value=6)
@@ -718,8 +719,7 @@ class TestColumnIndex:
         assert ech._occ == _rebuilt_index(ech.rows)
         self._agree(ech, ref, extra)
         for S in below:  # the seed rows were copied, not shared
-            for E in (S.even, S.odd):
-                assert E._occ == _rebuilt_index(E.rows)
+            assert S.echelon._occ == _rebuilt_index(S.echelon.rows)
 
     def test_insert_touches_only_the_rows_that_hold_its_pivot(self):
         ech = Echelon(QQ)
@@ -744,33 +744,30 @@ def _coefficients(field):
     )
 
 
-def _scan_copies(S):
-    """ScanEchelons on copies of the even and odd rows of S: the general
-    path, with no one-entry case, for each parity."""
-    refs = []
-    for E in (S.even, S.odd):
-        ref = ScanEchelon(E.field)
-        ref.rows = {p: dict(r) for p, r in E.rows.items()}
-        refs.append(ref)
-    return refs
+def _scan_copy(S):
+    """A ScanEchelon on copies of the rows of S: the general path, with no
+    one-entry case."""
+    ref = ScanEchelon(S.field)
+    ref.rows = {p: dict(r) for p, r in S.echelon.rows.items()}
+    return ref
 
 
 def _check_insert(S, vec):
     """S.insert(vec) against the general path on copies of S's rows: the
     same answer, the same rows in the same order, an index equal to the one
     rebuilt from the rows, and generators dropped exactly when S grew."""
-    refs = _scan_copies(S)
+    ref = _scan_copy(S)
     parts = ({}, {})
     for c, x in vec.items():
         if x:
             parts[S.parities[c]][c] = x
-    want = any([ref.insert(part) is not None for ref, part in zip(refs, parts) if part])
+    want = any([ref.insert(part) is not None for part in parts if part])
     S.generators = ["marker"]
     assert S.insert(vec) == want
-    for E, ref in zip((S.even, S.odd), refs):
-        assert E.rows == ref.rows
-        assert list(E.rows) == list(ref.rows)
-        assert E._occ == _rebuilt_index(E.rows)
+    E = S.echelon
+    assert E.rows == ref.rows
+    assert list(E.rows) == list(ref.rows)
+    assert E._occ == _rebuilt_index(E.rows)
     assert S.generators == (None if want else ["marker"])
 
 
@@ -825,8 +822,7 @@ class TestOneEntryFastPaths:
             for c in range(len(parities)):
                 for x in _coefficients(field):
                     _check_insert(S.copy(), {c: x})
-                    for E in (S.even, S.odd):
-                        _check_reduce(E, {c: x})
+                    _check_reduce(S.echelon, {c: x})
             _check_insert(S, vec)
 
     def test_every_case_is_reached(self):
@@ -834,13 +830,13 @@ class TestOneEntryFastPaths:
         # tail {4: 1}; 2 is a non-pivot no row holds, 4 one that row 1 holds
         for field in (QQ, PrimeField(2), PrimeField(5)):
             S = Subspace.span([0] * 5, field, [{0: 1}, {1: 1, 4: 1}])
-            assert S.even.rows == {0: {0: 1}, 1: {1: 1, 4: 1}} and S.even._occ == {4: {1}}
+            assert S.echelon.rows == {0: {0: 1}, 1: {1: 1, 4: 1}} and S.echelon._occ == {4: {1}}
             for c in (0, 1, 2, 4):
                 for x in _coefficients(field):
                     _check_insert(S.copy(), {c: x})
-                    _check_reduce(S.even, {c: x})
-            assert S.even.reduce({1: field.one}) == {4: field.neg(1)}
-            assert S.insert({2: field.one}) and S.even.rows[2] == {2: 1}
+                    _check_reduce(S.echelon, {c: x})
+            assert S.echelon.reduce({1: field.one}) == {4: field.neg(1)}
+            assert S.insert({2: field.one}) and S.echelon.rows[2] == {2: 1}
             assert not S.insert({0: field.one}) and not S.insert({1: field.one, 4: field.one})
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)], ids=str)
@@ -869,3 +865,45 @@ class TestOneEntryFastPaths:
         monkeypatch.setattr(Echelon, "insert", counted)
         full = c1.M.full_subspace()
         assert (c1.M.dim, full.dim, len(calls)) == (202, 202, 0)
+
+
+# ---------------------------------------------------------------------------
+# a graded span in one echelon against the two-echelon reference
+
+
+class TestOneEchelonSpan:
+    """Subspace against TwoEchelonSubspace of tests/oracles.py after every
+    insert of a random sequence of mixed-parity and one-entry vectors: the
+    same answers, the same basis rows with their parities, the same
+    residuals and complement, and rows and a column index that are the
+    union of the reference's two echelons."""
+
+    @given(_one_entry_cases())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_agrees_with_the_two_echelon_reference(self, case):
+        field, parities, vectors = case
+        S, ref = Subspace(parities, field), TwoEchelonSubspace(parities, field)
+        probes = [{c: field.one} for c in range(len(parities))] + vectors
+        for vec in vectors:
+            assert S.insert(vec) == ref.insert(vec)
+            assert S.basis_with_parity() == ref.basis_with_parity()
+            assert S.dims() == ref.dims()
+            assert S.echelon.rows == {**ref.even.rows, **ref.odd.rows}
+            assert S.echelon._occ == {**ref.even._occ, **ref.odd._occ}
+            keep, project = S.complement()
+            ref_keep, ref_project = ref.complement()
+            assert keep == ref_keep
+            for probe in probes:
+                assert sorted(_typed(S.residual(probe))) == sorted(_typed(ref.residual(probe)))
+                assert project(probe) == ref_project(probe)
+        # equal dimension and one inclusion against both inclusions, on the
+        # spans of the first k vectors and of the last k
+        for k in range(len(vectors) + 1):
+            spans = []
+            for cls in (Subspace, TwoEchelonSubspace):
+                for part in (vectors[:k], vectors[::-1][:k]):
+                    spans.append(cls(parities, field))
+                    for vec in part:
+                        spans[-1].insert(vec)
+            T, U, ref_T, ref_U = spans
+            assert (T == U) == (U == T) == (ref_T == ref_U)

@@ -1,8 +1,8 @@
 """Source idioms: sparse accumulation, the closure of a span under maps and
 the search for odd parameter systems each have one implementation, only
-exactlin handles an Echelon or writes its rows, no scalar division can make
-a float, an F_p scalar is no FpElement, and only cli.main writes output or
-picks an exit code."""
+exactlin handles an Echelon, reads a span's echelon or writes its rows, no
+scalar division can make a float, an F_p scalar is no FpElement, and only
+cli.main writes output or picks an exit code."""
 
 import ast
 import importlib
@@ -165,6 +165,50 @@ def test_echelon_import_check_flags_an_import():
     assert _echelon_import_sites("from .exactlin import Echelon, Matrix, Subspace\n") == [1]
     assert _echelon_import_sites("import os\nfrom superdim.exactlin import Echelon as E\n") == [2]
     assert _echelon_import_sites("from .exactlin import Matrix, representatives\n") == []
+
+
+def _echelon_read_sites(source):
+    """Lines that read ``<x>.echelon``, ``<x>.even.<y>`` or ``<x>.odd.<y>``:
+    outside ``exactlin`` a span is read through the Subspace API (``basis``,
+    ``basis_with_parity``, ``dims``), never through its echelon."""
+    return sorted(
+        {
+            node.lineno
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and (
+                node.attr == "echelon"
+                or isinstance(node.value, ast.Attribute) and node.value.attr in ("even", "odd")
+            )
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(n for n in os.listdir(SRC) if n.endswith(".py") and n != "exactlin.py"),
+)
+def test_only_exactlin_reads_a_span_echelon(name):
+    with open(os.path.join(SRC, name)) as fh:
+        sites = _echelon_read_sites(fh.read())
+    assert not sites, "%s: reads a span's echelon at lines %s; use the Subspace API" % (
+        name,
+        sites,
+    )
+
+
+def test_echelon_read_check_flags_a_read():
+    with open(os.path.join(SRC, "exactlin.py")) as fh:
+        assert _echelon_read_sites(fh.read())
+    # graded._lattice_multipliers as it was with one echelon per parity
+    reads = (
+        "return ideal.even.basis_rows(), ideal.odd.basis_rows()\n"
+        "ech = S.echelon\n"
+        "n = len(below[0].odd.rows)\n"
+    )
+    assert _echelon_read_sites(reads) == [1, 2, 3]
+    # a SuperDimension's parts are no echelon
+    assert _echelon_read_sites("ok = msd.even == gsd.even and sd.odd >= t\n") == []
 
 
 _MUTATORS = {"pop", "popitem", "update", "clear", "setdefault", "__setitem__", "__delitem__"}
