@@ -244,7 +244,6 @@ def compile_presentation(pres):
     A._table = {}
     A._odd_module_generators = None
     A._generators = None
-    A._odd_coboundary = None  # hochschild's, built on first use
     return A
 
 
@@ -284,7 +283,6 @@ class FiniteSuperAlgebra:
         A._table = {k: {i: c for i, c in v.items() if c} for k, v in table.items()}
         A._odd_module_generators = odd_module_generators
         A._generators = None
-        A._odd_coboundary = None
         if A.parities[unit_index] != EVEN:
             raise AlgebraError("unit must be even")
         return A

@@ -257,16 +257,9 @@ def verify_c1(field=QQ):
     clauses.append({"id": "y-regular", "ok": is_odd_regular(y, M)})
 
     ym = product_span(M, [y])
-    inside = True
-    for a in range(3):
-        for b in range(3):
-            zz = R.mul(zs[a], zs[b])
-            if not zz:
-                continue
-            for t in range(M.dim):
-                w = M.apply_element(zz, M.basis_element(t))
-                if w and not ym.contains(w):
-                    inside = False
+    zzs = (R.mul(za, zb) for za in zs for zb in zs)
+    # the columns of zz's matrix are the images zz.e_t
+    inside = all(ym.contains(w) for zz in zzs if zz for w in M.act_element(zz).cols if w)
     clauses.append({"id": "zizj-module-inside-ym", "ok": inside})
 
     clauses.append({"id": "z1z2z3-module-nonzero", "ok": system_acts_nonzero(M, zs)})

@@ -42,7 +42,10 @@ represent classes in two incomparable lattice positions, so only the
 componentwise surjection onto the graded object is checked there.
 
 The modules I^n M / I^{n+1} M over the graded algebra are built the same
-way, except for the regular module M = A: I^n A = I^n as subspaces with
+way, with the one module action of ``smodule``: each multiplier of a step
+and each representative acting in ``_Components.module`` becomes its
+matrix ``act_element`` once, which acts by ``Matrix.apply``.  The regular
+module M = A is the exception: I^n A = I^n as subspaces with
 canonical reduced echelon bases, so the representatives are gr's and action
 column j of basis element i is gr's table entry (i, j).  ``gr_module`` of
 it is gr(A, I)'s regular module with gr's keys, representatives and
@@ -117,9 +120,9 @@ def _lattice_multipliers(A, ideal):
     return even, odd
 
 
-def _lattice(X, act, A, ideal, what):
-    """{(k, l): I_0^k I_1^l X} over the nonzero stages."""
-    even_mults, odd_mults = _lattice_multipliers(A, ideal)
+def _lattice(X, act, even_mults, odd_mults, what):
+    """{(k, l): I_0^k I_1^l X} over the nonzero stages, stepped by the even
+    and odd multipliers of ``_lattice_multipliers`` (on a module, their matrices)."""
     even = filtration_step(X, act, even_mults)
     odd = filtration_step(X, act, odd_mults)
     lattice = {}
@@ -222,7 +225,8 @@ class _Components:
 
     def module(self, M, graded, add, name):
         """The module over ``graded`` on the representatives of a filtration of M."""
-        columns = self.classes(M.apply_element, zip(graded.keys, graded.reps), add)
+        mats = map(M.act_element, graded.reps)  # one matrix per left element, built when reached
+        columns = self.classes(Matrix.apply, zip(graded.keys, mats), add)
         actions = [Matrix.from_cols_sparse(len(self.reps), cols, M.field) for cols in columns]
         parities = [p for p, _r in self.reps]
         return SuperModule(graded.algebra, parities, actions, name=name)
@@ -312,7 +316,8 @@ def gr_module(M, ideal, graded_algebra=None, name=None):
     name = name or ("gr " + M.name)
     if isinstance(M, RegularModule):  # gr's own regular module, see the module docstring
         return GradedSuperModule(regular_module(G.algebra, name), G.keys, G.reps, G.powers)
-    step = filtration_step(M, M.apply_element, _multipliers(M.algebra, ideal))
+    mats = [M.act_element(u) for u in _multipliers(M.algebra, ideal)]
+    step = filtration_step(M, Matrix.apply, mats)
     full = M.full_subspace()
     powers = [full] + filtration_chain(step(full), step, M.dim, "ideal action")
     comps = _Components(M, dict(enumerate(powers)), _below_n)
@@ -338,7 +343,7 @@ def bgr(A, ideal, name=None):
     if A.kind == "monomial" and A.presentation.flavor != SUPERCOMMUTATIVE:
         raise AlgebraError("bigraded construction needs a supercommutative algebra")
     require_two_sided(A, ideal)
-    lattice = _lattice(A, A.mul, A, ideal, "ideal")
+    lattice = _lattice(A, A.mul, *_lattice_multipliers(A, ideal), "ideal")
     comps = _Components(A, lattice, _below_kl)
     algebra = comps.algebra(A, _add_pairs, lambda kl: "(%d,%d)" % kl, name or ("bgr " + A.name))
     return BigradedSuperAlgebra(algebra, comps, lattice, A, ideal)
@@ -350,7 +355,8 @@ def bgr_module(M, ideal, bigraded_algebra=None, name=None):
     name = name or ("bgr " + M.name)
     if isinstance(M, RegularModule):  # bgr's own regular module
         return GradedSuperModule(regular_module(B.algebra, name), B.keys, B.reps, B.lattice)
-    lattice = _lattice(M, M.apply_element, M.algebra, ideal, "ideal action")
+    even, odd = ([M.act_element(u) for u in m] for m in _lattice_multipliers(M.algebra, ideal))
+    lattice = _lattice(M, Matrix.apply, even, odd, "ideal action")
     comps = _Components(M, lattice, _below_kl)
     module = comps.module(M, B, _add_pairs, name)
     return GradedSuperModule(module, comps.keys, comps.rows, lattice)

@@ -45,6 +45,7 @@ of the unit cochains e_i -> e_r.
 from __future__ import annotations
 
 import itertools
+import weakref
 
 from .algebra import AlgebraError, FiniteSuperAlgebra, is_algebra_map, is_supercommutative
 from .algebra import presented_supercommutative
@@ -245,11 +246,16 @@ class _Coboundary:
         return Cochain(f.n + 1, f.parity, table)
 
 
+_ODD_COBOUNDARIES = weakref.WeakKeyDictionary()  # a _Coboundary holds no reference to A
+
+
 def _odd_regular_coboundary(A):
-    """The odd :class:`_Coboundary` on A's regular module, built once per algebra."""
-    if A._odd_coboundary is None:
-        A._odd_coboundary = _Coboundary(A, regular_module(A), ODD)
-    return A._odd_coboundary
+    """The odd :class:`_Coboundary` on A's regular module, built once per
+    live algebra: the entry goes when A does."""
+    d = _ODD_COBOUNDARIES.get(A)
+    if d is None:
+        d = _ODD_COBOUNDARIES[A] = _Coboundary(A, regular_module(A), ODD)
+    return d
 
 
 def _require_supercommutative(A):

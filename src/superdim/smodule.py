@@ -10,6 +10,11 @@ odd squares and the degree cap all act as zero).  The regular module acts
 by A's multiplication table instead: column j of its ``act_basis(i)`` is
 ``A.mul_basis(i, j)``, and its generator matrices are built when read.
 
+An algebra element acts on module vectors in one way only: through its
+matrix ``act_element`` (the cached ``act_basis`` matrix of a basis
+element, a combination of them otherwise) and ``Matrix.apply``.  Code that
+acts by many elements maps them to matrices once and steps with those.
+
 Submodules are kept as graded echelonized spans inside the ambient module,
 closed under the generator actions by ``Subspace.close``; quotients check
 ``Subspace.is_closed`` and take ``Subspace.complement`` (the non-pivot
@@ -81,15 +86,6 @@ class SuperModule:
         if len(terms) == 1 and terms[0][1] == self.field.one:
             return terms[0][0]
         return _combination(self, terms)
-
-    def apply_element(self, vec, mvec):
-        """(algebra element) . (sparse module vector)."""
-        field = self.algebra.field
-        out = {}
-        for i, c in vec.items():
-            if c:
-                vec_add_scaled(out, self.act_basis(i).apply(mvec), c, field)
-        return out
 
     def __repr__(self):
         return "SuperModule(%s, dim %d over %s)" % (
@@ -281,13 +277,9 @@ def product_span(M, elements):
     under the action (it already is when the elements span an ideal)."""
     if isinstance(elements, Subspace):
         elements = elements.basis()
-    seeds = []
-    for s in elements:
-        for j in range(M.dim):
-            w = M.apply_element(s, M.basis_element(j))
-            if w:
-                seeds.append(w)
-    return module_span(M, seeds)
+    # the columns s.e_j; a basis element's are its cached matrix's own
+    # columns, which the closure reads and never writes
+    return module_span(M, [col for s in elements for col in M.act_element(s).cols])
 
 
 def submodule(M, span, name="submodule"):

@@ -13,6 +13,7 @@ package's earlier kernels, kept to pin the current ones to the same results.
 
 import itertools
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import comb
 
@@ -1183,6 +1184,23 @@ def eager_regular_module(A):
 
 
 # ---------------------------------------------------------------------------
+# an algebra element acting on one module vector, term by term: the
+# package's SuperModule.apply_element as it was before every module-side
+# computation acted through the element's matrix (act_element), copied
+# verbatim apart from taking the module as an argument
+
+
+def apply_element(M, vec, mvec):
+    """(algebra element) . (sparse module vector)."""
+    field = M.algebra.field
+    out = {}
+    for i, c in vec.items():
+        if c:
+            vec_add_scaled(out, M.act_basis(i).apply(mvec), c, field)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # graded components in two passes: one copy of the stage below picks the
 # representatives, then a class solver inserts that stage again, row by row,
 # with the tagged representatives.  Copied from the package as it was before
@@ -1280,7 +1298,7 @@ class TwoPassComponents:
     def module(self, M, keys, rows, algebra, add):
         """The actions over ``algebra``, whose representatives are ``rows``
         with stage keys ``keys``."""
-        columns = self.classes(M.apply_element, zip(keys, rows), add)
+        columns = self.classes(partial(apply_element, M), zip(keys, rows), add)
         actions = [Matrix.from_cols_sparse(len(self.reps), cols, M.field) for cols in columns]
         return SuperModule(algebra, [p for p, _r in self.reps], actions)
 

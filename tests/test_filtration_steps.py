@@ -7,12 +7,14 @@ every stage (Echelon rows are fully reduced, so equal spans give equal
 rows).
 """
 
+from functools import partial
+
 import pytest
 
 import oracles
 from superdim.algebra import odd_power_span, odd_radical, superideal_span
 from superdim.exactlin import QQ, PrimeField
-from superdim.graded import _lattice, gr_module, ideal_powers
+from superdim.graded import _lattice, _lattice_multipliers, bgr_module, gr_module, ideal_powers
 from superdim.sdim import (
     SuperDimension,
     odd_power_spans_of_module,
@@ -76,13 +78,16 @@ class TestAgainstBasisStepped:
                 assert I.generators is not None
                 seen.add(label)
                 assert rows(ideal_powers(A, I)) == rows(oracles.ideal_powers(A, I)), label
-                step = oracles._step(M, M.apply_element, I.basis())
+                module_act = partial(oracles.apply_element, M)
+                step = oracles._step(M, module_act, I.basis())
                 full = M.full_subspace()
                 want = [full] + oracles._chain(step(full), step, M.dim, "ideal action")
                 assert rows(gr_module(M, I).powers) == rows(want), label
-                for X, act in ((A, A.mul), (M, M.apply_element)):
-                    got = _lattice(X, act, A, I, "ideal")
+                for X, act in ((A, A.mul), (M, module_act)):
+                    got = _lattice(X, act, *_lattice_multipliers(A, I), "ideal")
                     assert lattice_rows(got) == lattice_rows(oracles._lattice(X, act, I, "ideal")), label
+                want = oracles._lattice(M, module_act, I, "ideal")
+                assert lattice_rows(bgr_module(M, I).powers) == lattice_rows(want), label
         assert seen == {"odd radical", "one generator", "inhomogeneous seed"}
 
 

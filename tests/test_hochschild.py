@@ -1,10 +1,12 @@
 """Superized Hochschild cochains, SH^n and square-zero extensions."""
 
 import contextlib
+import gc
 import io
 import json
 import os
 import random
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -517,6 +519,24 @@ class TestCocycleRoute:
         A = grassmann(1)
         with pytest.raises(AlgebraError, match="2-argument"):
             is_cocycle_pi(zero_cochain(0, ODD), A)
+
+    def test_odd_coboundary_is_cached_per_live_algebra(self):
+        # hochschild keys its cache by the algebra, weakly: a second call
+        # reuses the object, and a dropped algebra leaves no entry
+        cache = hochschild._ODD_COBOUNDARIES
+        pi = Cochain(1, ODD, {(1, 1): {2: QQ.one}})
+        gc.collect()
+        before = len(cache)
+        A = xy2_algebra()
+        assert is_cocycle_pi(pi, A)
+        d = cache[A]
+        assert is_cocycle_pi(pi, A)
+        assert cache[A] is d and len(cache) == before + 1
+        dropped = weakref.ref(A)
+        del A, d
+        gc.collect()
+        assert dropped() is None
+        assert len(cache) == before
 
 
 def _associative_x_odd_y(field=QQ):

@@ -1,5 +1,6 @@
-"""Source idioms: sparse accumulation, the closure of a span under maps and
-the search for odd parameter systems each have one implementation, only
+"""Source idioms: sparse accumulation, the closure of a span under maps,
+the search for odd parameter systems and the action of an algebra element
+on a module each have one implementation, only
 exactlin handles an Echelon, reads a span's echelon or writes its rows, no
 scalar division can make a float, an F_p scalar is no FpElement, and only
 cli.main writes output or picks an exit code."""
@@ -392,3 +393,44 @@ def test_output_check_flags_a_command_that_writes_its_own():
     assert _output_sites(regular) == {
         "_cmd_regular": [6, 7], "_fail_clauses": [10], "_emit": [12], "_cmd_gr": [14]
     }
+
+
+def _apply_element_sites(source):
+    """Lines that define, import or name ``apply_element``, called or passed
+    as a callable: an algebra element acts on a module only through its matrix,
+    ``SuperModule.act_element``, and ``Matrix.apply``."""
+    return sorted(
+        {
+            node.lineno
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and node.name == "apply_element"
+            or isinstance(node, ast.Attribute) and node.attr == "apply_element"
+            or isinstance(node, ast.Name) and node.id == "apply_element"
+            or isinstance(node, ast.alias) and node.name == "apply_element"
+        }
+    )
+
+
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(SRC) if n.endswith(".py")))
+def test_one_module_action(name):
+    with open(os.path.join(SRC, name)) as fh:
+        sites = _apply_element_sites(fh.read())
+    assert not sites, "%s: apply_element at lines %s; act through M.act_element(a).apply" % (
+        name,
+        sites,
+    )
+
+
+def test_module_action_check_flags_apply_element():
+    # the second action as smodule and graded had it, condensed
+    second = (
+        "class SuperModule:\n"
+        "    def apply_element(self, vec, mvec):\n"
+        "        return {}\n"
+        "w = M.apply_element(s, M.basis_element(j))\n"
+        "step = filtration_step(M, M.apply_element, mults)\n"
+        "from .smodule import apply_element\n"
+        "act = apply_element\n"
+    )
+    assert _apply_element_sites(second) == [2, 4, 5, 6, 7]
+    assert _apply_element_sites("mat = M.act_element(a)\nw = mat.apply(v)\n") == []

@@ -1,9 +1,16 @@
-"""Module axioms, submodules, quotients and odd-regular elements."""
+"""Module axioms, submodules, quotients, odd-regular elements and the one
+module action."""
+
+import copy
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superdim.algebra import Presentation, compile_presentation, odd_radical, superideal_span
-from superdim.exactlin import Matrix, QQ, kernel_of_constraints
+from superdim.exactlin import Matrix, QQ, PrimeField, kernel_of_constraints
+from superdim.graded import bgr_module, gr_module
 from superdim.smodule import (
     ModuleError,
     RegularModule,
@@ -13,18 +20,20 @@ from superdim.smodule import (
     is_action_closed,
     is_odd_regular,
     is_regular_sequence,
+    module_span,
     parity_shift,
     product_span,
     quotient,
     regular_module,
+    sequence_quotient,
     submodule,
 )
 
 from superdim.superpoly import EVEN, ODD, SUPERCOMMUTATIVE, GeneratorSpec
 from superdim.textio import parse_module, parse_presentation
 
-from conftest import random_algebra, random_module, rng_for
-from oracles import eager_regular_module, normal_words_in_window
+from conftest import random_algebra, random_module, random_nilpotent_ideal, rng_for
+from oracles import apply_element, eager_regular_module, normal_words_in_window
 from test_algebra import grassmann
 
 
@@ -123,7 +132,8 @@ class TestConstruction:
         z1 = A.generator_element("z1")
         for j in range(A.dim):
             b = A.basis_element(j)
-            assert M.apply_element(z1, b) == A.mul(z1, b)
+            assert apply_element(M, z1, b) == A.mul(z1, b)
+            assert M.act_element(z1).apply(b) == A.mul(z1, b)
 
     def test_random_modules_satisfy_axioms(self):
         rng = rng_for("test_random_modules_satisfy_axioms")
@@ -308,3 +318,60 @@ class TestCapWindow:
             words = _words_past_cap(pres)
             assert len(set(words)) == len(words)
             assert set(words) == set(normal_words_in_window(gens, gdegs, cap, hi))
+
+
+# ---------------------------------------------------------------------------
+# one module action: act_element matrices against the term-by-term reference
+
+FIELDS = [QQ, PrimeField(2), PrimeField(5)]
+
+
+def _random_vector(rng, field, dim):
+    vec = {i: field.of(rng.randint(1, 4)) for i in range(dim) if rng.random() < 0.4}
+    return {i: x for i, x in vec.items() if x}
+
+
+class TestOneModuleAction:
+    """An algebra element acts on a module only through ``act_element`` and
+    ``Matrix.apply``; ``apply_element`` of tests/oracles.py, the term-by-term
+    action the package had before, is the reference."""
+
+    @given(st.sampled_from(FIELDS), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matrices_agree_with_the_term_by_term_action(self, field, seed, plain):
+        rng = random.Random(seed)
+        A = random_algebra(rng, max_gens=4, max_cap=4, max_dim=40, field=field)
+        M = random_module(rng, A)
+        if plain:  # the same module with no RegularModule shortcut
+            M = SuperModule(A, M.parities, M.actions)
+        elems = [_random_vector(rng, field, A.dim) for _ in range(3)]
+        elems.append(A.basis_element(rng.randrange(A.dim)))
+        probes = [M.basis_element(j) for j in range(M.dim)]
+        probes += [_random_vector(rng, field, M.dim) for _ in range(3)]
+        for a in elems:
+            mat = M.act_element(a)
+            for v in probes:
+                assert mat.apply(v) == apply_element(M, a, v)
+        seeds = [apply_element(M, a, M.basis_element(j)) for a in elems for j in range(M.dim)]
+        want = module_span(M, seeds)
+        got = product_span(M, elems)
+        assert got.basis_with_parity() == want.basis_with_parity()
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_cached_basis_matrices_are_never_written(self, field):
+        # product_span seeds its closure with the cached act_basis columns
+        # themselves, and the graded modules act by the cached matrices
+        rng = rng_for("cached-act-basis-%s" % field)
+        for _ in range(6):
+            A = random_algebra(rng, max_gens=4, max_cap=4, max_dim=40, field=field)
+            M = parity_shift(regular_module(A))
+            mats = [M.act_basis(i) for i in range(A.dim)]
+            before = copy.deepcopy([m.cols for m in mats + M.actions])
+            ys = [g for _label, parity, g in A.generators if parity == ODD]
+            for I in (odd_radical(A), random_nilpotent_ideal(rng, A)):
+                product_span(M, I)
+                gr_module(M, I)
+                bgr_module(M, I)
+            sequence_quotient(ys, M)
+            assert all(M.act_basis(i) is m for i, m in enumerate(mats))
+            assert [m.cols for m in mats + M.actions] == before
