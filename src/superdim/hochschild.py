@@ -24,6 +24,18 @@ applies it once, while :func:`sh_dim` builds one per parity and streams
 every basis image, as a flat sparse vector, into the rank-only
 ``exactlin.row_rank``.
 
+:func:`sh_dim` ranks by weight block, one block per symmetry orbit.  On a
+presented algebra whose relations are single monomials, over its regular
+module, d preserves the weight mdeg(value) - sum mdeg(arguments) of a
+coordinate, mdeg being a basis monomial's exponent vector, so d splits
+into column-disjoint blocks.  A transposition of two generators of one
+parity and bidegree that maps every relation into the ideal is an algebra
+automorphism; it carries each block, and d on it, onto the block of the
+permuted weight.  So only one block per orbit of the group these
+transpositions generate is ranked, and counted with the orbit's size.
+Over F2 the odd-diagonal conditions of C^n mix weights once n >= 2, so
+there, and on any other algebra or module, the whole matrix is one block.
+
 The subcomplex C^n(A, M) is cut out by the unit condition in the first
 slot, the reversal symmetry with sign (-1)^{n(n-1)/2 + sum_{i<j}|a_i||a_j|},
 and, when 2 is not invertible, the vanishing of f on odd diagonals.  The
@@ -45,14 +57,15 @@ of the unit cochains e_i -> e_r.
 from __future__ import annotations
 
 import itertools
+import math
 import weakref
 
 from .algebra import AlgebraError, FiniteSuperAlgebra, is_algebra_map, is_supercommutative
 from .algebra import presented_supercommutative
 from .exactlin import Matrix, kernel_of_constraints, row_rank, solve_sparse
 from .exactlin import vec_add_scaled, vec_from_sums
-from .smodule import regular_module
-from .superpoly import EVEN, ODD
+from .smodule import RegularModule, regular_module
+from .superpoly import EVEN, ODD, SuperPolynomial, monomial_word
 
 __all__ = [
     "Cochain",
@@ -171,6 +184,13 @@ class _Coboundary:
     terms are ints, and reduction mod p is a ring map from the integers,
     so the sum reduced once equals the sum reduced term by term; over Q
     nothing is reduced.
+
+    Every term of d maps a coordinate (t, r) to coordinates of the same
+    weight mdeg(e_r) - sum_i mdeg(e_{t_i}) whenever A is graded by
+    generator exponents and M is A's regular module: a product e_a e_b is
+    a multiple of the monomial of exponent mdeg(e_a) + mdeg(e_b), and the
+    actions add mdeg(e_a) to both the value and the arguments.  That is
+    what lets :func:`sh_dim` rank block by block (:class:`_WeightOrbits`).
     """
 
     __slots__ = ("dim", "mdim", "preimages", "actions", "field")
@@ -524,6 +544,116 @@ def adapted_isomorphism_matrix(A, f):
 
 
 # ---------------------------------------------------------------------------
+# weight blocks and their symmetry orbits
+
+
+def _transposition_qualifies(A, g, h):
+    """Whether swapping generators g and h maps every relation into the
+    ideal.  tau(rel) multiplies the swapped generators along each
+    monomial's word, so the sign of reordering odd letters is exact."""
+    pres = A.presentation
+    gens, flavor, field = pres.gens, pres.flavor, pres.field
+    swap = {g: h, h: g}
+    image = [SuperPolynomial.generator(swap.get(i, i), flavor, gens, field)
+             for i in range(len(gens))]
+    for rel in pres.relations:
+        moved = SuperPolynomial.zero(flavor, gens, field)
+        for m, c in rel.terms.items():
+            term = SuperPolynomial.one(flavor, gens, field)
+            for letter in monomial_word(m, gens, flavor):
+                term = term * image[letter]
+            moved = moved + term.scaled(c)
+        if A.reduce_poly(moved):
+            return False
+    return True
+
+
+def _symmetry(A, M):
+    """(mdeg of each basis element, components), or None out of scope.
+
+    In scope: A monomial-kind with single-monomial relations, M its
+    :class:`RegularModule`, characteristic not 2, and some qualifying
+    transposition of two generators of one parity and bidegree.  The
+    components (of two or more generators) are those of the graph of
+    qualifying transpositions, whose group is the product of the symmetric
+    groups on them.
+    """
+    if (A.kind != "monomial" or A.field.characteristic == 2
+            or not isinstance(M, RegularModule) or M.algebra is not A
+            or any(len(rel.terms) != 1 for rel in A.presentation.relations)):
+        return None
+    gens = A.presentation.gens
+    classes = {}
+    for gi, g in enumerate(gens):
+        classes.setdefault((g.parity, g.bidegree), []).append(gi)
+    component = {gi: {gi} for gi in range(len(gens))}
+    for members in classes.values():
+        for g, h in itertools.combinations(members, 2):
+            # once joined, (g h) is in the group whether or not it qualifies
+            if component[g] is not component[h] and _transposition_qualifies(A, g, h):
+                merged = component[g] | component[h]
+                for gi in merged:
+                    component[gi] = merged
+    components = sorted({tuple(sorted(c)) for c in component.values() if len(c) > 1})
+    if not components:
+        return None
+    words = map(A.basis_word, range(A.dim))
+    return [tuple(map(w.count, range(len(gens)))) for w in words], components
+
+
+class _WeightOrbits:
+    """The coordinates (tup, r) that :func:`sh_dim` ranks, with the size of
+    the orbit of their weight block.
+
+    ``rows(tup)`` lists, per value parity, the (r, orbit size) of tup whose
+    weight mdeg(e_r) - sum mdeg(e_{t_i}) is sorted within every component
+    of ``symmetry``, the orbit's representative; the size is the product of
+    the multinomial coefficients of those sorted runs.  Each mdeg is packed
+    into one int, digit j to a base that holds a sum of n + 1 exponents, and
+    rows are cached per packed sum.  With no symmetry every mdeg is 0: one
+    block of orbit size 1 that keeps every coordinate.
+    """
+
+    def __init__(self, A, M, n, symmetry):
+        self.parities = M.parities
+        self._rows = {}
+        if symmetry is None:
+            self.mdeg, self.components, self.base = [()] * M.dim, [], 1
+            self.packed = [0] * A.dim
+        else:
+            self.mdeg, self.components = symmetry
+            self.base = (n + 1) * max(map(max, self.mdeg)) + 1
+            self.packed = [sum(x * self.base**j for j, x in enumerate(e)) for e in self.mdeg]
+
+    def rows(self, tup):
+        key = sum(map(self.packed.__getitem__, tup))
+        hit = self._rows.get(key)
+        if hit is None:
+            hit = self._rows[key] = self._classify(key)
+        return hit
+
+    def _classify(self, key):
+        digits = []
+        while key:
+            key, x = divmod(key, self.base)
+            digits.append(x)
+        out = ([], [])
+        for r, e in enumerate(self.mdeg):
+            weight = [a - b for a, b in itertools.zip_longest(e, digits, fillvalue=0)]
+            size = 1
+            for comp in self.components:
+                run = [weight[j] for j in comp]
+                if run != sorted(run):
+                    break
+                size *= math.factorial(len(run))
+                for x in set(run):
+                    size //= math.factorial(run.count(x))
+            else:
+                out[self.parities[r]].append((r, size))
+        return out
+
+
+# ---------------------------------------------------------------------------
 # cohomology of the subcomplex
 
 
@@ -541,11 +671,21 @@ def cochain_space_basis(A, M, n, parity):
     eliminating the constraints one by one with kernel_of_constraints
     leaves.  Over F2 the odd-diagonal conditions still need a solve: they
     are projected onto this orbit basis, solved there, and mapped back.
+    This is the one-block case of :func:`_basis_tables`.
+    """
+    tables = _basis_tables(A, M, n, parity, _WeightOrbits(A, M, n, None)).get(1, [])
+    return [Cochain(n, parity, table) for table in tables]
+
+
+def _basis_tables(A, M, n, parity, orbits):
+    """{orbit size: [table]}: the basis vectors of C^n of this parity, as
+    bare tables, that lie in the representative weight blocks of ``orbits``,
+    grouped by the size of their block's orbit (see :func:`cochain_space_basis`).
     """
     unit = A.unit_index
     field = A.field
     one = field.one
-    orbits = []
+    out = {}
     for tup in itertools.product(range(A.dim), repeat=n + 1):
         rev = tup[::-1]
         if tup[0] == unit or tup[-1] == unit or tup < rev:
@@ -554,13 +694,14 @@ def cochain_space_basis(A, M, n, parity):
         sign = field.neg(one) if _reversal_flips(n, odd_count) else one
         if tup == rev and sign != one:
             continue
-        want = (parity + odd_count) % 2
-        for r in range(M.dim):
-            if M.parities[r] == want:
-                orbits.append({tup: {r: one}} if tup == rev else {tup: {r: one}, rev: {r: sign}})
+        for r, size in orbits.rows(tup)[(parity + odd_count) % 2]:
+            out.setdefault(size, []).append(
+                {tup: {r: one}} if tup == rev else {tup: {r: one}, rev: {r: sign}}
+            )
     if field.characteristic == 2 and n >= 1:
-        orbits = _odd_diagonal_kernel(A, M, n, orbits)
-    return [Cochain(n, parity, table) for table in orbits]
+        # only the one-block case reaches here (see _symmetry)
+        out = {1: _odd_diagonal_kernel(A, M, n, out.get(1, []))}
+    return out
 
 
 def _odd_diagonal_kernel(A, M, n, orbits):
@@ -610,20 +751,32 @@ def sh_dim(A, M, n):
     basis image is streamed as a flat sparse vector into the rank-only
     ``row_rank``, so no d is held whole.  Then
     SH^n = (dim C^n - rank d_n) - rank d_{n-1}.  A must be supercommutative.
+
+    The ranks are taken one weight block at a time, one block per orbit
+    (:class:`_WeightOrbits`): d preserves the weight, so the images of
+    different blocks lie on disjoint coordinates, and a generator
+    permutation that keeps the ideal is an automorphism carrying a block
+    and its d onto those of another weight.  So rank d = sum over orbits
+    of size * rank(representative block), and dim C^n is the same
+    size-weighted count; the representatives of one orbit size share one
+    ``row_rank`` call.  Outside the scope of :func:`_symmetry` there is one
+    block of orbit size 1, the whole matrix.
     """
     if n < 0:
         raise ValueError("n must be nonnegative, not %d" % n)
     if n + 2 > MAX_SH_CELLS.bit_length() or A.dim ** (n + 2) * M.dim > MAX_SH_CELLS:
         raise AlgebraError("cochain tables exceed the size bound")
     _require_supercommutative(A)
+    coboundaries = [_Coboundary(A, M, parity) for parity in (EVEN, ODD)]
+    field = A.field
+    orbits = _WeightOrbits(A, M, n, _symmetry(A, M))
     out = []
-    for parity in (EVEN, ODD):
-        d = _Coboundary(A, M, parity)
-        basis_n = cochain_space_basis(A, M, n, parity)
-        kernel_dim = len(basis_n) - row_rank((d.image(f.table, n) for f in basis_n), A.field)
-        image_rank = 0
+    for parity, d in zip((EVEN, ODD), coboundaries):
+        sh = 0
+        for size, tables in _basis_tables(A, M, n, parity, orbits).items():
+            sh += size * (len(tables) - row_rank((d.image(t, n) for t in tables), field))
         if n > 0:
-            prev = cochain_space_basis(A, M, n - 1, parity)
-            image_rank = row_rank((d.image(g.table, n - 1) for g in prev), A.field)
-        out.append(kernel_dim - image_rank)
+            for size, tables in _basis_tables(A, M, n - 1, parity, orbits).items():
+                sh -= size * row_rank((d.image(t, n - 1) for t in tables), field)
+        out.append(sh)
     return tuple(out)

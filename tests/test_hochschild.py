@@ -42,7 +42,7 @@ from superdim.hochschild import (
     zero_cochain,
 )
 from superdim.sdim import sdim_algebra
-from superdim.smodule import regular_module
+from superdim.smodule import parity_shift, product_span, quotient, regular_module
 from superdim.superpoly import (
     ASSOCIATIVE,
     EVEN,
@@ -51,7 +51,7 @@ from superdim.superpoly import (
     GeneratorSpec,
     SuperPolynomial,
 )
-from superdim.textio import parse_module
+from superdim.textio import parse_module, parse_presentation
 
 from conftest import (
     random_algebra,
@@ -607,6 +607,138 @@ class TestAdaptedEquivalence:
         zero = zero_cochain(1, ODD)
         assert adapted_equivalence(zero, trivial, A) is not None
         assert adapted_equivalence(zero, nontrivial, A) is None
+
+
+# -- weight blocks and symmetry orbits ----------------------------------------
+
+_ORBIT_FIELDS = (QQ, PrimeField(3), PrimeField(5), PrimeField(2))
+
+
+def presented(field, odd, even=(), cap=None, relations=()):
+    """The compiled presentation with these generators and relation lines."""
+    text = "algebra t over Q\nflavor supercommutative\n"
+    if even:
+        text += "even %s\n" % " ".join(even)
+    text += "odd %s\ncap %d\nrelations\n%s\nend\n" % (
+        " ".join(odd), cap if cap is not None else len(odd), "\n".join(relations))
+    return compile_presentation(parse_presentation(text, field=field))
+
+
+def _lambda_names(s):
+    return ["z%d" % (i + 1) for i in range(s)]
+
+
+def _orbit_case(kind, field, s, pick):
+    """(A, M) of one input kind; ``pick`` chooses among its variants."""
+    odd = _lambda_names(s)
+    if kind == "lambda":
+        A = presented(field, odd)
+    elif kind == "lambda-monomial":
+        # a product of two or more odd generators, chosen by the bits of pick
+        odd = _lambda_names(max(s, 2))
+        subset = [z for b, z in enumerate(odd) if pick >> b & 1]
+        A = presented(field, odd, relations=["*".join(subset if len(subset) > 1 else odd)])
+    elif kind == "two-even-two-odd":
+        rels = [r for b, r in enumerate(("x1^2", "x2^2", "x1*x2", "z1*z2")) if pick >> b & 1]
+        A = presented(field, ["z1", "z2"], even=["x1", "x2"], cap=2, relations=rels)
+    elif kind == "binomial":
+        A = (presented(field, ["z1", "z2"], even=["x1", "x2"], cap=2,
+                       relations=[("x1*z1 - x2*z2", "x1^2 - x2^2", "x1*x2 + x2^2")[pick % 3]])
+             if pick % 4 < 3 else presented(field, _lambda_names(4), relations=["z1*z2 - z3*z4"]))
+    else:  # a module that is not A's regular module
+        A = presented(field, odd)
+        M = regular_module(A)
+        if pick % 2:
+            return A, parity_shift(M)
+        return A, quotient(M, product_span(M, [A.basis_element(A.dim - 1)]))
+    return A, regular_module(A)
+
+
+class TestWeightOrbits:
+    """``sh_dim`` ranks one weight block per symmetry orbit; the whole-matrix
+    ``echelon_sh_dim`` is the reference."""
+
+    @pytest.mark.parametrize("field", _ORBIT_FIELDS, ids=lambda F: F.name)
+    @given(
+        kind=st.sampled_from(
+            ["lambda", "lambda-monomial", "two-even-two-odd", "binomial", "module"]),
+        s=st.integers(min_value=1, max_value=4),
+        n=st.integers(min_value=0, max_value=3),
+        pick=st.integers(min_value=0, max_value=15),
+    )
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_matches_whole_matrix_reference(self, field, kind, s, n, pick):
+        A, M = _orbit_case(kind, field, s, pick)
+        while n > 0 and A.dim ** (n + 2) * M.dim > 2**15:
+            n -= 1
+        assert sh_dim(A, M, n) == echelon_sh_dim(A, M, n)
+
+    def test_unchecked_transposition_is_kept_out(self, monkeypatch):
+        # z1*z2 is kept by (z1 z2) but not by (z1 z3) or (z2 z3)
+        A = presented(QQ, ["z1", "z2", "z3"], relations=["z1*z2"])
+        M = regular_module(A)
+        assert hochschild._symmetry(A, M)[1] == [(0, 1)]
+        want = {0: (7, 7), 2: (24, 24)}
+        for n, dims in want.items():
+            assert sh_dim(A, M, n) == echelon_sh_dim(A, M, n) == dims
+        # letting every same-class transposition in gives wrong dimensions
+        monkeypatch.setattr(hochschild, "_transposition_qualifies", lambda A, g, h: True)
+        assert hochschild._symmetry(A, M)[1] == [(0, 1, 2)]
+        for n, dims in want.items():
+            assert sh_dim(A, M, n) != dims
+
+    def test_scope(self):
+        lam3 = presented(QQ, _lambda_names(3))
+        assert hochschild._symmetry(lam3, regular_module(lam3))[1] == [(0, 1, 2)]
+        mixed = presented(QQ, ["z1", "z2"], even=["x1", "x2"], cap=2, relations=["x1^2"])
+        assert hochschild._symmetry(mixed, regular_module(mixed))[1] == [(2, 3)]
+        for A, M in (
+            (grassmann(3, PrimeField(2)), None),  # characteristic 2
+            (lam3, parity_shift(regular_module(lam3))),  # not a regular module
+            (lam3, regular_module(presented(QQ, _lambda_names(3)))),  # another algebra's
+            (presented(QQ, _lambda_names(4), relations=["z1*z2 - z3*z4"]), None),  # binomial
+            (presented(QQ, ["y"], even=["x"], cap=4), None),  # no two generators alike
+        ):
+            assert hochschild._symmetry(A, M or regular_module(A)) is None
+
+    def test_rows_ranked_lambda3_n1(self, monkeypatch):
+        # a fallback to the whole matrix would hand row_rank 248 rows
+        rows = []
+        ranked = hochschild.row_rank
+
+        def counting(vectors, field):
+            vectors = list(vectors)
+            rows.append(len(vectors))
+            return ranked(vectors, field)
+
+        monkeypatch.setattr(hochschild, "row_rank", counting)
+        A = grassmann(3)
+        assert sh_dim(A, regular_module(A), 1) == (0, 0)
+        assert sum(rows) == 88
+
+    @pytest.mark.parametrize("s, vectors, components", [(2, 2, 4), (3, 24, 48)])
+    def test_f2_odd_diagonals_mix_weights(self, s, vectors, components):
+        """Over F2, C^2 is not the sum of its weight components: so many
+        basis vectors per parity have weight components outside C^2."""
+        A = grassmann(s, PrimeField(2))
+        M = regular_module(A)
+        mdeg = [[A.basis_word(i).count(g) for g in range(s)] for i in range(A.dim)]
+
+        def weight(tup, r):
+            return tuple(mdeg[r][g] - sum(mdeg[t][g] for t in tup) for g in range(s))
+
+        for parity in (EVEN, ODD):
+            bad_vectors = bad_components = 0
+            for f in cochain_space_basis(A, M, 2, parity):
+                parts = {}
+                for tup, vec in f.table.items():
+                    for r, c in vec.items():
+                        parts.setdefault(weight(tup, r), {}).setdefault(tup, {})[r] = c
+                bad = sum(not is_in_C(Cochain(2, parity, t), A, M) for t in parts.values())
+                bad_vectors += bad > 0
+                bad_components += bad
+            assert (bad_vectors, bad_components) == (vectors, components)
+        assert sh_dim(A, M, 2) == echelon_sh_dim(A, M, 2)
 
 
 # -- golden reports ----------------------------------------------------------
