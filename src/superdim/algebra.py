@@ -21,16 +21,13 @@ from __future__ import annotations
 
 import heapq
 
-from . import superpoly
 from .exactlin import Subspace, power, vec_add_scaled
 from .superpoly import (
     ASSOCIATIVE,
     EVEN,
     ODD,
     SUPERCOMMUTATIVE,
-    GeneratorSpec,
     SuperPolynomial,
-    monomial_bidegree,
     monomial_degree,
     monomial_name,
     monomial_parity,
@@ -234,8 +231,7 @@ def compile_presentation(pres):
     A.dim = len(basis_monos)
     A.labels = [monomial_name(m, gens, flavor) for m in basis_monos]
     A.parities = [parities[i] for i in keep]
-    A.bidegrees = [monomial_bidegree(m, gens, flavor) for m in basis_monos]
-    A.degrees = [k + l for k, l in A.bidegrees]
+    A.degrees = [monomial_degree(m, gens, flavor) for m in basis_monos]
     # odd support as a bitmask; an associative word may repeat an odd letter
     odd = [i for i, g in enumerate(gens) if g.parity == ODD and flavor == SUPERCOMMUTATIVE]
     A._odd_masks = [sum(1 << i for i in odd if m[i]) for m in basis_monos]
@@ -265,8 +261,6 @@ class FiniteSuperAlgebra:
         unit_index,
         name="algebra",
         odd_module_generators=None,
-        bidegrees=None,
-        degrees=None,
     ):
         A = cls.__new__(cls)
         A.kind = "table"
@@ -277,8 +271,6 @@ class FiniteSuperAlgebra:
         A.dim = len(labels)
         A.labels = list(labels)
         A.parities = list(parities)
-        A.bidegrees = bidegrees
-        A.degrees = degrees
         A.unit_index = unit_index
         A._table = {k: {i: c for i, c in v.items() if c} for k, v in table.items()}
         A._odd_module_generators = odd_module_generators

@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .algebra import compile_presentation, odd_radical, superideal_span
 from .corpus import CASES, corpus_all, corpus_report
-from .exactlin import QQ
+from .exactlin import QQ, field_from_name
 from .graded import (
     bgr,
     bgr_module,
@@ -69,7 +69,6 @@ from .smodule import RegularModule, check_module, regular_module
 from .superpoly import EVEN, ODD
 from .textio import (
     emit_report,
-    field_from_name,
     parse_elements,
     parse_module,
     parse_presentation,

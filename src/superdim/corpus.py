@@ -119,17 +119,16 @@ def _combine(field, *pairs):
 
 
 class EpsilonTensor:
-    """Totally antisymmetric symbols t_ijk on the indices 1..n.
+    """Totally antisymmetric symbols t_ijk on the indices 1..4.
 
     ``resolve(i, j, k)`` returns ``(sign, label)`` where the label names
     the canonical generator t_{i'j'k'} with i' < j' < k' and the sign is
     the parity of the sorting permutation; repeated indices give None.
     """
 
-    def __init__(self, n=4):
-        self.n = n
+    def __init__(self):
         self._canonical = {
-            trip: "t%d%d%d" % trip for trip in combinations(range(1, n + 1), 3)
+            trip: "t%d%d%d" % trip for trip in combinations(range(1, 5), 3)
         }
 
     def labels(self):
@@ -164,8 +163,8 @@ class CorpusC1:
 def build_c1(field=QQ):
     """Compile B, R = K[Z1,Z2,Z3,Y] and the doubled module M = V + Pi V.
 
-    V is B itself; phi_i and psi_i act by left multiplication with the
-    generators of B, and
+    V is B's regular module; phi_i and psi_i act on it by left
+    multiplication with the generators of B, and
 
         Y(v) = Pi v,  Y(Pi v) = 0,
         Z_i(v) = phi_i(v) + Pi psi_i(v),  Z_i(Pi v) = -Pi phi_i(v).
@@ -205,13 +204,10 @@ def build_c1(field=QQ):
     R = _compile(SUPERCOMMUTATIVE, rgens, [], 4, field, "R")
 
     nB = B.dim
-
-    def left_mult_columns(name):
-        g = B.generator_element(name)
-        return [B.mul(g, B.basis_element(j)) for j in range(nB)]
-
-    phis = [left_mult_columns("phi%d" % i) for i in (1, 2, 3)]
-    psis = [left_mult_columns("psi%d" % i) for i in (1, 2, 3)]
+    V = regular_module(B)
+    # the cached matrices' own columns: read here, never written
+    phis = [V.act_element(B.generator_element("phi%d" % i)).cols for i in (1, 2, 3)]
+    psis = [V.act_element(B.generator_element("psi%d" % i)).cols for i in (1, 2, 3)]
 
     dim = 2 * nB
     actions = []
@@ -364,7 +360,7 @@ def build_c2(field=QQ):
     if hit is not None:
         return hit
 
-    eps = EpsilonTensor(4)
+    eps = EpsilonTensor()
     tlabels = eps.labels()
     nt = len(tlabels)
     gens = tuple(

@@ -83,7 +83,6 @@ __all__ = [
     "gr_module",
     "bgr_module",
     "class_in_degree",
-    "odd_radical",
     "verify_graded_comparison",
     "graded_comparison",
     "bgr_to_gr_surjective",
@@ -188,7 +187,7 @@ class _Components:
                 cols.append(self.coords(key, vec) if vec else {})
             yield cols
 
-    def algebra(self, A, add, tag, name, degrees=None):
+    def algebra(self, A, add, tag, name):
         """The table-kind algebra on the representatives of a filtration of A.
 
         On a presented supercommutative A, r_j r_i = (-1)^(|r_i| |r_j|) r_i r_j
@@ -220,7 +219,6 @@ class _Components:
             table=table,
             unit_index=next(iter(unit)),
             name=name,
-            degrees=degrees,
         )
 
     def module(self, M, graded, add, name):
@@ -292,11 +290,11 @@ def _below_kl(kl):
     return ((k + 1, l), (k, l + 1))
 
 
-def gr(A, ideal, name=None):
+def gr(A, ideal):
     """The graded algebra of the filtration by powers of a superideal."""
     powers = ideal_powers(A, ideal)
     comps = _Components(A, dict(enumerate(powers)), _below_n)
-    algebra = comps.algebra(A, operator.add, str, name or ("gr " + A.name), list(comps.keys))
+    algebra = comps.algebra(A, operator.add, str, "gr " + A.name)
     return GradedSuperAlgebra(algebra, comps, powers, A, ideal)
 
 
@@ -310,10 +308,10 @@ def _checked(M, ideal, graded, build):
     return graded
 
 
-def gr_module(M, ideal, graded_algebra=None, name=None):
+def gr_module(M, ideal, graded_algebra=None):
     """The module over gr(A, I) with components I^n M / I^{n+1} M."""
     G = _checked(M, ideal, graded_algebra, gr)
-    name = name or ("gr " + M.name)
+    name = "gr " + M.name
     if isinstance(M, RegularModule):  # gr's own regular module, see the module docstring
         return GradedSuperModule(regular_module(G.algebra, name), G.keys, G.reps, G.powers)
     mats = [M.act_element(u) for u in _multipliers(M.algebra, ideal)]
@@ -333,7 +331,7 @@ def class_in_degree(G, vec, degree):
     return G.components.coords(degree, vec)
 
 
-def bgr(A, ideal, name=None):
+def bgr(A, ideal):
     """The bigraded algebra of the I_{k,l} = I_0^k I_1^l A lattice.
 
     Supercommutative only: the lattice definition multiplies the even and
@@ -345,14 +343,14 @@ def bgr(A, ideal, name=None):
     require_two_sided(A, ideal)
     lattice = _lattice(A, A.mul, *_lattice_multipliers(A, ideal), "ideal")
     comps = _Components(A, lattice, _below_kl)
-    algebra = comps.algebra(A, _add_pairs, lambda kl: "(%d,%d)" % kl, name or ("bgr " + A.name))
+    algebra = comps.algebra(A, _add_pairs, lambda kl: "(%d,%d)" % kl, "bgr " + A.name)
     return BigradedSuperAlgebra(algebra, comps, lattice, A, ideal)
 
 
-def bgr_module(M, ideal, bigraded_algebra=None, name=None):
+def bgr_module(M, ideal, bigraded_algebra=None):
     """Module components S(k,l)M / (S(k+1,l)M + S(k,l+1)M) over bgr(A, I)."""
     B = _checked(M, ideal, bigraded_algebra, bgr)
-    name = name or ("bgr " + M.name)
+    name = "bgr " + M.name
     if isinstance(M, RegularModule):  # bgr's own regular module
         return GradedSuperModule(regular_module(B.algebra, name), B.keys, B.reps, B.lattice)
     even, odd = ([M.act_element(u) for u in m] for m in _lattice_multipliers(M.algebra, ideal))

@@ -32,6 +32,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraError
 from .exactlin import row_rank
+from .sdim import SuperDimension
 from .superpoly import (
     ODD,
     SUPERCOMMUTATIVE,
@@ -402,8 +403,6 @@ def fit_rows(table):
 
 def sdim_from_hilbert(hp):
     """Super-dimension read off the fitted growth polynomials."""
-    from .sdim import SuperDimension
-
     for l, f in sorted(hp.fits.items()):
         if f is None:
             raise AlgebraError("row l=%d did not stabilize; raise kmax" % (l,))

@@ -137,7 +137,7 @@ def regular_module(A, name=None):
     return RegularModule(A, name or (A.name + " regular"))
 
 
-def parity_shift(M, name=None):
+def parity_shift(M):
     """Pi M: flipped parities; odd generators act with a flipped sign."""
     actions = []
     for (_label, parity, _vec), mat in zip(M.algebra.generators, M.actions):
@@ -146,7 +146,7 @@ def parity_shift(M, name=None):
         M.algebra,
         [1 - p for p in M.parities],
         actions,
-        name=name or ("Pi " + M.name),
+        name="Pi " + M.name,
     )
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import operator
 
-from .exactlin import QQ, vec_add_scaled
+from .exactlin import vec_add_scaled
 
 EVEN = 0
 ODD = 1
@@ -194,9 +194,6 @@ class SuperPolynomial:
     def is_zero(self):
         return not self.terms
 
-    def copy(self):
-        return self._like(dict(self.terms))
-
     def __add__(self, other):
         self._check(other)
         return self._like(vec_add_scaled(dict(self.terms), other.terms, 1, self.field))
@@ -296,5 +293,4 @@ __all__ = [
     "monomial_name",
     "SuperPolynomial",
     "multiply",
-    "QQ",
 ]

@@ -59,7 +59,6 @@ from .superpoly import (
 __all__ = [
     "SourceSpan",
     "ParseError",
-    "field_from_name",
     "parse_presentation",
     "parse_module",
     "parse_elements",

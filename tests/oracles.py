@@ -1276,7 +1276,7 @@ class TwoPassComponents:
                 cols.append(self.class_in_degree(vec, key) if vec else {})
             yield cols
 
-    def algebra(self, A, add, tag, name, degrees=None):
+    def algebra(self, A, add, tag, name):
         columns = self.classes(A.mul, zip(self.keys, self.rows), add)
         table = {
             (i, j): col for i, cols in enumerate(columns) for j, col in enumerate(cols) if col
@@ -1292,7 +1292,6 @@ class TwoPassComponents:
             table=table,
             unit_index=self.positions[top][next(iter(unit_coords))],
             name=name,
-            degrees=degrees,
         )
 
     def module(self, M, keys, rows, algebra, add):

@@ -127,7 +127,7 @@ class TestChainsBuilt:
 
     @pytest.mark.parametrize("verify", [verify_c1, verify_c2], ids=["c1", "c2"])
     def test_at_most_three_chains(self, monkeypatch, verify):
-        # the ``superdim.sdim`` attribute is the function, so patch the module
+        # count the calls made inside the sdim module and through corpus's own import
         sdim_module = sys.modules["superdim.sdim"]
         inner = sdim_module.odd_power_spans_of_module
         built = []

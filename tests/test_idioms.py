@@ -2,8 +2,10 @@
 the search for odd parameter systems and the action of an algebra element
 on a module each have one implementation, only
 exactlin handles an Echelon, reads a span's echelon or writes its rows, no
-scalar division can make a float, an F_p scalar is no FpElement, and only
-cli.main writes output or picks an exit code."""
+scalar division can make a float, an F_p scalar is no FpElement, only
+cli.main writes output or picks an exit code, and every public name has one
+home: the package binds only ``__version__``, an ``__all__`` lists only its
+module's own names, and every import is used."""
 
 import ast
 import importlib
@@ -434,3 +436,136 @@ def test_module_action_check_flags_apply_element():
     )
     assert _apply_element_sites(second) == [2, 4, 5, 6, 7]
     assert _apply_element_sites("mat = M.act_element(a)\nw = mat.apply(v)\n") == []
+
+
+def _package_bindings(source):
+    """Lines of an ``__init__`` that import or bind a name other than
+    ``__version__``: every public name is imported from the module that
+    defines it, and the package exports nothing else."""
+    definers = (ast.Import, ast.ImportFrom, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted(
+        {
+            node.lineno
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, definers)
+            or isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Store)
+            and node.id != "__version__"
+        }
+    )
+
+
+def test_package_binds_only_its_version():
+    with open(os.path.join(SRC, "__init__.py")) as fh:
+        sites = _package_bindings(fh.read())
+    assert not sites, "__init__.py: binds names at lines %s; import from the defining module" % (
+        sites,
+    )
+
+
+def test_package_check_flags_a_re_export():
+    # the re-export layer as __init__ had it, condensed
+    layer = (
+        '"""Docstring."""\n'
+        "from .sdim import SuperDimension, sdim\n"
+        "import superdim.corpus\n"
+        "EMPTY = SuperDimension.make_empty()\n"
+        "def report(case):\n"
+        "    return case\n"
+        '__version__ = "0.1.0"\n'
+    )
+    assert _package_bindings(layer) == [2, 3, 4, 5]
+    assert _package_bindings('"""Docstring."""\n\n__version__ = "0.1.0"\n') == []
+
+
+def _top_level_definitions(tree):
+    """Names a module binds at its top level by a def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(
+                n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
+            )
+    return names
+
+
+def _foreign_exports(source):
+    """Names in ``__all__`` that the module does not define itself: an
+    ``__all__`` lists only the module's own names."""
+    tree = ast.parse(source)
+    exported = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = [elt.value for elt in node.value.elts]
+    defined = _top_level_definitions(tree)
+    return [name for name in exported if name not in defined]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(SRC) if n.endswith(".py")))
+def test_all_lists_only_own_names(name):
+    with open(os.path.join(SRC, name)) as fh:
+        foreign = _foreign_exports(fh.read())
+    assert not foreign, "%s: __all__ re-exports %s; export it from its own module" % (
+        name,
+        foreign,
+    )
+
+
+def test_export_check_flags_a_re_export():
+    # superpoly's __all__ as it was, condensed
+    superpoly = (
+        "from .exactlin import QQ, vec_add_scaled\n"
+        "EVEN, ODD = 0, 1\n"
+        "SUPERCOMMUTATIVE: str = 'supercommutative'\n"
+        "class GeneratorSpec:\n"
+        "    pass\n"
+        "def multiply(p, q):\n"
+        "    return vec_add_scaled({}, p, 1, QQ)\n"
+        "__all__ = ['EVEN', 'ODD', 'SUPERCOMMUTATIVE', 'GeneratorSpec', 'multiply', 'QQ']\n"
+    )
+    assert _foreign_exports(superpoly) == ["QQ"]
+    assert _foreign_exports("__all__ = ['f']\ndef f():\n    g = 1\n") == []
+    assert _foreign_exports("__all__ = ['g']\ndef f():\n    g = 1\n") == ["g"]
+
+
+def _unused_imports(source):
+    """Names a module imports (``__future__`` aside) but never reads."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read:
+                    unused.append(bound)
+    return unused
+
+
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(SRC) if n.endswith(".py")))
+def test_every_import_is_used(name):
+    with open(os.path.join(SRC, name)) as fh:
+        unused = _unused_imports(fh.read())
+    assert not unused, "%s: imports %s and never uses them" % (name, unused)
+
+
+def test_import_check_flags_an_unused_import():
+    # algebra's imports as they were, condensed
+    algebra = (
+        "from __future__ import annotations\n"
+        "import heapq\n"
+        "from . import superpoly\n"
+        "from .superpoly import ODD, GeneratorSpec, monomial_degree as degree\n"
+        "def f(m, gens):\n"
+        "    return heapq.nsmallest(1, [degree(m, gens, ODD)])\n"
+    )
+    assert _unused_imports(algebra) == ["superpoly", "GeneratorSpec"]
+    assert _unused_imports("import os.path\nx = 1\n") == ["os"]
+    assert _unused_imports("from .x import T\ndef f(a: T):\n    return a\n") == []

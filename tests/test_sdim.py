@@ -33,7 +33,7 @@ from conftest import random_algebra, random_module, rng_for
 from oracles import ext_chain_dims
 from test_algebra import grassmann
 
-# The package re-exports the function sdim under the submodule's name.
+# The modules themselves, whose attributes the tests below patch.
 sdim_module = importlib.import_module("superdim.sdim")
 smodule = importlib.import_module("superdim.smodule")
 
