@@ -238,6 +238,7 @@ def compile_presentation(pres):
     A.unit_index = 0  # the empty monomial sorts first and is not in the ideal
     assert A.degrees[0] == 0
     A._table = {}
+    A._odd_steps = None
     A._odd_module_generators = None
     A._generators = None
     return A
@@ -273,6 +274,8 @@ class FiniteSuperAlgebra:
         A.parities = list(parities)
         A.unit_index = unit_index
         A._table = {k: {i: c for i, c in v.items() if c} for k, v in table.items()}
+        A._fill = None
+        A._odd_steps = None
         A._odd_module_generators = odd_module_generators
         A._generators = None
         if A.parities[unit_index] != EVEN:
@@ -301,15 +304,21 @@ class FiniteSuperAlgebra:
         share an odd letter (their odd-support masks meet); degree is
         additive and a repeated odd letter kills a supercommutative
         monomial.  Otherwise the product monomial is reduced modulo the
-        ideal.
+        ideal.  On a table-kind algebra a pair missing from the table is
+        zero, unless the algebra has a filler (``graded`` builds its tables
+        empty): then the filler solves the pair the first time it is read.
         """
         key = (i, j)
         hit = self._table.get(key)
         if hit is not None:
             return hit
         if self.kind == "table":
-            return {}
-        if self.degrees[i] + self.degrees[j] > self.cap or self._odd_masks[i] & self._odd_masks[j]:
+            if self._fill is None:
+                return {}
+            out = self._fill(i, j)
+        elif (
+            self.degrees[i] + self.degrees[j] > self.cap or self._odd_masks[i] & self._odd_masks[j]
+        ):
             out = {}
         else:
             pres = self.presentation
@@ -468,9 +477,16 @@ def odd_multipliers(A):
     """Odd elements y_i with A_1 S = sum_i y_i S for every A-stable S.
 
     A presented supercommutative algebra uses its odd generators (A_1 is
-    the sum of the A_0 y_i, and A_0 y_i S = y_i S).  Any other algebra
-    uses all of its odd basis elements.
+    the sum of the A_0 y_i, and A_0 y_i S = y_i S).  An algebra G = gr(A, I)
+    uses the odd steps y_i that ``graded.gr`` recorded: the nonzero classes
+    in component 0 of A's odd generators and in component 1 of the ideal's
+    odd generators.  G is generated by gr_0 = A/I and gr_1 = I/I^2, hence by
+    these classes and even ones, and it is supercommutative, so its odd
+    part is the sum of the (even part) y_i and again G_1 S = sum_i y_i S.
+    Any other algebra uses all of its odd basis elements.
     """
+    if A._odd_steps is not None:
+        return A._odd_steps
     if presented_supercommutative(A):
         return [vec for _label, vec in A.odd_module_generators()]
     return [A.basis_element(i) for i in range(A.dim) if A.parities[i] == ODD]
@@ -512,7 +528,16 @@ def _multiplication_maps(A, two_sided):
 
 
 def require_two_sided(A, span):
-    """Raise unless the span is closed under multiplication by A on both sides."""
+    """Raise unless the span is closed under multiplication by A on both sides.
+
+    A span that ``superideal_span`` built over this A (its parities list is
+    A's) and that still has its ``generators`` (no insert has grown it)
+    passes at once when A is presented supercommutative: it is graded and
+    closed on the left, and a homogeneous a v is +-v a there.
+    """
+    built_here = span.generators is not None and span.parities is A.parities
+    if built_here and presented_supercommutative(A):
+        return
     if not span.is_closed(_multiplication_maps(A, True)):
         raise AlgebraError("subspace is not a two-sided superideal")
 

@@ -26,15 +26,18 @@ share three private builders:
   sorted order; per stage, one echelon seeded with the stage(s) below it
   (``exactlin.representatives``) picks the representatives, tagged by
   their global index, and ``_Components.coords`` reads classes off it;
-* the assembly: ``_Components.classes`` re-expresses act(a, rep) in the
+* the assembly: ``_Components.product`` re-expresses act(a, rep) in the
   stage whose key is the sum of the two keys, which gives both the product
-  table of the graded algebra (``_Components.algebra``, with the unit
-  check) and the action columns of the graded module
-  (``_Components.module``).  Over a presented supercommutative A the
-  table needs only the pairs i <= j: representatives are homogeneous, so
+  table of the graded algebra (``_Components.algebra``) and the action
+  columns of the graded module (``_Components.module``).  The table is
+  solved on demand: the algebra starts with an empty table, and
+  ``mul_basis`` solves a pair the first time something reads it; only the
+  unit check is eager.  Over a presented supercommutative A only the pairs
+  i <= j are solved: representatives are homogeneous, so
   r_j r_i = (-1)^(|r_i| |r_j|) r_i r_j, the key sum is symmetric, and the
   class of r_j r_i is that of r_i r_j, negated when both are odd.  Any
-  other algebra, and every module, has all pairs solved.
+  other algebra has every ordered pair solved, and every module has all
+  of its columns built.
 
 Conservation of total dimension holds for the graded object (the chain
 telescopes).  It does not hold bigraded in general: one ambient vector can
@@ -72,7 +75,7 @@ from .algebra import (
 from .exactlin import Matrix, representatives, row_rank
 from .sdim import sdim
 from .smodule import RegularModule, SuperModule, regular_module
-from .superpoly import EVEN, SUPERCOMMUTATIVE
+from .superpoly import EVEN, ODD, SUPERCOMMUTATIVE
 
 __all__ = [
     "GradedSuperAlgebra",
@@ -173,53 +176,60 @@ class _Components:
             out[c - self.ambient] = neg(x)
         return out
 
-    def classes(self, act, left, add, half=False):
+    def product(self, act, add, lkey, a, j):
+        """The class of act(a, rep j) in stage add(lkey, key of rep j), over
+        the representatives, or {} when that stage is zero."""
+        key = add(lkey, self.keys[j])
+        vec = act(a, self.reps[j][1]) if key in self.echelons else None
+        return self.coords(key, vec) if vec else {}
+
+    def classes(self, act, left, add):
         """For each (key, element) in ``left``, the columns of its action:
-        the class of act(element, rep) in stage add(key, key of rep), over
-        the representatives, or {} when that stage is zero.  With ``half``,
-        the columns of the i-th element start at rep i."""
-        keys, reps = self.keys, self.reps
-        for i, (lkey, a) in enumerate(left):
-            cols = []
-            for j in range(i if half else 0, len(reps)):
-                key = add(lkey, keys[j])
-                vec = act(a, reps[j][1]) if key in self.echelons else None
-                cols.append(self.coords(key, vec) if vec else {})
-            yield cols
+        its ``product`` with every representative."""
+        for lkey, a in left:
+            yield [self.product(act, add, lkey, a, j) for j in range(len(self.reps))]
 
     def algebra(self, A, add, tag, name):
         """The table-kind algebra on the representatives of a filtration of A.
 
-        On a presented supercommutative A, r_j r_i = (-1)^(|r_i| |r_j|) r_i r_j
-        for the homogeneous representatives, and ``add`` is symmetric, so
-        both products lie in one stage and their classes differ by that
-        sign: only the pairs i <= j are multiplied and solved, and column
-        (j, i) is column (i, j), negated exactly when both are odd.
+        Its table starts empty: ``mul_basis`` solves the product of
+        representatives i and j the first time it is read, and caches it.
+        Only the unit check is done here.  On a presented supercommutative
+        A, r_j r_i = (-1)^(|r_i| |r_j|) r_i r_j for the homogeneous
+        representatives, and ``add`` is symmetric, so both products lie in
+        one stage and their classes differ by that sign: only the pairs
+        i <= j are multiplied and solved, and column (j, i) is column
+        (i, j), negated exactly when both are odd.  Column (j, i) reads
+        (i, j) from the table when it is there; otherwise (i, j) is solved
+        and not kept, so the table holds only the pairs that were read.
         """
         half = presented_supercommutative(A)
         neg = A.field.neg
         parities = [p for p, _r in self.reps]
-        table = {}
-        columns = self.classes(A.mul, zip(self.keys, self.rows), add, half)
-        for i, cols in enumerate(columns):
-            for j, col in enumerate(cols, i if half else 0):
-                if not col:
-                    continue
-                table[(i, j)] = col
-                if half and j != i:
-                    odd = parities[i] and parities[j]
-                    table[(j, i)] = {k: neg(x) for k, x in col.items()} if odd else col
+
+        def solve(i, j):
+            return self.product(A.mul, add, self.keys[i], self.reps[i][1], j)
+
+        def fill(i, j):
+            if not half or i <= j:
+                return solve(i, j)
+            col = algebra._table.get((j, i))
+            col = solve(j, i) if col is None else col
+            return {k: neg(x) for k, x in col.items()} if parities[i] and parities[j] else col
+
         unit = self.coords(min(self.echelons), A.unit_element())  # the key of the whole of A
         if list(unit.values()) != [A.field.one]:
             raise AlgebraError("unit class is not a single representative")
-        return FiniteSuperAlgebra.from_table(
+        algebra = FiniteSuperAlgebra.from_table(
             labels=["[%s]@%s" % (A.element_name(r), tag(k)) for k, r in zip(self.keys, self.rows)],
             parities=parities,
             field=A.field,
-            table=table,
+            table={},
             unit_index=next(iter(unit)),
             name=name,
         )
+        algebra._fill = fill
+        return algebra
 
     def module(self, M, graded, add, name):
         """The module over ``graded`` on the representatives of a filtration of M."""
@@ -246,13 +256,12 @@ class _Graded:
 
 
 class GradedSuperAlgebra(_Graded):
-    """Table-kind algebra on component representatives, with degrees."""
+    """Table-kind algebra on component representatives, degrees in ``keys``."""
 
     def __init__(self, algebra, components, powers, source, ideal):
         super().__init__(components.keys, components.rows)
         self.components = components
         self.algebra = algebra
-        self.degrees = self.keys
         self.powers = powers
         self.source = source
         self.ideal = ideal
@@ -263,7 +272,6 @@ class BigradedSuperAlgebra(_Graded):
         super().__init__(components.keys, components.rows)
         self.components = components
         self.algebra = algebra
-        self.bidegrees = self.keys
         self.lattice = lattice
         self.source = source
         self.ideal = ideal
@@ -273,7 +281,6 @@ class GradedSuperModule(_Graded):
     def __init__(self, module, keys, reps, powers):
         super().__init__(keys, reps)
         self.module = module
-        self.degrees = self.keys
         self.powers = powers
 
 
@@ -291,10 +298,16 @@ def _below_kl(kl):
 
 
 def gr(A, ideal):
-    """The graded algebra of the filtration by powers of a superideal."""
+    """The graded algebra of the filtration by powers of a superideal; over
+    a presented supercommutative A it records the odd steps that
+    ``algebra.odd_multipliers`` describes, from the ideal's generators."""
     powers = ideal_powers(A, ideal)
     comps = _Components(A, dict(enumerate(powers)), _below_n)
     algebra = comps.algebra(A, operator.add, str, "gr " + A.name)
+    if ideal.generators is not None and presented_supercommutative(A):
+        odd = [(0, y) for y in odd_multipliers(A)]
+        odd += [(1, g) for g in ideal.generators if A.element_parity(g) == ODD]
+        algebra._odd_steps = [c for c in (comps.coords(n, v) for n, v in odd) if c]
     return GradedSuperAlgebra(algebra, comps, powers, A, ideal)
 
 
@@ -364,12 +377,12 @@ def bgr_to_gr_surjective(B, G):
     """Componentwise: classes of all (k,l)-representatives with k+l = n span
     gr component n."""
     by_total = {}
-    for kl, rep in zip(B.bidegrees, B.reps):
+    for kl, rep in zip(B.keys, B.reps):
         by_total.setdefault(kl[0] + kl[1], []).append(rep)
     field = G.algebra.field
     for n in range(len(G.powers)):
         coords = (G.components.coords(n, rep) for rep in by_total.get(n, []))
-        if row_rank((c for c in coords if c), field) != G.degrees.count(n):
+        if row_rank((c for c in coords if c), field) != G.keys.count(n):
             return False
     return True
 

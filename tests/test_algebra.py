@@ -16,11 +16,12 @@ from superdim.algebra import (
     odd_power_span,
     odd_radical,
     quotient_algebra,
+    require_two_sided,
     superideal_span,
     table_is_associative,
     table_respects_unit,
 )
-from superdim.exactlin import QQ, PrimeField
+from superdim.exactlin import QQ, PrimeField, Subspace
 from superdim.superpoly import (
     ASSOCIATIVE,
     EVEN,
@@ -324,6 +325,54 @@ class TestSuperideals:
     def test_odd_power_span_negative(self):
         with pytest.raises(AlgebraError):
             odd_power_span(grassmann(1), -1)
+
+
+def _even_algebra(name, gens, cap, relations=()):
+    text = "algebra %s over Q\nflavor supercommutative\neven %s\ncap %d\nrelations\n%send\n"
+    return compile_presentation(
+        parse_presentation(text % (name, gens, cap, "".join("  %s\n" % r for r in relations)))
+    )
+
+
+class TestRequireTwoSided:
+    """A span that superideal_span built over a presented supercommutative
+    A passes at once; every other span is checked product by product."""
+
+    def test_superideal_spans_pass(self):
+        rng = rng_for("require-two-sided-spans-pass")
+        for _ in range(10):
+            A = random_algebra(rng, max_dim=12)
+            for I in (odd_radical(A), random_nilpotent_ideal(rng, A)):
+                assert I.generators is not None and I.parities is A.parities
+                require_two_sided(A, I)
+
+    def test_hand_built_span_that_is_no_ideal_raises(self):
+        A = grassmann(3)
+        S = Subspace(A.parities, A.field)
+        S.insert(A.generator_element("z1"))
+        with pytest.raises(AlgebraError, match="not a two-sided superideal"):
+            require_two_sided(A, S)
+        # an ideal grown by an insert drops its generators and is checked:
+        # z2 z1 is not in span{z1 z2 z3, z1}
+        z1, z2, z3 = (A.generator_element(g) for g in ("z1", "z2", "z3"))
+        S = superideal_span(A, [A.mul(A.mul(z1, z2), z3)])
+        require_two_sided(A, S)
+        assert S.insert(z1) and S.generators is None
+        with pytest.raises(AlgebraError, match="not a two-sided superideal"):
+            require_two_sided(A, S)
+
+    def test_span_of_another_algebra_raises(self):
+        # B = Q[x, y]/(x y, y^2) has basis 1, x, y, x^2 and A = Q[x]/(x^4)
+        # has 1, x, x^2, x^3, all even: (y) in B is span{e_2}, and e_2 = x^2
+        # spans no ideal of A (x x^2 = x^3)
+        A = _even_algebra("A", "x", 3)
+        B = _even_algebra("B", "x y", 2, ["x*y", "y^2"])
+        assert A.parities == B.parities and A.dim == B.dim
+        S = superideal_span(B, [B.generator_element("y")])
+        require_two_sided(B, S)
+        assert S.basis() == [{2: B.field.one}]
+        with pytest.raises(AlgebraError, match="not a two-sided superideal"):
+            require_two_sided(A, S)
 
 
 class TestQuotientAlgebra:

@@ -11,6 +11,7 @@ from superdim.algebra import (
     Presentation,
     compile_presentation,
     is_supercommutative,
+    odd_multipliers,
     odd_radical,
     superideal_span,
     table_is_associative,
@@ -30,6 +31,7 @@ from superdim.graded import (
     ideal_powers,
     verify_graded_comparison,
 )
+from superdim.sdim import SuperDimension, sdim
 from superdim.smodule import SuperModule, check_module, parity_shift, regular_module
 from superdim.superpoly import ASSOCIATIVE, EVEN, GeneratorSpec
 from superdim.textio import parse_module
@@ -210,10 +212,16 @@ class TestRegularShortcut:
         assert GM.component_dims() == G.component_dims()
 
 
+def _solved_table(A):
+    """A's product table with every pair read through ``mul_basis`` (a
+    graded table is solved on demand), the nonzero products kept."""
+    return {(i, j): v for i in range(A.dim) for j in range(A.dim) if (v := A.mul_basis(i, j))}
+
+
 def _same_algebra(got, want):
     assert got.labels == want.labels
     assert got.parities == want.parities
-    assert got._table == want._table
+    assert _solved_table(got) == _solved_table(want)
     assert got.unit_index == want.unit_index
 
 
@@ -290,7 +298,7 @@ class TestHalfProductTable:
         for A, I in _shortcut_cases():
             for X, add in ((gr(A, I), operator.add), (bgr(A, I), _add_pairs)):
                 cols = _all_pairs_columns(X, A, add)
-                table = X.algebra._table
+                table = _solved_table(X.algebra)
                 assert set(table) == {
                     (i, j) for i, row in enumerate(cols) for j, col in enumerate(row) if col
                 }
@@ -314,12 +322,57 @@ class TestHalfProductTable:
         I = superideal_span(A, [A.generator_element("x"), A.generator_element("y")])
         G = gr(A, I)
         cols = _all_pairs_columns(G, A, operator.add)
-        table = G.algebra._table
+        table = _solved_table(G.algebra)
         assert table == {
             (i, j): col for i, row in enumerate(cols) for j, col in enumerate(row) if col
         }
         x, y = (G.reps.index(A.generator_element(g)) for g in "xy")
         assert table[(x, y)] != table[(y, x)]
+
+
+class TestTablesOnDemand:
+    """gr and bgr solve a product of representatives the first time it is
+    read; over Lambda_6 along the odd radical the gr command reads few."""
+
+    def test_gr_and_sdim_read_only_the_step_rows(self):
+        A = grassmann(6)
+        I = odd_radical(A)
+        G = gr(A, I)
+        assert G.algebra._table == {}
+        GM = gr_module(regular_module(A), I, graded_algebra=G)
+        assert sdim(GM.module) == SuperDimension(0, 6)
+        steps = odd_multipliers(G.algebra)
+        assert len(steps) == 6 < G.algebra.parities.count(1) == 32
+        assert 0 < len(G.algebra._table) <= len(steps) * G.algebra.dim
+
+    def test_bgr_and_its_module_read_no_product(self):
+        A = grassmann(6)
+        I = odd_radical(A)
+        B = bgr(A, I)
+        BM = bgr_module(regular_module(A), I, bigraded_algebra=B)
+        assert bgr_to_gr_surjective(B, gr(A, I))
+        assert BM.component_dims() == B.component_dims()
+        assert B.algebra._table == {}
+
+    def test_a_pair_is_multiplied_once_and_only_when_read(self, monkeypatch):
+        A = grassmann(3)
+        G = gr(A, odd_radical(A))
+        calls = []
+        mul = A.mul
+        monkeypatch.setattr(A, "mul", lambda u, v: calls.append((u, v)) or mul(u, v))
+        i = G.keys.index(1)
+        j = i + 1  # two odd representatives of degree 1
+        assert G.algebra.mul_basis(j, i)  # solved for (i, j), cached as (j, i) only
+        assert len(calls) == 1 and set(G.algebra._table) == {(j, i)}
+        ij = G.algebra.mul_basis(i, j)
+        assert len(calls) == 2 and set(G.algebra._table) == {(i, j), (j, i)}
+        assert G.algebra.mul_basis(j, i) == {k: -x for k, x in ij.items()}
+        assert len(calls) == 2
+        # a mirror read when (i, j) is already in the table multiplies nothing
+        k = j + 1
+        G.algebra.mul_basis(i, k)
+        G.algebra.mul_basis(k, i)
+        assert len(calls) == 3
 
 
 class TestComparison:
@@ -374,8 +427,8 @@ def _algebra_dump(X, keys):
     A = X.algebra
     return {
         "labels": A.labels,
-        keys: [list(d) if isinstance(d, tuple) else d for d in getattr(X, keys)],
-        "table": [[i, j, _sparse(v)] for (i, j), v in sorted(A._table.items())],
+        keys: [list(d) if isinstance(d, tuple) else d for d in X.keys],
+        "table": [[i, j, _sparse(v)] for (i, j), v in sorted(_solved_table(A).items())],
     }
 
 
