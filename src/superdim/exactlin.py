@@ -421,6 +421,17 @@ class Echelon:
         return [self.rows[p] for p in self.pivots()]
 
 
+def leading_columns(vectors, field):
+    """Leading columns of a forward elimination of an iterable of sparse
+    vectors with int columns, one per pivot row (see :func:`_pivot_rows`).
+
+    The leading column of a row is its largest, so when the columns are
+    numbered by a monomial order, larger columns for larger monomials, these
+    are the leading monomials of the span.
+    """
+    return _pivot_rows(vectors, field).keys()
+
+
 def row_rank(vectors, field):
     """Rank of the span of an iterable of sparse vectors with int columns.
 
@@ -428,7 +439,7 @@ def row_rank(vectors, field):
     count is returned, so no stored row is back-substituted.  Use
     :class:`Echelon` where rows or coordinates are read.
     """
-    return len(_pivot_rows(vectors, field))
+    return len(leading_columns(vectors, field))
 
 
 def _pivot_rows(vectors, field):

@@ -109,16 +109,28 @@ def _lattice_multipliers(A, ideal):
     I_0 S = sum_{g even} g S + sum_{g odd} g y_i S and
     I_1 S = sum_{g odd} g S + sum_{g even} g y_i S, since
     I_0 = sum_{g even} A_0 g + sum_{g odd} A_1 g and A_1 = sum_i A_0 y_i.
+    Products g y equal up to a scalar span the same line, so one of each
+    class is kept: along the odd radical, z_j z_i = -z_i z_j.
     """
     if ideal.generators is None or not presented_supercommutative(A):
         rows = ideal.basis_with_parity()
         return [r for p, r in rows if p == EVEN], [r for p, r in rows if p != EVEN]
     ys = odd_multipliers(A)
+    field = A.field
+    p = field.characteristic
     even, odd = [], []
+    lines = set()
     for g in ideal.generators:
         same, other = (even, odd) if A.element_parity(g) == EVEN else (odd, even)
         same.append(g)
-        other.extend(gy for gy in (A.mul(g, y) for y in ys) if gy)
+        for y in ys:
+            gy = A.mul(g, y)
+            if gy:
+                inv = field.inv(gy[min(gy)])
+                line = frozenset((c, x * inv % p if p else x * inv) for c, x in gy.items())
+                if line not in lines:
+                    lines.add(line)
+                    other.append(gy)
     return even, odd
 
 

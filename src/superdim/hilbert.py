@@ -14,9 +14,21 @@ expanded by a small integer recurrence over the generators and truncated
 at (kmax, lmax); no monomial is listed for it.  The ideal piece of a box is
 spanned by the products (monomial) * (relation) landing in it, so only the
 source boxes (k - rk, l - rl) of the relations are enumerated, each once
-per table; the columns of a box are numbered as the products land.  Both
-sizes are known from the counts before anything is enumerated, and a table
-past ``MAX_BOXES`` boxes or ``MAX_RELATION_ROWS`` rows is refused.
+per table.  Both sizes are known from the counts before anything is
+enumerated, and a table past ``MAX_BOXES`` boxes or ``MAX_RELATION_ROWS``
+rows is refused.
+
+The columns of a box follow a monomial order, so the leading columns of
+its forward elimination are the leading monomials of the ideal I there (a
+Macaulay matrix, as in Lazard's and Faugere's F4 elimination).  The boxes
+are ranked in order of increasing k, and after each k the minimal leading
+monomials found so far are checked for a Groebner certificate: every
+relation, S-pair and product y * g (y an odd letter of the leading
+monomial, Stokes's condition) with l <= lmax lies in a ranked box.  Once
+it holds, the leading monomials are known in every box, and the boxes past
+that k are counted from the Hilbert series of the monomial quotient
+(``quotient_counts``, the recursion of Bayer-Stillman and Bigatti) without
+ranking.  A window that never certifies ranks every box.
 
 The cumulative row sums g_l(k) = sum_{t <= k} dim B(t, l) eventually agree
 with a polynomial in k of degree at most the number of even generators;
@@ -28,16 +40,13 @@ attains d.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .algebra import AlgebraError
-from .exactlin import row_rank
+from .exactlin import leading_columns
 from .sdim import SuperDimension
-from .superpoly import (
-    ODD,
-    SUPERCOMMUTATIVE,
-    mul_monomials,
-)
+from .superpoly import ODD, SUPERCOMMUTATIVE, monomial_bidegree
 
 __all__ = [
     "BigradedTable",
@@ -49,6 +58,7 @@ __all__ = [
     "sdim_from_hilbert",
     "box_monomials",
     "box_counts",
+    "quotient_counts",
 ]
 
 DEFAULT_KMAX = 12
@@ -160,12 +170,13 @@ def box_counts(gens, kmax, lmax):
 class BigradedTable:
     """dims[(k, l)] = dim B(k, l) for 0 <= k <= kmax, 0 <= l <= lmax."""
 
-    def __init__(self, dims, kmax, lmax, name, even_count):
+    def __init__(self, dims, kmax, lmax, name, even_count, certificate=None):
         self.dims = dict(dims)
         self.kmax = kmax
         self.lmax = lmax
         self.name = name
         self.even_count = even_count
+        self.certificate = certificate
 
     def dim(self, k, l):
         return self.dims.get((k, l), 0)
@@ -205,14 +216,133 @@ def _natural_lmax(gens):
     return total
 
 
+def _divides(h, m):
+    return all(map(operator.le, h, m))
+
+
+def _times_one_minus(counts, a, b):
+    """counts *= (1 - t^a s^b) in place, truncated to its own shape."""
+    for l in range(len(counts) - 1, b - 1, -1):
+        row, src = counts[l], counts[l - b]
+        for k in range(len(row) - 1, a - 1, -1):
+            row[k] -= src[k - a]
+
+
+def quotient_counts(gens, monomials, kmax, lmax):
+    """counts[l][k] = number of monomials of bidegree (k, l) outside the
+    ideal generated by the exponent tuples ``monomials``: the Hilbert series
+    of K[x] (x) Lambda[y] / <monomials>, truncated at (kmax, lmax).
+
+    The recursion of Bayer-Stillman and Bigatti, on a pivot power x^e of a
+    letter that occurs in a generator of two or more letters:
+
+        H(J) = H(J + (x^e)) + t^gk s^gl * H(J : x^e),   (gk, gl) = e * deg x,
+
+    from the exact sequence 0 -> R/(J : x^e) -> R/J -> R/(J + (x^e)) -> 0
+    whose first map multiplies by x^e.  For an odd x, e = 1 and x lies in
+    J : x, since x^2 = 0.  e is the least exponent of x among the mixed
+    generators, so J + (x^e) drops x from all of them and J : x^e takes it
+    out of at least one; the recursion is a worklist of (ideal, shift) and
+    needs no call stack.  When every generator is a power of one letter the
+    quotient is a product: 1 / (1 - T) per free even letter, (1 + T) per
+    free odd one, and 1 + T + ... + T^(c-1) for an even letter whose c-th
+    power is a generator.  No subset of the generators is enumerated.
+    """
+    n = len(gens)
+    out = [[0] * (kmax + 1) for _ in range(lmax + 1)]
+    todo = [([tuple(m) for m in monomials], 0, 0)]
+    while todo:
+        mons, sk, sl = todo.pop()
+        wk, wl = kmax - sk, lmax - sl
+        kept = []
+        for m in sorted(mons, key=sum):
+            mk, ml = monomial_bidegree(m, gens, SUPERCOMMUTATIVE)
+            if mk > wk or ml > wl:
+                continue  # outside the window, so it takes nothing out of it
+            if not any(_divides(h, m) for h in kept):
+                kept.append(m)
+        if kept and not any(kept[0]):
+            continue  # the unit ideal
+        mixed = [m for m in kept if sum(1 for e in m if e) > 1]
+        if mixed:
+            occurs = [sum(1 for m in mixed if m[i]) for i in range(n)]
+            x = occurs.index(max(occurs))
+            e = min(m[x] for m in mixed if m[x])
+            power = tuple(e if i == x else 0 for i in range(n))
+            todo.append((kept + [power], sk, sl))
+            colon = [m[:x] + (max(m[x] - e, 0),) + m[x + 1:] for m in kept]
+            if gens[x].parity == ODD:
+                colon.append(power)
+            gk, gl = gens[x].bidegree
+            todo.append((colon, sk + e * gk, sl + e * gl))
+            continue
+        caps = {}  # letter -> the exponent of its power in the ideal
+        for m in kept:
+            c = max(m)
+            caps[m.index(c)] = c
+        counts = box_counts([g for i, g in enumerate(gens) if caps.get(i) != 1], wk, wl)
+        for i, c in caps.items():
+            if c > 1:
+                gk, gl = gens[i].bidegree
+                _times_one_minus(counts, c * gk, c * gl)
+        for l in range(wl + 1):
+            row, src = out[l + sl], counts[l]
+            for k in range(wk + 1):
+                row[k + sk] += src[k]
+    return out
+
+
+def _needed_k(m, minimal, gens, lmax):
+    """Largest k the certificate waits for once m joins the minimal leading
+    monomials: that of lcm(m, h) for each h in ``minimal`` and of y * m for
+    each odd letter y of m, wherever that l is at most lmax.  The others are
+    never needed: a bidegree past lmax only reaches boxes past lmax, as every
+    letter has a bidegree >= (0, 0) other than (0, 0)."""
+    k, l = monomial_bidegree(m, gens, SUPERCOMMUTATIVE)
+    need = 0
+    for h in minimal:
+        hk, hl = monomial_bidegree(tuple(map(max, h, m)), gens, SUPERCOMMUTATIVE)
+        if hl <= lmax:
+            need = max(need, hk)
+    for e, g in zip(m, gens):
+        if e and g.parity == ODD and l + g.bidegree[1] <= lmax:
+            need = max(need, k + g.bidegree[0])
+    return need
+
+
 def bigraded_dims(pres, kmax=DEFAULT_KMAX, lmax=None):
     """Bigraded dimension table of the quotient presented by ``pres``.
 
-    Relations must be bihomogeneous; the ideal piece of each (k, l) box is
-    ranked independently by forward elimination (``row_rank``), so no
-    degree cap enters.  A table past ``MAX_BOXES`` boxes, or whose ideal
-    pieces take more than ``MAX_RELATION_ROWS`` rows, is refused with its
-    predicted size before any work is done.
+    Relations must be bihomogeneous.  The boxes are ranked in order of
+    increasing k, every l <= lmax for each k, by forward elimination of
+    their ideal pieces (``leading_columns``), so no degree cap enters.  A
+    monomial m is column -code(m), code(m) = sum e_i * base^i with ``base``
+    past every exponent in the window: within one bidegree the leading one
+    has the least exponent of the last letter, then of the one before it (a
+    reverse lexicographic order), and the order is multiplicative, so the
+    leading columns of a box are the leading monomials of I there, and a
+    product's column is the sum of its factors' columns.
+
+    After each k the minimal leading monomials found so far are checked for
+    a Groebner certificate: a truncated Buchberger criterion, applied box by
+    box.  Let G hold one element of I for each minimal leading monomial.  In
+    a ranked box every element of I reduces to zero modulo G, because its
+    leading monomial lies in in(I) there, which the minimal ones generate.
+    So once every relation with l <= lmax, every S-pair of G and every
+    product y * g with y an odd letter of lm(g) (Stokes's condition, as
+    y^2 = 0) that has l <= lmax lies in a ranked box, G generates I and is
+    a Groebner basis of it up to lmax: the criterion's representations stay
+    in boxes below the bidegree they start from.  Then in(I) is generated by
+    the minimal monomials in every box with l <= lmax, and the boxes past
+    the certified k are counted from the Hilbert series of the monomial
+    quotient (``quotient_counts``) without ranking.  A window that never
+    certifies ranks every box.
+
+    A table past ``MAX_BOXES`` boxes, or whose ideal pieces take more than
+    ``MAX_RELATION_ROWS`` rows over the whole window, is refused with its
+    predicted size before any work is done.  ``certificate`` on the table
+    is (k, minimal leading monomials) when the certificate held at k, and
+    None otherwise.
     """
     if pres.flavor != SUPERCOMMUTATIVE:
         raise AlgebraError("bigraded tables need a supercommutative presentation")
@@ -250,35 +380,89 @@ def bigraded_dims(pres, kmax=DEFAULT_KMAX, lmax=None):
             "the ideal pieces take %d rows, past the budget of %d rows"
             % (rows, MAX_RELATION_ROWS)
         )
+    n = len(gens)
+    # No exponent in the window reaches base, so codes add without carries.
+    base = kmax + lmax + 2
+    odd = [g.parity == ODD for g in gens]
+
+    def coded(m):
+        """(code, mask of odd letters, sign flip) of an exponent tuple.  The
+        sign of m' * m is the parity of (mask(m') & flip(m)): the odd letters
+        of m' after each odd letter of m, as in ``mul_monomials``."""
+        code = mask = flip = 0
+        for i in range(n - 1, -1, -1):
+            code = code * base + m[i]
+            if m[i] and odd[i]:
+                mask |= 1 << i
+                flip ^= -1 << (i + 1)
+        return code, mask, flip
+
+    relations = []
+    for r, (rk, rl) in zip(pres.relations, rel_degs):
+        terms = [coded(m) + (c, neg(c)) for m, c in r.terms.items()]
+        relations.append((rk, rl, terms))
     sources = {}
 
     def ideal_rows(k, l):
-        """Rows spanning the ideal piece of box (k, l), on its own column numbers."""
-        index = {}
-        for r, (rk, rl) in zip(pres.relations, rel_degs):
+        """Rows spanning the ideal piece of box (k, l), on columns -code.
+
+        They are ranked by leading column, smallest first, and the shorter
+        row first on a tie: each leading column's pivot is then its shortest
+        row, with far less fill-in than in the order the rows are built.
+        """
+        out = []
+        for rk, rl, terms in relations:
             if rk > k or rl > l or not counts[l - rl][k - rk]:
                 continue
             monos = sources.get((k - rk, l - rl))
             if monos is None:
-                monos = sources[(k - rk, l - rl)] = box_monomials(gens, k - rk, l - rl)
-            for m in monos:
+                monos = sources[(k - rk, l - rl)] = [
+                    coded(m)[:2] for m in box_monomials(gens, k - rk, l - rl)
+                ]
+            for code, mask in monos:
                 # distinct relation terms land on distinct products
                 vec = {}
-                for m2, c in r.terms.items():
-                    sm = mul_monomials(m, m2, gens, SUPERCOMMUTATIVE)
-                    if sm is not None:
-                        sign, prod = sm
-                        vec[index.setdefault(prod, len(index))] = c if sign > 0 else neg(c)
+                for tcode, tmask, flip, c, nc in terms:
+                    if not mask & tmask:
+                        vec[-code - tcode] = nc if (mask & flip).bit_count() & 1 else c
                 if vec:
-                    yield vec
+                    out.append(vec)
+        out.sort(key=lambda vec: (max(vec), len(vec)))
+        return out
 
+    need = max((rk for rk, rl in rel_degs if rl <= lmax), default=0)
+    minimal = []
     dims = {}
-    for l in range(lmax + 1):
-        for k in range(kmax + 1):
+    certificate = None
+    for k in range(kmax + 1):
+        for l in range(lmax + 1):
             size = counts[l][k]
-            dims[(k, l)] = size - row_rank(ideal_rows(k, l), field) if size else 0
+            if not size:
+                dims[(k, l)] = 0
+                continue
+            lead = leading_columns(ideal_rows(k, l), field)
+            dims[(k, l)] = size - len(lead)
+            if need > kmax:
+                continue  # no certificate fits in the window
+            for col in lead:
+                code, m = -col, []
+                for _ in range(n):
+                    code, e = divmod(code, base)
+                    m.append(e)
+                m = tuple(m)
+                if not any(_divides(h, m) for h in minimal):
+                    need = max(need, _needed_k(m, minimal, gens, lmax))
+                    minimal.append(m)
+        if need <= k:
+            certificate = (k, tuple(minimal))
+            if k < kmax:
+                rest = quotient_counts(gens, minimal, kmax, lmax)
+                for j in range(k + 1, kmax + 1):
+                    for l in range(lmax + 1):
+                        dims[(j, l)] = rest[l][j]
+            break
     even_count = sum(1 for g in gens if g.parity != ODD)
-    return BigradedTable(dims, kmax, lmax, pres.name, even_count)
+    return BigradedTable(dims, kmax, lmax, pres.name, even_count, certificate)
 
 
 class PolynomialFit:

@@ -137,19 +137,6 @@ def regular_module(A, name=None):
     return RegularModule(A, name or (A.name + " regular"))
 
 
-def parity_shift(M):
-    """Pi M: flipped parities; odd generators act with a flipped sign."""
-    actions = []
-    for (_label, parity, _vec), mat in zip(M.algebra.generators, M.actions):
-        actions.append(-mat if parity == ODD else mat)
-    return SuperModule(
-        M.algebra,
-        [1 - p for p in M.parities],
-        actions,
-        name="Pi " + M.name,
-    )
-
-
 def _parity_block_violation(M, mat, gen_parity):
     for j in range(M.dim):
         want = (M.parities[j] + gen_parity) % 2
@@ -349,8 +336,3 @@ def sequence_quotient(ys, M):
         regular = regular and is_odd_regular(y, M)
         M = quotient(M, product_span(M, [y]))
     return regular, M
-
-
-def is_regular_sequence(ys, M):
-    """Each y_i regular on M / (R y_1 + ... + R y_{i-1}) M."""
-    return sequence_quotient(ys, M)[0]

@@ -21,7 +21,7 @@ from superdim.hochschild import (
     cochain_space_basis,
     zero_cochain,
 )
-from superdim.smodule import parity_shift, product_span, quotient, regular_module, submodule
+from superdim.smodule import SuperModule, product_span, quotient, regular_module, submodule
 from superdim.superpoly import (
     EVEN,
     ODD,
@@ -30,6 +30,19 @@ from superdim.superpoly import (
     SuperPolynomial,
 )
 from superdim.algebra import Presentation
+
+
+def parity_shift(M):
+    """Pi M: flipped parities; odd generators act with a flipped sign."""
+    actions = []
+    for (_label, parity, _vec), mat in zip(M.algebra.generators, M.actions):
+        actions.append(-mat if parity == ODD else mat)
+    return SuperModule(
+        M.algebra,
+        [1 - p for p in M.parities],
+        actions,
+        name="Pi " + M.name,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -16,6 +16,8 @@ from superdim.exactlin import PrimeField
 from superdim.smodule import regular_module
 from superdim.textio import format_module, parse_module, parse_presentation
 
+from oracles import enumerated_bigraded_dims
+
 ASSETS = os.path.join(os.path.dirname(__file__), "..", "src", "superdim", "assets")
 
 
@@ -736,6 +738,22 @@ class TestSubprocess:
         )
         assert code == 0, err
         assert "super-dimension: 3|2" in out
+
+    def test_hilbert_certified_window_stops_ranking(self, tmp_path):
+        # certified at k = 4, so --kmax 25 ranks five columns of boxes and
+        # counts the rest; ranking all of them took about 2 s over Q
+        alg = tmp_path / "found.alg"
+        alg.write_text(
+            "algebra found over Q\nflavor supercommutative\neven X1 X2 X3\nodd Y1 Y2\n"
+            "relations\n  X1^2 + 3*X2^2 - X3^2 + X1*X2 + 2*X2*X3\n  X1*Y1 - X2*Y2\nend\n"
+        )
+        code, out, err = run_cli("hilbert", str(alg), "--kmax", "25", "--fit", timeout=2)
+        assert code == 0, err
+        code, out, err = run_cli("hilbert", str(alg), "--kmax", "12", timeout=2)
+        assert code == 0, err
+        ref = enumerated_bigraded_dims(parse_presentation(load_text(alg)), kmax=12)
+        rows = [line for line in out.splitlines() if line.startswith("l=")]
+        assert rows == ["l=%d: %s" % (l, " ".join(map(str, ref.row(l)))) for l in range(3)]
 
     def test_hilbert_past_the_box_budget_is_refused(self):
         code, out, err = run_cli("hilbert", asset("xy.alg"), "--kmax", "10000000", timeout=2)

@@ -16,6 +16,7 @@ from superdim.exactlin import (
     in_span,
     kernel_basis,
     kernel_of_constraints,
+    leading_columns,
     rank,
     representatives,
     row_rank,
@@ -308,8 +309,27 @@ class TestRowRank:
             assert vectors == given
             for piv, row in rows.items():
                 assert max(row) == piv and row[piv] == field.one
+            # the leading columns are those of the span, in any input order
+            lead = leading_columns(vectors, field)
+            assert list(lead) == list(rows)
+            assert set(leading_columns(reversed(vectors), field)) == set(lead)
             if field == QQ:
                 _assert_exact(x for r in rows.values() for x in r.values())
+
+    def test_leading_columns_are_those_of_the_span(self):
+        F2 = PrimeField(2)
+        rng = rng_for("leading-columns")
+        for _trial in range(60):
+            vectors = [{j: 1 for j in range(6) if rng.random() < 0.4} for _ in range(rng.randint(0, 5))]
+            leads = set()
+            for pick in range(1, 1 << len(vectors)):
+                acc = {}
+                for i, v in enumerate(vectors):
+                    if pick >> i & 1:
+                        vec_add_scaled(acc, v, 1, F2)
+                if acc:
+                    leads.add(max(acc))
+            assert set(leading_columns(vectors, F2)) == leads
 
 
 class TestMatrix:

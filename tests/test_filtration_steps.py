@@ -32,10 +32,10 @@ from superdim.sdim import (
     sdim_algebra,
     sdim_odd_by_subset_search,
 )
-from superdim.smodule import parity_shift, product_span, quotient, regular_module
+from superdim.smodule import product_span, quotient, regular_module
 from superdim.superpoly import ODD
 
-from conftest import random_algebra, random_module, random_nilpotent_ideal, rng_for
+from conftest import parity_shift, random_algebra, random_module, random_nilpotent_ideal, rng_for
 from test_algebra import grassmann
 
 FIELDS = [QQ, PrimeField(2), PrimeField(5)]

@@ -17,11 +17,12 @@ from superdim.algebra import (
     table_is_associative,
 )
 from superdim.corpus import build_c1
-from superdim.exactlin import QQ, PrimeField, vec_add_scaled
+from superdim.exactlin import QQ, PrimeField, row_rank, vec_add_scaled
 from superdim.graded import (
     _add_pairs,
     _below_kl,
     _below_n,
+    _lattice_multipliers,
     bgr,
     bgr_module,
     bgr_to_gr_surjective,
@@ -32,11 +33,11 @@ from superdim.graded import (
     verify_graded_comparison,
 )
 from superdim.sdim import SuperDimension, sdim
-from superdim.smodule import SuperModule, check_module, parity_shift, regular_module
+from superdim.smodule import SuperModule, check_module, regular_module
 from superdim.superpoly import ASSOCIATIVE, EVEN, GeneratorSpec
 from superdim.textio import parse_module
 
-from conftest import random_algebra, random_module, random_nilpotent_ideal, rng_for
+from conftest import parity_shift, random_algebra, random_module, random_nilpotent_ideal, rng_for
 from oracles import TwoPassComponents, eager_regular_module, two_pass_bgr_to_gr_surjective
 from test_algebra import grassmann
 
@@ -144,6 +145,19 @@ class TestBgr:
         A = compile_presentation(pres)
         with pytest.raises(AlgebraError):
             bgr(A, superideal_span(A, [A.generator_element("x")]))
+
+    @pytest.mark.parametrize("s", [2, 4, 6])
+    def test_lattice_multipliers_one_per_line(self, s):
+        # z_j z_i = -z_i z_j: of the s (s - 1) nonzero products g y along the
+        # odd radical, one per pair {i, j} is kept, and the span is the same
+        A = grassmann(s)
+        I = odd_radical(A)
+        even, odd = _lattice_multipliers(A, I)
+        products = [A.mul(g, y) for g in I.generators for y in odd_multipliers(A)]
+        products = [p for p in products if p]
+        assert len(products) == s * (s - 1)
+        assert len(odd) == s and len(even) == s * (s - 1) // 2
+        assert row_rank(even, QQ) == row_rank(products, QQ) == len(even)
 
 
 def _rows(filtration):

@@ -23,6 +23,7 @@ from superdim.hilbert import (
     box_monomials,
     fit_polynomial,
     fit_rows,
+    quotient_counts,
     sdim_from_hilbert,
 )
 from superdim.sdim import SuperDimension
@@ -34,6 +35,7 @@ from superdim.superpoly import (
     GeneratorSpec,
     SuperPolynomial,
 )
+from superdim.textio import parse_presentation
 
 from oracles import (
     enumerated_bigraded_dims,
@@ -151,6 +153,8 @@ def random_bigraded_presentation(rng, field):
     gens = tuple(gens)
     relations = []
     count = rng.randint(0, 3)
+    if not any(enumerated_box_monomials(gens, k, l) for k in range(4) for l in range(3) if k or l):
+        count = 0  # no bidegree for a relation: never draw one
     while len(relations) < count:
         k, l = rng.randint(0, 3), rng.randint(0, 2)
         monos = enumerated_box_monomials(gens, k, l)
@@ -167,6 +171,29 @@ def random_bigraded_presentation(rng, field):
     return Presentation(SUPERCOMMUTATIVE, gens, relations, None, field, "random")
 
 
+def overlapping_presentation(rng, field):
+    """Two relations of 2-3 terms in two or three even letters and up to two
+    odd ones: their leading monomials overlap, so S-pairs and products y * g
+    add leading monomials past the relations' own degrees."""
+    gens = [GeneratorSpec("x%d" % i, EVEN, (1, 0) if i < 2 else (1, 2))
+            for i in range(rng.randint(2, 3))]
+    gens += [GeneratorSpec("y%d" % i, ODD, rng.choice(((0, 1), (1, 1))))
+             for i in range(rng.randint(0, 2))]
+    gens = tuple(gens)
+    relations = []
+    while len(relations) < 2:
+        monos = enumerated_box_monomials(gens, rng.randint(2, 3), rng.randint(0, 1))
+        if len(monos) < 2:
+            continue
+        terms = {
+            m: field.of(rng.choice([1, -1, 2, Fraction(1, 2)]) if field is QQ
+                        else rng.randint(1, field.p - 1))
+            for m in rng.sample(monos, min(len(monos), rng.randint(2, 3)))
+        }
+        relations.append(SuperPolynomial(SUPERCOMMUTATIVE, gens, field, terms))
+    return Presentation(SUPERCOMMUTATIVE, gens, relations, None, field, "overlapping")
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)], ids=["Q", "F2", "F5"])
 def test_tables_match_enumerated_reference(field):
     rng = random.Random("hilbert:%s" % field.name)
@@ -181,6 +208,153 @@ def test_tables_match_enumerated_reference(field):
                 monos = enumerated_box_monomials(pres.gens, k, l)
                 assert box_monomials(pres.gens, k, l) == monos
                 assert counts[l][k] == len(monos)
+
+
+def _divides(h, m):
+    return all(a <= b for a, b in zip(h, m))
+
+
+class TestQuotientCounts:
+    """The Hilbert series of a monomial quotient against the standard
+    monomials of each box, counted one by one."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_standard_monomial_count(self, seed):
+        rng = random.Random("quotient-counts:%d" % seed)
+        for _ in range(25):
+            gens = tuple(
+                GeneratorSpec("e%d" % i, EVEN, rng.choice(_EVEN_WEIGHTS)) if rng.random() < 0.5
+                else GeneratorSpec("o%d" % i, ODD, rng.choice(_ODD_WEIGHTS))
+                for i in range(rng.randint(1, 5))
+            )
+            kmax, lmax = rng.randint(0, 7), rng.randint(0, 4)
+            monos = [m for k in range(kmax + 1) for l in range(lmax + 1)
+                     for m in box_monomials(gens, k, l) if (k, l) != (0, 0)]
+            ideal = rng.sample(monos, min(len(monos), rng.randint(0, 5)))
+            counts = quotient_counts(gens, ideal, kmax, lmax)
+            for k in range(kmax + 1):
+                for l in range(lmax + 1):
+                    standard = [m for m in box_monomials(gens, k, l)
+                                if not any(_divides(h, m) for h in ideal)]
+                    assert counts[l][k] == len(standard), (gens, ideal, k, l)
+
+    def test_pure_powers_and_mixed_generators(self):
+        # K[x, y | a] / (x^3, x y^2, y a): rows l = 0 and l = 1 by hand
+        gens = free_pres(2, 1).gens
+        counts = quotient_counts(gens, [(3, 0, 0), (1, 2, 0), (0, 1, 1)], 6, 1)
+        assert counts[0] == [1, 2, 3, 2, 1, 1, 1]  # from k = 3: x^2 y and y^k
+        assert counts[1] == [1, 1, 1, 0, 0, 0, 0]  # a, x a, x^2 a
+
+    def test_empty_and_unit_ideals(self):
+        gens = free_pres(2, 2).gens
+        assert quotient_counts(gens, [], 5, 2) == box_counts(gens, 5, 2)
+        assert quotient_counts(gens, [(0, 0, 0, 0)], 5, 2) == [[0] * 6 for _ in range(3)]
+
+
+FOUND = """algebra found over Q
+flavor supercommutative
+even X1 X2 X3
+odd Y1 Y2
+relations
+  X1^2 + 3*X2^2 - X3^2 + X1*X2 + 2*X2*X3
+  X1*Y1 - X2*Y2
+end
+"""
+
+# y1 y2 + y3 y4 with odd letters of bidegree (1, 1): the leading monomial
+# y1 y2 of the relation kills y1 times it, but y1 (y1 y2 + y3 y4) = y1 y3 y4
+# is a new element of I; only Stokes's y * g condition waits for it.
+ODD_SQUARE = """algebra odd_square over Q
+flavor supercommutative
+even x
+odd y1(1,1) y2(1,1) y3(1,1) y4(1,1)
+relations
+  y1*y2 + y3*y4
+end
+"""
+
+CUBICS = """algebra cubics over Q
+flavor supercommutative
+even x y z
+odd a
+relations
+  x^3 + 2*x*y*z - y^2*z + z^3
+  x^2*y - 3*y^3 + x*z^2 + y*z^2
+  y^2*x + x^2*z - 5*z^3 + x*y*z
+end
+"""
+
+
+class TestCertificate:
+    """Boxes past a Groebner certificate are counted, not ranked; every table
+    still equals the enumerated reference."""
+
+    @pytest.mark.parametrize(
+        "field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=["Q", "F2", "F3", "F5"]
+    )
+    def test_matches_enumerated_reference(self, field):
+        rng = random.Random("hilbert-certificate:%s" % field.name)
+        early = late = 0
+        for trial in range(90):
+            if trial % 3:
+                pres = random_bigraded_presentation(rng, field)
+                natural = sum(g.bidegree[1] for g in pres.gens if g.parity == ODD)
+                if any(g.parity != ODD and g.bidegree[1] for g in pres.gens):
+                    natural = 5
+                kmax, lmax = rng.randint(0, 9), rng.randint(0, natural)
+            else:
+                pres = overlapping_presentation(rng, field)
+                kmax, lmax = rng.randint(3, 7), rng.randint(0, 2)
+            table = bigraded_dims(pres, kmax=kmax, lmax=lmax)
+            assert table.dims == enumerated_bigraded_dims(pres, kmax=kmax, lmax=lmax).dims
+            if table.certificate is None:
+                late += 1
+                continue
+            degree, minimal = table.certificate
+            early += degree < kmax
+            assert degree <= kmax
+            for i, h in enumerate(minimal):
+                assert not any(_divides(g, h) for g in minimal[:i] + minimal[i + 1:])
+        # both kinds of window are exercised
+        assert early >= 20 and late >= 10, (early, late)
+
+    @pytest.mark.parametrize("name,degree,count", [("rel_2_3", 3, 4), ("found", 4, 5)])
+    def test_certificate_degree(self, name, degree, count):
+        text = FOUND if name == "found" else _GOLDEN_INPUTS["rel_2_3.alg"]
+        pres = parse_presentation(text)
+        table = bigraded_dims(pres, kmax=12)
+        assert table.certificate[0] == degree
+        assert len(table.certificate[1]) == count
+        assert table.dims == enumerated_bigraded_dims(pres, kmax=12).dims
+
+    @pytest.mark.parametrize("kmax", [4, 6, 8])
+    def test_odd_square_condition(self, kmax):
+        pres = parse_presentation(ODD_SQUARE)
+        table = bigraded_dims(pres, kmax=kmax)
+        assert table.certificate is not None
+        assert table.dims == enumerated_bigraded_dims(pres, kmax=kmax).dims
+
+    def test_relation_degree_holds_the_certificate(self):
+        # x^5 has no leading monomial below k = 5, so nothing certifies before
+        pres = parse_presentation(
+            "algebra x5 over Q\nflavor supercommutative\neven x y\nodd a\n"
+            "relations\n  x^5 - y^5\nend\n"
+        )
+        table = bigraded_dims(pres, kmax=9)
+        assert table.certificate[0] == 5
+        assert table.dims == enumerated_bigraded_dims(pres, kmax=9).dims
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+    def test_uncertified_window_ranks_every_box(self, field):
+        pres = parse_presentation(CUBICS, field=field)
+        table = bigraded_dims(pres, kmax=7)
+        assert table.certificate is None
+        assert table.dims == enumerated_bigraded_dims(pres, kmax=7).dims
+        assert bigraded_dims(pres, kmax=14).certificate[0] == 11
+
+    def test_free_presentation_certifies_at_zero(self):
+        table = bigraded_dims(free_pres(3, 2), kmax=40)
+        assert table.certificate == (0, ())
 
 
 class TestBudgets:

@@ -42,7 +42,7 @@ from superdim.hochschild import (
     zero_cochain,
 )
 from superdim.sdim import sdim_algebra
-from superdim.smodule import parity_shift, product_span, quotient, regular_module
+from superdim.smodule import product_span, quotient, regular_module
 from superdim.superpoly import (
     ASSOCIATIVE,
     EVEN,
@@ -54,6 +54,7 @@ from superdim.superpoly import (
 from superdim.textio import parse_module, parse_presentation
 
 from conftest import (
+    parity_shift,
     random_algebra,
     random_cochain,
     random_in_C,

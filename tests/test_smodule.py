@@ -19,9 +19,7 @@ from superdim.smodule import (
     check_module,
     is_action_closed,
     is_odd_regular,
-    is_regular_sequence,
     module_span,
-    parity_shift,
     product_span,
     quotient,
     regular_module,
@@ -32,9 +30,14 @@ from superdim.smodule import (
 from superdim.superpoly import EVEN, ODD, SUPERCOMMUTATIVE, GeneratorSpec
 from superdim.textio import parse_module, parse_presentation
 
-from conftest import random_algebra, random_module, random_nilpotent_ideal, rng_for
+from conftest import parity_shift, random_algebra, random_module, random_nilpotent_ideal, rng_for
 from oracles import apply_element, eager_regular_module, normal_words_in_window
 from test_algebra import grassmann
+
+
+def is_regular_sequence(ys, M):
+    """Each y_i regular on M / (R y_1 + ... + R y_{i-1}) M."""
+    return sequence_quotient(ys, M)[0]
 
 
 def product_submodule(M, elements, name=None):
