@@ -185,20 +185,27 @@ def compile_presentation(pres):
                 v[index[m]] = c
         return v
 
+    # degree is additive, so a product past the cap is skipped before it is formed
+    degrees = [monomial_degree(m, gens, flavor) for m in monomials]
+    gen_degrees = [g.bidegree[0] + g.bidegree[1] for g in gens]
+
     def mul_vec_by_gen(vec, gi, side):
         # m -> g m is injective on monomials, so no two terms meet
         g = (gi,) if flavor == ASSOCIATIVE else tuple(
             1 if j == gi else 0 for j in range(len(gens))
         )
+        room = cap - gen_degrees[gi]
         out = {}
         for mi, c in vec.items():
+            if degrees[mi] > room:
+                continue
             m = monomials[mi]
             sm = (
                 mul_monomials(g, m, gens, flavor)
                 if side == "left"
                 else mul_monomials(m, g, gens, flavor)
             )
-            if sm is not None and monomial_degree(sm[1], gens, flavor) <= cap:
+            if sm is not None:
                 out[index[sm[1]]] = neg(c) if sm[0] < 0 else c
         return out
 
@@ -231,7 +238,7 @@ def compile_presentation(pres):
     A.dim = len(basis_monos)
     A.labels = [monomial_name(m, gens, flavor) for m in basis_monos]
     A.parities = [parities[i] for i in keep]
-    A.degrees = [monomial_degree(m, gens, flavor) for m in basis_monos]
+    A.degrees = [degrees[i] for i in keep]
     # odd support as a bitmask; an associative word may repeat an odd letter
     odd = [i for i, g in enumerate(gens) if g.parity == ODD and flavor == SUPERCOMMUTATIVE]
     A._odd_masks = [sum(1 << i for i in odd if m[i]) for m in basis_monos]

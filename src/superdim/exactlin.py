@@ -872,13 +872,6 @@ class Subspace:
     def contains(self, vec):
         return not self.residual(vec)
 
-    def coords(self, vec):
-        """Coordinates of vec in basis() order as a sparse dict, or None
-        when vec lies outside the span."""
-        if self.residual(vec):
-            return None
-        return {k: vec[p] for k, p in enumerate(self.pivots()) if vec.get(p)}
-
     @property
     def dim(self):
         return self.echelon.rank

@@ -36,8 +36,9 @@ share three private builders:
   i <= j are solved: representatives are homogeneous, so
   r_j r_i = (-1)^(|r_i| |r_j|) r_i r_j, the key sum is symmetric, and the
   class of r_j r_i is that of r_i r_j, negated when both are odd.  Any
-  other algebra has every ordered pair solved, and every module has all
-  of its columns built.
+  other algebra has every ordered pair solved.  A graded module
+  (``smodule.OnDemandModule``) likewise solves the action of a
+  representative, all of its columns, the first time it is read.
 
 Conservation of total dimension holds for the graded object (the chain
 telescopes).  It does not hold bigraded in general: one ambient vector can
@@ -74,7 +75,7 @@ from .algebra import (
 )
 from .exactlin import Matrix, representatives, row_rank
 from .sdim import sdim
-from .smodule import RegularModule, SuperModule, regular_module
+from .smodule import OnDemandModule, RegularModule, regular_module
 from .superpoly import EVEN, ODD, SUPERCOMMUTATIVE
 
 __all__ = [
@@ -195,12 +196,6 @@ class _Components:
         vec = act(a, self.reps[j][1]) if key in self.echelons else None
         return self.coords(key, vec) if vec else {}
 
-    def classes(self, act, left, add):
-        """For each (key, element) in ``left``, the columns of its action:
-        its ``product`` with every representative."""
-        for lkey, a in left:
-            yield [self.product(act, add, lkey, a, j) for j in range(len(self.reps))]
-
     def algebra(self, A, add, tag, name):
         """The table-kind algebra on the representatives of a filtration of A.
 
@@ -244,12 +239,18 @@ class _Components:
         return algebra
 
     def module(self, M, graded, add, name):
-        """The module over ``graded`` on the representatives of a filtration of M."""
-        mats = map(M.act_element, graded.reps)  # one matrix per left element, built when reached
-        columns = self.classes(Matrix.apply, zip(graded.keys, mats), add)
-        actions = [Matrix.from_cols_sparse(len(self.reps), cols, M.field) for cols in columns]
-        parities = [p for p, _r in self.reps]
-        return SuperModule(graded.algebra, parities, actions, name=name)
+        """The module over ``graded`` on the representatives of a filtration
+        of M.  The action of representative i of ``graded`` is solved the
+        first time it is read: its matrix on M, then its ``product`` with
+        every representative of M."""
+        n = len(self.reps)
+
+        def solve(i):
+            mat = M.act_element(graded.reps[i])
+            cols = [self.product(Matrix.apply, add, graded.keys[i], mat, j) for j in range(n)]
+            return Matrix.from_cols_sparse(n, cols, M.field)
+
+        return OnDemandModule(graded.algebra, [p for p, _r in self.reps], solve, name)
 
 
 class _Graded:

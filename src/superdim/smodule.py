@@ -6,9 +6,11 @@ is the whole basis).  The action of an arbitrary basis element of a
 monomial-kind algebra is the composition of the generator matrices along
 the canonical word of the monomial; well-definedness is exactly what
 ``check_module`` verifies (declared relations, the supercommutation law,
-odd squares and the degree cap all act as zero).  The regular module acts
-by A's multiplication table instead: column j of its ``act_basis(i)`` is
-``A.mul_basis(i, j)``, and its generator matrices are built when read.
+odd squares and the degree cap all act as zero).  An ``OnDemandModule``
+solves the action of basis element i the first time it is read, and its
+generator matrices when ``actions`` is read: the regular module, whose
+column j of ``act_basis(i)`` is ``A.mul_basis(i, j)``, and the graded
+modules of ``graded``.
 
 An algebra element acts on module vectors in one way only: through its
 matrix ``act_element`` (the cached ``act_basis`` matrix of a basis
@@ -16,7 +18,8 @@ element, a combination of them otherwise) and ``Matrix.apply``.  Code that
 acts by many elements maps them to matrices once and steps with those.
 
 Submodules are kept as graded echelonized spans inside the ambient module,
-closed under the generator actions by ``Subspace.close``; quotients check
+closed under the generator actions by ``Subspace.close``, with coordinates
+read off the pivot entries of a vector; quotients check
 ``Subspace.is_closed`` and take ``Subspace.complement`` (the non-pivot
 coordinates) as their basis, which keeps every construction deterministic.
 """
@@ -113,23 +116,35 @@ def _combination(M, terms):
     return Matrix(M.dim, M.dim, cols, field)
 
 
-class RegularModule(SuperModule):
-    """A acting on itself through ``A.mul_basis``; see ``regular_module``."""
+class OnDemandModule(SuperModule):
+    """A module whose ``act_basis(i)`` is ``solve(i)``, called the first
+    time i is read; ``actions`` are the generators' matrices, solved when
+    ``actions`` is first read."""
 
-    def __init__(self, A, name):
-        self.algebra = A
-        self.parities = list(A.parities)
-        self.dim = A.dim
+    def __init__(self, algebra, parities, solve, name="module"):
+        self.algebra = algebra
+        self.parities = list(parities)
+        self.dim = len(self.parities)
         self.name = name
         self._act_basis = {}
+        self._solve = solve
 
     def _basis_action(self, i):
-        A = self.algebra
-        return Matrix.from_cols_sparse(A.dim, [A.mul_basis(i, j) for j in range(A.dim)], A.field)
+        return self._solve(i)
 
     @cached_property
     def actions(self):
         return [self.act_element(gvec) for _label, _parity, gvec in self.algebra.generators]
+
+
+class RegularModule(OnDemandModule):
+    """A acting on itself through ``A.mul_basis``; see ``regular_module``."""
+
+    def __init__(self, A, name):
+        def solve(i):
+            return Matrix.from_cols_sparse(A.dim, [A.mul_basis(i, j) for j in range(A.dim)], A.field)
+
+        super().__init__(A, A.parities, solve, name)
 
 
 def regular_module(A, name=None):
@@ -270,15 +285,19 @@ def product_span(M, elements):
 
 
 def submodule(M, span, name="submodule"):
-    """The span (action-closed Subspace) as a SuperModule in its own basis."""
+    """The span (action-closed Subspace) as a SuperModule in its own basis.
+
+    The basis rows are fully reduced with pivot entry 1, so a vector of the
+    span is the sum of its entries at the pivots times their rows: its
+    coordinates are read off its own support.  Closure is not checked again;
+    ``module_span`` and ``product_span`` return closed spans.
+    """
     rows = span.basis_with_parity()
     parities = [p for p, _r in rows]
+    position = {p: k for k, p in enumerate(span.pivots())}
 
     def coords(vec):
-        out = span.coords(vec)
-        if out is None:
-            raise ModuleError("vector outside the submodule span")
-        return out
+        return {position[c]: vec[c] for c in sorted(vec) if c in position and vec[c]}
 
     actions = []
     for mat in M.actions:

@@ -5,8 +5,9 @@ row reduction over Fraction, direct formula evaluation) so that the
 package under test is never the judge of its own output.  The three-pass
 monomial product, the Hochschild references, the dense matrix, the
 enumerated Hilbert tables, the basis-stepped filtrations, the
-Fraction-only rationals, the hand-written closures, the eagerly built
-regular module, the two-pass graded components, the scan-all echelon and
+Fraction-only rationals, the hand-written closures, the unpruned ideal
+closure, the eagerly built regular module, the submodule read through span
+coordinates, the two-pass graded components, the scan-all echelon and
 the two-echelon graded span at the end are the exception: they are the
 package's earlier kernels, kept to pin the current ones to the same results.
 """
@@ -20,6 +21,7 @@ from math import comb
 from superdim.algebra import (
     AlgebraError,
     FiniteSuperAlgebra,
+    _enumerate_monomials,
     presented_supercommutative,
     require_two_sided,
 )
@@ -41,7 +43,10 @@ from superdim.superpoly import (
     EVEN,
     ODD,
     SUPERCOMMUTATIVE,
+    monomial_degree,
+    monomial_parity,
     monomial_sort_key,
+    mul_monomials,
 )
 
 
@@ -1102,6 +1107,61 @@ def fraction_kernel_of_constraints(n, constraints, field):
 
 
 # ---------------------------------------------------------------------------
+# the ideal closure of compile_presentation as it was before products past
+# the cap were skipped by degree: every monomial times every generator,
+# the product's degree recomputed and compared with the cap.  Copied
+# verbatim apart from returning the closure.
+
+
+def unpruned_ideal_closure(pres):
+    """(monomials, ideal): the normal monomials of degree <= cap and the
+    span of the relations closed under generator multiplication."""
+    gens, flavor, field, cap = pres.gens, pres.flavor, pres.field, pres.cap
+    neg = field.neg
+    monomials = _enumerate_monomials(gens, flavor, cap)
+    index = {m: i for i, m in enumerate(monomials)}
+
+    def poly_vec(p):
+        v = {}
+        for m, c in p.terms.items():
+            if monomial_degree(m, gens, flavor) <= cap:
+                v[index[m]] = c
+        return v
+
+    def mul_vec_by_gen(vec, gi, side):
+        # m -> g m is injective on monomials, so no two terms meet
+        g = (gi,) if flavor == ASSOCIATIVE else tuple(
+            1 if j == gi else 0 for j in range(len(gens))
+        )
+        out = {}
+        for mi, c in vec.items():
+            m = monomials[mi]
+            sm = (
+                mul_monomials(g, m, gens, flavor)
+                if side == "left"
+                else mul_monomials(m, g, gens, flavor)
+            )
+            if sm is not None and monomial_degree(sm[1], gens, flavor) <= cap:
+                out[index[sm[1]]] = neg(c) if sm[0] < 0 else c
+        return out
+
+    # two-sided graded ideal closure; for the supercommutative flavor the
+    # left side suffices because relations are parity-homogeneous
+    sides = ("left",) if flavor == SUPERCOMMUTATIVE else ("left", "right")
+    parities = [monomial_parity(m, gens, flavor) for m in monomials]
+    ideal = Subspace(parities, field)
+    ideal.close(
+        map(poly_vec, pres.relations),
+        [
+            lambda v, gi=gi, side=side: mul_vec_by_gen(v, gi, side)
+            for gi in range(len(gens))
+            for side in sides
+        ],
+    )
+    return monomials, ideal
+
+
+# ---------------------------------------------------------------------------
 # Hand-written closures: the supercommutative cap window of check_module
 # and the superideal worklist as they were before both moved onto shared
 # code (algebra._enumerate_monomials and Subspace.close).  Copied verbatim
@@ -1181,6 +1241,38 @@ def eager_regular_module(A):
         cols = [A.mul(gvec, A.basis_element(j)) for j in range(A.dim)]
         actions.append(Matrix.from_cols_sparse(A.dim, cols, A.field))
     return SuperModule(A, list(A.parities), actions, name=A.name + " regular")
+
+
+# ---------------------------------------------------------------------------
+# a submodule read through span coordinates: Subspace.coords and submodule
+# as they were before submodule read a vector's pivot entries, copied
+# verbatim apart from taking the span as an argument
+
+
+def subspace_coords(span, vec):
+    """Coordinates of vec in basis() order as a sparse dict, or None
+    when vec lies outside the span."""
+    if span.residual(vec):
+        return None
+    return {k: vec[p] for k, p in enumerate(span.pivots()) if vec.get(p)}
+
+
+def coords_submodule(M, span, name="submodule"):
+    """The span (action-closed Subspace) as a SuperModule in its own basis."""
+    rows = span.basis_with_parity()
+    parities = [p for p, _r in rows]
+
+    def coords(vec):
+        out = subspace_coords(span, vec)
+        if out is None:
+            raise ModuleError("vector outside the submodule span")
+        return out
+
+    actions = []
+    for mat in M.actions:
+        cols = [coords(mat.apply(r)) for _p, r in rows]
+        actions.append(Matrix.from_cols_sparse(len(rows), cols, M.field))
+    return SuperModule(M.algebra, parities, actions, name=name)
 
 
 # ---------------------------------------------------------------------------

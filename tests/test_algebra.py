@@ -30,12 +30,13 @@ from superdim.superpoly import (
     GeneratorSpec,
     SuperPolynomial,
     monomial_degree,
+    monomial_parity,
 )
 from superdim.textio import parse_presentation
 
 from conftest import random_algebra, random_nilpotent_ideal, random_scalar, rng_for
 from oracles import ext_chain_dims, ext_dims_by_degree, ext_mul, naive_is_associative
-from oracles import reference_mul_monomials
+from oracles import reference_mul_monomials, unpruned_ideal_closure
 from oracles import superideal_span as worklist_superideal_span
 
 
@@ -245,6 +246,75 @@ class TestRandomCompiledAlgebras:
             p3 = A.power_of_element(v, 3)
             assert p3 == A.mul(A.mul(v, v), v)
             assert A.power_of_element(v, 0) == A.unit_element()
+
+
+def _weighted_presentation(rng, flavor, field):
+    """1-3 generators of weighted bidegree, a cap of 1-6 and 0-3 relations,
+    each 1-3 normal monomials of one positive degree and one parity; 2 to
+    60 normal monomials, so every pair of the basis can be multiplied."""
+    while True:
+        gens = []
+        for i in range(rng.randint(1, 3)):
+            parity = rng.choice((EVEN, ODD))
+            l = rng.choice((0, 2) if parity == EVEN else (1, 3))
+            k = rng.randint(0 if l else 1, 2)
+            gens.append(GeneratorSpec("g%d" % i, parity, (k, l)))
+        gens = tuple(gens)
+        cap = rng.randint(1, 6)
+        monos = _enumerate_monomials(gens, flavor, cap)
+        if 1 < len(monos) <= 60:
+            break
+    groups = {}
+    for m in monos[1:]:
+        key = (monomial_degree(m, gens, flavor), monomial_parity(m, gens, flavor))
+        groups.setdefault(key, []).append(m)
+    relations = []
+    for _ in range(rng.randint(0, 3)):
+        group = groups[rng.choice(sorted(groups))]
+        terms = {
+            m: random_scalar(field, rng, nonzero=True)
+            for m in rng.sample(group, min(len(group), rng.randint(1, 3)))
+        }
+        relations.append(SuperPolynomial(flavor, gens, field, terms))
+    return Presentation(flavor, gens, relations, cap, field, "weighted")
+
+
+class TestPrunedClosure:
+    """The ideal closure skips products past the cap by degree; the
+    algebra is the one the unpruned closure gives, product for product."""
+
+    @pytest.mark.parametrize("flavor", [SUPERCOMMUTATIVE, ASSOCIATIVE])
+    def test_matches_unpruned_closure(self, flavor):
+        rng = rng_for("pruned-closure-%s" % flavor)
+        relations = pruned = 0
+        for trial in range(60):
+            field = (QQ, PrimeField(2), PrimeField(5))[trial % 3]
+            pres = _weighted_presentation(rng, flavor, field)
+            gens, cap = pres.gens, pres.cap
+            monomials, ideal = unpruned_ideal_closure(pres)
+            A = compile_presentation(pres)
+            keep, project = ideal.complement()
+            assert A._basis_monos == [monomials[i] for i in keep]
+            assert A.parities == [monomial_parity(monomials[i], gens, flavor) for i in keep]
+            index = {m: i for i, m in enumerate(monomials)}
+            for i, mi in enumerate(A._basis_monos):
+                for j, mj in enumerate(A._basis_monos):
+                    prod = reference_mul_monomials(mi, mj, gens, flavor)
+                    want = {}
+                    if prod is not None and monomial_degree(prod[1], gens, flavor) <= cap:
+                        want = project({index[prod[1]]: field.one})
+                        if prod[0] < 0:
+                            want = {k: field.neg(c) for k, c in want.items()}
+                    assert list(A.mul_basis(i, j).items()) == list(want.items())
+            gdegs = [sum(g.bidegree) for g in gens]
+            if pres.relations:
+                relations += 1
+                pruned += any(
+                    monomial_degree(m, gens, flavor) + d > cap for m in monomials for d in gdegs
+                )
+        # closures of nonzero ideals were compared, most with generator
+        # multiples past the cap to skip
+        assert relations >= 30 and pruned >= 20
 
 
 class TestSuperideals:

@@ -33,7 +33,7 @@ from superdim.graded import (
     verify_graded_comparison,
 )
 from superdim.sdim import SuperDimension, sdim
-from superdim.smodule import SuperModule, check_module, regular_module
+from superdim.smodule import RegularModule, SuperModule, check_module, regular_module
 from superdim.superpoly import ASSOCIATIVE, EVEN, GeneratorSpec
 from superdim.textio import parse_module
 
@@ -297,9 +297,13 @@ class TestTwoPassReference:
 
 
 def _all_pairs_columns(X, A, add):
-    """The product table of a graded object as ``classes`` solves it on
-    every ordered pair of representatives."""
-    return list(X.components.classes(A.mul, zip(X.keys, X.components.rows), add))
+    """The product table of a graded object, ``product`` solved on every
+    ordered pair of representatives."""
+    comps = X.components
+    return [
+        [comps.product(A.mul, add, lkey, a, j) for j in range(len(comps.reps))]
+        for lkey, a in zip(X.keys, comps.rows)
+    ]
 
 
 class TestHalfProductTable:
@@ -387,6 +391,28 @@ class TestTablesOnDemand:
         G.algebra.mul_basis(i, k)
         G.algebra.mul_basis(k, i)
         assert len(calls) == 3
+
+
+class TestModuleActionsOnDemand:
+    """A graded module solves the action of a representative the first time
+    it is read: sdim reads 4 of the 16 on c1's M, along RY and along the
+    odd radical, and ``actions`` reads all of them."""
+
+    def test_c1_module_solves_what_sdim_reads(self):
+        data = build_c1()
+        R, M = data.R, data.M
+        for I in (superideal_span(R, [R.generator_element("Y")]), odd_radical(R)):
+            GM = gr_module(M, I)
+            N = GM.module
+            assert not isinstance(N, RegularModule)
+            assert N._act_basis == {}
+            assert N.algebra.dim == 16 and N.dim == M.dim == 202
+            sdim(N)
+            assert len(N._act_basis) == 4
+            actions = N.actions
+            assert len(N._act_basis) == len(actions) == 16
+            assert all((mat.nrows, mat.ncols) == (N.dim, N.dim) for mat in actions)
+            assert check_module(N) == []
 
 
 class TestComparison:

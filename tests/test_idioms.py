@@ -1,6 +1,7 @@
 """Source idioms: sparse accumulation, the closure of a span under maps,
-the search for odd parameter systems and the action of an algebra element
-on a module each have one implementation, only
+the search for odd parameter systems, the action of an algebra element
+on a module and a module whose actions are solved when read each have one
+implementation, only
 exactlin handles an Echelon, reads a span's echelon or writes its rows, no
 scalar division can make a float, an F_p scalar is no FpElement, only
 cli.main writes output or picks an exit code, and every public name has one
@@ -569,3 +570,60 @@ def test_import_check_flags_an_unused_import():
     assert _unused_imports(algebra) == ["superpoly", "GeneratorSpec"]
     assert _unused_imports("import os.path\nx = 1\n") == ["os"]
     assert _unused_imports("from .x import T\ndef f(a: T):\n    return a\n") == []
+
+
+def _module_action_sites(source):
+    """Lines of a class that defines ``_basis_action`` or an ``actions``
+    property: a module whose actions are solved when read is an
+    ``smodule.OnDemandModule``, the one home of both."""
+    lines = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            decorators = {
+                d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)
+                for d in node.decorator_list
+            }
+            if node.name == "_basis_action" or (
+                node.name == "actions" and decorators & {"property", "cached_property"}
+            ):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(n for n in os.listdir(SRC) if n.endswith(".py") and n != "smodule.py"),
+)
+def test_one_on_demand_module(name):
+    with open(os.path.join(SRC, name)) as fh:
+        sites = _module_action_sites(fh.read())
+    assert not sites, "%s: module actions defined at lines %s; use smodule.OnDemandModule" % (
+        name,
+        sites,
+    )
+
+
+def test_on_demand_check_flags_a_second_module():
+    with open(os.path.join(SRC, "smodule.py")) as fh:
+        assert _module_action_sites(fh.read())
+    # a graded module with its own lazy actions, condensed
+    second = (
+        "import functools\n"
+        "class GradedModule(SuperModule):\n"
+        "    def _basis_action(self, i):\n"
+        "        return self.solve(i)\n"
+        "    @functools.cached_property\n"
+        "    def actions(self):\n"
+        "        return []\n"
+        "class Plain:\n"
+        "    def __init__(self, actions):\n"
+        "        self.actions = actions\n"
+        "    @property\n"
+        "    def dim(self):\n"
+        "        return 0\n"
+    )
+    assert _module_action_sites(second) == [3, 6]

@@ -30,8 +30,15 @@ from superdim.smodule import (
 from superdim.superpoly import EVEN, ODD, SUPERCOMMUTATIVE, GeneratorSpec
 from superdim.textio import parse_module, parse_presentation
 
-from conftest import parity_shift, random_algebra, random_module, random_nilpotent_ideal, rng_for
-from oracles import apply_element, eager_regular_module, normal_words_in_window
+from conftest import (
+    parity_shift,
+    random_algebra,
+    random_module,
+    random_nilpotent_ideal,
+    random_scalar,
+    rng_for,
+)
+from oracles import apply_element, coords_submodule, eager_regular_module, normal_words_in_window
 from test_algebra import grassmann
 
 
@@ -160,6 +167,24 @@ class TestParityShift:
         assert check_module(P) == []
 
 
+def _dense_basis(M, rng):
+    """M in the basis U e_j, U = I + N with N strictly upper triangular and
+    random between coordinates of one parity: an isomorphic module whose
+    action matrices are dense."""
+    field, n = M.field, M.dim
+    N = Matrix.from_cols_sparse(n, [
+        {i: random_scalar(field, rng) for i in range(j) if M.parities[i] == M.parities[j]}
+        for j in range(n)
+    ], field)
+    identity = Matrix.identity(n, field)
+    U, inverse, term = identity + N, identity, identity
+    for _ in range(n):  # U^-1 = sum_k (-N)^k, and N^n = 0
+        term = term.compose(-N)
+        inverse = inverse + term
+    actions = [inverse.compose(mat.compose(U)) for mat in M.actions]
+    return SuperModule(M.algebra, M.parities, actions, name="U^-1 " + M.name)
+
+
 class TestSubmoduleAndQuotient:
     def test_product_span_of_grassmann_generator(self):
         for s in (1, 2, 3):
@@ -202,6 +227,38 @@ class TestSubmoduleAndQuotient:
         M = regular_module(A)
         N = product_submodule(M, [A.generator_element("z1")])
         assert N.dim < M.dim
+
+    def test_submodule_matches_span_coordinates(self):
+        """Coordinates read off pivot entries are those the span solves
+        for, key order included, on random modules and closed spans.  Every
+        other module is moved to a basis where its actions are dense, so
+        that images hold several pivots, out of ascending order."""
+        rng = rng_for("submodule-pivot-entries")
+        seen = unsorted = 0
+        for trial in range(40):
+            field = (QQ, PrimeField(2), PrimeField(5))[trial % 3]
+            A = random_algebra(rng, max_gens=4, max_cap=4, max_dim=24, field=field)
+            M = random_module(rng, A)
+            if trial % 2:
+                M = _dense_basis(M, rng)
+            elements = [A.basis_element(i) for i in range(A.dim) if rng.random() < 0.3]
+            seeds = [
+                {j: field.of(rng.randint(1, 4)) for j in range(M.dim) if rng.random() < 0.3}
+                for _ in range(rng.randint(1, 3))
+            ]
+            for S in (product_span(M, elements), module_span(M, seeds)):
+                got, want = submodule(M, S), coords_submodule(M, S)
+                assert got.parities == want.parities
+                assert len(got.actions) == len(want.actions)
+                for a, b in zip(got.actions, want.actions):
+                    assert [list(c.items()) for c in a.cols] == [list(c.items()) for c in b.cols]
+                seen += 0 < S.dim < M.dim
+                pivots = set(S.pivots())
+                for mat in M.actions:
+                    for row in S.basis():
+                        keys = [c for c in mat.apply(row) if c in pivots]
+                        unsorted += keys != sorted(keys)
+        assert seen >= 20 and unsorted >= 50
 
 
 class TestAnnihilator:
