@@ -12,9 +12,14 @@ automatically Artinian, which is what the dimension theory downstream
 assumes.
 
 A :class:`FiniteSuperAlgebra` is either monomial-kind (it remembers its
-presentation and reduces products of monomials) or table-kind (an explicit
-basis-by-basis product, used for square-zero extensions, associated graded
-algebras and quotients).  Elements are sparse dicts {basis index: scalar}.
+presentation) or table-kind (a basis-by-basis product, used for
+square-zero extensions, associated graded algebras and quotients).  Both
+multiply basis elements in one way, ``mul_basis``: a pair is read from the
+algebra's table, or solved by its filler the first time it is read and
+cached there.  The filler of a monomial-kind algebra reduces the product
+monomial modulo the ideal; ``quotient_algebra`` projects the product in
+the ambient algebra, and ``graded`` re-expresses a product of
+representatives.  Elements are sparse dicts {basis index: scalar}.
 """
 
 from __future__ import annotations
@@ -226,6 +231,22 @@ def compile_presentation(pres):
         raise AlgebraError("the unit lies in the ideal; the quotient is zero")
     keep, project = ideal.complement()
     basis_monos = [monomials[i] for i in keep]
+    basis_degrees = [degrees[i] for i in keep]
+    assert basis_degrees[0] == 0  # the empty monomial sorts first and is not in the ideal
+    # odd support as a bitmask; an associative word may repeat an odd letter
+    odd = [i for i, g in enumerate(gens) if g.parity == ODD and flavor == SUPERCOMMUTATIVE]
+    odd_masks = [sum(1 << i for i in odd if m[i]) for m in basis_monos]
+
+    def product(i, j):
+        # zero, and no monomial built, when the degrees pass the cap or the
+        # two monomials share an odd letter: degree is additive and a
+        # repeated odd letter kills a supercommutative monomial
+        if basis_degrees[i] + basis_degrees[j] > cap or odd_masks[i] & odd_masks[j]:
+            return {}
+        sign, m = mul_monomials(basis_monos[i], basis_monos[j], gens, flavor)
+        out = project({index[m]: field.one})
+        return {k: neg(c) for k, c in out.items()} if sign < 0 else out
+
     A = FiniteSuperAlgebra.__new__(FiniteSuperAlgebra)
     A.kind = "monomial"
     A.field = field
@@ -238,13 +259,9 @@ def compile_presentation(pres):
     A.dim = len(basis_monos)
     A.labels = [monomial_name(m, gens, flavor) for m in basis_monos]
     A.parities = [parities[i] for i in keep]
-    A.degrees = [degrees[i] for i in keep]
-    # odd support as a bitmask; an associative word may repeat an odd letter
-    odd = [i for i, g in enumerate(gens) if g.parity == ODD and flavor == SUPERCOMMUTATIVE]
-    A._odd_masks = [sum(1 << i for i in odd if m[i]) for m in basis_monos]
-    A.unit_index = 0  # the empty monomial sorts first and is not in the ideal
-    assert A.degrees[0] == 0
+    A.unit_index = 0
     A._table = {}
+    A._fill = product
     A._odd_steps = None
     A._odd_module_generators = None
     A._generators = None
@@ -269,7 +286,11 @@ class FiniteSuperAlgebra:
         unit_index,
         name="algebra",
         odd_module_generators=None,
+        fill=None,
     ):
+        """The algebra with the given basis products; ``fill(i, j)``, when
+        given, solves a pair missing from ``table`` the first time it is
+        read (see ``mul_basis``)."""
         A = cls.__new__(cls)
         A.kind = "table"
         A.field = field
@@ -281,7 +302,7 @@ class FiniteSuperAlgebra:
         A.parities = list(parities)
         A.unit_index = unit_index
         A._table = {k: {i: c for i, c in v.items() if c} for k, v in table.items()}
-        A._fill = None
+        A._fill = fill
         A._odd_steps = None
         A._odd_module_generators = odd_module_generators
         A._generators = None
@@ -304,39 +325,16 @@ class FiniteSuperAlgebra:
         return ps.pop()
 
     def mul_basis(self, i, j):
-        """e_i e_j as a sparse vector, cached per pair.
-
-        On a monomial-kind algebra the product is zero, and no monomial is
-        built, when deg e_i + deg e_j passes the cap or the two monomials
-        share an odd letter (their odd-support masks meet); degree is
-        additive and a repeated odd letter kills a supercommutative
-        monomial.  Otherwise the product monomial is reduced modulo the
-        ideal.  On a table-kind algebra a pair missing from the table is
-        zero, unless the algebra has a filler (``graded`` builds its tables
-        empty): then the filler solves the pair the first time it is read.
-        """
+        """e_i e_j as a sparse vector: read from the table, or solved by
+        the algebra's filler the first time the pair is read and cached;
+        without a filler a pair missing from the table is zero."""
         key = (i, j)
         hit = self._table.get(key)
         if hit is not None:
             return hit
-        if self.kind == "table":
-            if self._fill is None:
-                return {}
-            out = self._fill(i, j)
-        elif (
-            self.degrees[i] + self.degrees[j] > self.cap or self._odd_masks[i] & self._odd_masks[j]
-        ):
-            out = {}
-        else:
-            pres = self.presentation
-            sign, m = mul_monomials(
-                self._basis_monos[i], self._basis_monos[j], pres.gens, pres.flavor
-            )
-            out = self._reduce_mono_vec({self._mono_index[m]: self.field.one})
-            if sign < 0:
-                neg = self.field.neg
-                out = {k: neg(c) for k, c in out.items()}
-        self._table[key] = out
+        if self._fill is None:
+            return {}
+        out = self._table[key] = self._fill(i, j)
         return out
 
     def mul(self, u, v):
@@ -591,18 +589,13 @@ def quotient_algebra(A, ideal, name=None):
 
     Basis classes are the non-pivot coordinates of the echelonized ideal;
     errors out if the ideal is not multiplication-closed or contains the
-    unit.
+    unit.  The table starts empty: a product of classes a, b is solved as
+    the projection of ``A.mul_basis(keep[a], keep[b])`` when it is read.
     """
     require_two_sided(A, ideal)
     if ideal.contains(A.unit_element()):
         raise AlgebraError("ideal contains the unit")
     keep, project = ideal.complement()
-    table = {}
-    for a, i in enumerate(keep):
-        for b, j in enumerate(keep):
-            prod = project(A.mul_basis(i, j))
-            if prod:
-                table[(a, b)] = prod
     unit = project(A.unit_element())
     assert list(unit.values()) == [A.field.one]
     omg = None
@@ -616,10 +609,11 @@ def quotient_algebra(A, ideal, name=None):
         labels=[A.labels[i] for i in keep],
         parities=[A.parities[i] for i in keep],
         field=A.field,
-        table=table,
+        table={},
         unit_index=next(iter(unit)),
         name=name or (A.name + "/ideal"),
         odd_module_generators=omg,
+        fill=lambda a, b: project(A.mul_basis(keep[a], keep[b])),
     )
 
 

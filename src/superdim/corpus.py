@@ -70,9 +70,9 @@ from .sdim import (
     verify_factoring,
 )
 from .smodule import (
-    SuperModule,
     check_module,
     is_odd_regular,
+    module_from_actions,
     product_span,
     quotient,
     regular_module,
@@ -226,7 +226,7 @@ def build_c1(field=QQ):
     actions.append(Matrix.from_cols_sparse(dim, ycols, field))
 
     parities = list(B.parities) + [1 - p for p in B.parities]
-    M = SuperModule(R, parities, actions, name="V + Pi V")
+    M = module_from_actions(R, parities, actions, name="V + Pi V")
 
     out = CorpusC1(B, R, M)
     _CACHE[key] = out

@@ -30,14 +30,14 @@ share three private builders:
   stage whose key is the sum of the two keys, which gives both the product
   table of the graded algebra (``_Components.algebra``) and the action
   columns of the graded module (``_Components.module``).  The table is
-  solved on demand: the algebra starts with an empty table, and
-  ``mul_basis`` solves a pair the first time something reads it; only the
+  solved on demand: the algebra starts with an empty table, and its
+  filler solves a pair the first time ``mul_basis`` reads it; only the
   unit check is eager.  Over a presented supercommutative A only the pairs
   i <= j are solved: representatives are homogeneous, so
   r_j r_i = (-1)^(|r_i| |r_j|) r_i r_j, the key sum is symmetric, and the
   class of r_j r_i is that of r_i r_j, negated when both are odd.  Any
-  other algebra has every ordered pair solved.  A graded module
-  (``smodule.OnDemandModule``) likewise solves the action of a
+  other algebra has every ordered pair solved.  A graded module (a
+  ``smodule.SuperModule`` with a solver) likewise solves the action of a
   representative, all of its columns, the first time it is read.
 
 Conservation of total dimension holds for the graded object (the chain
@@ -75,7 +75,7 @@ from .algebra import (
 )
 from .exactlin import Matrix, representatives, row_rank
 from .sdim import sdim
-from .smodule import OnDemandModule, RegularModule, regular_module
+from .smodule import RegularModule, SuperModule, regular_module
 from .superpoly import EVEN, ODD, SUPERCOMMUTATIVE
 
 __all__ = [
@@ -199,8 +199,9 @@ class _Components:
     def algebra(self, A, add, tag, name):
         """The table-kind algebra on the representatives of a filtration of A.
 
-        Its table starts empty: ``mul_basis`` solves the product of
-        representatives i and j the first time it is read, and caches it.
+        Its table starts empty: its filler solves the product of
+        representatives i and j the first time ``mul_basis`` reads it, and
+        ``mul_basis`` caches it.
         Only the unit check is done here.  On a presented supercommutative
         A, r_j r_i = (-1)^(|r_i| |r_j|) r_i r_j for the homogeneous
         representatives, and ``add`` is symmetric, so both products lie in
@@ -234,8 +235,8 @@ class _Components:
             table={},
             unit_index=next(iter(unit)),
             name=name,
+            fill=fill,
         )
-        algebra._fill = fill
         return algebra
 
     def module(self, M, graded, add, name):
@@ -250,7 +251,7 @@ class _Components:
             cols = [self.product(Matrix.apply, add, graded.keys[i], mat, j) for j in range(n)]
             return Matrix.from_cols_sparse(n, cols, M.field)
 
-        return OnDemandModule(graded.algebra, [p for p, _r in self.reps], solve, name)
+        return SuperModule(graded.algebra, [p for p, _r in self.reps], solve, name)
 
 
 class _Graded:

@@ -1,16 +1,15 @@
 """Finite-dimensional left supermodules over a FiniteSuperAlgebra.
 
-A module is a parity-labelled coordinate space together with one action
-matrix per algebra generator (for table-kind algebras the generator list
-is the whole basis).  The action of an arbitrary basis element of a
-monomial-kind algebra is the composition of the generator matrices along
-the canonical word of the monomial; well-definedness is exactly what
+A ``SuperModule`` is a parity-labelled coordinate space with a solver for
+the action matrix of each algebra basis element, called the first time
+``act_basis`` reads it; ``actions`` are the generators' matrices (for
+table-kind algebras the generator list is the whole basis).  The regular
+module solves from ``A.mul_basis``; submodules, quotients and the graded
+modules of ``graded`` from the ambient module's actions; and
+``module_from_actions`` composes explicit generator matrices along the
+canonical word of a basis monomial.  Well-definedness is exactly what
 ``check_module`` verifies (declared relations, the supercommutation law,
-odd squares and the degree cap all act as zero).  An ``OnDemandModule``
-solves the action of basis element i the first time it is read, and its
-generator matrices when ``actions`` is read: the regular module, whose
-column j of ``act_basis(i)`` is ``A.mul_basis(i, j)``, and the graded
-modules of ``graded``.
+odd squares and the degree cap all act as zero).
 
 An algebra element acts on module vectors in one way only: through its
 matrix ``act_element`` (the cached ``act_basis`` matrix of a basis
@@ -18,10 +17,11 @@ element, a combination of them otherwise) and ``Matrix.apply``.  Code that
 acts by many elements maps them to matrices once and steps with those.
 
 Submodules are kept as graded echelonized spans inside the ambient module,
-closed under the generator actions by ``Subspace.close``, with coordinates
-read off the pivot entries of a vector; quotients check
-``Subspace.is_closed`` and take ``Subspace.complement`` (the non-pivot
-coordinates) as their basis, which keeps every construction deterministic.
+closed under the generator actions by ``Subspace.close``.  ``submodule``
+and ``quotient`` both check ``Subspace.is_closed``; a submodule reads
+coordinates off the pivot entries of a vector, and a quotient takes
+``Subspace.complement`` (the non-pivot coordinates) as its basis, which
+keeps every construction deterministic.
 """
 
 from __future__ import annotations
@@ -38,22 +38,19 @@ class ModuleError(ValueError):
 
 
 class SuperModule:
-    """dim-many parity-labelled coordinates with generator action matrices."""
+    """dim-many parity-labelled coordinates on which the algebra acts.
 
-    def __init__(self, algebra, parities, actions, name="module"):
+    ``solve(i)`` gives the action matrix of the algebra's basis element i;
+    it is called the first time i is read and cached.  ``actions`` are the
+    generators' matrices, solved when first read.
+    """
+
+    def __init__(self, algebra, parities, solve, name="module"):
         self.algebra = algebra
         self.parities = list(parities)
         self.dim = len(self.parities)
-        gens = algebra.generators
-        if len(actions) != len(gens):
-            raise ModuleError(
-                "expected %d action matrices, got %d" % (len(gens), len(actions))
-            )
-        for m in actions:
-            if m.nrows != self.dim or m.ncols != self.dim:
-                raise ModuleError("action matrix shape mismatch")
-        self.actions = list(actions)
         self.name = name
+        self._solve = solve
         self._act_basis = {}
 
     @property
@@ -75,12 +72,12 @@ class SuperModule:
         """Action matrix of the i-th basis element of the algebra (cached)."""
         hit = self._act_basis.get(i)
         if hit is None:
-            hit = self._act_basis[i] = self._basis_action(i)
+            hit = self._act_basis[i] = self._solve(i)
         return hit
 
-    def _basis_action(self, i):
-        A = self.algebra
-        return self.actions[i] if A.kind == "table" else _word_action(self, A.basis_word(i))
+    @cached_property
+    def actions(self):
+        return [self.act_element(gvec) for _label, _parity, gvec in self.algebra.generators]
 
     def act_element(self, vec):
         """Matrix of the action of an algebra element (the cached matrix of
@@ -96,6 +93,30 @@ class SuperModule:
             self.dim,
             self.algebra.name,
         )
+
+
+def module_from_actions(algebra, parities, actions, name="module"):
+    """The module whose generators act by the given matrices, one per
+    algebra generator (for table-kind algebras the generator list is the
+    whole basis).  A basis monomial of a monomial-kind algebra acts by the
+    composition of the generator matrices along its canonical word."""
+    actions, dim = list(actions), len(parities)
+    if len(actions) != len(algebra.generators):
+        raise ModuleError(
+            "expected %d action matrices, got %d" % (len(algebra.generators), len(actions))
+        )
+    for m in actions:
+        if m.nrows != dim or m.ncols != dim:
+            raise ModuleError("action matrix shape mismatch")
+    if algebra.kind == "table":
+        solve = actions.__getitem__
+    else:
+        def solve(i):
+            return _word_action(M, algebra.basis_word(i))
+
+    M = SuperModule(algebra, parities, solve, name)
+    M.actions = actions
+    return M
 
 
 def _word_action(M, word):
@@ -116,28 +137,7 @@ def _combination(M, terms):
     return Matrix(M.dim, M.dim, cols, field)
 
 
-class OnDemandModule(SuperModule):
-    """A module whose ``act_basis(i)`` is ``solve(i)``, called the first
-    time i is read; ``actions`` are the generators' matrices, solved when
-    ``actions`` is first read."""
-
-    def __init__(self, algebra, parities, solve, name="module"):
-        self.algebra = algebra
-        self.parities = list(parities)
-        self.dim = len(self.parities)
-        self.name = name
-        self._act_basis = {}
-        self._solve = solve
-
-    def _basis_action(self, i):
-        return self._solve(i)
-
-    @cached_property
-    def actions(self):
-        return [self.act_element(gvec) for _label, _parity, gvec in self.algebra.generators]
-
-
-class RegularModule(OnDemandModule):
+class RegularModule(SuperModule):
     """A acting on itself through ``A.mul_basis``; see ``regular_module``."""
 
     def __init__(self, A, name):
@@ -285,25 +285,27 @@ def product_span(M, elements):
 
 
 def submodule(M, span, name="submodule"):
-    """The span (action-closed Subspace) as a SuperModule in its own basis.
+    """The span (an action-closed graded Subspace) as a module in its own
+    basis: the action of basis element i is ``M.act_basis(i)`` restricted
+    to the span, solved the first time it is read.
 
     The basis rows are fully reduced with pivot entry 1, so a vector of the
     span is the sum of its entries at the pivots times their rows: its
-    coordinates are read off its own support.  Closure is not checked again;
-    ``module_span`` and ``product_span`` return closed spans.
+    coordinates are read off its own support.
     """
+    if not is_action_closed(M, span):
+        raise ModuleError("subspace is not action-closed")
     rows = span.basis_with_parity()
-    parities = [p for p, _r in rows]
     position = {p: k for k, p in enumerate(span.pivots())}
 
     def coords(vec):
         return {position[c]: vec[c] for c in sorted(vec) if c in position and vec[c]}
 
-    actions = []
-    for mat in M.actions:
-        cols = [coords(mat.apply(r)) for _p, r in rows]
-        actions.append(Matrix.from_cols_sparse(len(rows), cols, M.field))
-    return SuperModule(M.algebra, parities, actions, name=name)
+    def solve(i):
+        mat = M.act_basis(i)
+        return Matrix.from_cols_sparse(len(rows), [coords(mat.apply(r)) for _p, r in rows], M.field)
+
+    return SuperModule(M.algebra, [p for p, _r in rows], solve, name)
 
 
 def is_action_closed(M, span):
@@ -311,20 +313,18 @@ def is_action_closed(M, span):
 
 
 def quotient(M, span, name=None):
-    """M / span for an action-closed graded subspace."""
+    """M / span for an action-closed graded subspace: the action of basis
+    element i projects the ``keep`` columns of ``M.act_basis(i)``, solved
+    the first time it is read."""
     if not is_action_closed(M, span):
         raise ModuleError("subspace is not action-closed")
     keep, project = span.complement()
-    actions = []
-    for mat in M.actions:
-        cols = [project(mat.apply({i: M.field.one})) for i in keep]
-        actions.append(Matrix.from_cols_sparse(len(keep), cols, M.field))
-    return SuperModule(
-        M.algebra,
-        [M.parities[i] for i in keep],
-        actions,
-        name=name or (M.name + "/N"),
-    )
+
+    def solve(i):
+        cols = M.act_basis(i).cols
+        return Matrix.from_cols_sparse(len(keep), [project(cols[j]) for j in keep], M.field)
+
+    return SuperModule(M.algebra, [M.parities[i] for i in keep], solve, name or (M.name + "/N"))
 
 
 def is_odd_regular(y, M):

@@ -44,7 +44,7 @@ from math import comb
 from .algebra import AlgebraError, Presentation
 from .exactlin import Matrix, field_from_name, power, vec_add_scaled
 from .sdim import SuperDimension
-from .smodule import SuperModule, regular_module
+from .smodule import module_from_actions, regular_module
 from .superpoly import (
     ASSOCIATIVE,
     EVEN,
@@ -736,7 +736,7 @@ def parse_module(text, A):
     for label in gen_labels:
         cols = [images.get((label, j), {}) for j in range(dim)]
         actions.append(Matrix.from_cols_sparse(dim, cols, A.field))
-    return SuperModule(A, parities, actions, name=name)
+    return module_from_actions(A, parities, actions, name=name)
 
 
 def _combo_text(vec, names):

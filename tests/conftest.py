@@ -21,7 +21,7 @@ from superdim.hochschild import (
     cochain_space_basis,
     zero_cochain,
 )
-from superdim.smodule import SuperModule, product_span, quotient, regular_module, submodule
+from superdim.smodule import module_from_actions, product_span, quotient, regular_module, submodule
 from superdim.superpoly import (
     EVEN,
     ODD,
@@ -37,7 +37,7 @@ def parity_shift(M):
     actions = []
     for (_label, parity, _vec), mat in zip(M.algebra.generators, M.actions):
         actions.append(-mat if parity == ODD else mat)
-    return SuperModule(
+    return module_from_actions(
         M.algebra,
         [1 - p for p in M.parities],
         actions,

@@ -7,7 +7,8 @@ monomial product, the Hochschild references, the dense matrix, the
 enumerated Hilbert tables, the basis-stepped filtrations, the
 Fraction-only rationals, the hand-written closures, the unpruned ideal
 closure, the eagerly built regular module, the submodule read through span
-coordinates, the two-pass graded components, the scan-all echelon and
+coordinates, the eager quotient module and quotient algebra, the two-pass
+graded components, the scan-all echelon and
 the two-echelon graded span at the end are the exception: they are the
 package's earlier kernels, kept to pin the current ones to the same results.
 """
@@ -37,7 +38,7 @@ from superdim.exactlin import (
 )
 from superdim.hilbert import DEFAULT_KMAX, BigradedTable, PolynomialFit, _natural_lmax
 from superdim.hochschild import Cochain, cochain_space_basis
-from superdim.smodule import ModuleError, SuperModule
+from superdim.smodule import ModuleError, is_action_closed, module_from_actions
 from superdim.superpoly import (
     ASSOCIATIVE,
     EVEN,
@@ -1240,7 +1241,7 @@ def eager_regular_module(A):
     for _label, _parity, gvec in A.generators:
         cols = [A.mul(gvec, A.basis_element(j)) for j in range(A.dim)]
         actions.append(Matrix.from_cols_sparse(A.dim, cols, A.field))
-    return SuperModule(A, list(A.parities), actions, name=A.name + " regular")
+    return module_from_actions(A, list(A.parities), actions, name=A.name + " regular")
 
 
 # ---------------------------------------------------------------------------
@@ -1272,7 +1273,67 @@ def coords_submodule(M, span, name="submodule"):
     for mat in M.actions:
         cols = [coords(mat.apply(r)) for _p, r in rows]
         actions.append(Matrix.from_cols_sparse(len(rows), cols, M.field))
-    return SuperModule(M.algebra, parities, actions, name=name)
+    return module_from_actions(M.algebra, parities, actions, name=name)
+
+
+# ---------------------------------------------------------------------------
+# eager quotients: smodule.quotient and algebra.quotient_algebra as they were
+# before they solved an action or a product the first time it is read, copied
+# verbatim apart from the module constructor
+
+
+def eager_quotient(M, span, name=None):
+    """M / span for an action-closed graded subspace."""
+    if not is_action_closed(M, span):
+        raise ModuleError("subspace is not action-closed")
+    keep, project = span.complement()
+    actions = []
+    for mat in M.actions:
+        cols = [project(mat.apply({i: M.field.one})) for i in keep]
+        actions.append(Matrix.from_cols_sparse(len(keep), cols, M.field))
+    return module_from_actions(
+        M.algebra,
+        [M.parities[i] for i in keep],
+        actions,
+        name=name or (M.name + "/N"),
+    )
+
+
+def eager_quotient_algebra(A, ideal, name=None):
+    """Quotient by a two-sided superideal, as a table-kind algebra.
+
+    Basis classes are the non-pivot coordinates of the echelonized ideal;
+    errors out if the ideal is not multiplication-closed or contains the
+    unit.
+    """
+    require_two_sided(A, ideal)
+    if ideal.contains(A.unit_element()):
+        raise AlgebraError("ideal contains the unit")
+    keep, project = ideal.complement()
+    table = {}
+    for a, i in enumerate(keep):
+        for b, j in enumerate(keep):
+            prod = project(A.mul_basis(i, j))
+            if prod:
+                table[(a, b)] = prod
+    unit = project(A.unit_element())
+    assert list(unit.values()) == [A.field.one]
+    omg = None
+    if A._odd_module_generators is not None or A.kind == "monomial":
+        omg = []
+        for label, vec in A.odd_module_generators():
+            img = project(vec)
+            if img:
+                omg.append((label, img))
+    return FiniteSuperAlgebra.from_table(
+        labels=[A.labels[i] for i in keep],
+        parities=[A.parities[i] for i in keep],
+        field=A.field,
+        table=table,
+        unit_index=next(iter(unit)),
+        name=name or (A.name + "/ideal"),
+        odd_module_generators=omg,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1391,7 +1452,7 @@ class TwoPassComponents:
         with stage keys ``keys``."""
         columns = self.classes(partial(apply_element, M), zip(keys, rows), add)
         actions = [Matrix.from_cols_sparse(len(self.reps), cols, M.field) for cols in columns]
-        return SuperModule(algebra, [p for p, _r in self.reps], actions)
+        return module_from_actions(algebra, [p for p, _r in self.reps], actions)
 
 
 def two_pass_bgr_to_gr_surjective(bkeys, brows, G):

@@ -575,7 +575,7 @@ def test_import_check_flags_an_unused_import():
 def _module_action_sites(source):
     """Lines of a class that defines ``_basis_action`` or an ``actions``
     property: a module whose actions are solved when read is an
-    ``smodule.OnDemandModule``, the one home of both."""
+    ``smodule.SuperModule`` given a solver, the one home of both."""
     lines = []
     for cls in ast.walk(ast.parse(source)):
         if not isinstance(cls, ast.ClassDef):
@@ -601,7 +601,7 @@ def _module_action_sites(source):
 def test_one_on_demand_module(name):
     with open(os.path.join(SRC, name)) as fh:
         sites = _module_action_sites(fh.read())
-    assert not sites, "%s: module actions defined at lines %s; use smodule.OnDemandModule" % (
+    assert not sites, "%s: module actions defined at lines %s; use smodule.SuperModule" % (
         name,
         sites,
     )
@@ -627,3 +627,72 @@ def test_on_demand_check_flags_a_second_module():
         "        return 0\n"
     )
     assert _module_action_sites(second) == [3, 6]
+
+
+_TABLE_STATE = {"_fill", "_table"}
+_MUTATORS = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
+
+
+def _table_write_sites(source):
+    """Lines that assign an algebra's ``_fill`` or ``_table``, write into
+    its table or mutate it: a derived algebra passes its filler to
+    ``FiniteSuperAlgebra.from_table`` and leaves the table to ``mul_basis``."""
+
+    def is_state(node):
+        return isinstance(node, ast.Attribute) and node.attr in _TABLE_STATE
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.Delete)):
+            targets = getattr(node, "targets", None) or [node.target]
+        for t in targets:
+            if is_state(t) or (isinstance(t, ast.Subscript) and is_state(t.value)):
+                lines.append(node.lineno)
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Attribute) and f.attr in _MUTATORS and is_state(f.value):
+                lines.append(node.lineno)
+            if (
+                isinstance(f, ast.Name)
+                and f.id == "setattr"
+                and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value in _TABLE_STATE
+            ):
+                lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(n for n in os.listdir(SRC) if n.endswith(".py") and n != "algebra.py"),
+)
+def test_only_algebra_writes_a_product_table(name):
+    with open(os.path.join(SRC, name)) as fh:
+        sites = _table_write_sites(fh.read())
+    assert not sites, (
+        "%s: an algebra's _fill or _table written at lines %s; pass fill= to "
+        "FiniteSuperAlgebra.from_table" % (name, sites)
+    )
+
+
+def test_table_write_check_flags_an_outside_write():
+    with open(os.path.join(SRC, "algebra.py")) as fh:
+        assert _table_write_sites(fh.read())
+    # graded's filler as it was installed, and other writes, condensed
+    planted = (
+        "def algebra(A, fill):\n"
+        "    G = FiniteSuperAlgebra.from_table([], [], A.field, {}, 0)\n"
+        "    G._fill = fill\n"
+        "    col = G._table.get((1, 0))\n"
+        "    G._table[(0, 1)] = col\n"
+        "    G._table.update({})\n"
+        "    G._table = {}\n"
+        "    setattr(G, '_fill', None)\n"
+        "    del G._table[(0, 1)]\n"
+        "    return G._fill, len(G._table)\n"
+    )
+    assert _table_write_sites(planted) == [3, 5, 6, 7, 8, 9]

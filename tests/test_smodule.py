@@ -8,17 +8,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superdim.algebra import Presentation, compile_presentation, odd_radical, superideal_span
-from superdim.exactlin import Matrix, QQ, PrimeField, kernel_of_constraints
+from superdim.algebra import (
+    Presentation,
+    compile_presentation,
+    odd_radical,
+    quotient_algebra,
+    superideal_span,
+)
+from superdim.corpus import build_c2
+from superdim.exactlin import Matrix, QQ, PrimeField, Subspace, kernel_of_constraints
 from superdim.graded import bgr_module, gr_module
+from superdim.sdim import sdim
 from superdim.smodule import (
     ModuleError,
     RegularModule,
-    SuperModule,
     _words_past_cap,
     check_module,
     is_action_closed,
     is_odd_regular,
+    module_from_actions,
     module_span,
     product_span,
     quotient,
@@ -38,8 +46,17 @@ from conftest import (
     random_scalar,
     rng_for,
 )
-from oracles import apply_element, coords_submodule, eager_regular_module, normal_words_in_window
+from oracles import (
+    apply_element,
+    coords_submodule,
+    eager_quotient,
+    eager_quotient_algebra,
+    eager_regular_module,
+    normal_words_in_window,
+)
 from test_algebra import grassmann
+
+FIELDS = [QQ, PrimeField(2), PrimeField(5)]
 
 
 def is_regular_sequence(ys, M):
@@ -122,13 +139,13 @@ class TestConstruction:
         A = grassmann(2)
         M = regular_module(A)
         with pytest.raises(ModuleError):
-            SuperModule(A, M.parities, M.actions[:1])
+            module_from_actions(A, M.parities, M.actions[:1])
 
     def test_action_shape_must_match_dim(self):
         A = grassmann(1)
         bad = Matrix.identity(3, QQ)
         with pytest.raises(ModuleError):
-            SuperModule(A, [0, 1], [bad])
+            module_from_actions(A, [0, 1], [bad])
 
     def test_regular_module_satisfies_axioms(self):
         rng = rng_for("test_regular_module_satisfies_axioms")
@@ -182,7 +199,7 @@ def _dense_basis(M, rng):
         term = term.compose(-N)
         inverse = inverse + term
     actions = [inverse.compose(mat.compose(U)) for mat in M.actions]
-    return SuperModule(M.algebra, M.parities, actions, name="U^-1 " + M.name)
+    return module_from_actions(M.algebra, M.parities, actions, name="U^-1 " + M.name)
 
 
 class TestSubmoduleAndQuotient:
@@ -223,10 +240,13 @@ class TestSubmoduleAndQuotient:
             quotient(M, S)
 
     def test_submodule_coords_reject_outside_vector(self):
+        # z2 z1 has no coordinates in the span {z1}: it is not action-closed
         A = grassmann(2)
         M = regular_module(A)
-        N = product_submodule(M, [A.generator_element("z1")])
-        assert N.dim < M.dim
+        S = Subspace(M.parities, M.field)
+        S.insert(A.generator_element("z1"))
+        with pytest.raises(ModuleError):
+            submodule(M, S)
 
     def test_submodule_matches_span_coordinates(self):
         """Coordinates read off pivot entries are those the span solves
@@ -259,6 +279,93 @@ class TestSubmoduleAndQuotient:
                         keys = [c for c in mat.apply(row) if c in pivots]
                         unsorted += keys != sorted(keys)
         assert seen >= 20 and unsorted >= 50
+
+
+def _assert_same_module(got, want):
+    """Equal parities, action of every algebra basis element and generator
+    matrices."""
+    assert got.parities == want.parities
+    for i in range(got.algebra.dim):
+        assert got.act_basis(i) == want.act_basis(i), got.algebra.labels[i]
+    assert got.actions == want.actions
+
+
+def _assert_same_algebra(got, want):
+    """Equal basis data, odd module generators and every basis product."""
+    assert (got.labels, got.parities, got.unit_index) == (
+        want.labels,
+        want.parities,
+        want.unit_index,
+    )
+    assert got.odd_module_generators() == want.odd_module_generators()
+    for i in range(got.dim):
+        for j in range(got.dim):
+            assert got.mul_basis(i, j) == want.mul_basis(i, j), (i, j)
+
+
+class TestQuotientsAgainstEager:
+    """``quotient``, ``submodule`` and ``quotient_algebra`` solve an action
+    or a product when it is read; the eager builders they replaced
+    (tests/oracles.py) are the reference, on every act_basis, every
+    generator matrix and every mul_basis pair."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_random_modules_and_algebras(self, field):
+        """Every other module is moved to a basis where its actions are
+        dense, so that a projected column holds several entries."""
+        rng = rng_for("lazy-quotients-%s" % field)
+        dense = 0
+        for trial in range(12):
+            A = random_algebra(rng, max_gens=4, max_cap=4, max_dim=24, field=field)
+            M = random_module(rng, A)
+            if trial % 2:
+                M = _dense_basis(M, rng)
+            dense += sum(len(c) > 1 for i in range(A.dim) for c in M.act_basis(i).cols)
+            for I in (odd_radical(A), random_nilpotent_ideal(rng, A)):
+                S = product_span(M, I)
+                _assert_same_module(quotient(M, S), eager_quotient(M, S))
+                _assert_same_module(submodule(M, S), coords_submodule(M, S))
+                _assert_same_algebra(quotient_algebra(A, I), eager_quotient_algebra(A, I))
+        assert dense >= 15
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_flat_case_quotients(self, field):
+        data = build_c2(field)
+        R, y = data.R, data.y
+        MR = regular_module(R)
+        S = product_span(MR, [y])
+        _assert_same_module(quotient(MR, S), eager_quotient(MR, S))
+        _assert_same_algebra(
+            quotient_algebra(R, superideal_span(R, [y])),
+            eager_quotient_algebra(R, superideal_span(R, [y])),
+        )
+        for s in (1, 2, 3):
+            lam = grassmann(s, field)
+            I = superideal_span(lam, [lam.generator_element("z1")])
+            _assert_same_algebra(quotient_algebra(lam, I), eager_quotient_algebra(lam, I))
+
+
+class TestQuotientsOnDemand:
+    """A quotient or submodule solves nothing when it is built: on c2's
+    R/Ry, sdim reads the 16 odd actions of the 32.  A quotient algebra
+    starts with an empty table."""
+
+    def test_c2_quotient_and_submodule_solve_what_sdim_reads(self, c2):
+        MR = regular_module(c2.R)
+        S = product_span(MR, [c2.y])
+        for N in (quotient(MR, S), submodule(MR, S)):
+            assert N._act_basis == {} and "actions" not in vars(N)
+            sdim(N)
+            assert c2.R.dim == 32 and len(N._act_basis) == 16
+            assert check_module(N) == []
+
+    def test_quotient_algebra_table_starts_empty(self, c2):
+        lam = grassmann(3)
+        for A, y in ((c2.R, c2.y), (lam, lam.generator_element("z1"))):
+            Q = quotient_algebra(A, superideal_span(A, [y]))
+            assert Q._table == {}
+            Q.mul_basis(Q.dim - 1, Q.unit_index)
+            assert list(Q._table) == [(Q.dim - 1, Q.unit_index)]
 
 
 class TestAnnihilator:
@@ -324,7 +431,7 @@ class TestRegularElements:
         A = grassmann(1)
         one = QQ.one
         swap = Matrix.from_cols_sparse(2, [{1: one}, {0: one}], QQ)
-        M = SuperModule(A, [0, 1], [swap])
+        M = module_from_actions(A, [0, 1], [swap])
         with pytest.raises(ModuleError):
             is_odd_regular(A.generator_element("z1"), M)
 
@@ -358,7 +465,7 @@ class TestCapWindow:
         text = self.TEXTS[flavor]
         low = compile_presentation(parse_presentation(text % 2))
         high = regular_module(compile_presentation(parse_presentation(text % 4)))
-        bad = check_module(SuperModule(low, high.parities, high.actions))
+        bad = check_module(module_from_actions(low, high.parities, high.actions))
         want = ["word beyond the cap acts nontrivially: %s" % w for w in self.RECORDED[flavor]]
         assert sorted(bad) == want
 
@@ -383,8 +490,6 @@ class TestCapWindow:
 # ---------------------------------------------------------------------------
 # one module action: act_element matrices against the term-by-term reference
 
-FIELDS = [QQ, PrimeField(2), PrimeField(5)]
-
 
 def _random_vector(rng, field, dim):
     vec = {i: field.of(rng.randint(1, 4)) for i in range(dim) if rng.random() < 0.4}
@@ -403,7 +508,7 @@ class TestOneModuleAction:
         A = random_algebra(rng, max_gens=4, max_cap=4, max_dim=40, field=field)
         M = random_module(rng, A)
         if plain:  # the same module with no RegularModule shortcut
-            M = SuperModule(A, M.parities, M.actions)
+            M = module_from_actions(A, M.parities, M.actions)
         elems = [_random_vector(rng, field, A.dim) for _ in range(3)]
         elems.append(A.basis_element(rng.randrange(A.dim)))
         probes = [M.basis_element(j) for j in range(M.dim)]
