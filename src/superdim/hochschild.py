@@ -38,11 +38,13 @@ there, and on any other algebra or module, the whole matrix is one block.
 
 The subcomplex C^n(A, M) is cut out by the unit condition in the first
 slot, the reversal symmetry with sign (-1)^{n(n-1)/2 + sum_{i<j}|a_i||a_j|},
-and, when 2 is not invertible, the vanishing of f on odd diagonals.  The
-first two have a closed form (see :func:`cochain_space_basis`): the unit
-may sit at neither end, and one vector per reversal orbit remains.  The
-diagonal condition is not multilinear, so over F2 it is enumerated
-pointwise over the odd part (size-guarded) and solved on the orbit basis.
+and, when 2 is not invertible, the vanishing of f on odd diagonals.  All
+three have a closed form (see :func:`cochain_space_basis`): the unit may
+sit at neither end, and one vector per reversal orbit remains.  The
+diagonal condition is not multilinear, but over F2 it is equivalent to
+the vanishing of the sum of f over the all-odd tuples of each entry set
+(:func:`is_in_C`), which on the orbit basis ties together only the
+all-odd palindromes of one entry set.
 
 An odd super-skew pi in C^1(A, A) is the datum of a square-zero extension
 A_pi on A + PiA; pi is a cocycle exactly when the four product rules give
@@ -62,7 +64,7 @@ import weakref
 
 from .algebra import AlgebraError, FiniteSuperAlgebra, is_algebra_map, is_supercommutative
 from .algebra import presented_supercommutative
-from .exactlin import Matrix, kernel_of_constraints, row_rank, solve_sparse
+from .exactlin import Matrix, row_rank, solve_sparse
 from .exactlin import vec_add_scaled, vec_from_sums
 from .smodule import RegularModule, regular_module
 from .superpoly import EVEN, ODD, SuperPolynomial, monomial_word
@@ -312,26 +314,6 @@ def _reversal_flips(n, odd_count):
     return (n * (n - 1) // 2 + odd_count * (odd_count - 1) // 2) % 2 == 1
 
 
-# Most nonempty sets of odd basis elements the F2 odd-diagonal conditions
-# are enumerated over.
-MAX_ODD_DIAGONAL_SETS = 4096
-
-
-def _odd_diagonals(A, n):
-    """One tuple list S^(n+1) per nonempty set S of odd basis elements.
-
-    Over F2 every odd vector is the sum of such an S, and f vanishes on its
-    diagonal exactly when f sums to zero over S^(n+1).  At most
-    MAX_ODD_DIAGONAL_SETS sets are allowed.
-    """
-    odd_idx = [i for i in range(A.dim) if A.parities[i] == ODD]
-    if 2 ** len(odd_idx) > MAX_ODD_DIAGONAL_SETS:
-        raise AlgebraError("odd part too large for the pointwise diagonal check")
-    for mask in range(1, 2 ** len(odd_idx)):
-        support = [odd_idx[b] for b in range(len(odd_idx)) if mask >> b & 1]
-        yield list(itertools.product(support, repeat=n + 1))
-
-
 def _reversal_symmetric(f, A):
     """f(reversed t) is f(t) times the reversal sign, on every basis tuple."""
     neg = A.field.neg
@@ -349,7 +331,12 @@ def is_in_C(f, A, M):
 
     Checks the unit condition in the first slot, the reversal symmetry on
     basis tuples, and over F2 additionally f(a, ..., a) = 0 for every odd
-    a, enumerated pointwise over the subsets of the odd basis.
+    a.  Over F2 an odd a is the sum of a set S of odd basis elements, and
+    f(a, ..., a) is the sum of f over S^(n+1), which is the sum of g(T)
+    over the nonempty T in S, g(T) being the sum of f over the all-odd
+    tuples whose set of entries is exactly T.  By Moebius inversion over
+    the subsets, every diagonal vanishes exactly when every g(T) does, so
+    one pass over the support of f sums the g(T).
     """
     unit = A.unit_index
     for tup, vec in f.table.items():
@@ -358,12 +345,12 @@ def is_in_C(f, A, M):
     if not _reversal_symmetric(f, A):
         return False
     if A.field.characteristic == 2 and f.n >= 1:
-        for tuples in _odd_diagonals(A, f.n):
-            acc = {}
-            for tup in tuples:
-                vec_add_scaled(acc, f.value(tup), 1, A.field)
-            if acc:
-                return False
+        sums = {}
+        for tup, vec in f.table.items():
+            if all(A.parities[i] == ODD for i in tup):
+                vec_add_scaled(sums.setdefault(frozenset(tup), {}), vec, 1, A.field)
+        if any(sums.values()):
+            return False
     return True
 
 
@@ -669,9 +656,10 @@ def cochain_space_basis(A, M, n, parity):
     e_(tup, r) when 1 - sign is zero in the field.  The vectors come in
     the order of their tup, which is the basis, vector for vector, that
     eliminating the constraints one by one with kernel_of_constraints
-    leaves.  Over F2 the odd-diagonal conditions still need a solve: they
-    are projected onto this orbit basis, solved there, and mapped back.
-    This is the one-block case of :func:`_basis_tables`.
+    leaves.  Over F2 the odd-diagonal conditions have a closed form too:
+    one palindrome per entry set and value coordinate is dropped and added
+    to the others of its set (see :func:`_basis_tables`).  This is the
+    one-block case of :func:`_basis_tables`.
     """
     tables = _basis_tables(A, M, n, parity, _WeightOrbits(A, M, n, None)).get(1, [])
     return [Cochain(n, parity, table) for table in tables]
@@ -681,10 +669,23 @@ def _basis_tables(A, M, n, parity, orbits):
     """{orbit size: [table]}: the basis vectors of C^n of this parity, as
     bare tables, that lie in the representative weight blocks of ``orbits``,
     grouped by the size of their block's orbit (see :func:`cochain_space_basis`).
+
+    Over F2 with n >= 1, f must also have g(T, r) = 0 for every nonempty
+    set T of odd basis elements (see :func:`is_in_C`), g(T, r) being the
+    sum of the coordinates (tup, r) over the all-odd tuples with entry set
+    exactly T.  A reversal pair adds 2 = 0 to g, so only the all-odd
+    palindromes enter, each in one (T, r).  The first of them in each
+    (T, r) is its head: it is dropped, and every later one gets the head
+    added.  That is the basis, vector for vector, that solving the
+    conditions in the order of their sets would leave, the head being each
+    condition's pivot.  Only the one-block case reaches here (see
+    :func:`_symmetry`).
     """
     unit = A.unit_index
     field = A.field
     one = field.one
+    diagonal = field.characteristic == 2 and n >= 1
+    heads = {}
     out = {}
     for tup in itertools.product(range(A.dim), repeat=n + 1):
         rev = tup[::-1]
@@ -695,43 +696,17 @@ def _basis_tables(A, M, n, parity, orbits):
         if tup == rev and sign != one:
             continue
         for r, size in orbits.rows(tup)[(parity + odd_count) % 2]:
-            out.setdefault(size, []).append(
-                {tup: {r: one}} if tup == rev else {tup: {r: one}, rev: {r: sign}}
-            )
-    if field.characteristic == 2 and n >= 1:
-        # only the one-block case reaches here (see _symmetry)
-        out = {1: _odd_diagonal_kernel(A, M, n, out.get(1, []))}
-    return out
-
-
-def _odd_diagonal_kernel(A, M, n, orbits):
-    """The combinations of the F2 orbit basis that vanish on odd diagonals.
-
-    Over F2 every orbit vector has coefficient 1 on each of its at most two
-    coordinates, and no two orbits share one.  So a constraint's value on
-    orbit k is the sum of its coefficients over that orbit's coordinates,
-    and a kernel vector w maps back to w[k] on each coordinate of orbit k.
-    """
-    one = A.field.one
-    orbit_of = {
-        (tup, r): k for k, table in enumerate(orbits) for tup, vec in table.items() for r in vec
-    }
-    constraints = []
-    for tuples in _odd_diagonals(A, n):
-        for r in range(M.dim):
-            row = {}
-            for tup in tuples:
-                k = orbit_of.get((tup, r))
-                if k is not None:
-                    vec_add_scaled(row, {k: one}, 1, A.field)
-            constraints.append(row)
-    out = []
-    for w in kernel_of_constraints(len(orbits), constraints, A.field):
-        table = {}
-        for k, c in w.items():
-            for tup, vec in orbits[k].items():
-                table.setdefault(tup, {}).update((r, c) for r in vec)
-        out.append(table)
+            if tup != rev:
+                table = {tup: {r: one}, rev: {r: sign}}
+            elif diagonal and odd_count == n + 1:
+                key = (frozenset(tup), r)
+                if key not in heads:
+                    heads[key] = tup
+                    continue
+                table = {tup: {r: one}, heads[key]: {r: one}}
+            else:
+                table = {tup: {r: one}}
+            out.setdefault(size, []).append(table)
     return out
 
 
@@ -764,8 +739,17 @@ def sh_dim(A, M, n):
     """
     if n < 0:
         raise ValueError("n must be nonnegative, not %d" % n)
-    if n + 2 > MAX_SH_CELLS.bit_length() or A.dim ** (n + 2) * M.dim > MAX_SH_CELLS:
-        raise AlgebraError("cochain tables exceed the size bound")
+    cap = MAX_SH_CELLS.bit_length()
+    if n + 2 > cap:
+        raise AlgebraError(
+            "cochain tables exceed the size bound: arity %d is past the cap of %d" % (n + 2, cap)
+        )
+    cells = A.dim ** (n + 2) * M.dim
+    if cells > MAX_SH_CELLS:
+        raise AlgebraError(
+            "cochain tables exceed the size bound: dim(A)^(n+2) * dim(M) = %d^%d * %d = %d "
+            "cells, past the budget of %d" % (A.dim, n + 2, M.dim, cells, MAX_SH_CELLS)
+        )
     _require_supercommutative(A)
     coboundaries = [_Coboundary(A, M, parity) for parity in (EVEN, ODD)]
     field = A.field

@@ -120,9 +120,12 @@ def module_from_actions(algebra, parities, actions, name="module"):
 
 
 def _word_action(M, word):
-    """Action matrix of a word in the generators (the identity for ())."""
-    out = Matrix.identity(M.dim, M.field)
-    for gi in reversed(word):
+    """Action matrix of a word in the generators (the identity for ()).
+    A one-letter word acts by the generator's own matrix, shared, not copied."""
+    if not word:
+        return Matrix.identity(M.dim, M.field)
+    out = M.actions[word[-1]]
+    for gi in reversed(word[:-1]):
         out = M.actions[gi].compose(out)
     return out
 

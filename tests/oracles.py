@@ -3,14 +3,15 @@
 Everything here is computed from first principles (combinatorics, naive
 row reduction over Fraction, direct formula evaluation) so that the
 package under test is never the judge of its own output.  The three-pass
-monomial product, the Hochschild references, the dense matrix, the
-enumerated Hilbert tables, the basis-stepped filtrations, the
-Fraction-only rationals, the hand-written closures, the unpruned ideal
-closure, the eagerly built regular module, the submodule read through span
+monomial product, the Hochschild references, the pointwise F2 odd
+diagonals, the dense matrix, the enumerated Hilbert tables, the
+basis-stepped filtrations, the Fraction-only rationals, the hand-written
+closures, the unpruned ideal closure, the eagerly built regular module,
+the identity-first word action, the submodule read through span
 coordinates, the eager quotient module and quotient algebra, the two-pass
-graded components, the scan-all echelon and
-the two-echelon graded span at the end are the exception: they are the
-package's earlier kernels, kept to pin the current ones to the same results.
+graded components, the scan-all echelon and the two-echelon graded span
+at the end are the exception: they are the package's earlier kernels,
+kept to pin the current ones to the same results.
 """
 
 import itertools
@@ -382,6 +383,118 @@ def solved_cochain_space_basis(A, M, n, parity):
             table.setdefault(tup, {})[r] = c
         out.append(Cochain(n, parity, table))
     return out
+
+
+# The F2 odd-diagonal conditions as hochschild had them before their closed
+# form: pointwise_is_in_C sums f over S^(n+1) for each of the 2^k - 1
+# nonempty sets S of odd basis elements, and orbit_solved_cochain_space_basis
+# projects those sums onto the orbit basis and solves them with
+# kernel_of_constraints.  Copied verbatim apart from the names.
+
+MAX_ODD_DIAGONAL_SETS = 4096
+
+
+def _reversal_flips(n, odd_count):
+    return (n * (n - 1) // 2 + odd_count * (odd_count - 1) // 2) % 2 == 1
+
+
+def odd_diagonals(A, n):
+    """One tuple list S^(n+1) per nonempty set S of odd basis elements."""
+    odd_idx = [i for i in range(A.dim) if A.parities[i] == ODD]
+    if 2 ** len(odd_idx) > MAX_ODD_DIAGONAL_SETS:
+        raise AlgebraError("odd part too large for the pointwise diagonal check")
+    for mask in range(1, 2 ** len(odd_idx)):
+        support = [odd_idx[b] for b in range(len(odd_idx)) if mask >> b & 1]
+        yield list(itertools.product(support, repeat=n + 1))
+
+
+def _reversal_symmetric(f, A):
+    neg = A.field.neg
+    for tup in set(f.table) | {t[::-1] for t in f.table}:
+        want = f.value(tup)
+        if _reversal_flips(f.n, sum(A.parities[i] for i in tup)):
+            want = {r: neg(c) for r, c in want.items()}
+        if f.value(tup[::-1]) != want:
+            return False
+    return True
+
+
+def unit_and_reversal_hold(f, A):
+    """The unit condition in the first slot and the reversal symmetry: the
+    conditions of C^n other than the F2 odd diagonals."""
+    unit = A.unit_index
+    for tup, vec in f.table.items():
+        if tup[0] == unit and vec:
+            return False
+    return _reversal_symmetric(f, A)
+
+
+def pointwise_is_in_C(f, A, M):
+    """Membership in C^n(A, M), the F2 diagonals summed set by set."""
+    if not unit_and_reversal_hold(f, A):
+        return False
+    if A.field.characteristic == 2 and f.n >= 1:
+        for tuples in odd_diagonals(A, f.n):
+            acc = {}
+            for tup in tuples:
+                vec_add_scaled(acc, f.value(tup), 1, A.field)
+            if acc:
+                return False
+    return True
+
+
+def orbit_tables(A, M, n, parity):
+    """The basis of C^n cut out by the unit condition and the reversal
+    symmetry alone: one table per reversal orbit and value coordinate."""
+    unit = A.unit_index
+    field = A.field
+    one = field.one
+    out = []
+    for tup in itertools.product(range(A.dim), repeat=n + 1):
+        rev = tup[::-1]
+        if tup[0] == unit or tup[-1] == unit or tup < rev:
+            continue
+        odd_count = sum(A.parities[i] for i in tup)
+        sign = field.neg(one) if _reversal_flips(n, odd_count) else one
+        if tup == rev and sign != one:
+            continue
+        for r in range(M.dim):
+            if M.parities[r] == (parity + odd_count) % 2:
+                out.append({tup: {r: one}} if tup == rev else {tup: {r: one}, rev: {r: sign}})
+    return out
+
+
+def odd_diagonal_kernel(A, M, n, orbits):
+    """The combinations of the F2 orbit basis that vanish on odd diagonals."""
+    one = A.field.one
+    orbit_of = {
+        (tup, r): k for k, table in enumerate(orbits) for tup, vec in table.items() for r in vec
+    }
+    constraints = []
+    for tuples in odd_diagonals(A, n):
+        for r in range(M.dim):
+            row = {}
+            for tup in tuples:
+                k = orbit_of.get((tup, r))
+                if k is not None:
+                    vec_add_scaled(row, {k: one}, 1, A.field)
+            constraints.append(row)
+    out = []
+    for w in kernel_of_constraints(len(orbits), constraints, A.field):
+        table = {}
+        for k, c in w.items():
+            for tup, vec in orbits[k].items():
+                table.setdefault(tup, {}).update((r, c) for r in vec)
+        out.append(table)
+    return out
+
+
+def orbit_solved_cochain_space_basis(A, M, n, parity):
+    """The tables of cochain_space_basis with the F2 diagonals solved."""
+    tables = orbit_tables(A, M, n, parity)
+    if A.field.characteristic == 2 and n >= 1:
+        tables = odd_diagonal_kernel(A, M, n, tables)
+    return tables
 
 
 # sh_dim as it was before one coboundary per parity and the rank-only
@@ -1242,6 +1355,18 @@ def eager_regular_module(A):
         cols = [A.mul(gvec, A.basis_element(j)) for j in range(A.dim)]
         actions.append(Matrix.from_cols_sparse(A.dim, cols, A.field))
     return module_from_actions(A, list(A.parities), actions, name=A.name + " regular")
+
+
+# smodule._word_action as it was before a word's matrix started from its
+# last letter: every word, one letter long too, composed onto an identity
+
+
+def identity_first_word_action(M, word):
+    """Action matrix of a word in the generators (the identity for ())."""
+    out = Matrix.identity(M.dim, M.field)
+    for gi in reversed(word):
+        out = M.actions[gi].compose(out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -473,6 +473,7 @@ class TestHochschild:
         assert code == 2
         assert out == ""
         assert "cochain tables exceed the size bound" in err
+        assert "arity %d is past the cap of 21" % (int(n) + 2) in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("n", ["-1", "-3"])
@@ -481,6 +482,32 @@ class TestHochschild:
         assert code == 2
         assert out == ""
         assert "--n must be nonnegative, not %s" % n in err
+        assert "Traceback" not in err
+
+    @staticmethod
+    def _grassmann_file(tmp_path, s):
+        path = tmp_path / ("lambda%d.alg" % s)
+        odd = " ".join("z%d" % (i + 1) for i in range(s))
+        path.write_text("algebra L%d over Q\nflavor supercommutative\nodd %s\ncap %d\n"
+                        "relations\nend\n" % (s, odd, s))
+        return str(path)
+
+    def test_f2_odd_part_of_sixteen_is_admitted(self, tmp_path):
+        # Lambda_5 has 16 odd basis elements: 2^16 sets of them, which the
+        # closed form of the F2 diagonal conditions never enumerates
+        code, out, err = run_cli("hochschild", self._grassmann_file(tmp_path, 5), "--n", "1",
+                                 "--field", "f2", timeout=120)
+        assert code == 0, err
+        assert out.startswith("sh-dim n=1: ")
+        assert "Traceback" not in err
+
+    def test_cell_refusal_prints_the_count(self, tmp_path):
+        code, out, err = run_cli("hochschild", self._grassmann_file(tmp_path, 6), "--n", "1",
+                                 timeout=20)
+        assert code == 2
+        assert out == ""
+        assert "cochain tables exceed the size bound" in err
+        assert "64^3 * 64 = 16777216 cells, past the budget of 1048576" in err
         assert "Traceback" not in err
 
 

@@ -23,7 +23,7 @@ from superdim.algebra import (
 )
 from superdim import hochschild
 from superdim.cli import _load_cochain, main
-from superdim.exactlin import QQ, PrimeField
+from superdim.exactlin import QQ, PrimeField, vec_add_scaled
 from superdim.hochschild import (
     MAX_SH_CELLS,
     Cochain,
@@ -66,9 +66,13 @@ from oracles import (
     NestedCoboundary,
     direct_coboundary0,
     echelon_sh_dim,
+    orbit_solved_cochain_space_basis,
+    orbit_tables,
+    pointwise_is_in_C,
     scan_coboundary,
     solved_cochain_space_basis,
     triple_cocycle_pi,
+    unit_and_reversal_hold,
 )
 from test_algebra import grassmann
 
@@ -217,6 +221,74 @@ class TestReferenceKernels:
                         assert [f.table for f in basis] == [f.table for f in want]
                         for f in basis[:8]:
                             assert coboundary(f, A, M) == scan_coboundary(f, A, M)
+
+
+def _f2_cases(name, max_cells=2**18):
+    """(A, M, n) over F2 for n = 1..4 within max_cells cells: random
+    algebras with their regular and a random module, and Lambda_1..3 with
+    their regular modules."""
+    F2 = PrimeField(2)
+    rng = rng_for(name)
+    pairs = [(A, regular_module(A)) for A in (grassmann(s, F2) for s in (1, 2, 3))]
+    for _ in range(6):
+        A = random_algebra(rng, max_dim=6, field=F2)
+        pairs += [(A, regular_module(A)), (A, random_module(rng, A))]
+    for A, M in pairs:
+        # n = 4 is the first arity with three palindromes on one entry set
+        for n in (1, 2, 3, 4):
+            if A.dim ** (n + 2) * M.dim <= max_cells:
+                yield rng, A, M, n
+
+
+class TestF2ClosedForm:
+    """Over F2, ``is_in_C`` sums f per entry set of its all-odd tuples, and
+    the basis of C^n drops one palindrome per entry set and value
+    coordinate.  The pointwise sums over all 2^k - 1 sets of odd basis
+    elements, and their constraint solve on the orbit basis, are the
+    reference (tests/oracles.py)."""
+
+    @staticmethod
+    def _random_sum(tables, n, parity, rng):
+        """The F2 sum of a random half of the tables, as a Cochain."""
+        out = {}
+        for table in tables:
+            if rng.random() < 0.5:
+                for tup, vec in table.items():
+                    vec_add_scaled(out.setdefault(tup, {}), vec, 1, PrimeField(2))
+        return Cochain(n, parity, out)
+
+    def test_is_in_C_matches_pointwise(self):
+        outcomes = {"in C": 0, "diagonal only": 0, "unit or reversal": 0}
+        for rng, A, M, n in _f2_cases("test_f2_is_in_C_matches_pointwise"):
+            for parity in (EVEN, ODD):
+                # sums of orbit vectors keep the unit and reversal conditions
+                orbits = orbit_tables(A, M, n, parity)
+                basis = [f.table for f in cochain_space_basis(A, M, n, parity)]
+                candidates = [random_cochain(A, M, n, parity, rng),
+                              self._random_sum(basis, n, parity, rng)]
+                candidates += [self._random_sum(orbits, n, parity, rng) for _ in range(4)]
+                for f in candidates:
+                    want = pointwise_is_in_C(f, A, M)
+                    assert is_in_C(f, A, M) == want
+                    if want:
+                        outcomes["in C"] += 1
+                    elif unit_and_reversal_hold(f, A):
+                        outcomes["diagonal only"] += 1
+                    else:
+                        outcomes["unit or reversal"] += 1
+        assert outcomes["diagonal only"] >= 100
+        assert min(outcomes.values()) > 0, outcomes
+
+    def test_basis_matches_orbit_solve(self):
+        seen = set()
+        for _rng, A, M, n in _f2_cases("test_f2_basis_matches_orbit_solve"):
+            for parity in (EVEN, ODD):
+                basis = cochain_space_basis(A, M, n, parity)
+                assert [f.table for f in basis] == orbit_solved_cochain_space_basis(
+                    A, M, n, parity)
+                assert all(pointwise_is_in_C(f, A, M) for f in basis[::len(basis) // 50 + 1])
+                seen.add(n)
+        assert seen == {1, 2, 3, 4}
 
 
 _FLAT_FIELDS = (QQ, PrimeField(2), PrimeField(5))

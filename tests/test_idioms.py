@@ -1,12 +1,12 @@
 """Source idioms: sparse accumulation, the closure of a span under maps,
 the search for odd parameter systems, the action of an algebra element
 on a module and a module whose actions are solved when read each have one
-implementation, only
-exactlin handles an Echelon, reads a span's echelon or writes its rows, no
-scalar division can make a float, an F_p scalar is no FpElement, only
-cli.main writes output or picks an exit code, and every public name has one
-home: the package binds only ``__version__``, an ``__all__`` lists only its
-module's own names, and every import is used."""
+implementation, only exactlin handles an Echelon, reads a span's echelon,
+writes its rows or calls kernel_of_constraints, no scalar division can
+make a float, an F_p scalar is no FpElement, only cli.main writes output
+or picks an exit code, and every public name has one home: the package
+binds only ``__version__``, an ``__all__`` lists only its module's own
+names, and every import is used."""
 
 import ast
 import importlib
@@ -142,6 +142,43 @@ def test_subset_search_check_flags_hand_written_searches():
     )
     assert _combinations_sites(loops) == [2, 6, 11, 14]
     assert _combinations_sites("from itertools import combinations\n") == []
+
+
+def _kernel_of_constraints_sites(source):
+    """Lines of ``kernel_of_constraints(...)`` calls, by bare or dotted name."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "kernel_of_constraints"
+    )
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(n for n in os.listdir(SRC) if n.endswith(".py") and n != "exactlin.py"),
+)
+def test_only_exactlin_calls_kernel_of_constraints(name):
+    """Outside exactlin no constraint system is solved densely: the conditions
+    of C^n have a closed form, and other systems go through solve_sparse or
+    row_rank."""
+    with open(os.path.join(SRC, name)) as fh:
+        sites = _kernel_of_constraints_sites(fh.read())
+    assert not sites, "%s: kernel_of_constraints( at lines %s" % (name, sites)
+
+
+def test_kernel_of_constraints_check_flags_a_call():
+    # hochschild._odd_diagonal_kernel before the closed form, condensed
+    solve = (
+        "from .exactlin import Matrix, kernel_of_constraints, row_rank\n"
+        "def _odd_diagonal_kernel(A, M, n, orbits):\n"
+        "    constraints = list(_constraints(A, M, n, orbits))\n"
+        "    for w in kernel_of_constraints(len(orbits), constraints, A.field):\n"
+        "        yield w\n"
+        "basis = exactlin.kernel_of_constraints(3, [], F)\n"
+    )
+    assert _kernel_of_constraints_sites(solve) == [4, 6]
+    assert _kernel_of_constraints_sites("kernel = row_rank(rows, field)\n") == []
 
 
 def _echelon_import_sites(source):

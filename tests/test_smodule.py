@@ -52,6 +52,7 @@ from oracles import (
     eager_quotient,
     eager_quotient_algebra,
     eager_regular_module,
+    identity_first_word_action,
     normal_words_in_window,
 )
 from test_algebra import grassmann
@@ -132,6 +133,31 @@ class TestRegularModule:
         A = grassmann(2)
         M = parse_module("module regular\n", A)
         assert isinstance(M, RegularModule) and M.name == regular_module(A).name
+
+
+class TestWordAction:
+    """A basis monomial of a monomial-kind algebra acts by the generator
+    matrices composed along its word, starting from the last letter; the
+    composition onto an identity of tests/oracles.py is the reference."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_matches_identity_first_composition(self, field):
+        rng = rng_for("word-action-%s" % field)
+        lengths = set()
+        for _ in range(8):
+            A = random_algebra(rng, max_gens=4, max_cap=4, max_dim=40, field=field)
+            assert A.kind == "monomial"
+            M = random_module(rng, A)
+            M = module_from_actions(A, M.parities, M.actions)
+            for i in range(A.dim):
+                word = A.basis_word(i)
+                got = M.act_basis(i)
+                assert got == identity_first_word_action(M, word)
+                if len(word) == 1:
+                    # the generator's own matrix, shared
+                    assert got is M.actions[word[0]]
+                lengths.add(min(len(word), 2))
+        assert lengths == {0, 1, 2}
 
 
 class TestConstruction:
