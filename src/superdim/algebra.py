@@ -6,10 +6,11 @@ relations and a degree cap, enumerates all normal monomials up to the cap
 relation span into the two-sided graded ideal with ``Subspace.close``
 (degree-truncated: monomials beyond the cap are zero by fiat) and returns
 the quotient, whose monomial basis and reduction map are the ideal's
-``Subspace.complement``.  Superideals and quotient algebras are closed,
-checked and projected the same way.  Every finite-dimensional superalgebra here is
-automatically Artinian, which is what the dimension theory downstream
-assumes.
+``Subspace.complement``.  ``odd_filtration`` reads the odd chain of such a
+quotient off the compiled monomials and that reduction map.  Superideals
+and quotient algebras are closed, checked and projected the same way.
+Every finite-dimensional superalgebra here is automatically Artinian,
+which is what the dimension theory downstream assumes.
 
 A :class:`FiniteSuperAlgebra` is either monomial-kind (it remembers its
 presentation) or table-kind (a basis-by-basis product, used for
@@ -56,9 +57,6 @@ class Presentation:
         names = [g.name for g in gens]
         if len(set(names)) != len(names):
             raise AlgebraError("duplicate generator names")
-        for g in gens:
-            if g.bidegree == (0, 0):
-                raise AlgebraError("generator %s has degree 0" % g.name)
         if cap is not None and cap < 0:
             raise AlgebraError("cap must be nonnegative")
         for r in relations:
@@ -266,6 +264,58 @@ def compile_presentation(pres):
     A._odd_module_generators = None
     A._generators = None
     return A
+
+
+def odd_filtration(A):
+    """[A, R_1 A, R_1^2 A, ...] up to the first zero stage, which is left
+    out; R_1 is the odd part of A.
+
+    A presented supercommutative A = F / (I + F_{>cap}) is read off its
+    compiled monomials, every monomial of F up to the cap, those that lie in
+    the ideal included: stage l is the span of the normal forms pi(m) of the
+    compiled monomials m with at least l odd letters.  No product is formed
+    and no action matrix is built.  Here pi : F -> A is the quotient map; it
+    is an onto algebra map that keeps parities and kills F_{>cap}.
+
+    Proof that R_1^l A = span{pi(m) : m has at least l odd letters}.
+    (>=) Such an m is +-y_1 ... y_l m' for l of its odd letters y_i and the
+    rest m', so pi(m) = +-pi(y_1) ... pi(y_l) pi(m') with each pi(y_i) odd.
+    (<=) R_1^l A is spanned by the a_1 ... a_l b with a_i odd and b in A.
+    As pi is onto and keeps parities, a_i = pi(f_i) with f_i odd, a
+    combination of monomials with an odd number, so at least one, of odd
+    letters, and b = pi(g).  Odd-letter counts add under the product of
+    monomials (which is zero at a repeated odd letter), so f_1 ... f_l g
+    is a combination of monomials with at least l odd letters, and so is
+    its part up to the cap, which has the same image a_1 ... a_l b.
+    The count is that of the compiled monomial m, never that of its normal
+    form.  With ``even x(0,2)``, ``odd y1 y2`` and the relation
+    ``x - y1*y2``, the normal form of y1*y2 may be x, which has no odd
+    letter; x lies in R_1^2 A all the same, as pi(y1) pi(y2).  Reading the
+    basis monomials by their own odd counts would miss it.
+
+    Any other algebra steps by ``odd_multipliers`` (see ``filtration_step``);
+    more than dim A nonzero stages raise AlgebraError.
+    """
+    if not presented_supercommutative(A):
+        step = filtration_step(A, A.mul, odd_multipliers(A))
+        return filtration_chain(A.full_subspace(), step, A.dim, "odd part")
+    odd = [i for i, g in enumerate(A.presentation.gens) if g.parity == ODD]
+    one, project = A.field.one, A._reduce_mono_vec
+    by_count = [[] for _ in range(len(odd) + 1)]
+    for m, i in A._mono_index.items():
+        by_count[sum(m[j] for j in odd)].append(project({i: one}))
+    # stage l is stage l + 1 with the normal forms of exactly l odd letters added
+    chain = []
+    stage = Subspace(A.parities, A.field)
+    for vectors in reversed(by_count):
+        stage = stage.copy()
+        for v in vectors:
+            if v:
+                stage.insert(v)
+        if not stage.is_zero():
+            chain.append(stage)
+    chain.reverse()
+    return chain
 
 
 class FiniteSuperAlgebra:
@@ -569,19 +619,16 @@ def odd_radical(A):
 
 
 def odd_power_span(A, l):
-    """Span of all products of l odd elements (l = 0 gives all of A).
+    """The ideal R_1^l A, R_1 the odd part of A: the span of the products of
+    l odd elements and an element of A (l = 0 gives all of A).  On
+    ``grassmann2`` at l = 1 it is spanned by z1, z2 and z1*z2, of dims (1, 2).
 
-    Each step multiplies the span on the left by ``odd_multipliers(A)``.
+    It is stage l of ``odd_filtration``, or zero past its last stage.
     """
     if l < 0:
         raise AlgebraError("negative power")
-    span = A.full_subspace()
-    step = filtration_step(A, A.mul, odd_multipliers(A))
-    for _ in range(l):
-        if span.is_zero():
-            break
-        span = step(span)
-    return span
+    chain = odd_filtration(A)
+    return chain[l] if l < len(chain) else Subspace(A.parities, A.field)
 
 
 def quotient_algebra(A, ideal, name=None):

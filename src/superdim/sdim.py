@@ -8,7 +8,12 @@ product does not kill M.  Both routes are implemented; their agreement is
 a theorem and is exercised by the test suite, never collapsed into one
 code path.
 
-The chain steps by generators, not by bases: each R_1^l M is R-stable, so
+The odd chain takes one of two routes.  A presented supercommutative
+algebra A and its regular module read it off A's compiled monomials
+(``algebra.odd_filtration``): R_1^l A is the span of the normal forms of
+the monomials up to the cap with at least l odd letters, so no product
+and no action matrix is built.  Every other module, and every other
+algebra, steps by generators, not by bases: each R_1^l M is R-stable, so
 over a presented supercommutative algebra R_1^{l+1} M = sum_i y_i R_1^l M
 for the odd generators y_i.  Any other algebra steps by all of its odd
 basis elements.  The subset search multiplies out the ordered products
@@ -26,9 +31,15 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .algebra import filtration_chain, filtration_step, odd_multipliers
+from .algebra import (
+    filtration_chain,
+    filtration_step,
+    odd_filtration,
+    odd_multipliers,
+    presented_supercommutative,
+)
 from .exactlin import Matrix
-from .smodule import ModuleError, product_span, sequence_quotient, submodule
+from .smodule import ModuleError, RegularModule, product_span, sequence_quotient, submodule
 
 
 class SuperDimension:
@@ -72,10 +83,14 @@ EMPTY_SDIM = SuperDimension.make_empty()
 def odd_power_spans_of_module(M):
     """[M, R_1 M, R_1^2 M, ...] down to (and excluding) the zero span.
 
-    Each stage is R-stable, so one step is R_1^{l+1} M = sum_i y_i R_1^l M
-    over ``odd_multipliers``: the odd generators of a presented
-    supercommutative algebra, all odd basis elements otherwise.
+    The regular module of a presented supercommutative algebra is read off
+    its monomials by ``odd_filtration``.  Any other M steps: each stage is
+    R-stable, so one step is R_1^{l+1} M = sum_i y_i R_1^l M over
+    ``odd_multipliers``, the odd generators of a presented supercommutative
+    algebra and all odd basis elements otherwise.
     """
+    if isinstance(M, RegularModule) and presented_supercommutative(M.algebra):
+        return odd_filtration(M.algebra)
     mats = [M.act_element(y) for y in odd_multipliers(M.algebra)]
     step = filtration_step(M, Matrix.apply, mats)
     return filtration_chain(
@@ -94,11 +109,8 @@ def sdim(M):
 
 
 def sdim_algebra(A):
-    """Super-dimension of A over itself: the length of one odd chain of A,
-    stepped as in ``odd_power_span``."""
-    step = filtration_step(A, A.mul, odd_multipliers(A))
-    chain = filtration_chain(A.full_subspace(), step, A.dim, "odd part", ModuleError)
-    return sdim_of_chain(chain)
+    """Super-dimension of A over itself: the length of ``odd_filtration(A)``."""
+    return sdim_of_chain(odd_filtration(A))
 
 
 def ordered_product(A, elements):

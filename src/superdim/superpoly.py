@@ -46,6 +46,8 @@ class GeneratorSpec:
         k, l = bidegree
         if k < 0 or l < 0:
             raise ValueError("bidegree components must be nonnegative")
+        if k == l == 0:
+            raise ValueError("generator %s has degree 0" % name)
         if l > 0 and l % 2 != parity:
             raise ValueError(
                 "generator %s: odd-degree %d inconsistent with parity" % (name, l)

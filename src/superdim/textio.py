@@ -489,18 +489,17 @@ def parse_presentation(text, field=None):
             parity = EVEN if head == "even" else ODD
             if len(words) == 1:
                 raise ParseError("expected generator names", SourceSpan(n, 1, len(body)))
-            for item in words[1:]:
+            for token in list(re.finditer(r"\S+", body))[1:]:
+                item, column = token.group(), token.start() + 1
                 m = _GEN_ITEM_RE.match(item)
                 if m is None:
                     raise ParseError(
-                        "bad generator item %r" % item,
-                        SourceSpan(n, body.find(item) + 1, len(item)),
+                        "bad generator item %r" % item, SourceSpan(n, column, len(item))
                     )
                 gname = m.group(1)
                 if gname in seen:
                     raise ParseError(
-                        "duplicate generator %r" % gname,
-                        SourceSpan(n, body.find(item) + 1, len(gname)),
+                        "duplicate generator %r" % gname, SourceSpan(n, column, len(gname))
                     )
                 seen.add(gname)
                 bideg = None
@@ -509,7 +508,7 @@ def parse_presentation(text, field=None):
                 try:
                     gens.append(GeneratorSpec(gname, parity, bideg))
                 except ValueError as exc:
-                    raise ParseError(str(exc), SourceSpan(n, body.find(item) + 1, len(item)))
+                    raise ParseError(str(exc), SourceSpan(n, column, len(item)))
         elif head == "cap":
             if len(words) != 2 or not words[1].isdigit():
                 raise ParseError("expected 'cap N'", SourceSpan(n, 1, len(body)))

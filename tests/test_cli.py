@@ -615,6 +615,16 @@ class TestSubprocess:
         code, _out, err = run_cli("bogus")
         assert code == 2
 
+    def test_degree_zero_generator_is_reported_at_its_item(self, tmp_path):
+        alg = tmp_path / "zero.alg"
+        alg.write_text(
+            "algebra zero over Q\nflavor supercommutative\neven w x(0,0)\ncap 2\n"
+        )
+        code, out, err = run_cli("sdim", str(alg), timeout=20)
+        assert code == 2
+        assert out == ""
+        assert "line 3, column 8: generator x has degree 0" in err
+
     def test_huge_power_of_non_nilpotent_element_is_quick(self):
         # (1 + z1)^n = 1 + n*z1, computed by repeated squaring
         code, _out, err = run_cli(

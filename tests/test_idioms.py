@@ -6,7 +6,9 @@ writes its rows or calls kernel_of_constraints, no scalar division can
 make a float, an F_p scalar is no FpElement, only cli.main writes output
 or picks an exit code, and every public name has one home: the package
 binds only ``__version__``, an ``__all__`` lists only its module's own
-names, and every import is used."""
+names, and every import is used.  The odd chain is read off an algebra's
+compiled monomials only in ``algebra.odd_filtration``, and
+``sdim_algebra`` does not take the chain of the regular module."""
 
 import ast
 import importlib
@@ -733,3 +735,105 @@ def test_table_write_check_flags_an_outside_write():
         "    return G._fill, len(G._table)\n"
     )
     assert _table_write_sites(planted) == [3, 5, 6, 7, 8, 9]
+
+
+_COMPILED_MONOMIALS = {"_mono_index", "_basis_monos", "_reduce_mono_vec"}
+
+
+def _monomial_reading_sites(source):
+    """(function, line) of each loop or comprehension over an algebra's
+    compiled monomials (``_mono_index``) or its basis monomials
+    (``_basis_monos``): a reading of the odd chain off the monomials."""
+    sites = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.For, ast.comprehension)) and any(
+                isinstance(n, ast.Attribute) and n.attr in ("_mono_index", "_basis_monos")
+                for n in ast.walk(node.iter)
+            ):
+                sites.append((fn.name, node.iter.lineno))
+    return sites
+
+
+def _compiled_monomial_reads(source):
+    """Lines that read an algebra's compiled monomials or their projection."""
+    return sorted(
+        {
+            node.lineno
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in _COMPILED_MONOMIALS
+        }
+    )
+
+
+def test_the_monomial_reading_has_one_implementation():
+    sites = []
+    for name in sorted(n for n in os.listdir(SRC) if n.endswith(".py")):
+        with open(os.path.join(SRC, name)) as fh:
+            sites += [(name, fn) for fn, _line in _monomial_reading_sites(fh.read())]
+    assert sites == [("algebra.py", "odd_filtration")], (
+        "the compiled monomials are read at %s; use algebra.odd_filtration" % sites
+    )
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(n for n in os.listdir(SRC) if n.endswith(".py") and n != "algebra.py"),
+)
+def test_only_algebra_reads_the_compiled_monomials(name):
+    with open(os.path.join(SRC, name)) as fh:
+        sites = _compiled_monomial_reads(fh.read())
+    assert not sites, (
+        "%s: an algebra's compiled monomials read at lines %s; use algebra.odd_filtration"
+        % (name, sites)
+    )
+
+
+def test_monomial_reading_check_flags_a_second_reading():
+    # a chain read off the basis monomials by their own odd counts, condensed
+    planted = (
+        "def odd_chain(A, odd):\n"
+        "    stages = {}\n"
+        "    for i, m in enumerate(A._basis_monos):\n"
+        "        stages.setdefault(sum(m[j] for j in odd), []).append(i)\n"
+        "    return [A._reduce_mono_vec({i: 1}) for i in A._mono_index.values()]\n"
+    )
+    assert _monomial_reading_sites(planted) == [("odd_chain", 3), ("odd_chain", 5)]
+    assert _compiled_monomial_reads(planted) == [3, 5]
+
+
+def _names_used(source, function):
+    """Every name the top-level function ``function`` reads."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            return {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))
+            }
+    raise AssertionError("no function %s" % function)
+
+
+# sdim_algebra reads one chain of A; the module chain of its regular module
+# would build a second one wherever a caller also asks for that.
+_MODULE_CHAIN = {"odd_power_spans_of_module", "sdim", "regular_module", "RegularModule"}
+
+
+def test_sdim_algebra_does_not_take_the_module_chain():
+    with open(os.path.join(SRC, "sdim.py")) as fh:
+        used = _names_used(fh.read(), "sdim_algebra")
+    assert "odd_filtration" in used
+    assert not used & _MODULE_CHAIN, sorted(used & _MODULE_CHAIN)
+
+
+def test_module_chain_check_flags_a_reroute():
+    planted = (
+        "def sdim_algebra(A):\n"
+        "    return sdim_of_chain(odd_power_spans_of_module(regular_module(A)))\n"
+    )
+    assert _names_used(planted, "sdim_algebra") & _MODULE_CHAIN == {
+        "odd_power_spans_of_module",
+        "regular_module",
+    }

@@ -140,6 +140,22 @@ class TestPresentationGrammar:
         assert e.value.span.line == line
         assert fragment in str(e.value)
 
+    @pytest.mark.parametrize(
+        "generators,column,fragment",
+        [
+            ("even w x(0,0)", 8, "generator x has degree 0"),
+            ("odd x y x", 9, "duplicate generator 'x'"),
+            ("even xx x$", 9, "bad generator item 'x$'"),
+            ("odd x w(1,2)", 7, "odd-degree 2 inconsistent with parity"),
+        ],
+    )
+    def test_generator_errors_point_at_their_item(self, generators, column, fragment):
+        text = "algebra a over Q\nflavor supercommutative\n%s\ncap 2\n" % generators
+        with pytest.raises(ParseError) as e:
+            parse_presentation(text)
+        assert (e.value.span.line, e.value.span.column) == (3, column)
+        assert fragment in str(e.value)
+
     def test_nilpotent_power_past_the_cap_is_vacuous(self):
         # (a + b)^3 = 0 for odd a, b: the power is computed, not refused.
         text = ("algebra a over Q\nflavor supercommutative\nodd a b\ncap 1\n"
