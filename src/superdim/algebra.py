@@ -1,13 +1,14 @@
 """Finite-dimensional superalgebras from presentations or multiplication tables.
 
-``compile_presentation`` takes generators, parity/degree-homogeneous
-relations and a degree cap, enumerates all normal monomials up to the cap
-(``_enumerate_monomials``, the package's one list of them), closes the
-relation span into the two-sided graded ideal with ``Subspace.close``
+``compile_presentation`` takes generators, relations that pass
+``check_relation`` and a degree cap, enumerates all normal monomials up to
+the cap (``_enumerate_monomials``, the package's one list of them), closes
+the relation span into the two-sided graded ideal with ``Subspace.close``
 (degree-truncated: monomials beyond the cap are zero by fiat) and returns
 the quotient, whose monomial basis and reduction map are the ideal's
-``Subspace.complement``.  ``odd_filtration`` reads the odd chain of such a
-quotient off the compiled monomials and that reduction map.  Superideals
+``Subspace.complement``.  ``words_past_cap`` lists, from the same list, the
+words past the cap that a module must kill.  ``odd_filtration`` reads the
+odd chain off the compiled monomials and the reduction map.  Superideals
 and quotient algebras are closed, checked and projected the same way.
 Every finite-dimensional superalgebra here is automatically Artinian,
 which is what the dimension theory downstream assumes.
@@ -47,8 +48,24 @@ class AlgebraError(ValueError):
     pass
 
 
+def check_relation(r, cap):
+    """Raise AlgebraError unless r is nonzero, of one positive degree and
+    one parity, and of degree at most the cap (None for no cap)."""
+    if r.is_zero():
+        raise AlgebraError("zero relation")
+    d = r.degree()
+    if d is None:
+        raise AlgebraError("relation is not degree-homogeneous")
+    if d == 0:
+        raise AlgebraError("relation is a nonzero constant")
+    if r.parity() is None:
+        raise AlgebraError("relation is not parity-homogeneous")
+    if cap is not None and d > cap:
+        raise AlgebraError("relation degree %d exceeds cap %d" % (d, cap))
+
+
 class Presentation:
-    """Flavor, generators, homogeneous relations, degree cap, base field."""
+    """Flavor, generators, relations (each passing ``check_relation``), degree cap, field."""
 
     def __init__(self, flavor, gens, relations, cap, field, name="algebra"):
         if flavor not in (SUPERCOMMUTATIVE, ASSOCIATIVE):
@@ -62,17 +79,7 @@ class Presentation:
         for r in relations:
             if r.flavor != flavor or r.gens != gens:
                 raise AlgebraError("relation from a different context")
-            if r.is_zero():
-                raise AlgebraError("zero relation")
-            d = r.degree()
-            if d is None:
-                raise AlgebraError("relation not degree-homogeneous: %r" % (r,))
-            if d == 0:
-                raise AlgebraError("constant relation")
-            if r.parity() is None:
-                raise AlgebraError("relation not parity-homogeneous: %r" % (r,))
-            if cap is not None and d > cap:
-                raise AlgebraError("relation degree %d exceeds cap %d" % (d, cap))
+            check_relation(r, cap)
         self.flavor = flavor
         self.gens = gens
         self.relations = list(relations)
@@ -166,6 +173,35 @@ def _enumerate_monomials(gens, flavor, cap):
             frontier = new
     out.sort(key=lambda m: monomial_sort_key(m, gens, flavor))
     return out
+
+
+def words_past_cap(A):
+    """The words that must act as zero on a module over a compiled algebra
+    A because they pass the cap: the canonical words of the products m g
+    past the cap, m a normal monomial up to the cap and g a generator, each
+    once, in degree-lex order.  They are at most (number of generators) *
+    MAX_MONOMIALS, as A's compilation checked.
+
+    They act as zero exactly when every canonical word past the cap does.
+    A word acts by composing its letters' matrices, the first outermost, so
+    it acts as zero once a prefix does.  A prefix of a canonical word (even
+    letters ascending, then odd letters ascending; any word when
+    associative) is canonical, so the shortest prefix past the cap of a
+    canonical word is q g, with q within the cap the canonical word of some
+    m, and q g the canonical word of m g.
+    """
+    gens, flavor, cap = A.presentation.gens, A.presentation.flavor, A.cap
+    letters = [(i,) if flavor == ASSOCIATIVE else tuple(int(j == i) for j in range(len(gens)))
+               for i in range(len(gens))]
+    past = set()
+    for m in _enumerate_monomials(gens, flavor, cap):
+        room = cap - monomial_degree(m, gens, flavor)
+        for g, gen in zip(letters, gens):
+            product = mul_monomials(m, g, gens, flavor) if sum(gen.bidegree) > room else None
+            if product is not None:
+                past.add(product[1])
+    past = sorted(past, key=lambda m: monomial_sort_key(m, gens, flavor))
+    return [monomial_word(m, gens, flavor) for m in past]
 
 
 def compile_presentation(pres):
@@ -337,10 +373,12 @@ class FiniteSuperAlgebra:
         name="algebra",
         odd_module_generators=None,
         fill=None,
+        odd_steps=None,
     ):
         """The algebra with the given basis products; ``fill(i, j)``, when
         given, solves a pair missing from ``table`` the first time it is
-        read (see ``mul_basis``)."""
+        read (see ``mul_basis``).  ``odd_steps``, when given, are the odd
+        elements that ``odd_multipliers`` returns."""
         A = cls.__new__(cls)
         A.kind = "table"
         A.field = field
@@ -353,7 +391,7 @@ class FiniteSuperAlgebra:
         A.unit_index = unit_index
         A._table = {k: {i: c for i, c in v.items() if c} for k, v in table.items()}
         A._fill = fill
-        A._odd_steps = None
+        A._odd_steps = odd_steps
         A._odd_module_generators = odd_module_generators
         A._generators = None
         if A.parities[unit_index] != EVEN:

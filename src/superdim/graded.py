@@ -196,7 +196,7 @@ class _Components:
         vec = act(a, self.reps[j][1]) if key in self.echelons else None
         return self.coords(key, vec) if vec else {}
 
-    def algebra(self, A, add, tag, name):
+    def algebra(self, A, add, tag, name, odd_steps=None):
         """The table-kind algebra on the representatives of a filtration of A.
 
         Its table starts empty: its filler solves the product of
@@ -236,6 +236,7 @@ class _Components:
             unit_index=next(iter(unit)),
             name=name,
             fill=fill,
+            odd_steps=odd_steps,
         )
         return algebra
 
@@ -317,11 +318,12 @@ def gr(A, ideal):
     ``algebra.odd_multipliers`` describes, from the ideal's generators."""
     powers = ideal_powers(A, ideal)
     comps = _Components(A, dict(enumerate(powers)), _below_n)
-    algebra = comps.algebra(A, operator.add, str, "gr " + A.name)
+    steps = None
     if ideal.generators is not None and presented_supercommutative(A):
         odd = [(0, y) for y in odd_multipliers(A)]
         odd += [(1, g) for g in ideal.generators if A.element_parity(g) == ODD]
-        algebra._odd_steps = [c for c in (comps.coords(n, v) for n, v in odd) if c]
+        steps = [c for c in (comps.coords(n, v) for n, v in odd) if c]
+    algebra = comps.algebra(A, operator.add, str, "gr " + A.name, steps)
     return GradedSuperAlgebra(algebra, comps, powers, A, ideal)
 
 

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .algebra import _enumerate_monomials
+from .algebra import words_past_cap
 from .exactlin import Matrix, Subspace, rank, vec_add_scaled
-from .superpoly import ODD, SUPERCOMMUTATIVE, monomial_degree, monomial_word
+from .superpoly import ODD, SUPERCOMMUTATIVE, monomial_word
 
 
 class ModuleError(ValueError):
@@ -165,7 +165,10 @@ def _parity_block_violation(M, mat, gen_parity):
 
 
 def check_module(M):
-    """All module axioms for M; returns a list of violation strings."""
+    """All module axioms for M; returns a list of violation strings.  Over a
+    presented algebra: parity blocks, supercommutation and odd squares, the
+    relations, and the words of ``algebra.words_past_cap``, which stand for
+    every word past the cap and number at most gens * MAX_MONOMIALS."""
     A = M.algebra
     bad = []
     if A.kind == "table":
@@ -217,54 +220,11 @@ def check_module(M):
         ]
         if not _combination(M, terms).is_zero():
             bad.append("relation does not act as zero: %r" % (r,))
-    bad.extend(_cap_violations(M, pres))
+    for word in words_past_cap(A):
+        if not _word_action(M, word).is_zero():
+            names = "*".join(gens[i].name for i in word)
+            bad.append("word beyond the cap acts nontrivially: %s" % names)
     return bad
-
-
-def _words_past_cap(pres):
-    """The words in the degree window (cap, cap + max generator degree]
-    that must act as zero: the normal monomials there for the
-    supercommutative flavor (the pair checks cover the rest), and for the
-    associative one every word past the cap whose proper prefixes all lie
-    within it."""
-    gens, cap, flavor = pres.gens, pres.cap, pres.flavor
-    gdegs = [g.bidegree[0] + g.bidegree[1] for g in gens]
-    hi = cap + (max(gdegs) if gens else 0)
-    if flavor == SUPERCOMMUTATIVE:
-        return [
-            monomial_word(m, gens, flavor)
-            for m in _enumerate_monomials(gens, flavor, hi)
-            if monomial_degree(m, gens, flavor) > cap
-        ]
-    return _all_words_in_window(gens, gdegs, cap, hi)
-
-
-def _cap_violations(M, pres):
-    """Words just past the cap must act as zero."""
-    return [
-        "word beyond the cap acts nontrivially: %s" % "*".join(pres.gens[i].name for i in word)
-        for word in _words_past_cap(pres)
-        if not _word_action(M, word).is_zero()
-    ]
-
-
-def _all_words_in_window(gens, gdegs, lo, hi):
-    out = []
-    frontier = [((), 0)]
-    while frontier:
-        nxt = []
-        for w, d in frontier:
-            for i in range(len(gens)):
-                d2 = d + gdegs[i]
-                if d2 > hi:
-                    continue
-                w2 = w + (i,)
-                if d2 > lo:
-                    out.append(w2)
-                if d2 <= lo:
-                    nxt.append((w2, d2))
-        frontier = nxt
-    return out
 
 
 # -- submodules and quotients ----------------------------------------------

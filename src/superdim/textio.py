@@ -41,7 +41,7 @@ import re
 from fractions import Fraction
 from math import comb
 
-from .algebra import AlgebraError, Presentation
+from .algebra import AlgebraError, Presentation, check_relation
 from .exactlin import Matrix, field_from_name, power, vec_add_scaled
 from .sdim import SuperDimension
 from .smodule import module_from_actions, regular_module
@@ -446,7 +446,8 @@ def parse_presentation(text, field=None):
     """Parse the presentation grammar into an uncompiled Presentation.
 
     A ``field`` argument overrides the header's field; coefficient
-    literals are then read in the override field.
+    literals are then read in the override field.  A relation that fails
+    ``algebra.check_relation`` is reported at its own line.
     """
     lines = _significant_lines(text)
     if not lines:
@@ -553,13 +554,10 @@ def parse_presentation(text, field=None):
             raise ParseError("a coefficient is not defined over %s" % field.name, span)
         if poly.is_zero():
             continue
-        d = poly.degree()
-        if d is None:
-            raise ParseError("relation is not degree-homogeneous", span)
-        if d == 0:
-            raise ParseError("relation is a nonzero constant", span)
-        if poly.parity() is None:
-            raise ParseError("relation is not parity-homogeneous", span)
+        try:
+            check_relation(poly, cap)
+        except AlgebraError as exc:
+            raise ParseError(str(exc), span)
         relations.append(poly)
     return presentation(relations)
 
@@ -666,20 +664,20 @@ def parse_module(text, A):
     for n, body in lines[1:]:
         if "->" in body:
             left, right = body.split("->", 1)
-            words = left.split()
+            words = list(re.finditer(r"\S+", left))
             if len(words) != 2:
                 raise ParseError(
                     "expected 'generator symbol -> combination'",
                     SourceSpan(n, 1, len(body)),
                 )
-            gname, sym = words
+            gname, sym = (w.group() for w in words)
             if gname not in gen_parity:
                 raise ParseError(
-                    "unknown generator %r" % gname, SourceSpan(n, body.find(gname) + 1, len(gname))
+                    "unknown generator %r" % gname, SourceSpan(n, words[0].start() + 1, len(gname))
                 )
             if sym not in symtab:
                 raise ParseError(
-                    "unknown basis symbol %r" % sym, SourceSpan(n, body.find(sym) + 1, len(sym))
+                    "unknown basis symbol %r" % sym, SourceSpan(n, words[1].start() + 1, len(sym))
                 )
             if (gname, symtab[sym]) in images:
                 raise ParseError(
@@ -720,7 +718,7 @@ def parse_module(text, A):
             if pname not in ("even", "odd"):
                 raise ParseError(
                     "parity must be 'even' or 'odd'",
-                    SourceSpan(n, body.find(":") + 2, max(len(pname), 1)),
+                    SourceSpan(n, len(body) - len(pname) + 1, max(len(pname), 1)),
                 )
             symtab[sym] = len(parities)
             parities.append(EVEN if pname == "even" else ODD)

@@ -5,13 +5,14 @@ row reduction over Fraction, direct formula evaluation) so that the
 package under test is never the judge of its own output.  The three-pass
 monomial product, the Hochschild references, the pointwise F2 odd
 diagonals, the dense matrix, the enumerated Hilbert tables, the
-basis-stepped filtrations, the Fraction-only rationals, the hand-written
-closures, the unpruned ideal closure, the eagerly built regular module,
-the identity-first word action, the submodule read through span
-coordinates, the eager quotient module and quotient algebra, the two-pass
-graded components, the scan-all echelon and the two-echelon graded span
-at the end are the exception: they are the package's earlier kernels,
-kept to pin the current ones to the same results.
+basis-stepped filtrations, the Fraction-only rationals, the full cap
+window, the hand-written closure, the unpruned ideal closure, the eagerly
+built regular module, the identity-first word action, the submodule read
+through span coordinates, the eager quotient module and quotient
+algebra, the two-pass graded components, the scan-all echelon and the
+two-echelon graded span at the end are the exception: they are the
+package's earlier kernels, kept to pin the current ones to the same
+results.
 """
 
 import itertools
@@ -48,6 +49,7 @@ from superdim.superpoly import (
     monomial_degree,
     monomial_parity,
     monomial_sort_key,
+    monomial_word,
     mul_monomials,
 )
 
@@ -1276,41 +1278,87 @@ def unpruned_ideal_closure(pres):
 
 
 # ---------------------------------------------------------------------------
-# Hand-written closures: the supercommutative cap window of check_module
-# and the superideal worklist as they were before both moved onto shared
-# code (algebra._enumerate_monomials and Subspace.close).  Copied verbatim
-# apart from the inlined multiplier list.
+# smodule's cap windows as they were before check_module read
+# algebra.words_past_cap, copied verbatim: every word in the degree window
+# (cap, cap + max generator degree], the normal monomials there for the
+# supercommutative flavor and the words whose proper prefixes all lie
+# within the cap for the associative one.
 
 
-def normal_words_in_window(gens, gdegs, lo, hi):
+def full_cap_window(pres):
+    """The words in the degree window (cap, cap + max generator degree]
+    that must act as zero: the normal monomials there for the
+    supercommutative flavor (the pair checks cover the rest), and for the
+    associative one every word past the cap whose proper prefixes all lie
+    within it."""
+    gens, cap, flavor = pres.gens, pres.cap, pres.flavor
+    gdegs = [g.bidegree[0] + g.bidegree[1] for g in gens]
+    hi = cap + (max(gdegs) if gens else 0)
+    if flavor == SUPERCOMMUTATIVE:
+        return [
+            monomial_word(m, gens, flavor)
+            for m in _enumerate_monomials(gens, flavor, hi)
+            if monomial_degree(m, gens, flavor) > cap
+        ]
+    return all_words_in_window(gens, gdegs, cap, hi)
+
+
+def all_words_in_window(gens, gdegs, lo, hi):
     out = []
-    n = len(gens)
-    exps = [0] * n
-
-    def rec(i, deg):
-        if deg > hi:
-            return
-        if i == n:
-            if lo < deg <= hi:
-                word = []
-                for j in range(n):
-                    if gens[j].parity == EVEN:
-                        word.extend([j] * exps[j])
-                for j in range(n):
-                    if gens[j].parity == ODD and exps[j]:
-                        word.append(j)
-                out.append(tuple(word))
-            return
-        emax = 1 if gens[i].parity == ODD else (
-            (hi - deg) // gdegs[i] if gdegs[i] else 0
-        )
-        for e in range(emax + 1):
-            exps[i] = e
-            rec(i + 1, deg + e * gdegs[i])
-        exps[i] = 0
-
-    rec(0, 0)
+    frontier = [((), 0)]
+    while frontier:
+        nxt = []
+        for w, d in frontier:
+            for i in range(len(gens)):
+                d2 = d + gdegs[i]
+                if d2 > hi:
+                    continue
+                w2 = w + (i,)
+                if d2 > lo:
+                    out.append(w2)
+                if d2 <= lo:
+                    nxt.append((w2, d2))
+        frontier = nxt
     return out
+
+
+def one_letter_extensions(gens, flavor, cap):
+    """The set of canonical words of w g past the cap, w the canonical word
+    of a normal monomial up to the cap and g a generator.  Words grow one
+    letter at a time; a supercommutative word is re-sorted into its even
+    letters then its odd letters, each ascending, and dropped at a
+    repeated odd letter."""
+    degs = [g.bidegree[0] + g.bidegree[1] for g in gens]
+
+    def canonical(word):
+        if flavor == ASSOCIATIVE:
+            return word
+        odds = sorted(i for i in word if gens[i].parity == ODD)
+        if len(set(odds)) < len(odds):
+            return None
+        return tuple(sorted(i for i in word if gens[i].parity == EVEN) + odds)
+
+    within, frontier, past = {()}, [()], set()
+    while frontier:
+        grown = []
+        for w in frontier:
+            d = sum(degs[i] for i in w)
+            for i in range(len(gens)):
+                c = canonical(w + (i,))
+                if c is None:
+                    continue
+                if d + degs[i] > cap:
+                    past.add(c)
+                elif c not in within:
+                    within.add(c)
+                    grown.append(c)
+        frontier = grown
+    return past
+
+
+# ---------------------------------------------------------------------------
+# The superideal worklist as it was before it moved onto Subspace.close,
+# copied verbatim apart from the inlined multiplier list.
 
 
 def superideal_span(A, elements, two_sided=None):

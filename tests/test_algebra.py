@@ -11,6 +11,7 @@ from superdim.algebra import (
     _enumerate_monomials,
     count_monomials,
     Presentation,
+    check_relation,
     compile_presentation,
     is_supercommutative,
     odd_power_span,
@@ -83,6 +84,25 @@ class TestPresentationValidation:
         x = SuperPolynomial.generator(0, SUPERCOMMUTATIVE, gens, QQ)
         with pytest.raises(AlgebraError):
             Presentation(SUPERCOMMUTATIVE, gens, [x * x * x], 2, QQ)
+
+    def test_presentation_applies_check_relation(self):
+        gens = (GeneratorSpec("x", EVEN), GeneratorSpec("y", ODD))
+        x, y = (SuperPolynomial.generator(i, SUPERCOMMUTATIVE, gens, QQ) for i in range(2))
+        one = SuperPolynomial.one(SUPERCOMMUTATIVE, gens, QQ)
+        cases = [
+            (x - x, "zero relation"),
+            (x * x - x, "relation is not degree-homogeneous"),
+            (one, "relation is a nonzero constant"),
+            (x + y, "relation is not parity-homogeneous"),
+            (x * x * x, "relation degree 3 exceeds cap 2"),
+        ]
+        for r, message in cases:
+            with pytest.raises(AlgebraError, match=message):
+                check_relation(r, 2)
+            with pytest.raises(AlgebraError, match=message):
+                Presentation(SUPERCOMMUTATIVE, gens, [r], 2, QQ)
+        check_relation(x * x * x, None)
+        assert Presentation(SUPERCOMMUTATIVE, gens, [x * x * x], None, QQ).cap is None
 
     def test_compile_needs_cap(self):
         gens = (GeneratorSpec("x", EVEN),)

@@ -615,6 +615,32 @@ class TestSubprocess:
         code, _out, err = run_cli("bogus")
         assert code == 2
 
+    def test_relation_past_the_cap_is_reported_at_its_line(self, tmp_path):
+        # the weighted input of the Hilbert goldens with a cap under a*b*z
+        alg = tmp_path / "weighted.alg"
+        alg.write_text(
+            "algebra weighted over Q\nflavor supercommutative\neven a b(2,0)\n"
+            "odd y z(0,3)\ncap 5\nrelations\n  a^2*y - b*y\n  a*b*z\nend\n"
+        )
+        code, out, err = run_cli("sdim", str(alg), timeout=20)
+        assert (code, out) == (2, "")
+        assert "line 8, column 3: relation degree 6 exceeds cap 5" in err
+
+    def test_module_check_reads_only_the_words_next_past_the_cap(self, tmp_path):
+        # a 1-dimensional algebra with 2^21 normal monomials up to degree
+        # cap + 21, whose window past the cap is its 21 one-letter words
+        alg, mod = tmp_path / "odd20.alg", tmp_path / "one.mod"
+        alg.write_text(
+            "algebra odd20 over Q\nflavor supercommutative\neven w(21,0)\nodd %s\ncap 0\n"
+            % " ".join("z%d" % i for i in range(1, 21))
+        )
+        mod.write_text("module one\nm0 : even\n")
+        start = time.perf_counter()
+        code, out, err = run_cli("sdim", str(alg), "--module", str(mod), timeout=20)
+        assert time.perf_counter() - start < 2
+        assert (code, err) == (0, "")
+        assert "super-dimension: 0|0" in out
+
     def test_degree_zero_generator_is_reported_at_its_item(self, tmp_path):
         alg = tmp_path / "zero.alg"
         alg.write_text(

@@ -6,9 +6,10 @@ writes its rows or calls kernel_of_constraints, no scalar division can
 make a float, an F_p scalar is no FpElement, only cli.main writes output
 or picks an exit code, and every public name has one home: the package
 binds only ``__version__``, an ``__all__`` lists only its module's own
-names, and every import is used.  The odd chain is read off an algebra's
-compiled monomials only in ``algebra.odd_filtration``, and
-``sdim_algebra`` does not take the chain of the regular module."""
+names, every import is used and no module imports another's private
+name.  The odd chain is read off an algebra's compiled monomials only in
+``algebra.odd_filtration``, and ``sdim_algebra`` does not take the chain
+of the regular module."""
 
 import ast
 import importlib
@@ -668,14 +669,15 @@ def test_on_demand_check_flags_a_second_module():
     assert _module_action_sites(second) == [3, 6]
 
 
-_TABLE_STATE = {"_fill", "_table"}
+_TABLE_STATE = {"_fill", "_table", "_odd_steps"}
 _MUTATORS = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
 
 
 def _table_write_sites(source):
-    """Lines that assign an algebra's ``_fill`` or ``_table``, write into
-    its table or mutate it: a derived algebra passes its filler to
-    ``FiniteSuperAlgebra.from_table`` and leaves the table to ``mul_basis``."""
+    """Lines that assign an algebra's ``_fill``, ``_table`` or
+    ``_odd_steps``, write into its table or mutate it: a derived algebra
+    passes its filler and its odd steps to ``FiniteSuperAlgebra.from_table``
+    and leaves the table to ``mul_basis``."""
 
     def is_state(node):
         return isinstance(node, ast.Attribute) and node.attr in _TABLE_STATE
@@ -713,8 +715,8 @@ def test_only_algebra_writes_a_product_table(name):
     with open(os.path.join(SRC, name)) as fh:
         sites = _table_write_sites(fh.read())
     assert not sites, (
-        "%s: an algebra's _fill or _table written at lines %s; pass fill= to "
-        "FiniteSuperAlgebra.from_table" % (name, sites)
+        "%s: an algebra's _fill, _table or _odd_steps written at lines %s; pass "
+        "fill= or odd_steps= to FiniteSuperAlgebra.from_table" % (name, sites)
     )
 
 
@@ -732,9 +734,43 @@ def test_table_write_check_flags_an_outside_write():
         "    G._table = {}\n"
         "    setattr(G, '_fill', None)\n"
         "    del G._table[(0, 1)]\n"
-        "    return G._fill, len(G._table)\n"
+        "    G._odd_steps = [c for c in fill(0, 1) if c]\n"
+        "    return G._fill, len(G._table), G._odd_steps\n"
     )
-    assert _table_write_sites(planted) == [3, 5, 6, 7, 8, 9]
+    assert _table_write_sites(planted) == [3, 5, 6, 7, 8, 9, 10]
+
+
+def _private_imports(source):
+    """(line, name) of each underscore name a module imports from another
+    module: a private helper that belongs behind a public one."""
+    return [
+        (node.lineno, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(SRC) if n.endswith(".py")))
+def test_no_module_imports_a_private_name(name):
+    with open(os.path.join(SRC, name)) as fh:
+        sites = _private_imports(fh.read())
+    assert not sites, "%s: imports private names %s" % (name, sites)
+
+
+def test_private_import_check_flags_an_import():
+    # smodule's imports before its cap window moved into algebra, condensed
+    planted = (
+        "from __future__ import annotations\n"
+        "from .algebra import _enumerate_monomials\n"
+        "from .exactlin import Matrix, _scaled as scaled\n"
+        "from . import _private\n"
+        "import superdim.algebra\n"
+    )
+    assert _private_imports(planted) == [
+        (2, "_enumerate_monomials"), (3, "_scaled"), (4, "_private"),
+    ]
 
 
 _COMPILED_MONOMIALS = {"_mono_index", "_basis_monos", "_reduce_mono_vec"}

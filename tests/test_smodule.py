@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from superdim.algebra import (
     Presentation,
     compile_presentation,
+    count_monomials,
     odd_radical,
     quotient_algebra,
     superideal_span,
@@ -22,7 +23,6 @@ from superdim.sdim import sdim
 from superdim.smodule import (
     ModuleError,
     RegularModule,
-    _words_past_cap,
     check_module,
     is_action_closed,
     is_odd_regular,
@@ -35,7 +35,8 @@ from superdim.smodule import (
     submodule,
 )
 
-from superdim.superpoly import EVEN, ODD, SUPERCOMMUTATIVE, GeneratorSpec
+from superdim.algebra import words_past_cap
+from superdim.superpoly import ASSOCIATIVE, EVEN, ODD, SUPERCOMMUTATIVE, GeneratorSpec
 from superdim.textio import parse_module, parse_presentation
 
 from conftest import (
@@ -52,10 +53,11 @@ from oracles import (
     eager_quotient,
     eager_quotient_algebra,
     eager_regular_module,
+    full_cap_window,
     identity_first_word_action,
-    normal_words_in_window,
+    one_letter_extensions,
 )
-from test_algebra import grassmann
+from test_algebra import _weighted_presentation, grassmann
 
 FIELDS = [QQ, PrimeField(2), PrimeField(5)]
 
@@ -463,8 +465,9 @@ class TestRegularElements:
 
 
 class TestCapWindow:
-    """A module over the cap-4 algebra seen over the cap-2 one: the words of
-    degree 3 and 4 that no relation kills act nontrivially."""
+    """The words past the cap that ``check_module`` reads.  A module over the
+    cap-4 algebra seen over the cap-2 one: the words of degree 3 and 4 that
+    no relation kills act nontrivially."""
 
     TEXTS = {
         SUPERCOMMUTATIVE: (
@@ -495,8 +498,12 @@ class TestCapWindow:
         want = ["word beyond the cap acts nontrivially: %s" % w for w in self.RECORDED[flavor]]
         assert sorted(bad) == want
 
-    def test_supercommutative_window_matches_hand_written_enumerator(self):
-        rng = rng_for("supercommutative-cap-window")
+    @pytest.mark.parametrize("flavor", [SUPERCOMMUTATIVE, ASSOCIATIVE])
+    def test_window_is_the_one_letter_extensions(self, flavor):
+        # the words of algebra.words_past_cap, pinned against words grown
+        # letter by letter; the window of each flavor before it: equal for
+        # the associative flavor, a superset for the supercommutative one
+        rng = rng_for("cap-window-%s" % flavor)
         for _trial in range(400):
             gens = []
             for i in range(rng.randint(0, 4)):
@@ -504,13 +511,55 @@ class TestCapWindow:
                 l = rng.choice((0, 2) if parity == EVEN else (1, 3))
                 k = rng.randint(0 if l else 1, 3)
                 gens.append(GeneratorSpec("g%d" % i, parity, (k, l)))
-            cap = rng.randint(0, 8)
-            pres = Presentation(SUPERCOMMUTATIVE, gens, [], cap, QQ)
+            pres = Presentation(flavor, gens, [], rng.randint(0, 8), QQ)
+            if count_monomials(pres, 400) is None:
+                continue
             gdegs = [g.bidegree[0] + g.bidegree[1] for g in gens]
-            hi = cap + (max(gdegs) if gens else 0)
-            words = _words_past_cap(pres)
-            assert len(set(words)) == len(words)
-            assert set(words) == set(normal_words_in_window(gens, gdegs, cap, hi))
+            words = words_past_cap(compile_presentation(pres))
+            assert set(words) == one_letter_extensions(pres.gens, flavor, pres.cap)
+            assert words == sorted(set(words), key=lambda w: (sum(gdegs[i] for i in w), w))
+            full = full_cap_window(pres)
+            if flavor == ASSOCIATIVE:
+                assert set(words) == set(full)
+            else:
+                assert set(words) <= set(full)
+
+    def test_verdict_matches_the_full_window(self):
+        """check_module against the window it read before, on modules over
+        a higher cap moved to a lower one (possibly shifted, quotiented or
+        with one entry changed), so that many fail only past the cap."""
+        rng = rng_for("cap-window-verdict")
+        past_cap_only = 0
+        for trial in range(420):
+            field = FIELDS[trial % 3]
+            flavor = (SUPERCOMMUTATIVE, ASSOCIATIVE)[trial // 3 % 2]
+            pres = _weighted_presentation(rng, flavor, field)
+            cap = pres.cap + rng.randint(0, 3)
+            while True:
+                high = Presentation(flavor, pres.gens, pres.relations, cap, field)
+                if count_monomials(high, 150) is not None:
+                    break
+                cap -= 1
+            low = compile_presentation(pres)
+            N = random_module(rng, compile_presentation(high))
+            actions = list(N.actions)
+            if rng.random() < 0.2 and N.dim:
+                gi = rng.randrange(len(actions))
+                cols = [dict(col) for col in actions[gi].cols]
+                cols[rng.randrange(N.dim)][rng.randrange(N.dim)] = field.one
+                actions[gi] = Matrix.from_cols_sparse(N.dim, cols, field)
+            M = module_from_actions(low, N.parities, actions)
+            bad = check_module(M)
+            past = [b for b in bad if b.startswith("word beyond the cap")]
+            reference = [
+                w for w in full_cap_window(pres)
+                if not identity_first_word_action(M, w).is_zero()
+            ]
+            assert bool(past) == bool(reference)
+            names = {"*".join(pres.gens[i].name for i in w) for w in reference}
+            assert {b.rsplit(": ", 1)[1] for b in past} <= names
+            past_cap_only += bool(bad) and len(past) == len(bad)
+        assert past_cap_only >= 100, past_cap_only
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,26 @@ class TestPresentationGrammar:
                 "not degree-homogeneous",
             ),
             (
+                "algebra a over Q\nflavor supercommutative\neven x\ncap 2\nrelations\n x^2\n x*x*x\nend\n",
+                7,
+                "relation degree 3 exceeds cap 2",
+            ),
+            (
+                "algebra a over Q\nflavor supercommutative\neven x\nodd y\nrelations\n x*y - x\nend\n",
+                6,
+                "not degree-homogeneous",
+            ),
+            (
+                "algebra a over Q\nflavor supercommutative\neven x\nodd y(2,1)\nrelations\n x^3 - y\nend\n",
+                6,
+                "not parity-homogeneous",
+            ),
+            (
+                "algebra a over Q\nflavor supercommutative\neven x\nrelations\n x - x + 3\nend\n",
+                5,
+                "nonzero constant",
+            ),
+            (
                 "algebra a over Q\nflavor supercommutative\neven x\ncap 2\nrelations\n x - y\nend\n",
                 6,
                 "unknown generator",
@@ -243,6 +263,24 @@ class TestModuleGrammar:
     def test_errors(self, text, fragment):
         with pytest.raises(ParseError) as e:
             parse_module(text, self.A)
+        assert fragment in str(e.value)
+
+    @pytest.mark.parametrize(
+        "line,column,fragment",
+        [
+            ("Z1 Z1 -> m0", 4, "unknown basis symbol 'Z1'"),
+            ("  m0 m0 -> m0", 3, "unknown generator 'm0'"),
+            ("Z1  Z1 -> m0", 5, "unknown basis symbol 'Z1'"),
+            ("m1 :  evenish", 7, "parity must be"),
+        ],
+    )
+    def test_errors_point_at_their_token(self, line, column, fragment):
+        # each token's own column, not the first occurrence of its text
+        A = compile_presentation(parse_presentation(
+            "algebra z over Q\nflavor supercommutative\nodd Z1\ncap 1\n"))
+        with pytest.raises(ParseError) as e:
+            parse_module("module m\nm0 : even\n%s\n" % line, A)
+        assert (e.value.span.line, e.value.span.column) == (3, column)
         assert fragment in str(e.value)
 
     def test_lines_after_regular_are_refused_at_their_line(self):
