@@ -27,8 +27,14 @@ The module grammar, relative to a compiled algebra A:
     Z1 m0 -> m1                  # generator action, omitted images are 0
     Y  m1 -> -1*m0 + 1/2*m1
 
+An image is a linear combination of basis symbols: a scalar only scales,
+so two symbols never multiply and no symbol is raised to a power.  It is
+read in K + V, where only the final scalar part must vanish: ``0 + m1``
+and ``(1 + m1) - 1`` are m1.
+
 A list of algebra elements (``parse_elements``) is comma-separated
-expressions in the generators, like ``z1, 1/2*z2 - z1*z3``.
+expressions in the generators, like ``z1, 1/2*z2 - z1*z3``.  Relations,
+images and elements are all evaluated by one tree walk, ``_evaluate``.
 
 Reports serialize to JSON with sorted keys; rationals become
 {"num": ..., "den": ...} objects and matrices row-major arrays, so two
@@ -36,7 +42,6 @@ runs over the same input emit identical bytes.
 """
 
 import json
-import operator
 import re
 from fractions import Fraction
 from math import comb
@@ -54,6 +59,7 @@ from .superpoly import (
     SuperPolynomial,
     monomial_degree,
     monomial_sort_key,
+    multiply,
 )
 
 __all__ = [
@@ -226,54 +232,69 @@ def _parse_expression(text, line, column0):
     return _ExprParser(_tokenize(text, line, column0)).parse()
 
 
-def _poly_eval(node, pres, relation_span):
-    """Evaluate an expression tree to a SuperPolynomial over pres.gens.
+def _evaluate(node, span, field, unit, lookup, product, raise_to):
+    """An expression tree as a sparse dict: the one walk that relations,
+    module images and element lists go through.  A number c is {unit: c};
+    negation, sums and differences go through vec_add_scaled.  The caller
+    supplies ``lookup(name, name_span)``, ``product(u, v)`` for '*' and
+    ``raise_to(v, n)`` for '^'.  A coefficient undefined over the field, or
+    a power refused by ``exactlin.power``, is reported at ``span``."""
 
-    ``relation_span`` locates the error when a power is refused by the cap.
-    """
-    kind = node[0]
-    if kind == "num":
-        return SuperPolynomial.one(pres.flavor, pres.gens, pres.field).scaled(
-            node[1]
-        )
-    if kind == "ident":
-        name, span = node[1], node[2]
-        for i, g in enumerate(pres.gens):
+    def walk(node):
+        kind = node[0]
+        if kind == "num":
+            c = field.of(node[1])
+            return {unit: c} if c else {}
+        if kind == "ident":
+            return lookup(node[1], node[2])
+        if kind == "neg":
+            return vec_add_scaled({}, walk(node[1]), -1, field)
+        if kind == "pow":
+            return raise_to(walk(node[1]), node[2])
+        left, right = walk(node[1]), walk(node[2])
+        if kind == "mul":
+            return product(left, right)
+        return vec_add_scaled(dict(left), right, -1 if kind == "sub" else 1, field)
+
+    try:
+        return walk(node)
+    except ParseError:
+        raise
+    except ZeroDivisionError:
+        raise ParseError("a coefficient is not defined over %s" % field.name, span)
+    except ValueError as exc:  # a power with a coefficient past exactlin.POWER_BITS
+        raise ParseError(str(exc), span)
+
+
+def _relation(node, span, pres):
+    """A relation's tree as a SuperPolynomial over pres.gens.  A power that
+    leaves the cap, or may expand past MAX_POWER_TERMS terms, is refused at
+    ``span`` before it is multiplied out."""
+    gens, flavor, field = pres.gens, pres.flavor, pres.field
+
+    def poly(terms):
+        return SuperPolynomial(flavor, gens, field, terms)
+
+    def generator(name, name_span):
+        for i, g in enumerate(gens):
             if g.name == name:
-                return SuperPolynomial.generator(
-                    i, pres.flavor, pres.gens, pres.field
-                )
-        raise ParseError("unknown generator %r" % name, span)
-    if kind == "neg":
-        return -_poly_eval(node[1], pres, relation_span)
-    if kind in ("add", "sub"):
-        left = _poly_eval(node[1], pres, relation_span)
-        right = _poly_eval(node[2], pres, relation_span)
-        return left + right if kind == "add" else left - right
-    if kind == "mul":
-        return _poly_eval(node[1], pres, relation_span) * _poly_eval(node[2], pres, relation_span)
-    if kind == "pow":
-        base, n = _poly_eval(node[1], pres, relation_span), node[2]
-        high = _power_degree_past_cap(base, n, pres)
+                return SuperPolynomial.generator(i, flavor, gens, field).terms
+        raise ParseError("unknown generator %r" % name, name_span)
+
+    def product(a, b):
+        return multiply(poly(a), poly(b)).terms
+
+    def raise_to(base, n):
+        high = _power_degree_past_cap(poly(base), n, pres)
         if high is not None:
             raise ParseError("relation degree exceeds cap %d (a power of degree >= %d)"
-                             % (pres.cap, high), relation_span)
-        if _power_terms_past_budget(base, n, pres):
-            raise ParseError("a power may expand to more than %d terms" % MAX_POWER_TERMS,
-                             relation_span)
+                             % (pres.cap, high), span)
+        if _power_terms_past_budget(poly(base), n, pres):
+            raise ParseError("a power may expand to more than %d terms" % MAX_POWER_TERMS, span)
+        return power(base, n, {unit: field.one}, product, dict.values)
 
-        def poly(terms):
-            return SuperPolynomial(pres.flavor, pres.gens, pres.field, terms)
-
-        # power() works on the term dicts, whose truth value is nonzero-ness.
-        one = SuperPolynomial.one(pres.flavor, pres.gens, pres.field)
-        try:
-            terms = power(base.terms, n, one.terms, lambda a, b: (poly(a) * poly(b)).terms,
-                          dict.values)
-        except ValueError as exc:
-            raise ParseError(str(exc), relation_span)
-        return poly(terms)
-    raise AssertionError("unreachable node kind %r" % (kind,))
+    unit = () if flavor == ASSOCIATIVE else (0,) * len(gens)
+    return poly(_evaluate(node, span, field, unit, generator, product, raise_to))
 
 
 def _power_degree_past_cap(base, n, pres):
@@ -333,92 +354,54 @@ def _power_terms_past_budget(base, n, pres):
     return bound > MAX_POWER_TERMS
 
 
-def _combo_eval(node, symtab, field, span_of_line):
-    """Evaluate to ('scalar', c) or ('vec', sparse dict over basis slots)."""
-    kind = node[0]
-    if kind == "num":
-        return ("scalar", field.of(node[1]))
-    if kind == "ident":
-        name, span = node[1], node[2]
+def _module_image(node, span, symtab, field):
+    """An action image's tree as a sparse vector over basis slots, read in
+    K + V with the scalar part at slot -1: a product may only scale, a power
+    may only raise a scalar, and the final scalar part must vanish.  Each
+    refusal is at ``span``."""
+    scalar = -1
+
+    def symbol(name, name_span):
         if name not in symtab:
-            raise ParseError("unknown basis symbol %r" % name, span)
-        return ("vec", {symtab[name]: field.one})
-    if kind == "neg":
-        k, v = _combo_eval(node[1], symtab, field, span_of_line)
-        if k == "scalar":
-            return ("scalar", field.neg(v))
-        return ("vec", vec_add_scaled({}, v, -1, field))
-    if kind in ("add", "sub"):
-        lk, lv = _combo_eval(node[1], symtab, field, span_of_line)
-        rk, rv = _combo_eval(node[2], symtab, field, span_of_line)
-        if lk != rk:
-            raise ParseError(
-                "cannot add a scalar and a basis combination", span_of_line
-            )
-        if lk == "scalar":
-            return ("scalar", field.of(lv + rv if kind == "add" else lv - rv))
-        return ("vec", vec_add_scaled(dict(lv), rv, 1 if kind == "add" else -1, field))
-    if kind == "mul":
-        lk, lv = _combo_eval(node[1], symtab, field, span_of_line)
-        rk, rv = _combo_eval(node[2], symtab, field, span_of_line)
-        if lk == "scalar" and rk == "scalar":
-            return ("scalar", field.of(lv * rv))
-        if lk == "scalar":
-            return ("vec", vec_add_scaled({}, rv, lv, field))
-        if rk == "scalar":
-            return ("vec", vec_add_scaled({}, lv, rv, field))
-        raise ParseError("cannot multiply two basis symbols", span_of_line)
-    if kind == "pow":
-        k, v = _combo_eval(node[1], symtab, field, span_of_line)
-        if k != "scalar":
-            raise ParseError("cannot raise a basis symbol to a power", span_of_line)
-        if field.characteristic:  # modular, whatever the exponent
-            return ("scalar", pow(v, node[2], field.characteristic))
-        try:
-            return ("scalar", power(v, node[2], field.one, operator.mul, lambda c: (c,)))
-        except ValueError as exc:
-            raise ParseError(str(exc), span_of_line)
-    raise AssertionError("unreachable node kind %r" % (kind,))
+            raise ParseError("unknown basis symbol %r" % name, name_span)
+        return {symtab[name]: field.one}
 
+    def scale(u, v):
+        for c, w in ((u, v), (v, u)):
+            if c.keys() <= {scalar}:
+                return vec_add_scaled({}, w, field.of(c.get(scalar, 0)), field)
+        raise ParseError("cannot multiply two basis symbols", span)
 
-def _element_eval(node, A):
-    """Evaluate an expression tree to an element vector of the algebra A."""
-    kind = node[0]
-    if kind == "num":
-        c = A.field.of(node[1])
-        return {A.unit_index: c} if c else {}
-    if kind == "ident":
-        try:
-            return A.generator_element(node[1])
-        except AlgebraError:
-            raise ParseError("unknown generator %r" % node[1], node[2])
-    if kind == "neg":
-        return vec_add_scaled({}, _element_eval(node[1], A), -1, A.field)
-    if kind in ("add", "sub"):
-        sign = 1 if kind == "add" else -1
-        return vec_add_scaled(dict(_element_eval(node[1], A)), _element_eval(node[2], A), sign,
-                              A.field)
-    if kind == "mul":
-        return A.mul(_element_eval(node[1], A), _element_eval(node[2], A))
-    if kind == "pow":
-        return A.power_of_element(_element_eval(node[1], A), node[2])
-    raise AssertionError("unreachable node kind %r" % (kind,))
+    def raise_scalar(v, n):
+        if not v.keys() <= {scalar}:
+            raise ParseError("cannot raise a basis symbol to a power", span)
+        return power(v, n, {scalar: field.one}, scale, dict.values)
+
+    vec = _evaluate(node, span, field, scalar, symbol, scale, raise_scalar)
+    if vec.pop(scalar, 0):
+        raise ParseError("cannot add a scalar and a basis combination" if vec
+                         else "a nonzero constant is not a module vector", span)
+    return vec
 
 
 def parse_elements(text, A):
     """Comma-separated expressions in A's generators, as element vectors;
     an error is located on line 1 at its column in ``text``."""
+
+    def generator(name, name_span):
+        try:
+            return A.generator_element(name)
+        except AlgebraError:
+            raise ParseError("unknown generator %r" % name, name_span)
+
     out, col0 = [], 0
     for chunk in text.split(","):
         body = chunk.strip()
         if body:
             start = col0 + len(chunk) - len(chunk.lstrip())
             node = _parse_expression(body, 1, start)
-            try:
-                out.append(_element_eval(node, A))
-            except ZeroDivisionError:
-                raise ParseError("a coefficient is not defined over %s" % A.field.name,
-                                 SourceSpan(1, start + 1, len(body)))
+            out.append(_evaluate(node, SourceSpan(1, start + 1, len(body)), A.field,
+                                 A.unit_index, generator, A.mul, A.power_of_element))
         col0 += len(chunk) + 1
     return out
 
@@ -548,10 +531,7 @@ def parse_presentation(text, field=None):
     probe = presentation([])
     relations = []
     for node, span in pending:
-        try:
-            poly = _poly_eval(node, probe, span)
-        except ZeroDivisionError:
-            raise ParseError("a coefficient is not defined over %s" % field.name, span)
+        poly = _relation(node, span, probe)
         if poly.is_zero():
             continue
         try:
@@ -686,18 +666,7 @@ def parse_module(text, A):
             col0 = len(body) - len(right)
             span = SourceSpan(n, col0 + 1, max(len(right.strip()), 1))
             node = _parse_expression(right.strip(), n, col0 + (len(right) - len(right.lstrip())))
-            try:
-                kind, val = _combo_eval(node, symtab, A.field, span)
-            except ZeroDivisionError:
-                raise ParseError("a coefficient is not defined over %s" % A.field.name, span)
-            if kind == "scalar":
-                if val:
-                    raise ParseError(
-                        "a nonzero constant is not a module vector", span
-                    )
-                vec = {}
-            else:
-                vec = val
+            vec = _module_image(node, span, symtab, A.field)
             want = (gen_parity[gname] + parities[symtab[sym]]) % 2
             for r in vec:
                 if parities[r] != want:

@@ -9,13 +9,14 @@ basis-stepped filtrations, the Fraction-only rationals, the full cap
 window, the hand-written closure, the unpruned ideal closure, the eagerly
 built regular module, the identity-first word action, the submodule read
 through span coordinates, the eager quotient module and quotient
-algebra, the two-pass graded components, the scan-all echelon and the
-two-echelon graded span at the end are the exception: they are the
-package's earlier kernels, kept to pin the current ones to the same
-results.
+algebra, the two-pass graded components, the scan-all echelon, the
+two-echelon graded span and the three expression walkers at the end are
+the exception: they are the package's earlier kernels, kept to pin the
+current ones to the same results.
 """
 
 import itertools
+import operator
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
@@ -34,6 +35,7 @@ from superdim.exactlin import (
     _scaled,
     Subspace,
     kernel_of_constraints,
+    power,
     row_rank,
     vec_add_scaled,
     vec_dot,
@@ -51,6 +53,13 @@ from superdim.superpoly import (
     monomial_sort_key,
     monomial_word,
     mul_monomials,
+    SuperPolynomial,
+)
+from superdim.textio import (
+    MAX_POWER_TERMS,
+    ParseError,
+    _power_degree_past_cap,
+    _power_terms_past_budget,
 )
 
 
@@ -1947,3 +1956,132 @@ class TwoEchelonSubspace:
         return all(other.contains(r) for r in self.basis()) and all(
             self.contains(r) for r in other.basis()
         )
+
+
+# ---------------------------------------------------------------------------
+# the three expression walkers textio had before its one evaluator: a
+# relation to a SuperPolynomial, a module image to a ("scalar", c) or
+# ("vec", v) pair, and an algebra element to its vector.  Copied verbatim;
+# the power refusals of a relation are textio's own.
+
+
+def _poly_eval(node, pres, relation_span):
+    """Evaluate an expression tree to a SuperPolynomial over pres.gens.
+
+    ``relation_span`` locates the error when a power is refused by the cap.
+    """
+    kind = node[0]
+    if kind == "num":
+        return SuperPolynomial.one(pres.flavor, pres.gens, pres.field).scaled(
+            node[1]
+        )
+    if kind == "ident":
+        name, span = node[1], node[2]
+        for i, g in enumerate(pres.gens):
+            if g.name == name:
+                return SuperPolynomial.generator(
+                    i, pres.flavor, pres.gens, pres.field
+                )
+        raise ParseError("unknown generator %r" % name, span)
+    if kind == "neg":
+        return -_poly_eval(node[1], pres, relation_span)
+    if kind in ("add", "sub"):
+        left = _poly_eval(node[1], pres, relation_span)
+        right = _poly_eval(node[2], pres, relation_span)
+        return left + right if kind == "add" else left - right
+    if kind == "mul":
+        return _poly_eval(node[1], pres, relation_span) * _poly_eval(node[2], pres, relation_span)
+    if kind == "pow":
+        base, n = _poly_eval(node[1], pres, relation_span), node[2]
+        high = _power_degree_past_cap(base, n, pres)
+        if high is not None:
+            raise ParseError("relation degree exceeds cap %d (a power of degree >= %d)"
+                             % (pres.cap, high), relation_span)
+        if _power_terms_past_budget(base, n, pres):
+            raise ParseError("a power may expand to more than %d terms" % MAX_POWER_TERMS,
+                             relation_span)
+
+        def poly(terms):
+            return SuperPolynomial(pres.flavor, pres.gens, pres.field, terms)
+
+        # power() works on the term dicts, whose truth value is nonzero-ness.
+        one = SuperPolynomial.one(pres.flavor, pres.gens, pres.field)
+        try:
+            terms = power(base.terms, n, one.terms, lambda a, b: (poly(a) * poly(b)).terms,
+                          dict.values)
+        except ValueError as exc:
+            raise ParseError(str(exc), relation_span)
+        return poly(terms)
+    raise AssertionError("unreachable node kind %r" % (kind,))
+
+
+def _combo_eval(node, symtab, field, span_of_line):
+    """Evaluate to ('scalar', c) or ('vec', sparse dict over basis slots)."""
+    kind = node[0]
+    if kind == "num":
+        return ("scalar", field.of(node[1]))
+    if kind == "ident":
+        name, span = node[1], node[2]
+        if name not in symtab:
+            raise ParseError("unknown basis symbol %r" % name, span)
+        return ("vec", {symtab[name]: field.one})
+    if kind == "neg":
+        k, v = _combo_eval(node[1], symtab, field, span_of_line)
+        if k == "scalar":
+            return ("scalar", field.neg(v))
+        return ("vec", vec_add_scaled({}, v, -1, field))
+    if kind in ("add", "sub"):
+        lk, lv = _combo_eval(node[1], symtab, field, span_of_line)
+        rk, rv = _combo_eval(node[2], symtab, field, span_of_line)
+        if lk != rk:
+            raise ParseError(
+                "cannot add a scalar and a basis combination", span_of_line
+            )
+        if lk == "scalar":
+            return ("scalar", field.of(lv + rv if kind == "add" else lv - rv))
+        return ("vec", vec_add_scaled(dict(lv), rv, 1 if kind == "add" else -1, field))
+    if kind == "mul":
+        lk, lv = _combo_eval(node[1], symtab, field, span_of_line)
+        rk, rv = _combo_eval(node[2], symtab, field, span_of_line)
+        if lk == "scalar" and rk == "scalar":
+            return ("scalar", field.of(lv * rv))
+        if lk == "scalar":
+            return ("vec", vec_add_scaled({}, rv, lv, field))
+        if rk == "scalar":
+            return ("vec", vec_add_scaled({}, lv, rv, field))
+        raise ParseError("cannot multiply two basis symbols", span_of_line)
+    if kind == "pow":
+        k, v = _combo_eval(node[1], symtab, field, span_of_line)
+        if k != "scalar":
+            raise ParseError("cannot raise a basis symbol to a power", span_of_line)
+        if field.characteristic:  # modular, whatever the exponent
+            return ("scalar", pow(v, node[2], field.characteristic))
+        try:
+            return ("scalar", power(v, node[2], field.one, operator.mul, lambda c: (c,)))
+        except ValueError as exc:
+            raise ParseError(str(exc), span_of_line)
+    raise AssertionError("unreachable node kind %r" % (kind,))
+
+
+def _element_eval(node, A):
+    """Evaluate an expression tree to an element vector of the algebra A."""
+    kind = node[0]
+    if kind == "num":
+        c = A.field.of(node[1])
+        return {A.unit_index: c} if c else {}
+    if kind == "ident":
+        try:
+            return A.generator_element(node[1])
+        except AlgebraError:
+            raise ParseError("unknown generator %r" % node[1], node[2])
+    if kind == "neg":
+        return vec_add_scaled({}, _element_eval(node[1], A), -1, A.field)
+    if kind in ("add", "sub"):
+        sign = 1 if kind == "add" else -1
+        return vec_add_scaled(dict(_element_eval(node[1], A)), _element_eval(node[2], A), sign,
+                              A.field)
+    if kind == "mul":
+        return A.mul(_element_eval(node[1], A), _element_eval(node[2], A))
+    if kind == "pow":
+        return A.power_of_element(_element_eval(node[1], A), node[2])
+    raise AssertionError("unreachable node kind %r" % (kind,))

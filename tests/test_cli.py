@@ -641,6 +641,19 @@ class TestSubprocess:
         assert (code, err) == (0, "")
         assert "super-dimension: 0|0" in out
 
+    @pytest.mark.parametrize(
+        "args,where",
+        [
+            (("regular", asset("grassmann2.alg"), "--module", asset("regular.mod"),
+              "--elems", "z1,2^99999*z2"), "line 1, column 4"),
+            (("gr", asset("grassmann2.alg"), "--ideal", "2^99999*z1"), "line 1, column 1"),
+        ],
+    )
+    def test_a_refused_element_power_names_its_element(self, args, where):
+        code, out, err = run_cli(*args, timeout=2)
+        assert (code, out) == (2, "")
+        assert err == "error: %s: a power has a coefficient past 16384 bits\n" % where
+
     def test_degree_zero_generator_is_reported_at_its_item(self, tmp_path):
         alg = tmp_path / "zero.alg"
         alg.write_text(
@@ -984,29 +997,44 @@ def _exterior(s):
 
 class TestOddParamsMemory:
     """The subset search builds no matrix per product: each run is a fresh
-    process with its peak RSS read from the child's ``ru_maxrss``.  With one
-    cached dim x dim matrix per product monomial, Lambda_12 at size 6 took
-    1 GB and Lambda_14 at size 7 ran out of memory."""
+    process that reports its own peak RSS (``VmHWM``).  With one cached
+    dim x dim matrix per product monomial, Lambda_12 at size 6 took 1 GB and
+    Lambda_14 at size 7 ran out of memory."""
 
-    @staticmethod
-    def _run(tmp_path, s, size, address_space=None):
+    # The child writes its VmHWM to a side file, so its stderr stays the
+    # command's.  The ru_maxrss that os.wait4 reports would also keep the
+    # pages the child shared with this process before exec.
+    _MAIN = (
+        "import sys\n"
+        "from superdim.cli import main\n"
+        "code = main(sys.argv[2:])\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    kb = next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:'))\n"
+        "with open(sys.argv[1], 'w') as fh:\n"
+        "    fh.write(str(kb))\n"
+        "sys.exit(code)\n"
+    )
+
+    @classmethod
+    def _run(cls, tmp_path, s, size, address_space=None):
         (tmp_path / "l.alg").write_text(_exterior(s))
-        argv = [sys.executable, "-m", "superdim", "odd-params", str(tmp_path / "l.alg"),
-                "--size", str(size)]
+        argv = [sys.executable, "-c", cls._MAIN, str(tmp_path / "hwm"), "odd-params",
+                str(tmp_path / "l.alg"), "--size", str(size)]
         env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
 
-        def limits():  # CPU seconds bound the run, as os.wait4 has no timeout
+        def limits():  # CPU seconds bound the run
             resource.setrlimit(resource.RLIMIT_CPU, (120, 120))
             if address_space is not None:
                 resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
         with open(tmp_path / "out", "w+") as out, open(tmp_path / "err", "w+") as err:
-            proc = subprocess.Popen(argv, stdout=out, stderr=err, env=env, preexec_fn=limits)
-            _pid, status, usage = os.wait4(proc.pid, 0)
-            proc.returncode = os.waitstatus_to_exitcode(status)
+            code = subprocess.Popen(argv, stdout=out, stderr=err, env=env,
+                                    preexec_fn=limits).wait()
             out.seek(0)
             err.seek(0)
-            return proc.returncode, out.read(), err.read(), usage.ru_maxrss / 1024
+            hwm = tmp_path / "hwm"  # absent if main did not return
+            rss_mb = int(hwm.read_text()) / 1024 if hwm.exists() else None
+            return code, out.read(), err.read(), rss_mb
 
     def test_lambda12_size6_under_200mb(self, tmp_path):
         code, out, err, rss_mb = self._run(tmp_path, 12, 6, address_space=1 << 30)

@@ -8,8 +8,9 @@ or picks an exit code, and every public name has one home: the package
 binds only ``__version__``, an ``__all__`` lists only its module's own
 names, every import is used and no module imports another's private
 name.  The odd chain is read off an algebra's compiled monomials only in
-``algebra.odd_filtration``, and ``sdim_algebra`` does not take the chain
-of the regular module."""
+``algebra.odd_filtration``, ``sdim_algebra`` does not take the chain
+of the regular module, and only ``textio._evaluate`` walks expression
+trees."""
 
 import ast
 import importlib
@@ -873,3 +874,60 @@ def test_module_chain_check_flags_a_reroute():
         "odd_power_spans_of_module",
         "regular_module",
     }
+
+
+# Kinds only an expression tree node has; "ident" is a token kind too.
+_NODE_KINDS = {"num", "neg", "add", "sub", "mul", "pow"}
+
+
+def _node_dispatch_sites(source):
+    """(function, line) of each comparison or match case against an
+    expression node kind, by the top-level function or method it is in: a
+    walk over expression trees."""
+    tree = ast.parse(source)
+    functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)] + [
+        m for c in tree.body if isinstance(c, ast.ClassDef) for m in c.body
+        if isinstance(m, ast.FunctionDef)
+    ]
+    return [
+        (fn.name, node.lineno)
+        for fn in functions
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Compare, ast.MatchValue))
+        and any(isinstance(c, ast.Constant) and c.value in _NODE_KINDS for c in ast.walk(node))
+    ]
+
+
+def test_one_expression_evaluator():
+    with open(os.path.join(SRC, "textio.py")) as fh:
+        walkers = {fn for fn, _line in _node_dispatch_sites(fh.read())}
+    assert walkers == {"_evaluate"}, "expression trees walked in %s; use _evaluate" % sorted(
+        walkers
+    )
+
+
+def test_evaluator_check_flags_a_second_walker():
+    planted = (
+        "def _evaluate(node):\n"
+        "    if node[0] == 'num':\n"
+        "        return node[1]\n"
+        "def _poly_eval(node, pres):\n"
+        "    kind = node[0]\n"
+        "    if kind in ('add', 'sub'):\n"
+        "        return 1\n"
+        "    if 'mul' == kind:\n"
+        "        return 2\n"
+        "class Walker:\n"
+        "    def visit(self, node):\n"
+        "        match node[0]:\n"
+        "            case 'pow':\n"
+        "                return 3\n"
+        "def tokens(kind):\n"
+        "    return kind == 'ident' or kind == 'number'\n"
+    )
+    assert _node_dispatch_sites(planted) == [
+        ("_evaluate", 2),
+        ("_poly_eval", 6),
+        ("_poly_eval", 8),
+        ("visit", 13),
+    ]

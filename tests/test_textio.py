@@ -306,6 +306,25 @@ class TestModuleGrammar:
         M = parse_module("module m\nm0 : even\n", self.A)
         assert M.actions[0].is_zero()
 
+    @pytest.mark.parametrize(
+        "image,message",
+        [
+            ("m0*m1", "cannot multiply two basis symbols"),
+            ("1 + m1", "cannot add a scalar and a basis combination"),
+            ("m1^2", "cannot raise a basis symbol to a power"),
+        ],
+    )
+    def test_image_refusals_are_at_the_image(self, image, message):
+        with pytest.raises(ParseError) as e:
+            parse_module("module m\nm0 : even\nm1 : odd\nz1 m0 -> %s\n" % image, self.A)
+        assert str(e.value) == "line 4, column 9: " + message
+
+    @pytest.mark.parametrize("image", ["0 + m1", "(1 + m1) - 1", "m1 + 2*m0*(m0 - m0)"])
+    def test_a_vanishing_scalar_next_to_basis_symbols_is_read(self, image):
+        # an image is read in K + V: only its final scalar part must vanish
+        M = parse_module("module m\nm0 : even\nm1 : odd\nz1 m0 -> %s\n" % image, self.A)
+        assert M.actions[0].cols_sparse()[0] == {1: 1}
+
 
 class TestElements:
     def setup_method(self):
@@ -329,6 +348,10 @@ class TestElements:
         F5 = compile_presentation(parse_presentation(load("grassmann2.alg"), field=PrimeField(5)))
         with pytest.raises(ParseError, match="line 1, column 5: a coefficient is not defined"):
             parse_elements("z1, 2/5*z2", F5)
+
+    def test_a_refused_power_names_its_element(self):
+        with pytest.raises(ParseError, match="line 1, column 4: a power has a coefficient past"):
+            parse_elements("z1,2^99999*z2", self.A)
 
 
 class TestReports:
