@@ -13,10 +13,13 @@ and quotient algebras are closed, checked and projected the same way.
 Every finite-dimensional superalgebra here is automatically Artinian,
 which is what the dimension theory downstream assumes.
 
-A :class:`FiniteSuperAlgebra` is either monomial-kind (it remembers its
-presentation) or table-kind (a basis-by-basis product, used for
-square-zero extensions, associated graded algebras and quotients).  Both
-multiply basis elements in one way, ``mul_basis``: a pair is read from the
+Every :class:`FiniteSuperAlgebra` is built by one constructor,
+``FiniteSuperAlgebra.from_table``: compiled presentations, quotients,
+associated graded algebras and square-zero extensions alike.  A compiled
+one is monomial-kind: ``compile_presentation`` then adds only its
+presentation and its compiled monomials, and its ``kind`` and ``cap``
+follow from the presentation.  Any other is table-kind.  All multiply
+basis elements in one way, ``mul_basis``: a pair is read from the
 algebra's table, or solved by its filler the first time it is read and
 cached there.  The filler of a monomial-kind algebra reduces the product
 monomial modulo the ideal; ``quotient_algebra`` projects the product in
@@ -64,13 +67,22 @@ def check_relation(r, cap):
         raise AlgebraError("relation degree %d exceeds cap %d" % (d, cap))
 
 
+# Generators a presentation admits.  The monomial enumerations here and in
+# hilbert.box_monomials recurse once per generator, so they stay under 300
+# frames; no shipped asset, test or benchmark input uses more than 21.
+MAX_GENERATORS = 256
+
+
 class Presentation:
-    """Flavor, generators, relations (each passing ``check_relation``), degree cap, field."""
+    """Flavor, generators (at most MAX_GENERATORS), relations (each passing
+    ``check_relation``), degree cap, field."""
 
     def __init__(self, flavor, gens, relations, cap, field, name="algebra"):
         if flavor not in (SUPERCOMMUTATIVE, ASSOCIATIVE):
             raise AlgebraError("unknown flavor %r" % (flavor,))
         gens = tuple(gens)
+        if len(gens) > MAX_GENERATORS:
+            raise AlgebraError("more than %d generators" % MAX_GENERATORS)
         names = [g.name for g in gens]
         if len(set(names)) != len(names):
             raise AlgebraError("duplicate generator names")
@@ -88,8 +100,9 @@ class Presentation:
         self.name = name
 
 
-# Normal monomials up to the cap that compile_presentation admits; the
-# largest count a shipped asset, test or benchmark input reaches is 259.
+# Normal monomials up to the cap that compile_presentation admits.  The
+# shipped assets and benchmark jobs reach at most 259 (corpus B), and the
+# tests 16,384 (Lambda_14 in test_cli).
 MAX_MONOMIALS = 1 << 16
 
 
@@ -204,6 +217,12 @@ def words_past_cap(A):
     return [monomial_word(m, gens, flavor) for m in past]
 
 
+def _on_monomials(p, index):
+    """A polynomial as a vector on the compiled monomials ``index``: its
+    terms past the cap, the monomials ``index`` lacks, are zero."""
+    return {index[m]: c for m, c in p.terms.items() if m in index}
+
+
 def compile_presentation(pres):
     """Quotient of the free (super)algebra by relations and the degree cap."""
     if pres.cap is None:
@@ -216,14 +235,6 @@ def compile_presentation(pres):
     neg = field.neg
     monomials = _enumerate_monomials(gens, flavor, cap)
     index = {m: i for i, m in enumerate(monomials)}
-
-    def poly_vec(p):
-        v = {}
-        for m, c in p.terms.items():
-            if monomial_degree(m, gens, flavor) <= cap:
-                v[index[m]] = c
-        return v
-
     # degree is additive, so a product past the cap is skipped before it is formed
     degrees = [monomial_degree(m, gens, flavor) for m in monomials]
     gen_degrees = [g.bidegree[0] + g.bidegree[1] for g in gens]
@@ -254,7 +265,7 @@ def compile_presentation(pres):
     parities = [monomial_parity(m, gens, flavor) for m in monomials]
     ideal = Subspace(parities, field)
     ideal.close(
-        map(poly_vec, pres.relations),
+        (_on_monomials(r, index) for r in pres.relations),
         [
             lambda v, gi=gi, side=side: mul_vec_by_gen(v, gi, side)
             for gi in range(len(gens))
@@ -281,24 +292,13 @@ def compile_presentation(pres):
         out = project({index[m]: field.one})
         return {k: neg(c) for k, c in out.items()} if sign < 0 else out
 
-    A = FiniteSuperAlgebra.__new__(FiniteSuperAlgebra)
-    A.kind = "monomial"
-    A.field = field
-    A.name = pres.name
+    labels = [monomial_name(m, gens, flavor) for m in basis_monos]
+    A = FiniteSuperAlgebra.from_table(labels, [parities[i] for i in keep], field, {}, 0,
+                                      name=pres.name, fill=product)
     A.presentation = pres
-    A.cap = cap
     A._mono_index = index
     A._basis_monos = basis_monos
     A._reduce_mono_vec = project
-    A.dim = len(basis_monos)
-    A.labels = [monomial_name(m, gens, flavor) for m in basis_monos]
-    A.parities = [parities[i] for i in keep]
-    A.unit_index = 0
-    A._table = {}
-    A._fill = product
-    A._odd_steps = None
-    A._odd_module_generators = None
-    A._generators = None
     return A
 
 
@@ -357,34 +357,23 @@ def odd_filtration(A):
 class FiniteSuperAlgebra:
     """A finite-dimensional superalgebra with an explicit basis.
 
-    Monomial-kind instances come out of :func:`compile_presentation`;
-    table-kind instances are built from an explicit basis product via
-    :meth:`from_table`.  Both expose the same element interface.
+    Every instance is built by :meth:`from_table`.  Monomial-kind ones come
+    out of :func:`compile_presentation`, which adds the presentation and
+    the compiled monomials; table-kind ones have no presentation.  Both
+    expose the same element interface.
     """
 
     @classmethod
-    def from_table(
-        cls,
-        labels,
-        parities,
-        field,
-        table,
-        unit_index,
-        name="algebra",
-        odd_module_generators=None,
-        fill=None,
-        odd_steps=None,
-    ):
+    def from_table(cls, labels, parities, field, table, unit_index, name="algebra",
+                   odd_module_generators=None, fill=None, odd_steps=None):
         """The algebra with the given basis products; ``fill(i, j)``, when
         given, solves a pair missing from ``table`` the first time it is
         read (see ``mul_basis``).  ``odd_steps``, when given, are the odd
         elements that ``odd_multipliers`` returns."""
         A = cls.__new__(cls)
-        A.kind = "table"
         A.field = field
         A.name = name
         A.presentation = None
-        A.cap = None
         A.dim = len(labels)
         A.labels = list(labels)
         A.parities = list(parities)
@@ -397,6 +386,16 @@ class FiniteSuperAlgebra:
         if A.parities[unit_index] != EVEN:
             raise AlgebraError("unit must be even")
         return A
+
+    @property
+    def kind(self):
+        """The algebra's kind: "monomial" when compiled from a presentation."""
+        return "table" if self.presentation is None else "monomial"
+
+    @property
+    def cap(self):
+        """The presentation's degree cap; None for a table-kind algebra."""
+        return None if self.presentation is None else self.presentation.cap
 
     # -- element plumbing ---------------------------------------------------
 
@@ -441,16 +440,12 @@ class FiniteSuperAlgebra:
 
     def reduce_poly(self, p):
         """Image of a SuperPolynomial in the algebra, as an element vec."""
-        if self.kind != "monomial":
-            raise AlgebraError("reduce_poly needs a monomial-kind algebra")
         pres = self.presentation
+        if pres is None:
+            raise AlgebraError("reduce_poly needs a monomial-kind algebra")
         if p.flavor != pres.flavor or p.gens != pres.gens:
             raise AlgebraError("polynomial from a different context")
-        vec = {}
-        for m, c in p.terms.items():
-            if monomial_degree(m, pres.gens, pres.flavor) <= self.cap:
-                vec[self._mono_index[m]] = c
-        return self._reduce_mono_vec(vec)
+        return self._reduce_mono_vec(_on_monomials(p, self._mono_index))
 
     def basis_word(self, i):
         """Canonical generator word of a basis monomial (monomial kind)."""
@@ -467,8 +462,8 @@ class FiniteSuperAlgebra:
         whole basis.
         """
         if self._generators is None:
-            if self.kind == "monomial":
-                pres = self.presentation
+            pres = self.presentation
+            if pres is not None:
                 gs = []
                 for gi, g in enumerate(pres.gens):
                     p = SuperPolynomial.generator(
@@ -499,7 +494,7 @@ class FiniteSuperAlgebra:
         """
         if self._odd_module_generators is not None:
             return list(self._odd_module_generators)
-        if self.kind == "monomial":
+        if self.presentation is not None:
             return [
                 (label, vec)
                 for label, parity, vec in self.generators
@@ -563,7 +558,7 @@ def presented_supercommutative(A):
     A-stable subspace S the subspace A g S is g S; filtrations can step by
     generators instead of bases.
     """
-    return A.kind == "monomial" and A.presentation.flavor == SUPERCOMMUTATIVE
+    return A.presentation is not None and A.presentation.flavor == SUPERCOMMUTATIVE
 
 
 def odd_multipliers(A):
@@ -684,7 +679,7 @@ def quotient_algebra(A, ideal, name=None):
     unit = project(A.unit_element())
     assert list(unit.values()) == [A.field.one]
     omg = None
-    if A._odd_module_generators is not None or A.kind == "monomial":
+    if A._odd_module_generators is not None or A.presentation is not None:
         omg = []
         for label, vec in A.odd_module_generators():
             img = project(vec)

@@ -324,7 +324,7 @@ def _scalar_from_json(field, c):
 def _load_cochain(path, A):
     try:
         data = json.loads(_read(path))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: arrays nested too deep
         raise UsageError("bad cochain file %s: %s" % (path, exc))
     try:
         n = data["n"]

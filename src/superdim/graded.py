@@ -22,7 +22,8 @@ share three private builders:
   generators of each parity plus the products g y_i with the odd
   generators y_i of A (``_lattice_multipliers``).  Otherwise they are the
   ideal's basis rows;
-* the components: ``_Components`` walks the stage keys (n or (k, l)) in
+* the components: ``_Components`` takes the filtration as ``stages``, a
+  dict from stage key (n or (k, l)) to stage, and walks the keys in
   sorted order; per stage, one echelon seeded with the stage(s) below it
   (``exactlin.representatives``) picks the representatives, tagged by
   their global index, and ``_Components.coords`` reads classes off it;
@@ -39,6 +40,10 @@ share three private builders:
   other algebra has every ordered pair solved.  A graded module (a
   ``smodule.SuperModule`` with a solver) likewise solves the action of a
   representative, all of its columns, the first time it is read.
+
+``gr`` and ``bgr`` both return a ``GradedSuperAlgebra``, and both module
+constructions a ``GradedSuperModule``; each keeps its filtration, by stage
+key, as ``stages``.
 
 Conservation of total dimension holds for the graded object (the chain
 telescopes).  It does not hold bigraded in general: one ambient vector can
@@ -80,7 +85,6 @@ from .superpoly import EVEN, ODD, SUPERCOMMUTATIVE
 
 __all__ = [
     "GradedSuperAlgebra",
-    "BigradedSuperAlgebra",
     "GradedSuperModule",
     "gr",
     "bgr",
@@ -167,7 +171,7 @@ class _Components:
     """
 
     def __init__(self, X, stages, below):
-        self.ambient = X.dim
+        self.ambient, self.stages = X.dim, stages
         self.reps, self.keys, self.echelons = [], [], {}
         for key in sorted(stages):
             under = [stages[b] for b in below(key) if b in stages]
@@ -228,16 +232,9 @@ class _Components:
         unit = self.coords(min(self.echelons), A.unit_element())  # the key of the whole of A
         if list(unit.values()) != [A.field.one]:
             raise AlgebraError("unit class is not a single representative")
-        algebra = FiniteSuperAlgebra.from_table(
-            labels=["[%s]@%s" % (A.element_name(r), tag(k)) for k, r in zip(self.keys, self.rows)],
-            parities=parities,
-            field=A.field,
-            table={},
-            unit_index=next(iter(unit)),
-            name=name,
-            fill=fill,
-            odd_steps=odd_steps,
-        )
+        labels = ["[%s]@%s" % (A.element_name(r), tag(k)) for k, r in zip(self.keys, self.rows)]
+        algebra = FiniteSuperAlgebra.from_table(labels, parities, A.field, {}, next(iter(unit)),
+                                                name=name, fill=fill, odd_steps=odd_steps)
         return algebra
 
     def module(self, M, graded, add, name):
@@ -256,11 +253,15 @@ class _Components:
 
 
 class _Graded:
-    """A graded object; ``keys`` holds the stage key of each representative."""
+    """A graded object on the representatives of ``components``: ``stages``
+    maps each stage key (n, or (k, l) when bigraded) to its stage, and
+    ``keys[i]`` is the stage key of ``reps[i]``."""
 
-    def __init__(self, keys, reps):
-        self.keys = keys
-        self.reps = reps
+    def __init__(self, components):
+        self.components = components
+        self.keys = components.keys
+        self.reps = components.rows
+        self.stages = components.stages
 
     @property
     def dim(self):
@@ -271,32 +272,20 @@ class _Graded:
 
 
 class GradedSuperAlgebra(_Graded):
-    """Table-kind algebra on component representatives, degrees in ``keys``."""
+    """gr or bgr of ``source`` along ``ideal``: a table-kind algebra on the
+    component representatives."""
 
-    def __init__(self, algebra, components, powers, source, ideal):
-        super().__init__(components.keys, components.rows)
-        self.components = components
+    def __init__(self, algebra, components, source, ideal):
+        super().__init__(components)
         self.algebra = algebra
-        self.powers = powers
-        self.source = source
-        self.ideal = ideal
-
-
-class BigradedSuperAlgebra(_Graded):
-    def __init__(self, algebra, components, lattice, source, ideal):
-        super().__init__(components.keys, components.rows)
-        self.components = components
-        self.algebra = algebra
-        self.lattice = lattice
         self.source = source
         self.ideal = ideal
 
 
 class GradedSuperModule(_Graded):
-    def __init__(self, module, keys, reps, powers):
-        super().__init__(keys, reps)
+    def __init__(self, module, components):
+        super().__init__(components)
         self.module = module
-        self.powers = powers
 
 
 def _add_pairs(a, b):
@@ -316,15 +305,14 @@ def gr(A, ideal):
     """The graded algebra of the filtration by powers of a superideal; over
     a presented supercommutative A it records the odd steps that
     ``algebra.odd_multipliers`` describes, from the ideal's generators."""
-    powers = ideal_powers(A, ideal)
-    comps = _Components(A, dict(enumerate(powers)), _below_n)
+    comps = _Components(A, dict(enumerate(ideal_powers(A, ideal))), _below_n)
     steps = None
     if ideal.generators is not None and presented_supercommutative(A):
         odd = [(0, y) for y in odd_multipliers(A)]
         odd += [(1, g) for g in ideal.generators if A.element_parity(g) == ODD]
         steps = [c for c in (comps.coords(n, v) for n, v in odd) if c]
     algebra = comps.algebra(A, operator.add, str, "gr " + A.name, steps)
-    return GradedSuperAlgebra(algebra, comps, powers, A, ideal)
+    return GradedSuperAlgebra(algebra, comps, A, ideal)
 
 
 def _checked(M, ideal, graded, build):
@@ -342,14 +330,13 @@ def gr_module(M, ideal, graded_algebra=None):
     G = _checked(M, ideal, graded_algebra, gr)
     name = "gr " + M.name
     if isinstance(M, RegularModule):  # gr's own regular module, see the module docstring
-        return GradedSuperModule(regular_module(G.algebra, name), G.keys, G.reps, G.powers)
+        return GradedSuperModule(regular_module(G.algebra, name), G.components)
     mats = [M.act_element(u) for u in _multipliers(M.algebra, ideal)]
     step = filtration_step(M, Matrix.apply, mats)
     full = M.full_subspace()
     powers = [full] + filtration_chain(step(full), step, M.dim, "ideal action")
     comps = _Components(M, dict(enumerate(powers)), _below_n)
-    module = comps.module(M, G, operator.add, name)
-    return GradedSuperModule(module, comps.keys, comps.rows, powers)
+    return GradedSuperModule(comps.module(M, G, operator.add, name), comps)
 
 
 def class_in_degree(G, vec, degree):
@@ -367,13 +354,12 @@ def bgr(A, ideal):
     odd parts of the ideal in a fixed order, which is only
     order-independent under the sign rule.
     """
-    if A.kind == "monomial" and A.presentation.flavor != SUPERCOMMUTATIVE:
+    if A.presentation is not None and A.presentation.flavor != SUPERCOMMUTATIVE:
         raise AlgebraError("bigraded construction needs a supercommutative algebra")
     require_two_sided(A, ideal)
-    lattice = _lattice(A, A.mul, *_lattice_multipliers(A, ideal), "ideal")
-    comps = _Components(A, lattice, _below_kl)
+    comps = _Components(A, _lattice(A, A.mul, *_lattice_multipliers(A, ideal), "ideal"), _below_kl)
     algebra = comps.algebra(A, _add_pairs, lambda kl: "(%d,%d)" % kl, "bgr " + A.name)
-    return BigradedSuperAlgebra(algebra, comps, lattice, A, ideal)
+    return GradedSuperAlgebra(algebra, comps, A, ideal)
 
 
 def bgr_module(M, ideal, bigraded_algebra=None):
@@ -381,12 +367,10 @@ def bgr_module(M, ideal, bigraded_algebra=None):
     B = _checked(M, ideal, bigraded_algebra, bgr)
     name = "bgr " + M.name
     if isinstance(M, RegularModule):  # bgr's own regular module
-        return GradedSuperModule(regular_module(B.algebra, name), B.keys, B.reps, B.lattice)
+        return GradedSuperModule(regular_module(B.algebra, name), B.components)
     even, odd = ([M.act_element(u) for u in m] for m in _lattice_multipliers(M.algebra, ideal))
-    lattice = _lattice(M, Matrix.apply, even, odd, "ideal action")
-    comps = _Components(M, lattice, _below_kl)
-    module = comps.module(M, B, _add_pairs, name)
-    return GradedSuperModule(module, comps.keys, comps.rows, lattice)
+    comps = _Components(M, _lattice(M, Matrix.apply, even, odd, "ideal action"), _below_kl)
+    return GradedSuperModule(comps.module(M, B, _add_pairs, name), comps)
 
 
 def bgr_to_gr_surjective(B, G):
@@ -396,7 +380,7 @@ def bgr_to_gr_surjective(B, G):
     for kl, rep in zip(B.keys, B.reps):
         by_total.setdefault(kl[0] + kl[1], []).append(rep)
     field = G.algebra.field
-    for n in range(len(G.powers)):
+    for n in G.stages:
         coords = (G.components.coords(n, rep) for rep in by_total.get(n, []))
         if row_rank((c for c in coords if c), field) != G.keys.count(n):
             return False

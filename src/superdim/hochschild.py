@@ -565,7 +565,7 @@ def _symmetry(A, M):
     qualifying transpositions, whose group is the product of the symmetric
     groups on them.
     """
-    if (A.kind != "monomial" or A.field.characteristic == 2
+    if (A.presentation is None or A.field.characteristic == 2
             or not isinstance(M, RegularModule) or M.algebra is not A
             or any(len(rel.terms) != 1 for rel in A.presentation.relations)):
         return None

@@ -108,7 +108,7 @@ def module_from_actions(algebra, parities, actions, name="module"):
     for m in actions:
         if m.nrows != dim or m.ncols != dim:
             raise ModuleError("action matrix shape mismatch")
-    if algebra.kind == "table":
+    if algebra.presentation is None:
         solve = actions.__getitem__
     else:
         def solve(i):
@@ -171,7 +171,7 @@ def check_module(M):
     every word past the cap and number at most gens * MAX_MONOMIALS."""
     A = M.algebra
     bad = []
-    if A.kind == "table":
+    if A.presentation is None:
         unit = M.act_basis(A.unit_index)
         if unit != Matrix.identity(M.dim, M.field):
             bad.append("unit does not act as the identity")

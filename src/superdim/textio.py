@@ -13,11 +13,13 @@ The presentation grammar (one directive per line, '#' starts a comment):
     end
 
 Expressions use integer or rational coefficients (like 1/2), '*', '^',
-'+', '-' and parentheses; juxtaposition is not multiplication.  In the
-associative flavor the written factor order is kept.  Relations that
-normalize to zero (an odd square, say) are dropped as vacuous.  The cap
-line is optional: compiling a truncated algebra requires one, bigraded
-dimension tables do not.
+'+', '-' and parentheses; juxtaposition is not multiplication.  A sum or a
+product may have any number of terms; parentheses nest at most MAX_NESTING
+deep.  In the associative flavor the written factor order is kept.
+Relations that normalize to zero (an odd square, say) are dropped as
+vacuous.  The cap line is optional: compiling a truncated algebra requires
+one, bigraded dimension tables do not.  A presentation has at most
+``algebra.MAX_GENERATORS`` generators.
 
 The module grammar, relative to a compiled algebra A:
 
@@ -46,7 +48,7 @@ import re
 from fractions import Fraction
 from math import comb
 
-from .algebra import AlgebraError, Presentation, check_relation
+from .algebra import MAX_GENERATORS, AlgebraError, Presentation, check_relation
 from .exactlin import Matrix, field_from_name, power, vec_add_scaled
 from .sdim import SuperDimension
 from .smodule import module_from_actions, regular_module
@@ -150,13 +152,19 @@ def _tokenize(text, line, column0):
     return out
 
 
+# Parentheses nest at most this deep; the parser recurses once per level.
+MAX_NESTING = 64
+
+
 class _ExprParser:
     """expr := ['-'] term {('+'|'-') term}; term := factor {'*' factor};
-    factor := atom ['^' integer]; atom := number | ident | '(' expr ')'."""
+    factor := atom ['^' integer]; atom := number | ident | '(' expr ')'.
+    Sums and products become left-deep chains of binary nodes."""
 
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -222,8 +230,12 @@ class _ExprParser:
         if kind == "ident":
             return ("ident", val, span)
         if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError("parentheses nested deeper than %d" % MAX_NESTING, span)
+            self.depth += 1
             node = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return node
         raise ParseError("expected a number, a name or '('", span)
 
@@ -237,8 +249,10 @@ def _evaluate(node, span, field, unit, lookup, product, raise_to):
     module images and element lists go through.  A number c is {unit: c};
     negation, sums and differences go through vec_add_scaled.  The caller
     supplies ``lookup(name, name_span)``, ``product(u, v)`` for '*' and
-    ``raise_to(v, n)`` for '^'.  A coefficient undefined over the field, or
-    a power refused by ``exactlin.power``, is reported at ``span``."""
+    ``raise_to(v, n)`` for '^'.  A left-deep chain of sums and differences,
+    or of products, is folded in a loop, so its length costs no recursion.
+    A coefficient undefined over the field, or a power refused by
+    ``exactlin.power``, is reported at ``span``."""
 
     def walk(node):
         kind = node[0]
@@ -251,10 +265,18 @@ def _evaluate(node, span, field, unit, lookup, product, raise_to):
             return vec_add_scaled({}, walk(node[1]), -1, field)
         if kind == "pow":
             return raise_to(walk(node[1]), node[2])
-        left, right = walk(node[1]), walk(node[2])
-        if kind == "mul":
-            return product(left, right)
-        return vec_add_scaled(dict(left), right, -1 if kind == "sub" else 1, field)
+        links = ("mul",) if kind == "mul" else ("add", "sub")
+        chain = []
+        while node[0] in links:
+            chain.append(node)
+            node = node[1]
+        out = walk(node) if kind == "mul" else dict(walk(node))
+        for link in reversed(chain):
+            if kind == "mul":
+                out = product(out, walk(link[2]))
+            else:
+                vec_add_scaled(out, walk(link[2]), -1 if link[0] == "sub" else 1, field)
+        return out
 
     try:
         return walk(node)
@@ -475,6 +497,9 @@ def parse_presentation(text, field=None):
                 raise ParseError("expected generator names", SourceSpan(n, 1, len(body)))
             for token in list(re.finditer(r"\S+", body))[1:]:
                 item, column = token.group(), token.start() + 1
+                if len(gens) == MAX_GENERATORS:
+                    raise ParseError("generator %r is past the bound of %d generators"
+                                     % (item, MAX_GENERATORS), SourceSpan(n, column, len(item)))
                 m = _GEN_ITEM_RE.match(item)
                 if m is None:
                     raise ParseError(

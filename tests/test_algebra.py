@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from superdim.algebra import (
+    MAX_GENERATORS,
     MAX_MONOMIALS,
     AlgebraError,
     FiniteSuperAlgebra,
@@ -52,6 +53,14 @@ class TestPresentationValidation:
         gens = (GeneratorSpec("x", EVEN), GeneratorSpec("x", ODD))
         with pytest.raises(AlgebraError):
             Presentation(SUPERCOMMUTATIVE, gens, [], 2, QQ)
+
+    def test_generator_bound(self):
+        gens = [GeneratorSpec("z%d" % i, ODD) for i in range(MAX_GENERATORS + 1)]
+        # the monomial enumeration recurses once per generator
+        A = compile_presentation(Presentation(SUPERCOMMUTATIVE, gens[:-1], [], 1, QQ))
+        assert A.dim == MAX_GENERATORS + 1
+        with pytest.raises(AlgebraError, match="more than 256 generators"):
+            Presentation(SUPERCOMMUTATIVE, gens, [], 1, QQ)
 
     def test_bad_flavor(self):
         with pytest.raises(AlgebraError):

@@ -1046,3 +1046,70 @@ class TestOddParamsMemory:
         code, out, err, _rss_mb = self._run(tmp_path, 14, 7)
         assert (code, err) == (0, "")
         assert "count: 3432" in out
+
+
+def _odd_algebra(tmp_path, count, tail):
+    alg = tmp_path / ("odd%d.alg" % count)
+    alg.write_text("algebra big over Q\nflavor supercommutative\nodd %s\n%s"
+                   % (" ".join("z%d" % i for i in range(count)), tail))
+    return str(alg)
+
+
+def _relation_algebra(tmp_path, relation):
+    alg = tmp_path / "rel.alg"
+    alg.write_text("algebra rel over Q\nflavor supercommutative\nodd z1 z2\ncap 2\n"
+                   "relations\n  %s\nend\n" % relation)
+    return str(alg)
+
+
+def _deep_cochain(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    return str(path)
+
+
+_G2 = asset("grassmann2.alg")
+_SUM, _PRODUCT = " + ".join(["z1*z2"] * 1000), "*".join(["(1+z1)"] * 1000)
+_PARENS = "(" * 300 + "z1" + ")" * 300
+_PAST_256 = "line 3, column %d: generator 'z256' is past the bound of 256 generators" % (
+    ("odd " + " ".join("z%d" % i for i in range(300))).index(" z256 ") + 2)
+
+# Inputs that ran into the interpreter's recursion limit: many generators,
+# long sums and products, deep parentheses and a deeply nested cochain file.
+# Each builds the argv from tmp_path, with the located error it ends in when
+# refused; a cochain file is JSON, and json names no place for this error.
+_RECURSION_CASES = {
+    "sdim-1200-generators": (
+        lambda t: ("sdim", _odd_algebra(t, 1200, "cap 1\n")), _PAST_256),
+    "hilbert-1100-generators": (
+        lambda t: ("hilbert", _odd_algebra(t, 1100, "relations\n  z0*z1\nend\n"),
+                   "--kmax", "1", "--lmax", "3"), _PAST_256),
+    "relation-sum": (lambda t: ("sdim", _relation_algebra(t, _SUM)), None),
+    "relation-product": (
+        lambda t: ("sdim", _relation_algebra(t, _PRODUCT + "*z1*z2")), None),
+    "relation-parentheses": (
+        lambda t: ("sdim", _relation_algebra(t, _PARENS + "*z2")),
+        "line 6, column 67: parentheses nested deeper than 64"),
+    "elems-sum": (
+        lambda t: ("regular", _G2, "--module", asset("regular.mod"),
+                   "--elems", "z1," + " + ".join(["z2"] * 1000)), None),
+    "ideal-product": (lambda t: ("gr", _G2, "--ideal", _PRODUCT + "*z2"), None),
+    "ideal-parentheses": (
+        lambda t: ("gr", _G2, "--ideal", "(" * 400 + "z1" + ")" * 400),
+        "line 1, column 65: parentheses nested deeper than 64"),
+    "deep-cochain": (
+        lambda t: ("hochschild", _G2, "--n", "1", "--cocycle", _deep_cochain(t)),
+        "deep.json: maximum recursion depth exceeded while decoding a JSON array"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RECURSION_CASES))
+def test_input_past_the_recursion_limit_ends_in_a_documented_exit(tmp_path, case):
+    args, refusal = _RECURSION_CASES[case]
+    code, out, err = run_cli(*args(tmp_path), timeout=10)
+    assert "Traceback" not in err
+    if refusal is None:
+        assert code == 0, err
+    else:
+        assert (code, out) == (2, "")
+        assert refusal in err

@@ -94,12 +94,12 @@ class TestAgainstBasisStepped:
                 step = oracles._step(M, module_act, I.basis())
                 full = M.full_subspace()
                 want = [full] + oracles._chain(step(full), step, M.dim, "ideal action")
-                assert rows(gr_module(M, I).powers) == rows(want), label
+                assert rows(gr_module(M, I).stages.values()) == rows(want), label
                 for X, act in ((A, A.mul), (M, module_act)):
                     got = _lattice(X, act, *_lattice_multipliers(A, I), "ideal")
                     assert lattice_rows(got) == lattice_rows(oracles._lattice(X, act, I, "ideal")), label
                 want = oracles._lattice(M, module_act, I, "ideal")
-                assert lattice_rows(bgr_module(M, I).powers) == lattice_rows(want), label
+                assert lattice_rows(bgr_module(M, I).stages) == lattice_rows(want), label
         assert seen == {"odd radical", "one generator", "inhomogeneous seed"}
 
 

@@ -160,16 +160,14 @@ class TestBgr:
         assert row_rank(even, QQ) == row_rank(products, QQ) == len(even)
 
 
-def _rows(filtration):
-    if isinstance(filtration, dict):
-        return {key: S.basis() for key, S in filtration.items()}
-    return [S.basis() for S in filtration]
+def _rows(stages):
+    return {key: S.basis() for key, S in stages.items()}
 
 
 def _assert_same_graded_module(got, want):
     assert got.keys == want.keys
     assert got.reps == want.reps
-    assert _rows(got.powers) == _rows(want.powers)
+    assert _rows(got.stages) == _rows(want.stages)
     assert got.module.parities == want.module.parities
     assert got.module.actions == want.module.actions
 
@@ -239,25 +237,21 @@ def _same_algebra(got, want):
     assert got.unit_index == want.unit_index
 
 
-def _stages(filtration):
-    return filtration if isinstance(filtration, dict) else dict(enumerate(filtration))
-
-
 def _check_against_two_pass(A, I, modules):
     """gr, bgr, their modules over ``modules``, class_in_degree and
     bgr_to_gr_surjective against the two-pass construction."""
     G, B = gr(A, I), bgr(A, I)
     graded = []
-    for X, stages, below, add, tag in (
-        (G, G.powers, _below_n, operator.add, str),
-        (B, B.lattice, _below_kl, _add_pairs, lambda kl: "(%d,%d)" % kl),
+    for X, below, add, tag in (
+        (G, _below_n, operator.add, str),
+        (B, _below_kl, _add_pairs, lambda kl: "(%d,%d)" % kl),
     ):
-        R = TwoPassComponents(A, _stages(stages), below)
+        R = TwoPassComponents(A, X.stages, below)
         assert (X.keys, X.reps) == (R.keys, R.rows)
         _same_algebra(X.algebra, R.algebra(A, add, tag, X.algebra.name))
         graded.append((X, R, below, add))
     RG = graded[0][1]
-    for n, stage in enumerate(G.powers):
+    for n, stage in G.stages.items():
         rows = stage.basis()
         for vec in rows + [vec_add_scaled(dict(rows[0]), rows[-1], 3, A.field)]:
             assert class_in_degree(G, vec, n) == RG.class_in_degree(vec, n)
@@ -265,7 +259,7 @@ def _check_against_two_pass(A, I, modules):
     for M in modules:
         for (X, R, below, add), build in zip(graded, (gr_module, bgr_module)):
             XM = build(M, I, X)
-            RM = TwoPassComponents(M, _stages(XM.powers), below)
+            RM = TwoPassComponents(M, XM.stages, below)
             assert (XM.keys, XM.reps) == (RM.keys, RM.rows)
             want = RM.module(M, R.keys, R.rows, X.algebra, add)
             assert XM.module.parities == want.parities
@@ -290,7 +284,7 @@ class TestTwoPassReference:
     def test_vector_outside_its_stage_is_refused(self):
         for _name, A, I in golden_cases():
             G = gr(A, I)
-            RG = TwoPassComponents(A, dict(enumerate(G.powers)), _below_n)
+            RG = TwoPassComponents(A, G.stages, _below_n)
             for classify in (lambda v: class_in_degree(G, v, 1), lambda v: RG.class_in_degree(v, 1)):
                 with pytest.raises(AlgebraError, match="does not lie in the expected stage"):
                     classify(A.unit_element())

@@ -10,7 +10,8 @@ names, every import is used and no module imports another's private
 name.  The odd chain is read off an algebra's compiled monomials only in
 ``algebra.odd_filtration``, ``sdim_algebra`` does not take the chain
 of the regular module, and only ``textio._evaluate`` walks expression
-trees."""
+trees.  Every algebra is built by ``FiniteSuperAlgebra.from_table``, and no
+algebra or graded object stores a ``kind``, ``powers`` or ``lattice``."""
 
 import ast
 import importlib
@@ -931,3 +932,72 @@ def test_evaluator_check_flags_a_second_walker():
         ("_poly_eval", 8),
         ("visit", 13),
     ]
+
+
+# Attributes that follow from others: an algebra's kind from its
+# presentation, and a graded object's filtration is its ``stages``.
+_DERIVED_STATE = {"kind", "powers", "lattice"}
+
+
+def _construction_sites(source):
+    """The lines of each ``__new__`` call outside ``from_table``, the one
+    constructor of a FiniteSuperAlgebra, and the lines that assign a
+    ``kind``, ``powers`` or ``lattice`` attribute."""
+    tree = ast.parse(source)
+    constructor = {
+        n for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "from_table" for n in ast.walk(fn)
+    }
+    new = sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__new__" and node not in constructor
+    )
+    writes = set()
+    for node in ast.walk(tree):
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        for t in targets:
+            if any(isinstance(n, ast.Attribute) and n.attr in _DERIVED_STATE
+                   and isinstance(n.ctx, ast.Store) for n in ast.walk(t)):
+                writes.add(node.lineno)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "setattr" and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value in _DERIVED_STATE):
+            writes.add(node.lineno)
+    return new, sorted(writes)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(SRC) if n.endswith(".py")))
+def test_one_algebra_constructor_and_no_derived_state(name):
+    with open(os.path.join(SRC, name)) as fh:
+        new, writes = _construction_sites(fh.read())
+    assert not new, "%s: __new__ called in %s; build through FiniteSuperAlgebra.from_table" % (
+        name, new)
+    assert not writes, "%s: kind, powers or lattice assigned at lines %s" % (name, writes)
+
+
+def test_construction_check_flags_a_second_constructor():
+    # compile_presentation and the bigraded class as they were, condensed
+    planted = (
+        "def compile_presentation(pres):\n"
+        "    A = FiniteSuperAlgebra.__new__(FiniteSuperAlgebra)\n"
+        "    A.kind = 'monomial'\n"
+        "    return A\n"
+        "class FiniteSuperAlgebra:\n"
+        "    @classmethod\n"
+        "    def from_table(cls, labels):\n"
+        "        A = cls.__new__(cls)\n"
+        "        A.kind, A.dim = 'table', len(labels)\n"
+        "        return A\n"
+        "class BigradedSuperAlgebra:\n"
+        "    def __init__(self, lattice):\n"
+        "        self.lattice: dict = lattice\n"
+        "        setattr(self, 'powers', None)\n"
+        "        self.stages = lattice\n"
+    )
+    assert _construction_sites(planted) == ([2], [3, 9, 13, 14])

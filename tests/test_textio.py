@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from superdim.algebra import compile_presentation
+from superdim.algebra import MAX_GENERATORS, compile_presentation
 from superdim.exactlin import Matrix, PrimeField, QQ, vec_add_scaled
 from superdim.sdim import EMPTY_SDIM, SuperDimension
 from superdim.smodule import regular_module
 from superdim.textio import (
+    MAX_NESTING,
     ParseError,
     emit_report,
     format_module,
@@ -175,6 +176,15 @@ class TestPresentationGrammar:
             parse_presentation(text)
         assert (e.value.span.line, e.value.span.column) == (3, column)
         assert fragment in str(e.value)
+
+    def test_generator_past_the_bound_is_refused_at_its_item(self):
+        line = "odd " + " ".join("z%d" % i for i in range(MAX_GENERATORS + 1))
+        text = "algebra a over Q\nflavor supercommutative\n%s\ncap 1\n" % line
+        with pytest.raises(ParseError) as e:
+            parse_presentation(text)
+        assert (e.value.span.line, e.value.span.column) == (3, line.index("z256") + 1)
+        assert "generator 'z256' is past the bound of 256 generators" in str(e.value)
+        assert len(parse_presentation(text.replace(" z256", "")).gens) == MAX_GENERATORS
 
     def test_nilpotent_power_past_the_cap_is_vacuous(self):
         # (a + b)^3 = 0 for odd a, b: the power is computed, not refused.
@@ -352,6 +362,36 @@ class TestElements:
     def test_a_refused_power_names_its_element(self):
         with pytest.raises(ParseError, match="line 1, column 4: a power has a coefficient past"):
             parse_elements("z1,2^99999*z2", self.A)
+
+
+class TestExpressionSize:
+    """Sums and products of any length; parentheses nested MAX_NESTING deep."""
+
+    @staticmethod
+    def _relations(relation, field=None, cap="cap 2\n"):
+        text = ("algebra s over Q\nflavor supercommutative\neven x\nodd z1 z2\n%s"
+                "relations\n  %s\nend\n" % (cap, relation))
+        return [r.terms for r in parse_presentation(text, field=field).relations]
+
+    def test_long_sum(self):
+        long = " + ".join(["z1*z2"] * 5000)
+        assert self._relations(long) == self._relations("5000*z1*z2") == [{(0, 1, 1): 5000}]
+        assert self._relations(long, field=PrimeField(5)) == []  # vacuous over F5
+
+    def test_long_product(self):
+        assert self._relations("*".join(["x"] * 2000), cap="") == [{(2000, 0, 0): 1}]
+        A = compile_presentation(parse_presentation(load("grassmann2.alg")))
+        [got] = parse_elements("*".join(["(1+z1)"] * 2000), A)
+        assert got == vec_add_scaled(A.unit_element(), A.generator_element("z1"), 2000, QQ)
+
+    def test_nesting_bound(self):
+        deep = "(" * MAX_NESTING + "z1*z2" + ")" * MAX_NESTING
+        assert self._relations(deep) == self._relations("z1*z2")
+        with pytest.raises(ParseError) as e:
+            self._relations("(%s)" % deep)
+        # the relation starts at column 3, so the 65th '(' is at column 67
+        assert (e.value.span.line, e.value.span.column) == (7, 3 + MAX_NESTING)
+        assert "parentheses nested deeper than 64" in str(e.value)
 
 
 class TestReports:
